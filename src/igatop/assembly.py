@@ -8,18 +8,27 @@ point, beta_e = NITSCHE_PENALTY_C * kappa_e * p^2 / h_e (Annavarapu,
 Hautefeuille & Dolbow 2012): kappa_e is the largest conductivity either
 side of the interface can take in the solve (an override can raise it),
 p the solution degree, h_e the physical length of the edge's knot span.
-A number in `model.beta` replaces it by that absolute penalty.  All basis
-tabulations at quadrature points are precomputed into sparse operators
-once per mesh, so repeated assemblies inside the optimizer only rescale
-rows by the pointwise conductivity kappa(phi) and redo sparse products
-and one direct factorization.  Solves refine iteratively only while the
-componentwise backward error is above eps and the last sweep halved it.
+A number in `model.beta` replaces it by that absolute penalty.
+
+Everything the level set does not move is built once per mesh: the bulk
+matrix of each non-design region at unit conductivity, the jump penalty,
+and the interface rows of all edges stacked into one operator.  An
+assembly scales the fixed regions by their conductivities (a sum kept
+for the model's own values) and forms two weighted products
+A^T diag(s) B, one over the design-region quadrature rows and one over
+the stacked interface rows; the weights scale the columns of a
+precomputed A^T.  K_ff is symmetric positive definite, so each state
+solve factors it once with SuperLU in symmetric mode (diagonal pivots,
+an ordering of K_ff + K_ff^T).  The free-dof blocks are sliced once per
+state solve and shared by the solve, its refinement sweeps and the
+adjoint.  Solves refine iteratively only while the componentwise
+backward error is above eps and the last sweep halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
-dkappa/dphi * R_i * (grad T . grad P); interfaces adjacent to design
-patches contribute the differentiated average-flux terms; the jump
-penalty does not depend on the level set and drops out.
+dkappa/dphi * R_i * (grad T . grad P) over the design rows; the interface
+rows on design sides contribute the differentiated average-flux terms;
+the jump penalty does not depend on the level set and drops out.
 """
 
 from __future__ import annotations
@@ -69,9 +78,27 @@ def dkappa_dphi(phi, mats: MaterialPair, sp_: SmoothingParams):
 NITSCHE_PENALTY_C = 10.0
 
 
-def _row_scale(A: sp.csr_matrix, v: np.ndarray) -> sp.csr_matrix:
-    d = np.repeat(v, np.diff(A.indptr))
-    return sp.csr_matrix((A.data * d, A.indices, A.indptr), shape=A.shape)
+def _gram(At: sp.csr_matrix, B: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
+    """A^T diag(s) B from A^T in CSR, whose columns the weights scale."""
+    return sp.csr_matrix((At.data * s[At.indices], At.indices, At.indptr), shape=At.shape) @ B
+
+
+def _stack(rows: list, ncols: int) -> sp.csr_matrix:
+    return sp.vstack(rows).tocsr() if rows else sp.csr_matrix((0, ncols))
+
+
+def _block_csr(blocks: list, ncols: int) -> sp.csr_matrix:
+    """CSR of consecutive row blocks, each a pair of (n, k) arrays: the
+    values and the column indices (ascending and distinct along a row)."""
+    if not blocks:
+        return sp.csr_matrix((0, ncols))
+    counts = np.concatenate([np.full(v.shape[0], v.shape[1]) for v, _ in blocks])
+    return sp.csr_matrix(
+        (np.concatenate([v.ravel() for v, _ in blocks]),
+         np.concatenate([c.ravel() for _, c in blocks]),
+         np.concatenate([[0], np.cumsum(counts)])),
+        shape=(counts.size, ncols),
+    )
 
 
 _EDGE_PARAMS = {
@@ -123,6 +150,22 @@ class EdgeQuad:
 
 
 @dataclass
+class DesignRows:
+    """Points whose conductivity can follow the level set, with the
+    operators of the weighted product A^T diag(s) B they enter.
+
+    Per point: the quadrature weight, the region, and the design-basis
+    values (zero rows off the design; None without a basis).
+    """
+
+    w: np.ndarray
+    labels: np.ndarray
+    D: sp.csr_matrix | None
+    At: sp.csr_matrix  # A^T in CSR
+    B: sp.csr_matrix
+
+
+@dataclass
 class Discretization:
     """Per-mesh cache of quadrature, basis operators, and constraints."""
 
@@ -136,14 +179,21 @@ class Discretization:
     N: sp.csr_matrix
     Gx: sp.csr_matrix
     Gy: sp.csr_matrix
-    design_mask: np.ndarray
     D: sp.csr_matrix | None
-    DGx: sp.csr_matrix | None
-    DGy: sp.csr_matrix | None
-    kappa_fixed: np.ndarray
+    # design-region quadrature points, B = A the rows of [Gx; Gy] there:
+    # K_d = B^T diag([w kappa; w kappa]) B
+    bulk: DesignRows
+    # unit-conductivity bulk matrix of each non-design region
+    region_K: dict[str, sp.csr_matrix]
     edges: list[EdgeQuad]
     E: sp.csr_matrix  # jump rows of all interface points, edge after edge
+    # both sides of every interface point, side a of all edges first, with
+    # w the edge weight times gamma (side a) or 1 - gamma (side b):
+    # K_n = -[E; E]^T diag(w kappa) [G1n; G2n]
+    sides: DesignRows
     Ks: sp.csr_matrix  # jump penalty of a solve without overrides
+    # sum of kappa_r * region_K[r] and Ks for the model's own conductivities
+    K_fixed: sp.csr_matrix
     F0: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
@@ -186,10 +236,7 @@ def discretize(
     dof_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     ndof = int(dof_offsets[-1])
 
-    w_all, phys_all, lab_all, pid_all = [], [], [], []
-    rowsN, rowsGx, rowsGy = [], [], []
-    rowsD, rowsDx, rowsDy = [], [], []
-    n_rows = 0
+    w_all, phys_all, lab_all, pid_all, tabs = [], [], [], [], []
     m = basis.m if basis is not None else 0
     for pid, patch in enumerate(model.patches):
         from igatop.splines import patch_quadrature
@@ -197,49 +244,60 @@ def discretize(
         # default rule: (p+1) x (q+1) Gauss points per nonempty span
         pts, wts = patch_quadrature(patch, n_per_span, n_per_span, breaks_u, breaks_v)
         tab = tabulate(patch, pts)
-        nq, nloc = tab.indices.shape
-        rows = np.repeat(np.arange(nq) + n_rows, nloc)
-        cols = (tab.indices + dof_offsets[pid]).ravel()
-        rowsN.append((tab.values.ravel(), rows, cols))
-        rowsGx.append((tab.dx.ravel(), rows, cols))
-        rowsGy.append((tab.dy.ravel(), rows, cols))
+        nq = pts.shape[0]
+        # design-basis values and columns; none off the design
+        drows = (np.zeros((nq, 0)), np.zeros((nq, 0), dtype=int))
+        if basis is not None and model.labels[pid] == "design":
+            k = basis.patch_ids.index(pid)
+            dtab = tabulate(basis.patches[k], pts)
+            drows = (dtab.values, dtab.indices + int(basis.offsets[k]))
+        cols = tab.indices + dof_offsets[pid]
+        tabs.append({"N": (tab.values, cols), "dx": (tab.dx, cols), "dy": (tab.dy, cols),
+                     "D": drows})
         w_all.append(wts * tab.det_j)
         phys_all.append(tab.phys)
         lab_all.append(np.full(nq, model.labels[pid], dtype="<U8"))
         pid_all.append(np.full(nq, pid))
-        if basis is not None and model.labels[pid] == "design":
-            k = basis.patch_ids.index(pid)
-            dtab = tabulate(basis.patches[k], pts)
-            drows = np.repeat(np.arange(nq) + n_rows, dtab.indices.shape[1])
-            dcols = (dtab.indices + int(basis.offsets[k])).ravel()
-            rowsD.append((dtab.values.ravel(), drows, dcols))
-            rowsDx.append((dtab.dx.ravel(), drows, dcols))
-            rowsDy.append((dtab.dy.ravel(), drows, dcols))
-        n_rows += nq
 
-    def _csr(parts, shape):
-        if not parts:
-            return None
-        data = np.concatenate([p[0] for p in parts])
-        rows = np.concatenate([p[1] for p in parts])
-        cols = np.concatenate([p[2] for p in parts])
-        return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    def patch_rows(key, pids=range(len(tabs)), ncols=ndof):
+        return _block_csr([tabs[pid][key] for pid in pids], ncols)
 
-    N = _csr(rowsN, (n_rows, ndof))
-    Gx = _csr(rowsGx, (n_rows, ndof))
-    Gy = _csr(rowsGy, (n_rows, ndof))
-    D = _csr(rowsD, (n_rows, m)) if basis is not None else None
-    DGx = _csr(rowsDx, (n_rows, m)) if basis is not None else None
-    DGy = _csr(rowsDy, (n_rows, m)) if basis is not None else None
+    def grad_rows(pids):
+        return _block_csr([tabs[pid][key] for key in ("dx", "dy") for pid in pids], ndof)
 
+    N, Gx, Gy = patch_rows("N"), patch_rows("dx"), patch_rows("dy")
+    D = patch_rows("D", ncols=m) if basis is not None else None
+    w = np.concatenate(w_all)
     qlabel = np.concatenate(lab_all)
     design_mask = qlabel == "design"
-    kappa_fixed = np.full(n_rows, np.nan)
-    for label, kap in model.kappa_regions.items():
-        kappa_fixed[qlabel == label] = kap
+
+    design = [pid for pid, label in enumerate(model.labels) if label == "design"]
+    Gd = grad_rows(design)
+    bulk = DesignRows(
+        w=w[design_mask], labels=qlabel[design_mask],
+        D=patch_rows("D", design, m) if basis is not None else None, At=Gd.T.tocsr(), B=Gd,
+    )
+    region_K = {}
+    for label in sorted(set(model.labels) - {"design"}):
+        pids = [pid for pid, lab in enumerate(model.labels) if lab == label]
+        G = grad_rows(pids)
+        region_K[label] = _gram(G.T.tocsr(), G, np.tile(w[qlabel == label], 2))
 
     edges = [_build_edge(model, basis, pair, dof_offsets, ndof) for pair in model.interfaces]
-    E = sp.vstack([e.En for e in edges]).tocsr() if edges else sp.csr_matrix((0, ndof))
+    E = _stack([e.En for e in edges], ndof)
+    gamma = model.gamma
+    side_w = [gamma * e.w for e in edges] + [(1.0 - gamma) * e.w for e in edges]
+    side_D = [e.D1 for e in edges] + [e.D2 for e in edges]
+    sides = DesignRows(
+        w=np.concatenate([np.zeros(0)] + side_w),
+        labels=np.repeat(np.array([e.region_a for e in edges] + [e.region_b for e in edges],
+                                  dtype="<U8"), [ws.size for ws in side_w]),
+        D=None if basis is None else _stack(
+            [Ds if Ds is not None else sp.csr_matrix((ws.size, m)) for ws, Ds in zip(side_w, side_D)], m),
+        At=sp.vstack([E, E]).T.tocsr(),
+        B=_stack([e.G1n for e in edges] + [e.G2n for e in edges], ndof),
+    )
+    Ks = _penalty_matrix(model, edges, E)
 
     F0 = np.zeros(ndof)
     dir_map: dict[int, float] = {}
@@ -271,20 +329,20 @@ def discretize(
         basis=basis,
         ndof=ndof,
         dof_offsets=dof_offsets,
-        w=np.concatenate(w_all),
+        w=w,
         phys=np.concatenate(phys_all),
         qlabel=qlabel,
         N=N,
         Gx=Gx,
         Gy=Gy,
-        design_mask=design_mask,
         D=D,
-        DGx=DGx,
-        DGy=DGy,
-        kappa_fixed=kappa_fixed,
+        bulk=bulk,
+        region_K=region_K,
         edges=edges,
         E=E,
-        Ks=_penalty_matrix(model, edges, E),
+        sides=sides,
+        Ks=Ks,
+        K_fixed=_fixed_matrix(model, region_K, Ks, {}),
         F0=F0,
         dirichlet_idx=dirichlet_idx,
         dirichlet_val=dirichlet_val,
@@ -376,7 +434,18 @@ def _penalty_matrix(model, edges, E, override=None) -> sp.csr_matrix:
                         _kappa_max(model, e.region_b, override))
             beta_e = NITSCHE_PENALTY_C * kappa * e.p2_h
         weights.append(e.w * beta_e)
-    return (E.T @ _row_scale(E, np.concatenate(weights))).tocsr()
+    return _gram(E.T.tocsr(), E, np.concatenate(weights))
+
+
+def _fixed_matrix(model, region_K, Ks, override) -> sp.csr_matrix:
+    """Non-design bulk regions scaled by their conductivities, plus K_s."""
+    K = Ks
+    for label, Kr in region_K.items():
+        kappa = override.get(label, model.kappa_regions.get(label))
+        if kappa is None:
+            raise AssemblyError("missing conductivity for a non-design region")
+        K = K + float(kappa) * Kr
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +453,31 @@ def _penalty_matrix(model, edges, E, override=None) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_bulk(disc, field, sp_, override) -> np.ndarray:
-    kappa = disc.kappa_fixed.copy()
-    override = override or {}
-    for label, val in override.items():
-        kappa[disc.region_mask(label)] = val
-    nan_mask = np.isnan(kappa)
-    if np.any(nan_mask & ~disc.design_mask):
+def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
+    """Conductivity at each point of `rows`: the override or the region's
+    own value, else (on the design) the smoothed material of the field."""
+    kappa = np.full(rows.w.size, np.nan)
+    for label, val in {**disc.model.kappa_regions, **(override or {})}.items():
+        kappa[rows.labels == label] = val
+    todo = np.isnan(kappa)
+    if np.any(todo & (rows.labels != "design")):
         raise AssemblyError("missing conductivity for a non-design region")
-    if np.any(nan_mask):
+    if np.any(todo):
         if field is None:
             raise AssemblyError("design region requires a field or an override")
-        phi = disc.D @ field.coeffs
-        kappa[nan_mask] = kappa_at(phi[nan_mask], disc.model.design_pair, sp_)
+        kappa[todo] = kappa_at((rows.D @ field.coeffs)[todo], disc.model.design_pair, sp_)
     return kappa
 
 
-def _kappa_edge_side(disc, edge: EdgeQuad, side: str, field, sp_, override):
-    region = edge.region_a if side == "a" else edge.region_b
-    override = override or {}
-    if region in override:
-        return np.full(edge.w.size, float(override[region]))
-    if region != "design":
-        return np.full(edge.w.size, disc.model.kappa_regions[region])
-    if field is None:
-        raise AssemblyError("design-adjacent interface requires a field or an override")
-    Dside = edge.D1 if side == "a" else edge.D2
-    return kappa_at(Dside @ field.coeffs, disc.model.design_pair, sp_)
+def _kappa_bulk(disc, field, sp_, override) -> np.ndarray:
+    """Conductivity at the design-region quadrature points."""
+    return _kappa_points(disc, disc.bulk, field, sp_, override)
 
 
 def assemble_bulk(disc: Discretization, kappa_q: np.ndarray) -> sp.csr_matrix:
-    """Bulk conduction stiffness for a pointwise conductivity vector."""
-    wk = disc.w * kappa_q
-    return (disc.Gx.T @ _row_scale(disc.Gx, wk) + disc.Gy.T @ _row_scale(disc.Gy, wk)).tocsr()
+    """Bulk conduction stiffness for a conductivity at every quadrature point."""
+    G = sp.vstack([disc.Gx, disc.Gy]).tocsr()
+    return _gram(G.T.tocsr(), G, np.tile(disc.w * kappa_q, 2))
 
 
 def assemble_nitsche(
@@ -427,21 +488,17 @@ def assemble_nitsche(
 ):
     """Interface consistency matrix K_n and jump-penalty matrix K_s.
 
-    K_s is the mesh's precomputed penalty, formed anew only when
-    `override` changes the conductivities a scaled penalty follows.
+    K_n is one weighted product over the stacked interface points.  K_s is
+    the mesh's precomputed penalty, formed anew only when `override`
+    changes the conductivities a scaled penalty follows.
     """
-    gamma = disc.model.gamma
-    ndof = disc.ndof
-    Kn = sp.csr_matrix((ndof, ndof))
-    for edge in disc.edges:
-        k1 = _kappa_edge_side(disc, edge, "a", field, sp_, override)
-        k2 = _kappa_edge_side(disc, edge, "b", field, sp_, override)
-        flux = _row_scale(edge.G1n, gamma * k1) + _row_scale(edge.G2n, (1.0 - gamma) * k2)
-        Kn = Kn - edge.En.T @ _row_scale(flux.tocsr(), edge.w)
+    sides = disc.sides
+    kappa = _kappa_points(disc, sides, field, sp_, override)
+    Kn = -_gram(sides.At, sides.B, sides.w * kappa)
     Ks = disc.Ks
     if override and disc.model.beta is None:
         Ks = _penalty_matrix(disc.model, disc.edges, disc.E, override)
-    return Kn.tocsr(), Ks
+    return Kn, Ks
 
 
 def assemble_flux(disc: Discretization) -> np.ndarray:
@@ -455,17 +512,30 @@ def assemble_system(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ):
-    """Full stiffness K = K_b + K_n + K_n^T + K_s and load vector."""
-    kappa_q = _kappa_bulk(disc, field, sp_, override)
-    K = assemble_bulk(disc, kappa_q)
+    """Full stiffness K = K_b + K_n + K_n^T + K_s and load vector.
+
+    Only the design-region rows of K_b and the interface term K_n follow
+    the field; the rest is the mesh's fixed sum, rescaled under `override`.
+    """
     Kn, Ks = assemble_nitsche(disc, field, sp_, override)
-    K = (K + Kn + Kn.T + Ks).tocsr()
-    return K, assemble_flux(disc)
+    K = _fixed_matrix(disc.model, disc.region_K, Ks, override) if override else disc.K_fixed
+    bulk = disc.bulk
+    Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * _kappa_bulk(disc, field, sp_, override), 2))
+    return (K + Kd + (Kn + Kn.T)).tocsr(), assemble_flux(disc)
 
 
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class FreeBlocks:
+    """K restricted to the free dofs, sliced once per state solve."""
+
+    Kff: sp.csr_matrix
+    Kfd: sp.csr_matrix  # free rows, Dirichlet columns
+    abs_Kff: sp.csr_matrix
 
 
 @dataclass
@@ -476,6 +546,7 @@ class FieldSolution:
     values: np.ndarray  # (ndof,)
     K: sp.csr_matrix
     lu: object
+    blocks: FreeBlocks
 
     def at_quadrature(self):
         return self.disc.N @ self.values
@@ -484,11 +555,18 @@ class FieldSolution:
         return self.disc.Gx @ self.values, self.disc.Gy @ self.values
 
 
-def _constrained_factor(disc: Discretization, K: sp.csr_matrix):
-    free = disc.free
-    Kff = K[free][:, free].tocsc()
+def _free_blocks(disc: Discretization, K: sp.csr_matrix) -> FreeBlocks:
+    Kf = K[disc.free]
+    Kff = Kf[:, disc.free]
+    return FreeBlocks(Kff=Kff, Kfd=Kf[:, disc.dirichlet_idx], abs_Kff=abs(Kff))
+
+
+def _constrained_factor(blocks: FreeBlocks):
+    # K_ff is symmetric positive definite: diagonal pivots are stable, and
+    # the fill-reducing ordering is that of K_ff + K_ff^T
     try:
-        lu = splu(Kff)
+        lu = splu(blocks.Kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
             "singular stiffness system (suspected untagged boundary or missing "
@@ -500,16 +578,14 @@ def _constrained_factor(disc: Discretization, K: sp.csr_matrix):
 _EPS = np.finfo(float).eps
 
 
-def _constrained_solve(disc, K, lu, F, dirichlet_val=None, transpose=False):
+def _constrained_solve(disc, blocks: FreeBlocks, lu, F, dirichlet_val=None, transpose=False):
     free = disc.free
     dval = disc.dirichlet_val if dirichlet_val is None else dirichlet_val
-    Kf = K[free]
     rhs = F[free]
     if disc.dirichlet_idx.size and np.any(dval != 0.0):
-        rhs = rhs - Kf[:, disc.dirichlet_idx] @ dval
-    Kff = Kf[:, free]
-    A = Kff.T if transpose else Kff
-    absA = abs(A)
+        rhs = rhs - blocks.Kfd @ dval
+    A = blocks.Kff.T if transpose else blocks.Kff
+    absA = blocks.abs_Kff.T if transpose else blocks.abs_Kff
     abs_rhs = np.abs(rhs)
     trans = "T" if transpose else "N"
 
@@ -558,21 +634,22 @@ def solve_state(
 ) -> FieldSolution:
     """Assemble and solve the constrained conduction system."""
     K, F = assemble_system(disc, field, sp_, override)
-    lu = _constrained_factor(disc, K)
-    T = _constrained_solve(disc, K, lu, F)
-    return FieldSolution(disc=disc, values=T, K=K, lu=lu)
+    blocks = _free_blocks(disc, K)
+    lu = _constrained_factor(blocks)
+    T = _constrained_solve(disc, blocks, lu, F)
+    return FieldSolution(disc=disc, values=T, K=K, lu=lu, blocks=blocks)
 
 
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data,
-    reusing the state factorization (transposed solve).
+    reusing the state factorization and free-dof blocks (transposed solve).
     """
     disc = state.disc
     F_adj = disc.N.T @ (disc.w * load_q)
     return _constrained_solve(
-        disc, state.K, state.lu, F_adj,
+        disc, state.blocks, state.lu, F_adj,
         dirichlet_val=np.zeros_like(disc.dirichlet_val), transpose=True,
     )
 
@@ -586,33 +663,23 @@ def sensitivity_contraction(
 ) -> np.ndarray:
     """P^T (dK/dPhi_i) T for every design coefficient i.
 
-    Bulk term plus the differentiated Nitsche consistency terms on
-    design-adjacent interfaces; the jump penalty has no kappa dependence.
+    Bulk term over the design-region points plus the differentiated
+    Nitsche consistency terms at the stacked interface points on design
+    sides; the jump penalty has no kappa dependence.
     """
     if disc.D is None:
         raise AssemblyError("discretization was built without a design basis")
     mats = disc.model.design_pair
-    phi = disc.D @ field.coeffs
-    dk = np.zeros_like(phi)
-    dk[disc.design_mask] = dkappa_dphi(phi[disc.design_mask], mats, sp_)
-    tx, ty = disc.Gx @ T, disc.Gy @ T
-    px, py = disc.Gx @ P, disc.Gy @ P
-    g = disc.D.T @ (disc.w * dk * (tx * px + ty * py))
+    bulk, sides = disc.bulk, disc.sides
+    # d(B^T diag(w kappa) B): (grad T . grad P) from the stacked x and y rows
+    grads = (bulk.B @ T) * (bulk.B @ P)
+    dk = dkappa_dphi(bulk.D @ field.coeffs, mats, sp_)
+    g = bulk.D.T @ (bulk.w * dk * grads.reshape(2, -1).sum(axis=0))
 
-    gamma = disc.model.gamma
-    for edge in disc.edges:
-        if edge.D1 is None and edge.D2 is None:
-            continue
-        EP = edge.En @ P
-        ET = edge.En @ T
-        for Dside, Gn, weight in (
-            (edge.D1, edge.G1n, gamma),
-            (edge.D2, edge.G2n, 1.0 - gamma),
-        ):
-            if Dside is None:
-                continue
-            dks = dkappa_dphi(Dside @ field.coeffs, mats, sp_)
-            tn = Gn @ T
-            pn = Gn @ P
-            g = g - Dside.T @ (edge.w * weight * dks * (EP * tn + ET * pn))
+    # d(K_n + K_n^T) with K_n = -A^T diag(w kappa) B, A = [E; E]
+    on_design = sides.labels == "design"
+    if np.any(on_design):
+        dk = np.where(on_design, dkappa_dphi(sides.D @ field.coeffs, mats, sp_), 0.0)
+        ET, EP = np.tile(disc.E @ T, 2), np.tile(disc.E @ P, 2)
+        g = g - sides.D.T @ (sides.w * dk * (EP * (sides.B @ T) + ET * (sides.B @ P)))
     return np.asarray(g).ravel()

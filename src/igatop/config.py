@@ -88,6 +88,18 @@ DEFAULTS_BY_PROBLEM = {
 }
 
 
+# (section, key) of the entries that must be numbers, besides every sqp entry;
+# the NULLABLE ones may also be null (a null delta then fails as not positive)
+NUMERIC_KEYS = [("smoothing", "delta"), ("smoothing", "alpha"),
+                ("objective", "chi"), ("objective", "rho")]
+NULLABLE_KEYS = {("smoothing", "delta"), ("sqp", "reinit_every_iters"),
+                 ("sqp", "reinit_every_fevals"), ("sqp", "bounds")}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _deep_update(base: dict, extra: dict) -> dict:
     for k, v in extra.items():
         if isinstance(v, dict) and isinstance(base.get(k), dict):
@@ -140,6 +152,14 @@ class RunConfig:
 
     def validate(self):
         d = self.data
+        keys = NUMERIC_KEYS + [("sqp", k) for k in d["sqp"]]
+        for sec, k in keys:
+            v = d[sec].get(k)
+            if not _is_number(v) and not (v is None and (sec, k) in NULLABLE_KEYS):
+                raise ConfigError(
+                    f"{sec}.{k} must be a number, got {v!r}"
+                    " (PyYAML reads 1e-2 as a string; write 1.0e-2)"
+                )
         if d["smoothing"]["delta"] is None or d["smoothing"]["delta"] <= 0:
             raise ConfigError("smoothing.delta must be positive")
         for sec in ("design", "solution"):
@@ -150,9 +170,7 @@ class RunConfig:
         if d["design"]["symmetry"] not in ("xy", "coincide", "none"):
             raise ConfigError("design.symmetry must be xy, coincide, or none")
         beta = d["model"].get("beta")
-        if beta is not None and (
-            isinstance(beta, bool) or not isinstance(beta, (int, float)) or beta <= 0
-        ):
+        if beta is not None and (not _is_number(beta) or beta <= 0):
             raise ConfigError(
                 f"model.beta must be null (scaled penalty) or a positive number, got {beta!r}"
                 " (PyYAML reads 1e12 as a string; write 1.0e+12)"

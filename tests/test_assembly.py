@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from igatop.assembly import (
+    NITSCHE_PENALTY_C,
     MaterialPair,
     assemble_bulk,
     assemble_flux,
@@ -199,6 +201,76 @@ class TestNitsche:
         assert abs(Ka - Kb).max() <= 1e-10 * scale
 
 
+def ring_cloak(cloak, sub):
+    """Mesh, ring-shaped design and smoothing on a (2, 1, sub, sub) solution mesh."""
+    basis = design_basis_for(cloak, RefineSpec(2, 1, 2, 2))
+    disc = discretize(refine_model(cloak, RefineSpec(2, 1, sub, sub)), basis)
+    quad = design_quadrature(basis, 4)
+    c = project_lsf(quad, lambda p: 10.0 - np.abs(np.hypot(p[:, 0], p[:, 1]) - 35.0))
+    return disc, DesignField(basis, c), SmoothingParams(2.0)
+
+
+def ring_cloak_state(cloak, sub):
+    """State of the ring-shaped cloak design of ring_cloak."""
+    return solve_state(*ring_cloak(cloak, sub))
+
+
+def per_edge_stiffness(disc, field, sp_, override=None):
+    """K from the quadrature rows Gx/Gy and the per-edge interface rows:
+    every point scaled by its own conductivity, one consistency and one
+    penalty product per edge (the scaled default penalty)."""
+    model, override = disc.model, override or {}
+    mats = model.design_pair
+
+    def kappa(region, D):
+        if region in override:
+            return float(override[region])
+        if region == "design":
+            return kappa_at(D @ field.coeffs, mats, sp_)
+        return model.kappa_regions[region]
+
+    def kappa_hat(region):
+        k = max(mats.kappa_pos, mats.kappa_neg) if region == "design" else model.kappa_regions[region]
+        return max(k, override.get(region, 0.0))
+
+    kq = np.empty(disc.w.size)
+    for region in np.unique(disc.qlabel):
+        mask = disc.qlabel == region
+        kq[mask] = kappa(region, disc.D[mask])
+    W = sp.diags(disc.w * kq)
+    K = disc.Gx.T @ W @ disc.Gx + disc.Gy.T @ W @ disc.Gy
+    gamma = model.gamma
+    for e in disc.edges:
+        flux = (sp.diags(gamma * kappa(e.region_a, e.D1) * np.ones(e.w.size)) @ e.G1n
+                + sp.diags((1 - gamma) * kappa(e.region_b, e.D2) * np.ones(e.w.size)) @ e.G2n)
+        Kn = -e.En.T @ sp.diags(e.w) @ flux
+        beta = NITSCHE_PENALTY_C * max(kappa_hat(e.region_a), kappa_hat(e.region_b)) * e.p2_h
+        K = K + Kn + Kn.T + e.En.T @ sp.diags(e.w * beta) @ e.En
+    return K.tocsr()
+
+
+class TestAssemblyReference:
+    @pytest.mark.parametrize("override", [None, {"inside": 200.0, "design": 200.0},
+                                          {"design": 1e-4}])
+    def test_matches_per_edge_formula(self, override):
+        # the cloak's own reference-field overrides (objectives.compute_reference_fields)
+        disc, field, sp_ = ring_cloak(build_cloak_model("circular"), 4)
+        K, _ = assemble_system(disc, field, sp_, override)
+        K_ref = per_edge_stiffness(disc, field, sp_, override)
+        assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
+
+    def test_state_backward_error_at_eps(self):
+        # componentwise backward error of the refined state solve on the
+        # shipped cloak solution mesh
+        sol = ring_cloak_state(build_cloak_model("circular"), 16)
+        disc, b = sol.disc, sol.blocks
+        x = sol.values[disc.free]
+        rhs = assemble_flux(disc)[disc.free] - b.Kfd @ disc.dirichlet_val
+        r = rhs - b.Kff @ x
+        berr = np.max(np.abs(r) / (b.abs_Kff @ np.abs(x) + np.abs(rhs)))
+        assert berr <= 10 * np.finfo(float).eps
+
+
 class TestFlux:
     def test_zero_without_neumann(self):
         disc = discretize(refine_model(two_square_model(), RefineSpec(2, 1, 3, 3)))
@@ -228,15 +300,6 @@ class TestFlux:
         ]
         d2 = discretize(refine_model(m, RefineSpec(2, 1, 2, 2)))
         assert np.allclose(assemble_flux(d2), 2 * F1, atol=1e-14)
-
-
-def ring_cloak_state(cloak, sub):
-    """State of a ring-shaped cloak design on a (2, 1, sub, sub) solution mesh."""
-    basis = design_basis_for(cloak, RefineSpec(2, 1, 2, 2))
-    disc = discretize(refine_model(cloak, RefineSpec(2, 1, sub, sub)), basis)
-    quad = design_quadrature(basis, 4)
-    c = project_lsf(quad, lambda p: 10.0 - np.abs(np.hypot(p[:, 0], p[:, 1]) - 35.0))
-    return solve_state(disc, DesignField(basis, c), SmoothingParams(2.0))
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +379,7 @@ class TestSolves:
 
         F_adj = disc.N.T @ (disc.w * load)
         P_n = _constrained_solve(
-            disc, sol.K, sol.lu, F_adj, dirichlet_val=np.zeros_like(disc.dirichlet_val)
+            disc, sol.blocks, sol.lu, F_adj, dirichlet_val=np.zeros_like(disc.dirichlet_val)
         )
         denom = np.abs(P_t).max()
         assert np.abs(P_t - P_n).max() <= 1e-10 * max(denom, 1.0)

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from igatop.cli import main
+from igatop.config import RunConfig
 
 
 def run_cli(args):
@@ -191,6 +192,15 @@ class TestErrors:
         cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
         assert run_cli(["solve", "--config", cfg, "--set", "model.beta=1e12"]) == 1
         assert "model.beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["objective.chi", "smoothing.alpha", "sqp.step_tolerance"])
+    def test_string_number_exit_code(self, tmp_path, capsys, key):
+        # PyYAML reads 1e-2 as a string and 1.0e-2 as a number
+        cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
+        assert run_cli(["solve", "--config", cfg, "--set", f"{key}=1e-2"]) == 1
+        assert key in capsys.readouterr().err
+        sec, name = key.split(".")
+        assert RunConfig.load(cfg, [f"{key}=1.0e-2"]).data[sec][name] == 1.0e-2
 
     def test_env_outdir_override(self, tmp_path, tiny_annulus_cfg, monkeypatch):
         alt = tmp_path / "env_out"

@@ -197,3 +197,21 @@ class TestEvalTotal:
             sol = solve_state(disc, DesignField(basis, c), SmoothingParams(4.0))
             j, _ = eval_main(spec, disc, sol)
             assert j >= 0.0
+
+    def test_j_along_descent_ray_follows_gradient(self):
+        # central differences of J along p = -g/|g|_inf match g.p from the
+        # step where truncation dominates down to where roundoff would
+        model = build_cloak_model("circular")
+        basis = design_basis_for(model, RefineSpec(2, 1, 2, 2))
+        disc = discretize(refine_model(model, RefineSpec(2, 1, 6, 6)), basis)
+        quad = design_quadrature(basis, 4)
+        prob = HeatProblem(disc, make_objective(disc, "cloak"), SmoothingParams(2.0),
+                           quad, build_symmetry_map(basis, "xy"))
+        c0 = project_lsf(quad, lambda p: 10.0 - np.abs(np.hypot(p[:, 0], p[:, 1]) - 35.0))
+        g = eval_total(prob, DesignField(basis, c0)).grad_total
+        p = -g / np.abs(g).max()
+        slope = g @ p
+        for t in (1e-3, 1e-4, 1e-5, 1e-6):
+            jp, jm = (eval_total(prob, DesignField(basis, c0 + s * t * p)).j_total
+                      for s in (1.0, -1.0))
+            assert (jp - jm) / (2.0 * t) == pytest.approx(slope, rel=1e-6)
