@@ -41,8 +41,14 @@ from scipy.sparse.linalg import splu
 
 from igatop.errors import AssemblyError, ModelError, SolverError
 from igatop.levelset import DesignField, SmoothingParams, dirac, heaviside
-from igatop.model import DesignBasis, InterfacePair, MaterialPair, MultiPatchModel
-from igatop.splines import KnotVector, gauss_points_1d, tabulate
+from igatop.model import (
+    DesignBasis,
+    InterfacePair,
+    MaterialPair,
+    MultiPatchModel,
+    edge_flat_indices,
+)
+from igatop.splines import KnotVector, gauss_points_1d, patch_quadrature, tabulate
 
 __all__ = [
     "MaterialPair",
@@ -50,9 +56,7 @@ __all__ = [
     "dkappa_dphi",
     "Discretization",
     "discretize",
-    "assemble_bulk",
     "assemble_nitsche",
-    "assemble_flux",
     "assemble_system",
     "FieldSolution",
     "solve_state",
@@ -137,8 +141,6 @@ class EdgeQuad:
 
     pair: InterfacePair
     w: np.ndarray  # gauss weight x edge length element
-    phys: np.ndarray
-    normal: np.ndarray  # outward from side a (the n = n^1 convention)
     En: sp.csr_matrix  # jump rows N_a - N_b (ne, ndof)
     G1n: sp.csr_matrix  # normal derivative rows of side a
     G2n: sp.csr_matrix
@@ -204,45 +206,22 @@ class Discretization:
             labels = (labels,)
         return np.isin(self.qlabel, labels)
 
-    def h_avg(self, labels=None) -> float:
-        """Mean element size sqrt(area) over (a subset of) the mesh."""
-        areas = []
-        for pid, patch in enumerate(self.model.patches):
-            if labels is not None and self.model.labels[pid] not in labels:
-                continue
-            nu = patch.knots_u.span_breaks().size - 1
-            nv = patch.knots_v.span_breaks().size - 1
-            mask = self.qpatch == pid
-            areas.append(np.full(nu * nv, self.w[mask].sum() / (nu * nv)))
-        return float(np.mean(np.sqrt(np.concatenate(areas))))
-
-    qpatch: np.ndarray | None = None
-
 
 def discretize(
     model: MultiPatchModel,
     basis: DesignBasis | None = None,
     n_per_span: int | None = None,
-    breaks_u=None,
-    breaks_v=None,
 ) -> Discretization:
-    """Build the quadrature/operator cache for a refined model.
-
-    breaks_u/breaks_v insert extra integration-cell boundaries in every
-    patch (used by the annulus sweeps to resolve a narrow smoothing band
-    without changing the discretization space).
-    """
+    """Build the quadrature/operator cache for a refined model."""
     sizes = [p.n_ctrl for p in model.patches]
     dof_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     ndof = int(dof_offsets[-1])
 
-    w_all, phys_all, lab_all, pid_all, tabs = [], [], [], [], []
+    w_all, phys_all, lab_all, tabs = [], [], [], []
     m = basis.m if basis is not None else 0
     for pid, patch in enumerate(model.patches):
-        from igatop.splines import patch_quadrature
-
         # default rule: (p+1) x (q+1) Gauss points per nonempty span
-        pts, wts = patch_quadrature(patch, n_per_span, n_per_span, breaks_u, breaks_v)
+        pts, wts = patch_quadrature(patch, n_per_span, n_per_span)
         tab = tabulate(patch, pts)
         nq = pts.shape[0]
         # design-basis values and columns; none off the design
@@ -257,7 +236,6 @@ def discretize(
         w_all.append(wts * tab.det_j)
         phys_all.append(tab.phys)
         lab_all.append(np.full(nq, model.labels[pid], dtype="<U8"))
-        pid_all.append(np.full(nq, pid))
 
     def patch_rows(key, pids=range(len(tabs)), ncols=ndof):
         return _block_csr([tabs[pid][key] for pid in pids], ncols)
@@ -304,8 +282,6 @@ def discretize(
     for bc in model.boundaries:
         patch = model.patches[bc.patch]
         if bc.kind == "dirichlet":
-            from igatop.model import edge_flat_indices
-
             for dof in edge_flat_indices(patch, bc.edge) + dof_offsets[bc.patch]:
                 prev = dir_map.setdefault(int(dof), bc.value)
                 if prev != bc.value:
@@ -347,7 +323,6 @@ def discretize(
         dirichlet_idx=dirichlet_idx,
         dirichlet_val=dirichlet_val,
         free=free,
-        qpatch=np.concatenate(pid_all),
     )
 
 
@@ -392,8 +367,6 @@ def _build_edge(model, basis, pair: InterfacePair, dof_offsets, ndof) -> EdgeQua
     return EdgeQuad(
         pair=pair,
         w=gw * ds,
-        phys=tab_a.phys,
-        normal=normal,
         En=(Na - Nb).tocsr(),
         G1n=G1n,
         G2n=G2n,
@@ -474,12 +447,6 @@ def _kappa_bulk(disc, field, sp_, override) -> np.ndarray:
     return _kappa_points(disc, disc.bulk, field, sp_, override)
 
 
-def assemble_bulk(disc: Discretization, kappa_q: np.ndarray) -> sp.csr_matrix:
-    """Bulk conduction stiffness for a conductivity at every quadrature point."""
-    G = sp.vstack([disc.Gx, disc.Gy]).tocsr()
-    return _gram(G.T.tocsr(), G, np.tile(disc.w * kappa_q, 2))
-
-
 def assemble_nitsche(
     disc: Discretization,
     field: DesignField | None = None,
@@ -501,18 +468,13 @@ def assemble_nitsche(
     return Kn, Ks
 
 
-def assemble_flux(disc: Discretization) -> np.ndarray:
-    """Applied-flux load vector (zero for insulated/Dirichlet-only problems)."""
-    return disc.F0.copy()
-
-
 def assemble_system(
     disc: Discretization,
     field: DesignField | None = None,
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ):
-    """Full stiffness K = K_b + K_n + K_n^T + K_s and load vector.
+    """Full stiffness K = K_b + K_n + K_n^T + K_s and the applied-flux load.
 
     Only the design-region rows of K_b and the interface term K_n follow
     the field; the rest is the mesh's fixed sum, rescaled under `override`.
@@ -521,7 +483,7 @@ def assemble_system(
     K = _fixed_matrix(disc.model, disc.region_K, Ks, override) if override else disc.K_fixed
     bulk = disc.bulk
     Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * _kappa_bulk(disc, field, sp_, override), 2))
-    return (K + Kd + (Kn + Kn.T)).tocsr(), assemble_flux(disc)
+    return (K + Kd + (Kn + Kn.T)).tocsr(), disc.F0.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +512,6 @@ class FieldSolution:
 
     def at_quadrature(self):
         return self.disc.N @ self.values
-
-    def grad_at_quadrature(self):
-        return self.disc.Gx @ self.values, self.disc.Gy @ self.values
 
 
 def _free_blocks(disc: Discretization, K: sp.csr_matrix) -> FreeBlocks:

@@ -11,9 +11,10 @@ environment variable).  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -23,6 +24,7 @@ from igatop.config import RunConfig, initial_field_fn
 from igatop.errors import ConfigError, IgatopError
 from igatop.export import (
     ensure_outdir,
+    read_coeffs_csv,
     sample_fields,
     write_coeffs_csv,
     write_convergence_csv,
@@ -78,8 +80,6 @@ def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
         problem = HeatProblem(disc, spec, smoothing, quad, sym)
     init = cfg.data["initial_field"]
     if init["kind"] == "restart":
-        from igatop.export import read_coeffs_csv
-
         coeffs = read_coeffs_csv(init["params"]["path"])
         if coeffs.size != basis.m:
             raise ConfigError(
@@ -191,14 +191,16 @@ def _annulus_params(cfg: RunConfig) -> oracle.AnnulusParams:
     )
 
 
+def _radial_field(pipe: Pipeline, rl: float) -> DesignField:
+    """Projected signed distance r - rl to the interface circle of radius rl."""
+    return pipe.problem.field(project_lsf(pipe.quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - rl))
+
+
 def _radius_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     """J, sensitivity, perimeter, and field errors over the interface radius."""
     params = _annulus_params(cfg)
-    model = cfg.build_model()
-    basis = design_basis_for(model, cfg.design_spec())
-    refined = refine_model(model, cfg.solution_spec())
-    disc = discretize(refined, basis, n_per_span=cfg.data["quadrature"]["n_per_span"])
-    quad = design_quadrature(basis, cfg.data["quadrature"]["measures_per_span"])
+    pipe = build_pipeline(cfg)
+    disc, quad = pipe.disc, pipe.quad
     r_values = np.asarray(sweep.get("r_values") or np.arange(1.05, 1.951, 0.05), dtype=float)
     deltas = sweep.get("deltas") or [0.5, 0.05, 0.005]
     r_q = np.hypot(disc.phys[:, 0], disc.phys[:, 1])
@@ -207,25 +209,20 @@ def _radius_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     rows = []
     for delta in deltas:
         sp_ = SmoothingParams(delta, cfg.data["smoothing"]["alpha"])
+        problem = replace(pipe.problem, smoothing=sp_)
         for rl in r_values:
-            coeffs = project_lsf(quad, lambda p, R=rl: np.hypot(p[:, 0], p[:, 1]) - R)
-            fld = DesignField(basis, coeffs)
-            sol = solve_state(disc, fld, sp_)
-            Tq = sol.at_quadrature()
-            J = float((disc.w * Tq**2).sum())
-            P = solve_adjoint(sol, -2.0 * Tq)
-            from igatop.assembly import sensitivity_contraction
-
-            g = sensitivity_contraction(disc, fld, sp_, sol.values, P)
-            dj_drl = float(g @ dc_drl)
+            fld = _radial_field(pipe, rl)
+            val = eval_total(problem, fld)
+            Tq = val.state.at_quadrature()
             per = perimeter(fld, sp_, quad)
             T_ex = oracle.annulus_state(r_q, rl, params)
             P_ex = oracle.annulus_adjoint(r_q, rl, params)
-            Pq = disc.N @ P
+            Pq = disc.N @ val.adjoint
             errT = np.sqrt(float((disc.w * (Tq - T_ex) ** 2).sum()) / float((disc.w * T_ex**2).sum()))
             errP = np.sqrt(float((disc.w * (Pq - P_ex) ** 2).sum()) / float((disc.w * P_ex**2).sum()))
             rows.append(
-                (delta, rl, J, oracle.annulus_objective(rl, params), dj_drl,
+                (delta, rl, val.j_main, oracle.annulus_objective(rl, params),
+                 float(val.grad_main @ dc_drl),
                  oracle.annulus_objective_derivative(rl, params), per,
                  2 * np.pi * rl, errT, errP)
             )
@@ -249,40 +246,29 @@ def _refinement_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     through the knees is the refinement-improvement bound.
     """
     params = _annulus_params(cfg)
-    model = cfg.build_model()
-    basis = design_basis_for(model, cfg.design_spec())
-    quad = design_quadrature(basis, cfg.data["quadrature"]["measures_per_span"])
     subdivisions = sweep.get("subdivisions") or [4, 8, 16, 32]
     deltas = sweep.get("deltas") or [0.5, 0.1, 0.05, 0.01, 0.005]
     r_values = np.asarray(sweep.get("r_values") or np.arange(1.1, 1.91, 0.1), dtype=float)
     knee_factor = float(sweep.get("knee_factor", 1.3))
     j_exact = np.array([oracle.annulus_objective(rl, params) for rl in r_values])
-    fields = []
-    for rl in r_values:
-        coeffs = project_lsf(quad, lambda p, R=rl: np.hypot(p[:, 0], p[:, 1]) - R)
-        fields.append(DesignField(basis, coeffs))
 
     area = np.pi * (params.r_outer**2 - params.r_inner**2)
     rows = []
-    spec0 = cfg.solution_spec()
     for sub in subdivisions:
-        from igatop.model import RefineSpec
-
-        refined = refine_model(
-            model,
-            RefineSpec(spec0.degree_circ, spec0.degree_rad, int(sub), int(sub)),
-        )
-        disc = discretize(refined, basis, n_per_span=cfg.data["quadrature"]["n_per_span"])
-        ndof = disc.ndof
+        sub_cfg = copy.deepcopy(cfg)
+        sub_cfg.data["solution"].update(subdiv_circ=int(sub), subdiv_rad=int(sub))
+        pipe = build_pipeline(sub_cfg)
+        fields = [_radial_field(pipe, rl) for rl in r_values]
         n_elems = 4 * int(sub) * int(sub)
         h_avg = float(np.sqrt(area / n_elems))
         for delta in deltas:
             sp_ = SmoothingParams(delta, cfg.data["smoothing"]["alpha"])
-            J = np.array(
-                [float((disc.w * solve_state(disc, f, sp_).at_quadrature() ** 2).sum()) for f in fields]
-            )
+            J = np.array([
+                eval_main(pipe.problem.spec, pipe.disc, solve_state(pipe.disc, f, sp_))[0]
+                for f in fields
+            ])
             err = float(np.sqrt(np.sum((J - j_exact) ** 2) / np.sum(j_exact**2)))
-            rows.append((int(sub), ndof, h_avg, delta, delta / h_avg, err))
+            rows.append((int(sub), pipe.disc.ndof, h_avg, delta, delta / h_avg, err))
     write_table_csv(
         os.path.join(outdir, "refinement_sweep.csv"),
         ["subdiv", "ndof", "h_avg", "delta", "delta_over_h", "err_J"],

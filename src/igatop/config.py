@@ -91,9 +91,16 @@ DEFAULTS_BY_PROBLEM = {
 # (section, key) of the entries that must be numbers, besides every sqp entry;
 # the NULLABLE ones may also be null (a null delta then fails as not positive)
 NUMERIC_KEYS = [("smoothing", "delta"), ("smoothing", "alpha"),
-                ("objective", "chi"), ("objective", "rho")]
+                ("objective", "chi"), ("objective", "rho"),
+                ("reinit", "lines_per_span"), ("output", "grid"),
+                ("output", "checkpoint_every"),
+                ("quadrature", "n_per_span"), ("quadrature", "measures_per_span")]
 NULLABLE_KEYS = {("smoothing", "delta"), ("sqp", "reinit_every_iters"),
-                 ("sqp", "reinit_every_fevals"), ("sqp", "bounds")}
+                 ("sqp", "reinit_every_fevals"), ("sqp", "bounds"),
+                 ("output", "checkpoint_every"), ("quadrature", "n_per_span")}
+# sweep entries that, where given, must be lists of numbers
+SWEEP_LISTS = ("r_values", "deltas", "subdivisions")
+_STRING_HINT = " (PyYAML reads 1e-2 as a string; write 1.0e-2)"
 
 
 def _is_number(v) -> bool:
@@ -156,16 +163,24 @@ class RunConfig:
         for sec, k in keys:
             v = d[sec].get(k)
             if not _is_number(v) and not (v is None and (sec, k) in NULLABLE_KEYS):
-                raise ConfigError(
-                    f"{sec}.{k} must be a number, got {v!r}"
-                    " (PyYAML reads 1e-2 as a string; write 1.0e-2)"
-                )
+                raise ConfigError(f"{sec}.{k} must be a number, got {v!r}" + _STRING_HINT)
+        sweep = d.get("sweep") or {}
+        if not isinstance(sweep, dict):
+            raise ConfigError("sweep must be a mapping")
+        for k in SWEEP_LISTS:
+            v = sweep.get(k)
+            if v is not None and not (isinstance(v, list) and all(map(_is_number, v))):
+                raise ConfigError(f"sweep.{k} must be a list of numbers, got {v!r}" + _STRING_HINT)
+        if not _is_number(sweep.get("knee_factor", 1.0)):
+            raise ConfigError(
+                f"sweep.knee_factor must be a number, got {sweep['knee_factor']!r}" + _STRING_HINT
+            )
         if d["smoothing"]["delta"] is None or d["smoothing"]["delta"] <= 0:
             raise ConfigError("smoothing.delta must be positive")
         for sec in ("design", "solution"):
             for k in ("subdiv_circ", "subdiv_rad"):
                 v = d[sec][k]
-                if v is None or int(v) < 1:
+                if not _is_number(v) or v < 1:
                     raise ConfigError(f"{sec}.{k} must be a positive integer")
         if d["design"]["symmetry"] not in ("xy", "coincide", "none"):
             raise ConfigError("design.symmetry must be xy, coincide, or none")

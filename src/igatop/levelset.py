@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from igatop.errors import AssemblyError, ConfigError, DomainError
+from igatop.errors import AssemblyError, ConfigError
 from igatop.model import DesignBasis
 from igatop.splines import patch_quadrature, tabulate
 
@@ -78,19 +78,6 @@ class DesignField:
 
     def with_coeffs(self, coeffs: np.ndarray) -> "DesignField":
         return DesignField(self.basis, coeffs)
-
-
-def eval_lsf(field: DesignField, patch_id: int, xi) -> tuple[float, np.ndarray]:
-    """Field value and physical gradient at one parametric point of a design patch."""
-    basis = field.basis
-    if patch_id not in basis.patch_ids:
-        raise DomainError(f"patch {patch_id} carries no design field")
-    k = basis.patch_ids.index(patch_id)
-    tab = tabulate(basis.patches[k], np.atleast_2d(xi))
-    c_loc = field.coeffs[basis.patch_slice(k)][tab.indices[0]]
-    phi = float(tab.values[0] @ c_loc)
-    grad = np.array([tab.dx[0] @ c_loc, tab.dy[0] @ c_loc])
-    return phi, grad
 
 
 # ---------------------------------------------------------------------------

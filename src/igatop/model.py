@@ -20,14 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from igatop.errors import ConfigError, ModelError
-from igatop.splines import (
-    KnotVector,
-    NurbsPatch,
-    degree_elevate,
-    patch_quadrature,
-    subdivide_spans,
-    tabulate,
-)
+from igatop.splines import KnotVector, NurbsPatch, degree_elevate, subdivide_spans
 
 REGION_LABELS = ("inside", "design", "outside", "sector")
 
@@ -614,16 +607,6 @@ class RefineSpec:
         if self.subdiv_circ < 1 or self.subdiv_rad < 1:
             raise ConfigError("subdivision counts must be >= 1")
 
-    def covers(self, other: "RefineSpec") -> bool:
-        return (
-            self.degree_circ >= other.degree_circ
-            and self.degree_rad >= other.degree_rad
-            and self.subdiv_circ % other.subdiv_circ == 0
-            and self.subdiv_circ >= other.subdiv_circ
-            and self.subdiv_rad % other.subdiv_rad == 0
-            and self.subdiv_rad >= other.subdiv_rad
-        )
-
 
 def _axis_targets(roles: tuple[str, str], spec: RefineSpec):
     out = []
@@ -684,33 +667,3 @@ def design_basis_for(model: MultiPatchModel, spec: RefineSpec) -> DesignBasis:
     sizes = [p.n_ctrl for p in patches]
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
     return DesignBasis(patch_ids=ids, patches=patches, offsets=offsets, m=int(sum(sizes)))
-
-
-def two_stage_refine(
-    model: MultiPatchModel, design_spec: RefineSpec, solution_spec: RefineSpec
-):
-    """Design basis from stage one, further-refined solution model from stage two."""
-    if not solution_spec.covers(design_spec):
-        raise ConfigError("solution refinement must be at least the design refinement")
-    basis = design_basis_for(model, design_spec)
-    refined = refine_model(model, solution_spec)
-    return basis, refined
-
-
-# ---------------------------------------------------------------------------
-# measures
-# ---------------------------------------------------------------------------
-
-
-def region_areas(model: MultiPatchModel, n_per_span: int | None = None) -> dict[str, float]:
-    """Region areas by Gauss quadrature of the geometry Jacobian.
-
-    The rational Jacobian is not polynomial; raise n_per_span (e.g. 16)
-    for near-machine accuracy on coarse nets.
-    """
-    areas: dict[str, float] = {}
-    for patch, label in zip(model.patches, model.labels):
-        pts, w = patch_quadrature(patch, n_per_span, n_per_span)
-        tab = tabulate(patch, pts)
-        areas[label] = areas.get(label, 0.0) + float((w * tab.det_j).sum())
-    return areas

@@ -12,7 +12,7 @@ iterate is returned, not the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -266,23 +266,23 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
 
         p = solve_qp_subproblem(state.g, state.H, lower, upper, state.x)
         gtp = float(state.g @ p)
-        aux_box = {}
+        trial = None
 
         def f_only(xt):
-            jt, gt, at = fun(xt)
+            nonlocal trial
+            trial = (xt, *fun(xt))
             state.fevals += 1
             state.round_fevals += 1
-            aux_box[xt.tobytes()] = (jt, gt, at)
-            return jt
+            return trial[1]
 
         ls = line_search(f_only, state.x, p, state.j_total, gtp, cfg)
         state.iteration += 1
         state.round_iters += 1
         if ls is not None:
-            alpha, j_new, _ = ls
+            # Armijo returns on the trial it accepts, so that is the last one
+            alpha = ls[0]
             s = alpha * p
-            x_new = state.x + s
-            j_new, g_new, aux = aux_box[x_new.tobytes()]
+            x_new, j_new, g_new, aux = trial
             state.H = bfgs_update(state.H, s, g_new - state.g)
             state.x, state.g, state.j_total = x_new, g_new, j_new
             if j_new < state.best_j:
@@ -339,28 +339,19 @@ def optimize(
     record_hook=None,
 ):
     """Full level-set optimization; returns (best field, state, stop reason)."""
-    from dataclasses import replace as _replace
-
     sym = problem.sym
     if cfg.lower is None or cfg.upper is None:
         # default box: signed-distance magnitudes cannot exceed the diameter
         d = problem.disc.model.diameter()
-        cfg = _replace(
+        cfg = replace(
             cfg,
             lower=-d if cfg.lower is None else cfg.lower,
             upper=d if cfg.upper is None else cfg.upper,
         )
 
-    cache = {}
-
     def fun(x):
-        key = x.tobytes()
-        if key not in cache:
-            val = eval_total(problem, problem.field(sym.expand(x)))
-            cache[key] = (val.j_total, val.grad_reduced, val)
-            if len(cache) > 8:
-                cache.pop(next(iter(cache)))
-        return cache[key]
+        val = eval_total(problem, problem.field(sym.expand(x)))
+        return val.j_total, val.grad_reduced, val
 
     reinit_hook = None
     if use_reinit:

@@ -57,12 +57,8 @@ class KnotVector:
         return np.unique(self.values)
 
 
-def find_span(kv: KnotVector, u: float) -> int:
-    """Index k with knots[k] <= u < knots[k+1]; u at the end maps to the last nonempty span."""
-    return int(find_span_array(kv, np.asarray([u], dtype=float))[0])
-
-
 def find_span_array(kv: KnotVector, us: np.ndarray) -> np.ndarray:
+    """Indices k with knots[k] <= u < knots[k+1]; u at the end maps to the last nonempty span."""
     us = np.asarray(us, dtype=float)
     lo, hi = kv.start, kv.end
     tol = _PARAM_TOL * max(1.0, abs(hi - lo))
@@ -153,37 +149,6 @@ class NurbsPatch:
         nu, nv = self.shape
         return nu * nv
 
-    def edge_data(self, edge: str):
-        """Control points and weights of one boundary edge.
-
-        Edges: 'u0' (u=start), 'u1' (u=end) run along v; 'v0', 'v1' run
-        along u.  Returns (points, weights, knot_vector along the edge).
-        """
-        if edge == "u0":
-            return self.control_points[0], self.weights[0], self.knots_v
-        if edge == "u1":
-            return self.control_points[-1], self.weights[-1], self.knots_v
-        if edge == "v0":
-            return self.control_points[:, 0], self.weights[:, 0], self.knots_u
-        if edge == "v1":
-            return self.control_points[:, -1], self.weights[:, -1], self.knots_u
-        raise GeometryError(f"unknown edge id {edge!r}")
-
-
-@dataclass
-class BasisEval:
-    """Nonzero rational basis data at one parametric point."""
-
-    span_u: int
-    span_v: int
-    indices: np.ndarray  # flat control-point indices, length (p+1)(q+1)
-    values: np.ndarray
-    grad_param: np.ndarray  # (nloc, 2): d/dxi, d/deta
-    grad_phys: np.ndarray  # (nloc, 2): d/dx, d/dy
-    jacobian: np.ndarray  # (2, 2)
-    det_jacobian: float
-    point: np.ndarray  # mapped physical point (2,)
-
 
 @dataclass
 class PatchTab:
@@ -241,47 +206,6 @@ def tabulate(patch: NurbsPatch, pts: np.ndarray, check_jacobian: bool = True) ->
     dx = (jac[:, 1, 1, None] * dRu - jac[:, 1, 0, None] * dRv) / det[:, None]
     dy = (-jac[:, 0, 1, None] * dRu + jac[:, 0, 0, None] * dRv) / det[:, None]
     return PatchTab(params=pts, phys=phys, indices=loc, values=R, dx=dx, dy=dy, det_j=det, jac=jac)
-
-
-def eval_basis(patch: NurbsPatch, xi) -> BasisEval:
-    """Rational basis with first derivatives at a single parametric point."""
-    xi = np.asarray(xi, dtype=float)
-    tab = tabulate(patch, xi[None, :])
-    su = find_span(patch.knots_u, xi[0])
-    sv = find_span(patch.knots_v, xi[1])
-    kvu, kvv = patch.knots_u, patch.knots_v
-    Nu, dNu = basis_and_ders(kvu, xi[:1], np.asarray([su]))
-    Nv, dNv = basis_and_ders(kvv, xi[1:2], np.asarray([sv]))
-    dRu = (dNu[0][:, None] * Nv[0][None, :]).reshape(-1)
-    dRv = (Nu[0][:, None] * dNv[0][None, :]).reshape(-1)
-    # parametric gradients of the rational basis from the tabulation pieces
-    w_loc = patch.weights.reshape(-1)[tab.indices[0]]
-    B = (Nu[0][:, None] * Nv[0][None, :]).reshape(-1)
-    W = float((B * w_loc).sum())
-    Wu = float((dRu * w_loc).sum())
-    Wv = float((dRv * w_loc).sum())
-    gp = np.column_stack(
-        [
-            w_loc * (dRu - B * Wu / W) / W,
-            w_loc * (dRv - B * Wv / W) / W,
-        ]
-    )
-    return BasisEval(
-        span_u=su,
-        span_v=sv,
-        indices=tab.indices[0],
-        values=tab.values[0],
-        grad_param=gp,
-        grad_phys=np.column_stack([tab.dx[0], tab.dy[0]]),
-        jacobian=tab.jac[0],
-        det_jacobian=float(tab.det_j[0]),
-        point=tab.phys[0],
-    )
-
-
-def eval_points(patch: NurbsPatch, pts: np.ndarray) -> np.ndarray:
-    """Map parametric points to physical coordinates."""
-    return tabulate(patch, pts, check_jacobian=False).phys
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +426,11 @@ def subdivide_spans(patch: NurbsPatch, k_u: int, k_v: int) -> NurbsPatch:
 # ---------------------------------------------------------------------------
 
 
-def gauss_points_1d(
-    kv: KnotVector, n_per_span: int | None = None, extra_breaks=None
-):
-    """Gauss-Legendre points/weights over the nonempty spans of a knot vector.
-
-    extra_breaks inserts additional integration-cell boundaries (e.g. the
-    edges of a narrow material-transition band) without changing the basis.
-    """
+def gauss_points_1d(kv: KnotVector, n_per_span: int | None = None):
+    """Gauss-Legendre points/weights over the nonempty spans of a knot vector."""
     n_g = kv.degree + 1 if n_per_span is None else n_per_span
     gx, gw = np.polynomial.legendre.leggauss(n_g)
     breaks = kv.span_breaks()
-    if extra_breaks is not None:
-        eb = np.asarray(extra_breaks, dtype=float)
-        eb = eb[(eb > breaks[0]) & (eb < breaks[-1])]
-        breaks = np.unique(np.concatenate([breaks, eb]))
     pts, wts = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b - a <= 1e-14 * max(1.0, abs(kv.end - kv.start)):
@@ -527,16 +441,10 @@ def gauss_points_1d(
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def patch_quadrature(
-    patch: NurbsPatch,
-    n_u: int | None = None,
-    n_v: int | None = None,
-    breaks_u=None,
-    breaks_v=None,
-):
+def patch_quadrature(patch: NurbsPatch, n_u: int | None = None, n_v: int | None = None):
     """Tensor Gauss rule over all nonempty spans: (params (n,2), weights (n,))."""
-    pu, wu = gauss_points_1d(patch.knots_u, n_u, breaks_u)
-    pv, wv = gauss_points_1d(patch.knots_v, n_v, breaks_v)
+    pu, wu = gauss_points_1d(patch.knots_u, n_u)
+    pv, wv = gauss_points_1d(patch.knots_v, n_v)
     P = np.column_stack(
         [np.repeat(pu, pv.size), np.tile(pv, pu.size)]
     )

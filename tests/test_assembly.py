@@ -5,8 +5,6 @@ import scipy.sparse as sp
 from igatop.assembly import (
     NITSCHE_PENALTY_C,
     MaterialPair,
-    assemble_bulk,
-    assemble_flux,
     assemble_nitsche,
     assemble_system,
     discretize,
@@ -110,8 +108,8 @@ class TestBulk:
         model = one_square_model(kappa=1.0)
         # undo the stretch: use the plain unit square
         model.patches[0] = unit_square(0.0)
-        disc = discretize(model)
-        K = assemble_bulk(disc, np.ones(disc.w.size))
+        # without interfaces K is the bulk conduction matrix
+        K, _ = assemble_system(discretize(model))
         # classic bilinear-quad conduction matrix on the unit square
         expect = np.array(
             [
@@ -148,10 +146,9 @@ class TestBulk:
         assert np.abs(Kd[np.ix_(perm, perm)] - expect).max() < 1e-12
 
     def test_linearity_in_kappa(self):
-        model = two_square_model()
-        disc = discretize(model)
-        k1 = assemble_bulk(disc, np.full(disc.w.size, 1.0))
-        k2 = assemble_bulk(disc, np.full(disc.w.size, 2.0))
+        spec = RefineSpec(2, 1, 3, 3)
+        k1, _ = assemble_system(discretize(refine_model(one_square_model(kappa=1.0), spec)))
+        k2, _ = assemble_system(discretize(refine_model(one_square_model(kappa=2.0), spec)))
         assert abs(k2 - 2 * k1).max() < 1e-12
 
     def test_symmetry(self):
@@ -265,7 +262,7 @@ class TestAssemblyReference:
         sol = ring_cloak_state(build_cloak_model("circular"), 16)
         disc, b = sol.disc, sol.blocks
         x = sol.values[disc.free]
-        rhs = assemble_flux(disc)[disc.free] - b.Kfd @ disc.dirichlet_val
+        rhs = disc.F0[disc.free] - b.Kfd @ disc.dirichlet_val
         r = rhs - b.Kff @ x
         berr = np.max(np.abs(r) / (b.abs_Kff @ np.abs(x) + np.abs(rhs)))
         assert berr <= 10 * np.finfo(float).eps
@@ -274,7 +271,7 @@ class TestAssemblyReference:
 class TestFlux:
     def test_zero_without_neumann(self):
         disc = discretize(refine_model(two_square_model(), RefineSpec(2, 1, 3, 3)))
-        assert np.abs(assemble_flux(disc)).max() == 0.0
+        assert np.abs(disc.F0).max() == 0.0
 
     def test_constant_flux_sums_to_edge_integral(self):
         m = two_square_model()
@@ -283,7 +280,7 @@ class TestFlux:
             for b in m.boundaries
         ]
         disc = discretize(refine_model(m, RefineSpec(2, 1, 3, 3)))
-        F = assemble_flux(disc)
+        F = disc.F0
         assert F.sum() == pytest.approx(3.5 * 1.0, abs=1e-10)
 
     def test_linearity(self):
@@ -293,13 +290,13 @@ class TestFlux:
             for b in m.boundaries
         ]
         d1 = discretize(refine_model(m, RefineSpec(2, 1, 2, 2)))
-        F1 = assemble_flux(d1)
+        F1 = d1.F0
         m.boundaries = [
             b if b.patch != 0 or b.edge != "v1" else BoundaryTag(0, "v1", "neumann", 2.0)
             for b in m.boundaries
         ]
         d2 = discretize(refine_model(m, RefineSpec(2, 1, 2, 2)))
-        assert np.allclose(assemble_flux(d2), 2 * F1, atol=1e-14)
+        assert np.allclose(d2.F0, 2 * F1, atol=1e-14)
 
 
 @pytest.fixture(scope="module")

@@ -148,13 +148,20 @@ class TestSweepAndOracle:
                 "design": {"subdiv_circ": 3, "subdiv_rad": 8},
                 "solution": {"subdiv_circ": 8, "subdiv_rad": 8},
                 "output": {"dir": str(tmp_path / "out")},
-                "sweep": {"kind": "radius", "r_values": [1.4, 1.6], "deltas": [0.05]},
+                "sweep": {"kind": "radius", "r_values": [1.5 - 1e-4, 1.5, 1.5 + 1e-4],
+                          "deltas": [0.05]},
             },
         )
         assert run_cli(["sweep", "--config", cfg]) == 0
         rows = (tmp_path / "out" / "radius_sweep.csv").read_text().splitlines()
-        assert len(rows) == 3
-        assert rows[0].split(",")[0] == "delta"
+        assert len(rows) == 4
+        header = rows[0].split(",")
+        assert header[0] == "delta"
+        data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        r, J, dJ_dr = (data[:, header.index(k)] for k in ("r_interface", "J", "dJ_dr"))
+        # the adjoint sensitivity against a central difference of J at r = 1.5
+        fd = (J[2] - J[0]) / (r[2] - r[0])
+        assert abs(dJ_dr[1] - fd) <= 1e-4 * abs(fd)
 
     def test_oracle_curves(self, tmp_path):
         cfg = write_cfg(
@@ -201,6 +208,21 @@ class TestErrors:
         assert key in capsys.readouterr().err
         sec, name = key.split(".")
         assert RunConfig.load(cfg, [f"{key}=1.0e-2"]).data[sec][name] == 1.0e-2
+
+    @pytest.mark.parametrize("key,good", [
+        ("reinit.lines_per_span", 10), ("output.grid", 10), ("output.checkpoint_every", 10),
+        ("quadrature.n_per_span", 10), ("quadrature.measures_per_span", 10),
+        ("design.subdiv_circ", 10), ("sweep.knee_factor", 1.5),
+        ("sweep.r_values", [1.5]), ("sweep.deltas", [5.0e-2]), ("sweep.subdivisions", [10]),
+    ])
+    def test_string_count_or_list_exit_code(self, tmp_path, capsys, key, good):
+        # PyYAML reads 1e1 as a string, also inside a list
+        cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
+        bad = "[1e1]" if isinstance(good, list) else "1e1"
+        assert run_cli(["solve", "--config", cfg, "--set", f"{key}={bad}"]) == 1
+        assert key in capsys.readouterr().err
+        sec, name = key.split(".")
+        assert RunConfig.load(cfg, [f"{key}={good}"]).data[sec][name] == good
 
     def test_env_outdir_override(self, tmp_path, tiny_annulus_cfg, monkeypatch):
         alt = tmp_path / "env_out"
