@@ -14,6 +14,7 @@ from igatop.errors import (
     GeometryError,
     IgatopError,
     ModelError,
+    NormalizationError,
     RefinementError,
     SolverError,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "GeometryError",
     "RefinementError",
     "ModelError",
+    "NormalizationError",
     "AssemblyError",
     "SolverError",
 ]

@@ -221,7 +221,7 @@ def discretize(
     m = basis.m if basis is not None else 0
     for pid, patch in enumerate(model.patches):
         # default rule: (p+1) x (q+1) Gauss points per nonempty span
-        pts, wts = patch_quadrature(patch, n_per_span, n_per_span)
+        pts, wts = patch_quadrature(patch, n_per_span)
         tab = tabulate(patch, pts)
         nq = pts.shape[0]
         # design-basis values and columns; none off the design

@@ -21,7 +21,7 @@ import yaml
 
 from igatop.assembly import Discretization, discretize, solve_adjoint, solve_state
 from igatop.config import RunConfig, initial_field_fn
-from igatop.errors import ConfigError, IgatopError
+from igatop.errors import ConfigError, IgatopError, NormalizationError
 from igatop.export import (
     ensure_outdir,
     read_coeffs_csv,
@@ -42,8 +42,8 @@ from igatop.levelset import (
     perimeter,
     project_lsf,
 )
-from igatop.model import MultiPatchModel, design_basis_for, refine_model
-from igatop.objectives import HeatProblem, eval_main, eval_total, make_objective
+from igatop.model import MultiPatchModel, RefineSpec, design_basis_for, refine_model
+from igatop.objectives import HeatProblem, ObjectiveSpec, eval_main, eval_total, make_objective
 from igatop.optimizer import SqpConfig, optimize
 from igatop import oracle
 
@@ -63,22 +63,20 @@ class Pipeline:
 
 
 def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
+    d = cfg.data
     model = cfg.build_model()
-    basis = design_basis_for(model, cfg.design_spec())
-    refined = refine_model(model, cfg.solution_spec())
-    disc = discretize(refined, basis, n_per_span=cfg.data["quadrature"]["n_per_span"])
-    quad = design_quadrature(basis, cfg.data["quadrature"]["measures_per_span"])
-    sym = build_symmetry_map(
-        basis, cfg.data["design"]["symmetry"] if model.symmetry_ok else "coincide"
-    )
-    sm = cfg.data["smoothing"]
-    smoothing = SmoothingParams(sm["delta"], sm["alpha"])
+    design = dict(d["design"])
+    symmetry = design.pop("symmetry")
+    basis = design_basis_for(model, RefineSpec(**design))
+    refined = refine_model(model, RefineSpec(**d["solution"]))
+    disc = discretize(refined, basis, n_per_span=d["quadrature"]["n_per_span"])
+    quad = design_quadrature(basis, d["quadrature"]["measures_per_span"])
+    sym = build_symmetry_map(basis, symmetry if model.symmetry_ok else "coincide")
+    smoothing = SmoothingParams(**d["smoothing"])
     problem = None
     if with_objective:
-        obj = cfg.data["objective"]
-        spec = make_objective(disc, cfg.data["objective_kind"], chi=obj["chi"], rho=obj["rho"])
-        problem = HeatProblem(disc, spec, smoothing, quad, sym)
-    init = cfg.data["initial_field"]
+        problem = HeatProblem(disc, objective_spec(cfg, disc), smoothing, quad, sym)
+    init = d["initial_field"]
     if init["kind"] == "restart":
         coeffs = read_coeffs_csv(init["params"]["path"])
         if coeffs.size != basis.m:
@@ -91,42 +89,44 @@ def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
     return Pipeline(cfg, model, refined, disc, quad, smoothing, problem, field0)
 
 
+def objective_spec(cfg: RunConfig, disc: Discretization) -> ObjectiveSpec:
+    return make_objective(disc, cfg.data["objective_kind"], **cfg.data["objective"])
+
+
 def sqp_config(cfg: RunConfig) -> SqpConfig:
     s = dict(cfg.data["sqp"])
-    bounds = s.pop("bounds", None)
-    out = SqpConfig(**s)
-    if bounds is not None:
-        out.lower, out.upper = -abs(float(bounds)), abs(float(bounds))
-    return out
+    bounds = s.pop("bounds")
+    if bounds is None:
+        return SqpConfig(**s)
+    return SqpConfig(**s, lower=-abs(bounds), upper=abs(bounds))
 
 
 def _write_field_outputs(pipe: Pipeline, T, field, outdir, stem):
-    n_grid = int(pipe.cfg.data["output"]["grid"])
+    n_grid = pipe.cfg.data["output"]["grid"]
     xs, ys, data = sample_fields(pipe.disc, T, field, pipe.smoothing, n_grid)
     write_vtk_structured(os.path.join(outdir, f"{stem}.vtk"), xs, ys, data)
     write_grid_csv(os.path.join(outdir, f"{stem}.csv"), xs, ys, data)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    pipe = build_pipeline(cfg, with_objective=False)
     try:
-        pipe = build_pipeline(cfg)
-    except ConfigError as exc:
+        spec = objective_spec(cfg, pipe.disc)
+    except NormalizationError as exc:
         # a solve remains useful without an objective (e.g. patch tests on a
         # homogeneous plate, where the disturbance normalization degenerates)
-        if "normalization" not in str(exc):
-            raise
         print(f"note: objective disabled ({exc})")
-        pipe = build_pipeline(cfg, with_objective=False)
+        spec = None
     outdir = ensure_outdir(cfg.data["output"]["dir"])
     sol = solve_state(pipe.disc, pipe.field0, pipe.smoothing)
-    if pipe.problem is not None:
-        j_main, dj_dt = eval_main(pipe.problem.spec, pipe.disc, sol)
-        print(f"J_{pipe.problem.spec.kind} = {j_main:.9g}")
+    if spec is not None:
+        j_main, dj_dt = eval_main(spec, pipe.disc, sol)
+        print(f"J_{spec.kind} = {j_main:.9g}")
         if cfg.data["output"]["adjoint"]:
             P = solve_adjoint(sol, -dj_dt)
             write_coeffs_csv(os.path.join(outdir, "adjoint.csv"), P)
     if cfg.problem == "annulus" and cfg.data["initial_field"]["kind"] == "radial":
-        rl = cfg.data["initial_field"]["params"].get("radius", 1.3)
+        rl = cfg.data["initial_field"]["params"]["radius"]
         params = _annulus_params(cfg)
         r = np.hypot(pipe.disc.phys[:, 0], pipe.disc.phys[:, 1])
         T_ex = oracle.annulus_state(r, rl, params)
@@ -148,7 +148,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     outdir = ensure_outdir(cfg.data["output"]["dir"])
     scfg = sqp_config(cfg)
     history = []
-    checkpoint_every = int(cfg.data["output"].get("checkpoint_every") or 0)
+    checkpoint_every = cfg.data["output"]["checkpoint_every"]
 
     def record(rec, state):
         history.append(rec)
@@ -160,8 +160,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
         pipe.problem,
         pipe.field0,
         scfg,
-        use_reinit=bool(cfg.data["reinit"]["enabled"]),
-        lines_per_span=int(cfg.data["reinit"]["lines_per_span"]),
+        use_reinit=cfg.data["reinit"]["enabled"],
+        lines_per_span=cfg.data["reinit"]["lines_per_span"],
         record_hook=record,
     )
     val = eval_total(pipe.problem, best)
@@ -173,7 +173,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     print(f"J_total = {val.j_total:.9g}")
     write_convergence_csv(os.path.join(outdir, "convergence.csv"), history)
     write_coeffs_csv(os.path.join(outdir, "coefficients.csv"), best.coeffs)
-    pts, _ = interface_points(best, int(cfg.data["reinit"]["lines_per_span"]))
+    pts, _ = interface_points(best, cfg.data["reinit"]["lines_per_span"])
     write_table_csv(os.path.join(outdir, "interface.csv"), ["x", "y"], pts.tolist())
     _write_field_outputs(pipe, val.state.values, best, outdir, "field")
     return 0
@@ -196,13 +196,14 @@ def _radial_field(pipe: Pipeline, rl: float) -> DesignField:
     return pipe.problem.field(project_lsf(pipe.quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - rl))
 
 
-def _radius_sweep(cfg: RunConfig, sweep: dict, outdir: str):
+def _radius_sweep(cfg: RunConfig, outdir: str):
     """J, sensitivity, perimeter, and field errors over the interface radius."""
+    sweep = cfg.data["sweep"]
     params = _annulus_params(cfg)
     pipe = build_pipeline(cfg)
     disc, quad = pipe.disc, pipe.quad
-    r_values = np.asarray(sweep.get("r_values") or np.arange(1.05, 1.951, 0.05), dtype=float)
-    deltas = sweep.get("deltas") or [0.5, 0.05, 0.005]
+    r_values = np.asarray(sweep["r_values"] or np.arange(1.05, 1.951, 0.05), dtype=float)
+    deltas = sweep["deltas"] or [0.5, 0.05, 0.005]
     r_q = np.hypot(disc.phys[:, 0], disc.phys[:, 1])
     # sensitivity of the projected coefficients to the interface radius
     dc_drl = quad.mass_solve(-np.asarray(quad.D.T @ quad.w).ravel())
@@ -235,7 +236,7 @@ def _radius_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     print(f"radius sweep: {len(rows)} rows -> radius_sweep.csv")
 
 
-def _refinement_sweep(cfg: RunConfig, sweep: dict, outdir: str):
+def _refinement_sweep(cfg: RunConfig, outdir: str):
     """Objective-error law: err_J over (mesh, bandwidth) with a knee-locus fit.
 
     err_J(mesh, delta) is the relative L2 norm, over the interface-radius
@@ -245,21 +246,22 @@ def _refinement_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     (refinement beyond the knee no longer helps); the log-log line fitted
     through the knees is the refinement-improvement bound.
     """
+    sweep = cfg.data["sweep"]
     params = _annulus_params(cfg)
-    subdivisions = sweep.get("subdivisions") or [4, 8, 16, 32]
-    deltas = sweep.get("deltas") or [0.5, 0.1, 0.05, 0.01, 0.005]
-    r_values = np.asarray(sweep.get("r_values") or np.arange(1.1, 1.91, 0.1), dtype=float)
-    knee_factor = float(sweep.get("knee_factor", 1.3))
+    subdivisions = sweep["subdivisions"] or [4, 8, 16, 32]
+    deltas = sweep["deltas"] or [0.5, 0.1, 0.05, 0.01, 0.005]
+    r_values = np.asarray(sweep["r_values"] or np.arange(1.1, 1.91, 0.1), dtype=float)
+    knee_factor = sweep["knee_factor"]
     j_exact = np.array([oracle.annulus_objective(rl, params) for rl in r_values])
 
     area = np.pi * (params.r_outer**2 - params.r_inner**2)
     rows = []
     for sub in subdivisions:
         sub_cfg = copy.deepcopy(cfg)
-        sub_cfg.data["solution"].update(subdiv_circ=int(sub), subdiv_rad=int(sub))
+        sub_cfg.data["solution"].update(subdiv_circ=sub, subdiv_rad=sub)
         pipe = build_pipeline(sub_cfg)
         fields = [_radial_field(pipe, rl) for rl in r_values]
-        n_elems = 4 * int(sub) * int(sub)
+        n_elems = 4 * sub * sub
         h_avg = float(np.sqrt(area / n_elems))
         for delta in deltas:
             sp_ = SmoothingParams(delta, cfg.data["smoothing"]["alpha"])
@@ -268,7 +270,7 @@ def _refinement_sweep(cfg: RunConfig, sweep: dict, outdir: str):
                 for f in fields
             ])
             err = float(np.sqrt(np.sum((J - j_exact) ** 2) / np.sum(j_exact**2)))
-            rows.append((int(sub), pipe.disc.ndof, h_avg, delta, delta / h_avg, err))
+            rows.append((sub, pipe.disc.ndof, h_avg, delta, delta / h_avg, err))
     write_table_csv(
         os.path.join(outdir, "refinement_sweep.csv"),
         ["subdiv", "ndof", "h_avg", "delta", "delta_over_h", "err_J"],
@@ -294,18 +296,14 @@ def _refinement_sweep(cfg: RunConfig, sweep: dict, outdir: str):
     return slope, intercept
 
 
+SWEEPS = {"radius": _radius_sweep, "refinement": _refinement_sweep}
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.problem != "annulus":
         raise ConfigError("sweep commands are defined for the annulus problem")
-    sweep = cfg.data.get("sweep") or {}
-    kind = sweep.get("kind", "radius")
     outdir = ensure_outdir(cfg.data["output"]["dir"])
-    if kind == "radius":
-        _radius_sweep(cfg, sweep, outdir)
-    elif kind == "refinement":
-        _refinement_sweep(cfg, sweep, outdir)
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+    SWEEPS[cfg.data["sweep"]["kind"]](cfg, outdir)
     return 0
 
 
@@ -314,9 +312,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         raise ConfigError("the analytic oracle is defined for the annulus problem")
     params = _annulus_params(cfg)
     outdir = ensure_outdir(cfg.data["output"]["dir"])
-    sweep = cfg.data.get("sweep") or {}
     r_values = np.asarray(
-        sweep.get("r_values") or np.arange(1.01, 1.9901, 0.01), dtype=float
+        cfg.data["sweep"]["r_values"] or np.arange(1.01, 1.9901, 0.01), dtype=float
     )
     rows = [
         (rl, oracle.annulus_objective(rl, params),

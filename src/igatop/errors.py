@@ -9,6 +9,10 @@ class ConfigError(IgatopError):
     """Invalid run configuration or model construction arguments."""
 
 
+class NormalizationError(ConfigError):
+    """An objective's normalization degenerates: the insulator does not disturb the field."""
+
+
 class DomainError(IgatopError):
     """Parameter or physical point outside the valid domain."""
 

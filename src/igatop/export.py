@@ -19,16 +19,15 @@ from igatop.levelset import DesignField, SmoothingParams
 from igatop.splines import tabulate
 
 
-def locate_points(model, targets: np.ndarray, seeds_per_dir: int = 24, tol=None):
+def locate_points(model, targets: np.ndarray):
     """Find (patch, u, v) for physical points; NaN parameters when outside.
 
     Returns (patch_idx (n,), params (n,2)); patch_idx is -1 outside.
     """
-    diam = model.diameter()
-    tol = tol if tol is not None else 1e-9 * diam
+    tol = 1e-9 * model.diameter()
     grids, owners = [], []
     for pid, patch in enumerate(model.patches):
-        s = np.linspace(0.0, 1.0, seeds_per_dir)
+        s = np.linspace(0.0, 1.0, 24)
         uv = np.column_stack([np.repeat(s, s.size), np.tile(s, s.size)])
         grids.append((uv, tabulate(patch, uv, check_jacobian=False).phys))
         owners.append(np.full(uv.shape[0], pid))
@@ -72,9 +71,9 @@ def locate_points(model, targets: np.ndarray, seeds_per_dir: int = 24, tol=None)
 
 def sample_fields(
     disc: Discretization,
-    T: np.ndarray | None,
-    field: DesignField | None,
-    sp_: SmoothingParams | None,
+    T: np.ndarray,
+    field: DesignField,
+    sp_: SmoothingParams,
     n_grid: int = 201,
 ):
     """Evaluate T, phi, kappa, and flux on a regular bounding-box grid.
@@ -103,23 +102,21 @@ def sample_fields(
         tab = tabulate(patch, uv[sel], check_jacobian=False)
         label = model.labels[int(p)]
         kappa = np.full(sel.size, model.kappa_regions.get(label, np.nan))
-        if basis is not None and label == "design" and field is not None:
+        if label == "design":
             k = basis.patch_ids.index(int(p))
             dtab = tabulate(basis.patches[k], uv[sel], check_jacobian=False)
             c_loc = field.coeffs[basis.patch_slice(k)][dtab.indices]
             phi = np.einsum("nl,nl->n", dtab.values, c_loc)
             out["phi"][sel] = phi
-            if sp_ is not None:
-                kappa = kappa_at(phi, model.design_pair, sp_)
+            kappa = kappa_at(phi, model.design_pair, sp_)
         out["kappa"][sel] = kappa
-        if T is not None:
-            dofs = tab.indices + disc.dof_offsets[int(p)]
-            t_loc = T[dofs]
-            out["T"][sel] = np.einsum("nl,nl->n", tab.values, t_loc)
-            tx = np.einsum("nl,nl->n", tab.dx, t_loc)
-            ty = np.einsum("nl,nl->n", tab.dy, t_loc)
-            out["flux_x"][sel] = -kappa * tx
-            out["flux_y"][sel] = -kappa * ty
+        dofs = tab.indices + disc.dof_offsets[int(p)]
+        t_loc = T[dofs]
+        out["T"][sel] = np.einsum("nl,nl->n", tab.values, t_loc)
+        tx = np.einsum("nl,nl->n", tab.dx, t_loc)
+        ty = np.einsum("nl,nl->n", tab.dy, t_loc)
+        out["flux_x"][sel] = -kappa * tx
+        out["flux_y"][sel] = -kappa * ty
     data = {k: v.reshape(n_grid, n_grid) for k, v in out.items()}
     return xs, ys, data
 
@@ -183,7 +180,6 @@ def write_convergence_csv(path: str, history):
         (r.iteration, r.fevals, r.j_main, r.j_tknv, r.j_vol, r.j_total,
          r.grad_inf, r.step_norm, r.alpha, r.event)
         for r in history
-        if hasattr(r, "iteration")
     ]
     write_table_csv(
         path,

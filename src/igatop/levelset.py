@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -125,7 +126,7 @@ def design_quadrature(basis: DesignBasis, n_per_span: int | None = None) -> Desi
     smoothed Heaviside/Dirac band when it is narrower than a knot span."""
     phys, w, Ds, Dxs, Dys = [], [], [], [], []
     for k in range(len(basis.patches)):
-        pts, wts = patch_quadrature(basis.patches[k], n_per_span, n_per_span)
+        pts, wts = patch_quadrature(basis.patches[k], n_per_span)
         tab, D, Dx, Dy = _basis_rows(basis, k, pts)
         phys.append(tab.phys)
         w.append(wts * tab.det_j)
@@ -182,15 +183,13 @@ def _span_grid(kv, per_span: int, interior: bool) -> np.ndarray:
     return np.concatenate([np.atleast_1d(x) for x in out])
 
 
-def interface_points(
-    field: DesignField, lines_per_span: int = 20, tol: float = 1e-10
-):
+def interface_points(field: DesignField, lines_per_span: int = 20):
     """Zero-contour points found by bisection along isoparameter lines.
 
     Returns (points (n, 2) physical, params: list of (patch_id, (u, v))).
     Per design patch and per parametric direction, lines_per_span lines
     cross each knot span; sign changes of the field along each line are
-    bracketed on a fine span-wise scan and bisected to |phi| <= tol.
+    bracketed on a fine span-wise scan and bisected to |phi| <= 1e-10.
     """
     if lines_per_span < 1:
         raise ConfigError("lines_per_span must be >= 1")
@@ -222,7 +221,7 @@ def interface_points(
                 if fixed_axis == 1:
                     pm = pm[:, ::-1]
                 fm = _phi_on_patch(field, k, pm)
-                done = np.abs(fm) <= tol
+                done = np.abs(fm) <= 1e-10
                 move_lo = fm * flo > 0
                 lo = np.where(move_lo & ~done, mid, lo)
                 flo = np.where(move_lo & ~done, fm, flo)
@@ -254,12 +253,7 @@ def interface_points(
     return pts, par_out
 
 
-def reinitialize(
-    field: DesignField,
-    quad: DesignQuad,
-    lines_per_span: int = 20,
-    penalty_weight: float | None = None,
-) -> DesignField:
+def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20) -> DesignField:
     """Rebuild the field as a signed distance to its current zero contour.
 
     Signed distances to the nearest interface point are projected through
@@ -287,8 +281,7 @@ def reinitialize(
         _, D, _, _ = _basis_rows(basis, k, np.asarray(sel))
         rows.append(D)
     P = sp.vstack(rows, format="csr")
-    if penalty_weight is None:
-        penalty_weight = 1e6 * float(quad.mass.diagonal().mean())
+    penalty_weight = 1e6 * float(quad.mass.diagonal().mean())
     M = (quad.mass + penalty_weight * (P.T @ P)).tocsc()
     rhs = quad.D.T @ (quad.w * target)
     try:
@@ -348,29 +341,13 @@ class SymmetryMap:
         return sums / counts
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def build_symmetry_map(basis: DesignBasis, mode: str = "xy", tol: float | None = None) -> SymmetryMap:
+def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     """Group design coefficients into orbits.
 
     Modes: 'none' keeps every coefficient independent; 'coincide' merges
     geometrically coincident control points (multi-patch seams); 'xy'
     additionally merges x- and y-mirror images, for nets symmetric about
-    both axes.
+    both axes.  Orbits are numbered in the order of their lowest index.
     """
     m = basis.m
     if mode == "none":
@@ -379,22 +356,18 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy", tol: float | None =
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    if tol is None:
-        tol = 1e-8 * max(diam, 1.0)
-    uf = _UnionFind(m)
+    tol = 1e-8 * max(diam, 1.0)
     tree = cKDTree(pts)
-    for i, j in tree.query_pairs(tol):
-        uf.union(i, j)
+    pairs = [tree.query_pairs(tol, output_type="ndarray")]
     if mode == "xy":
         for refl in (np.array([1.0, -1.0]), np.array([-1.0, 1.0])):
             dist, j = tree.query(pts * refl)
-            bad = dist > tol
-            if np.any(bad):
+            if np.any(dist > tol):
                 raise ConfigError(
                     "design net is not mirror symmetric; use mode='coincide' or 'none'"
                 )
-            for i in range(m):
-                uf.union(i, int(j[i]))
-    roots = np.array([uf.find(i) for i in range(m)])
-    _, orbit = np.unique(roots, return_inverse=True)
-    return SymmetryMap(orbit=orbit, n_var=int(orbit.max()) + 1, mode=mode)
+            pairs.append(np.column_stack([np.arange(m), j]))
+    i, j = np.concatenate(pairs).T
+    graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(m, m))
+    n_var, orbit = connected_components(graph, directed=False)
+    return SymmetryMap(orbit=orbit, n_var=n_var, mode=mode)

@@ -15,7 +15,7 @@ closing the center of a disk uses the circumferential role on both axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class MultiPatchModel:
     beta: float | None = None  # absolute Nitsche penalty; None scales it per edge
     gamma: float = 0.5
     symmetry_ok: bool = True
-    extras: dict = field(default_factory=dict)
 
     @property
     def design_patch_ids(self) -> list[int]:
@@ -407,7 +406,6 @@ def build_annulus(
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
         gamma=gamma,
-        extras={"r_inner": r_inner, "r_outer": r_outer},
     )
     return model.validate()
 
@@ -510,7 +508,6 @@ def build_cloak_model(
         beta=beta,
         gamma=gamma,
         symmetry_ok=cfg["symmetric"],
-        extras={"config": config, "plate_half": plate_half},
     )
     return model.validate()
 
@@ -581,8 +578,6 @@ def build_camouflage_model(
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
         gamma=gamma,
-        extras={"plate_half": plate_half, "r_object": r_object,
-                "r_design": r_design, "r_sector": r_sector},
     )
     return model.validate()
 

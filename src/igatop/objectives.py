@@ -22,7 +22,7 @@ from igatop.assembly import (
     solve_adjoint,
     solve_state,
 )
-from igatop.errors import ConfigError
+from igatop.errors import ConfigError, NormalizationError
 from igatop.levelset import (
     DesignField,
     DesignQuad,
@@ -81,7 +81,7 @@ def compute_reference_fields(disc: Discretization, kind: str):
     diff = disc.N @ (t_ins - t_ref)
     j_norm = float((disc.w * diff**2)[mask].sum())
     if j_norm <= 1e-12:
-        raise ConfigError("degenerate normalization: insulator does not disturb the field")
+        raise NormalizationError("degenerate normalization: insulator does not disturb the field")
     return t_ref, t_ins, j_norm
 
 

@@ -12,7 +12,7 @@ iterate is returned, not the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,15 +90,15 @@ class SqpState:
     steptol_streak: int = 0
     best_x: np.ndarray = None
     best_j: float = np.inf
-    history: list = dc_field(default_factory=list)
 
 
-def solve_qp_subproblem(g, H, lower, upper, x, tol=1e-12):
+def solve_qp_subproblem(g, H, lower, upper, x):
     """Minimize g.p + p.H.p/2 subject to bounds on x + p (primal active set).
 
     H must be symmetric positive definite; the iteration adds blocking
     bounds one at a time and releases bounds with negative multipliers.
     """
+    tol = 1e-12
     n = g.size
     lo = lower - x
     hi = upper - x
@@ -304,7 +304,6 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
         if state.steptol_streak < cfg.consecutive_steptol_stop:
             do_reinit()
 
-    state.history.append(("stop", stop_reason))
     return state.best_x, state, stop_reason
 
 
@@ -325,7 +324,6 @@ def _record(state, cfg, aux, step_norm, alpha, event, hook):
         alpha=alpha,
         event=event,
     )
-    state.history.append(rec)
     if hook is not None:
         hook(rec, state)
 

@@ -441,10 +441,10 @@ def gauss_points_1d(kv: KnotVector, n_per_span: int | None = None):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def patch_quadrature(patch: NurbsPatch, n_u: int | None = None, n_v: int | None = None):
+def patch_quadrature(patch: NurbsPatch, n_per_span: int | None = None):
     """Tensor Gauss rule over all nonempty spans: (params (n,2), weights (n,))."""
-    pu, wu = gauss_points_1d(patch.knots_u, n_u)
-    pv, wv = gauss_points_1d(patch.knots_v, n_v)
+    pu, wu = gauss_points_1d(patch.knots_u, n_per_span)
+    pv, wv = gauss_points_1d(patch.knots_v, n_per_span)
     P = np.column_stack(
         [np.repeat(pu, pv.size), np.tile(pv, pu.size)]
     )

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from igatop.assembly import discretize, solve_state
-from igatop.config import initial_field_fn
+from igatop.cli import _refinement_sweep, build_pipeline, sqp_config
+from igatop.config import RunConfig, initial_field_fn
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
@@ -29,14 +30,13 @@ from igatop.levelset import (
 from igatop.model import (
     RefineSpec,
     build_annulus,
-    build_camouflage_model,
     build_cloak_model,
     design_basis_for,
     match_edges,
     refine_model,
 )
 from igatop.objectives import HeatProblem, eval_total, make_objective
-from igatop.optimizer import SqpConfig, optimize
+from igatop.optimizer import optimize
 from igatop.oracle import annulus_objective
 
 J_STAR = 1.6094e4
@@ -55,13 +55,9 @@ def radius(p):
 @pytest.fixture(scope="session")
 def annulus_bench():
     """N_var=25 design basis on the 4389-dof benchmark solution mesh."""
-    model = build_annulus()
-    basis = design_basis_for(model, RefineSpec(2, 1, 3, 4))
-    disc = discretize(refine_model(model, RefineSpec(2, 1, 32, 32)), basis)
-    quad = design_quadrature(basis, 4)
-    sym = build_symmetry_map(basis, "xy")
-    assert sym.n_var == 25 and disc.ndof == 4389
-    return model, basis, disc, quad, sym
+    pipe = build_pipeline(RunConfig.from_dict({"problem": "annulus"}))
+    assert pipe.problem.sym.n_var == 25 and pipe.disc.ndof == 4389
+    return pipe
 
 
 @pytest.fixture(scope="session")
@@ -77,31 +73,28 @@ def annulus_sweep_basis():
 @pytest.fixture(scope="session")
 def cloak_runs():
     """Reduced-refinement circular-cloak runs shared by criteria 5 and 8."""
-    model = build_cloak_model("circular")
-    basis = design_basis_for(model, RefineSpec(2, 1, 3, 4))
-    disc = discretize(refine_model(model, RefineSpec(2, 1, 16, 16)), basis)
-    quad = design_quadrature(basis, 6)
-    sym = build_symmetry_map(basis, "xy")
-    assert sym.n_var == 25
-    smoothing = SmoothingParams(2.0)
-    c0 = project_lsf(quad, lambda p: 10.0 - np.abs(radius(p) - 35.0))
-
-    out = {"ndof": disc.ndof}
+    out = {}
     for name, chi, use_reinit in (
         ("plain", 0.0, True),
         ("tikhonov", 1e-2, True),
         ("no_reinit", 0.0, False),
     ):
-        spec = make_objective(disc, "cloak", chi=chi)
-        prob = HeatProblem(disc, spec, smoothing, quad, sym)
-        cfg = SqpConfig(max_iterations=200, max_function_evaluations=600,
-                        reinit_every_iters=10, reinit_every_fevals=100)
+        cfg = RunConfig.from_dict({
+            "problem": "cloak",
+            "objective": {"chi": chi},
+            "reinit": {"enabled": use_reinit},
+            "quadrature": {"measures_per_span": 6},
+            "sqp": {"max_iterations": 200, "max_function_evaluations": 600},
+        })
+        pipe = build_pipeline(cfg)
+        assert pipe.problem.sym.n_var == 25
+        out["ndof"] = pipe.disc.ndof
         hist = []
         t0 = time.time()
-        best, state, reason = optimize(prob, DesignField(basis, c0), cfg,
+        best, state, reason = optimize(pipe.problem, pipe.field0, sqp_config(cfg),
                                        use_reinit=use_reinit,
                                        record_hook=lambda r, s: hist.append(r))
-        val = eval_total(prob, best)
+        val = eval_total(pipe.problem, best)
         fe_to_1em4 = next((r.fevals for r in hist if r.j_main <= 1e-4), None)
         out[name] = dict(value=val, reason=reason, fevals=state.fevals,
                          seconds=time.time() - t0, fe_to_1em4=fe_to_1em4,
@@ -111,9 +104,7 @@ def cloak_runs():
 
 class TestCriterion1:
     def test_annulus_optimum_from_three_starts(self, annulus_bench):
-        model, basis, disc, quad, sym = annulus_bench
-        spec = make_objective(disc, "annular")
-        prob = HeatProblem(disc, spec, SmoothingParams(0.05), quad, sym)
+        pipe = annulus_bench
         starts = [
             {"kind": "radial", "params": {"radius": 1.3}},
             {"kind": "ring", "params": {"radius": 1.5, "half_width": 0.25}},
@@ -122,14 +113,12 @@ class TestCriterion1:
         details = []
         ok = True
         for s in starts:
-            c0 = project_lsf(quad, initial_field_fn(s))
-            cfg = SqpConfig(max_iterations=200, max_function_evaluations=800,
-                            reinit_every_iters=None, reinit_every_fevals=None)
+            c0 = project_lsf(pipe.quad, initial_field_fn(s))
             t0 = time.time()
-            best, state, reason = optimize(prob, DesignField(basis, c0), cfg,
-                                           use_reinit=False)
+            best, state, reason = optimize(pipe.problem, pipe.problem.field(c0),
+                                           sqp_config(pipe.cfg), use_reinit=False)
             dt = time.time() - t0
-            val = eval_total(prob, best)
+            val = eval_total(pipe.problem, best)
             pts, _ = interface_points(best, 20)
             med = float(np.median(radius(pts)))
             dev_j = abs(val.j_main / J_STAR - 1.0)
@@ -193,18 +182,15 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def test_refinement_bandwidth_law(self, annulus_sweep_basis, tmp_path):
-        from igatop.cli import _refinement_sweep
-        from igatop.config import RunConfig
-
+    def test_refinement_bandwidth_law(self, tmp_path):
         cfg = RunConfig.from_dict({
             "problem": "annulus",
             "design": {"subdiv_circ": 7, "subdiv_rad": 32},
             "output": {"dir": str(tmp_path)},
+            "sweep": {"kind": "refinement", "subdivisions": [4, 8, 16, 32, 64],
+                      "deltas": [0.5, 0.1, 0.05, 0.01, 0.005]},
         })
-        sweep = {"subdivisions": [4, 8, 16, 32, 64],
-                 "deltas": [0.5, 0.1, 0.05, 0.01, 0.005]}
-        slope, intercept = _refinement_sweep(cfg, sweep, str(tmp_path))
+        slope, intercept = _refinement_sweep(cfg, str(tmp_path))
         # errors at the production bandwidth decrease with refinement until
         # the bandwidth-limited floor
         import csv
@@ -284,27 +270,21 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_camouflage(self):
-        model = build_camouflage_model()
-        basis = design_basis_for(model, RefineSpec(2, 1, 3, 4))
-        disc = discretize(refine_model(model, RefineSpec(2, 1, 12, 12)), basis)
-        quad = design_quadrature(basis, 6)
-        sym = build_symmetry_map(basis, "xy")
-        spec = make_objective(disc, "camouflage")
-        prob = HeatProblem(disc, spec, SmoothingParams(1.5), quad, sym)
-        # start from a lattice of conductor islands in the band
-        c0 = project_lsf(
-            quad,
-            initial_field_fn({"kind": "lattice",
-                              "params": {"n": 2, "pitch": 24.0, "radius": 5.0}}),
-        )
-        cfg = SqpConfig(max_iterations=200, max_function_evaluations=600,
-                        reinit_every_iters=10, reinit_every_fevals=300)
+        cfg = RunConfig.from_dict({
+            "problem": "camouflage",
+            # start from a lattice of conductor islands in the band
+            "initial_field": {"kind": "lattice",
+                              "params": {"n": 2, "pitch": 24.0, "radius": 5.0}},
+            "quadrature": {"measures_per_span": 6},
+            "sqp": {"max_iterations": 200, "max_function_evaluations": 600},
+        })
+        pipe = build_pipeline(cfg)
         t0 = time.time()
-        best, state, reason = optimize(prob, DesignField(basis, c0), cfg)
-        val = eval_total(prob, best)
+        best, state, reason = optimize(pipe.problem, pipe.field0, sqp_config(cfg))
+        val = eval_total(pipe.problem, best)
         ok = val.j_main <= 5e-3
         report("criterion 6 (camouflage terminal J <= 5e-3 at reduced scale)",
-               ok, f"J_cmflg={val.j_main:.3e} at {disc.ndof} dof "
+               ok, f"J_cmflg={val.j_main:.3e} at {pipe.disc.ndof} dof "
                    f"({state.fevals} evals, {time.time()-t0:.0f}s, {reason})")
 
 

@@ -10,6 +10,9 @@ from igatop.cli import main
 from igatop.config import RunConfig
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
 def run_cli(args):
     return main(args)
 
@@ -223,6 +226,35 @@ class TestErrors:
         assert key in capsys.readouterr().err
         sec, name = key.split(".")
         assert RunConfig.load(cfg, [f"{key}={good}"]).data[sec][name] == good
+
+    @pytest.mark.parametrize("command", ["solve", "optimize"])
+    @pytest.mark.parametrize("override,key", [
+        ("output.grid=0.5", "output.grid"),
+        ("quadrature.measures_per_span=0.5", "quadrature.measures_per_span"),
+        ("quadrature.n_per_span=0.5", "quadrature.n_per_span"),
+        ("sweep.subdivisions=[2.5]", "sweep.subdivisions"),
+        ("model.kappa_pos=1e1", "model.kappa_pos"),
+        ("model.r_inner=abc", "model.r_inner"),
+        ("design.degree_circ=2e0", "design.degree_circ"),
+        ("design.degree_circ=2.5", "design.degree_circ"),
+        ("sqp.max_iterations=2.5", "sqp.max_iterations"),
+        ("reinit.enabled=maybe", "reinit.enabled"),
+        ("initial_field.params.radius=1e0", "initial_field.params.radius"),
+        ("sqp.max_iteration=5", "sqp.max_iteration"),
+        ("model.kapa_pos=5.0", "model.kapa_pos"),
+        ("smoothing.delt=0.1", "smoothing.delt"),
+        ("outputs.grid=5", "outputs"),
+    ])
+    def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
+        # each of these ended in a traceback or was accepted unchecked
+        cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
+        assert run_cli([command, "--config", cfg, "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_shipped_config_loads(self, name):
+        RunConfig.load(os.path.join(CONFIGS, name))
 
     def test_env_outdir_override(self, tmp_path, tiny_annulus_cfg, monkeypatch):
         alt = tmp_path / "env_out"
