@@ -1,27 +1,26 @@
 """Assembly and solution of the state and adjoint systems.
 
-The stiffness matrix combines the bulk conduction term with Nitsche
-interface coupling: K = K_bulk + K_n + K_n^T + K_s, where K_n carries the
-consistency (average-flux) terms and K_s the jump penalty
-sum_e int_e beta_e [N] [N].  By default the penalty is scaled per edge
-point, beta_e = NITSCHE_PENALTY_C * kappa_e * p^2 / h_e (Annavarapu,
-Hautefeuille & Dolbow 2012): kappa_e is the largest conductivity either
-side of the interface can take in the solve (an override can raise it),
-p the solution degree, h_e the physical length of the edge's knot span.
-A number in `model.beta` replaces it by that absolute penalty.
+Every interface conforms (`model.match_edges` pairs only edges that share
+a control net), so by default (`model.beta` null) the patches are coupled
+strongly: `discretize` gives the two control points of each interface
+pair one dof, and the stiffness is the bulk conduction term alone.  A
+number in `model.beta` keeps the patches' own dofs and couples them by
+Nitsche's method instead: K = K_bulk + K_n + K_n^T + K_s, where K_n
+carries the consistency (average-flux) terms and K_s the jump penalty
+sum_e int_e beta [N] [N] with that absolute beta.
 
 Everything the level set does not move is built once per mesh: the bulk
 matrix of each non-design region at unit conductivity, the jump penalty,
-and the interface rows of all edges stacked into one operator.  An
-assembly scales the fixed regions by their conductivities (a sum kept
-for the model's own values) and forms two weighted products
-A^T diag(s) B, one over the design-region quadrature rows and one over
-the stacked interface rows; the weights scale the columns of a
-precomputed A^T.  K_ff is symmetric positive definite, so each state
-solve factors it once with SuperLU in symmetric mode (diagonal pivots,
-an ordering of K_ff + K_ff^T).  The free-dof blocks are sliced once per
-state solve and shared by the solve, its refinement sweeps and the
-adjoint.  Solves refine iteratively only while the componentwise
+and the interface rows of all edges stacked into one operator (empty
+under strong coupling).  An assembly scales the fixed regions by their
+conductivities (a sum kept for the model's own values) and forms two
+weighted products A^T diag(s) B, one over the design-region quadrature
+rows and one over the stacked interface rows; the weights scale the
+columns of a precomputed A^T.  K_ff is symmetric positive definite, so
+each state solve factors it once with SuperLU in symmetric mode (diagonal
+pivots, an ordering of K_ff + K_ff^T).  The free-dof blocks are sliced
+once per state solve and shared by the solve, its refinement sweeps and
+the adjoint.  Solves refine iteratively only while the componentwise
 backward error is above eps and the last sweep halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from igatop.errors import AssemblyError, ModelError, SolverError
@@ -74,12 +74,6 @@ def kappa_at(phi, mats: MaterialPair, sp_: SmoothingParams):
 def dkappa_dphi(phi, mats: MaterialPair, sp_: SmoothingParams):
     """Derivative of the smoothed conductivity with respect to the field value."""
     return (mats.kappa_pos - mats.kappa_neg) * dirac(phi, sp_)
-
-
-#: Dimensionless factor C of the scaled penalty beta_e = C * kappa_e * p^2 / h_e.
-#: At 0.5 the cloak and camouflage systems are indefinite and at 1 barely
-#: coercive; 10 leaves a margin.
-NITSCHE_PENALTY_C = 10.0
 
 
 def _gram(At: sp.csr_matrix, B: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
@@ -148,7 +142,6 @@ class EdgeQuad:
     region_b: str
     D1: sp.csr_matrix | None  # design-basis values on side a (design side only)
     D2: sp.csr_matrix | None
-    p2_h: np.ndarray  # p^2 / h_e: solution degree, physical knot-span length
 
 
 @dataclass
@@ -174,7 +167,7 @@ class Discretization:
     model: MultiPatchModel
     basis: DesignBasis | None
     ndof: int
-    dof_offsets: np.ndarray
+    patch_dofs: list[np.ndarray]  # per patch: the dof of each flat control index
     w: np.ndarray
     phys: np.ndarray
     qlabel: np.ndarray
@@ -193,7 +186,7 @@ class Discretization:
     # w the edge weight times gamma (side a) or 1 - gamma (side b):
     # K_n = -[E; E]^T diag(w kappa) [G1n; G2n]
     sides: DesignRows
-    Ks: sp.csr_matrix  # jump penalty of a solve without overrides
+    Ks: sp.csr_matrix  # jump penalty
     # sum of kappa_r * region_K[r] and Ks for the model's own conductivities
     K_fixed: sp.csr_matrix
     F0: np.ndarray
@@ -213,9 +206,7 @@ def discretize(
     n_per_span: int | None = None,
 ) -> Discretization:
     """Build the quadrature/operator cache for a refined model."""
-    sizes = [p.n_ctrl for p in model.patches]
-    dof_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    ndof = int(dof_offsets[-1])
+    ndof, patch_dofs = _number_dofs(model)
 
     w_all, phys_all, lab_all, tabs = [], [], [], []
     m = basis.m if basis is not None else 0
@@ -230,7 +221,7 @@ def discretize(
             k = basis.patch_ids.index(pid)
             dtab = tabulate(basis.patches[k], pts)
             drows = (dtab.values, dtab.indices + int(basis.offsets[k]))
-        cols = tab.indices + dof_offsets[pid]
+        cols = patch_dofs[pid][tab.indices]
         tabs.append({"N": (tab.values, cols), "dx": (tab.dx, cols), "dy": (tab.dy, cols),
                      "D": drows})
         w_all.append(wts * tab.det_j)
@@ -261,7 +252,9 @@ def discretize(
         G = grad_rows(pids)
         region_K[label] = _gram(G.T.tocsr(), G, np.tile(w[qlabel == label], 2))
 
-    edges = [_build_edge(model, basis, pair, dof_offsets, ndof) for pair in model.interfaces]
+    # strongly coupled patches share their interface dofs: no interface rows
+    edges = [] if model.beta is None else [
+        _build_edge(model, basis, pair, patch_dofs, ndof) for pair in model.interfaces]
     E = _stack([e.En for e in edges], ndof)
     gamma = model.gamma
     side_w = [gamma * e.w for e in edges] + [(1.0 - gamma) * e.w for e in edges]
@@ -275,14 +268,14 @@ def discretize(
         At=sp.vstack([E, E]).T.tocsr(),
         B=_stack([e.G1n for e in edges] + [e.G2n for e in edges], ndof),
     )
-    Ks = _penalty_matrix(model, edges, E)
+    Ks = _gram(E.T.tocsr(), E, np.concatenate([np.zeros(0)] + [e.w * model.beta for e in edges]))
 
     F0 = np.zeros(ndof)
     dir_map: dict[int, float] = {}
     for bc in model.boundaries:
         patch = model.patches[bc.patch]
         if bc.kind == "dirichlet":
-            for dof in edge_flat_indices(patch, bc.edge) + dof_offsets[bc.patch]:
+            for dof in patch_dofs[bc.patch][edge_flat_indices(patch, bc.edge)]:
                 prev = dir_map.setdefault(int(dof), bc.value)
                 if prev != bc.value:
                     raise ModelError(f"conflicting Dirichlet values at dof {dof}")
@@ -291,7 +284,7 @@ def discretize(
             t, gw = gauss_points_1d(kv)
             tab, ds, _ = _edge_tab(patch, bc.edge, t)
             rows = np.repeat(np.arange(t.size), tab.indices.shape[1])
-            cols = (tab.indices + dof_offsets[bc.patch]).ravel()
+            cols = patch_dofs[bc.patch][tab.indices].ravel()
             Ne = sp.csr_matrix((tab.values.ravel(), (rows, cols)), shape=(t.size, ndof))
             F0 += Ne.T @ (gw * ds * bc.value)
         # insulated edges contribute nothing
@@ -304,7 +297,7 @@ def discretize(
         model=model,
         basis=basis,
         ndof=ndof,
-        dof_offsets=dof_offsets,
+        patch_dofs=patch_dofs,
         w=w,
         phys=np.concatenate(phys_all),
         qlabel=qlabel,
@@ -326,7 +319,26 @@ def discretize(
     )
 
 
-def _build_edge(model, basis, pair: InterfacePair, dof_offsets, ndof) -> EdgeQuad:
+def _number_dofs(model: MultiPatchModel) -> tuple[int, list[np.ndarray]]:
+    """Dof count and each patch's dof per flat control index.
+
+    Control points are numbered patch after patch; with `model.beta` null
+    the two sides of every interface pair are merged into one dof (the
+    connected components of the pairs, numbered in the order of their
+    lowest index), so the explicit-beta numbering is the plain one.
+    """
+    offsets = np.cumsum([0] + [p.n_ctrl for p in model.patches])
+    pairs = [np.zeros((0, 2), dtype=int)]
+    if model.beta is None:
+        pairs += [itf.pairs + offsets[[itf.patch_a, itf.patch_b]] for itf in model.interfaces]
+    i, j = np.concatenate(pairs).T
+    n = int(offsets[-1])
+    ndof, dof = connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
+                                     directed=False)
+    return int(ndof), np.split(dof, offsets[1:-1])
+
+
+def _build_edge(model, basis, pair: InterfacePair, patch_dofs, ndof) -> EdgeQuad:
     pa, pb = model.patches[pair.patch_a], model.patches[pair.patch_b]
     kv = _edge_knots(pa, pair.edge_a)
     t, gw = gauss_points_1d(kv)
@@ -340,14 +352,10 @@ def _build_edge(model, basis, pair: InterfacePair, dof_offsets, ndof) -> EdgeQua
             "quadrature points do not coincide"
         )
     ne = t.size
-    # gauss_points_1d puts degree + 1 points in each nonempty span
-    n_g = kv.degree + 1
-    h = np.repeat((gw * ds).reshape(-1, n_g).sum(axis=1), n_g)
-    p = max(k.degree for patch in (pa, pb) for k in (patch.knots_u, patch.knots_v))
 
     def scatter(tab, pid, data):
         rows = np.repeat(np.arange(ne), tab.indices.shape[1])
-        cols = (tab.indices + dof_offsets[pid]).ravel()
+        cols = patch_dofs[pid][tab.indices].ravel()
         return sp.csr_matrix((data.ravel(), (rows, cols)), shape=(ne, ndof))
 
     Na = scatter(tab_a, pair.patch_a, tab_a.values)
@@ -374,40 +382,7 @@ def _build_edge(model, basis, pair: InterfacePair, dof_offsets, ndof) -> EdgeQua
         region_b=model.labels[pair.patch_b],
         D1=design_rows(pair.patch_a, ta, pair.edge_a),
         D2=design_rows(pair.patch_b, tb, pair.edge_b),
-        p2_h=p * p / h,
     )
-
-
-def _kappa_max(model, region: str, override: dict) -> float:
-    """Largest conductivity a region can take in a solve with these overrides.
-
-    An override only raises it, so a solve whose override repeats what a
-    design can take (the all-insulator reference) shares that design's
-    penalty and discrete space.
-    """
-    if region == "design":
-        kappa = max(model.design_pair.kappa_pos, model.design_pair.kappa_neg)
-    else:
-        kappa = model.kappa_regions.get(region, 0.0)
-    return max(kappa, float(override.get(region, 0.0)))
-
-
-def _penalty_matrix(model, edges, E, override=None) -> sp.csr_matrix:
-    """Jump penalty E^T diag(w * beta_e) E over the stacked interface points.
-
-    beta_e is the absolute model.beta where that is set, else the scaled
-    C * kappa_e * p^2 / h_e; neither depends on the level set.
-    """
-    override = override or {}
-    weights = [np.zeros(0)]
-    for e in edges:
-        beta_e = model.beta
-        if beta_e is None:
-            kappa = max(_kappa_max(model, e.region_a, override),
-                        _kappa_max(model, e.region_b, override))
-            beta_e = NITSCHE_PENALTY_C * kappa * e.p2_h
-        weights.append(e.w * beta_e)
-    return _gram(E.T.tocsr(), E, np.concatenate(weights))
 
 
 def _fixed_matrix(model, region_K, Ks, override) -> sp.csr_matrix:
@@ -455,17 +430,12 @@ def assemble_nitsche(
 ):
     """Interface consistency matrix K_n and jump-penalty matrix K_s.
 
-    K_n is one weighted product over the stacked interface points.  K_s is
-    the mesh's precomputed penalty, formed anew only when `override`
-    changes the conductivities a scaled penalty follows.
+    K_n is one weighted product over the stacked interface points; K_s is
+    the mesh's precomputed penalty.  Both are zero under strong coupling.
     """
     sides = disc.sides
     kappa = _kappa_points(disc, sides, field, sp_, override)
-    Kn = -_gram(sides.At, sides.B, sides.w * kappa)
-    Ks = disc.Ks
-    if override and disc.model.beta is None:
-        Ks = _penalty_matrix(disc.model, disc.edges, disc.E, override)
-    return Kn, Ks
+    return -_gram(sides.At, sides.B, sides.w * kappa), disc.Ks
 
 
 def assemble_system(

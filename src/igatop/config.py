@@ -6,11 +6,13 @@ the published study setups, so a minimal file is just `problem: annulus`.
 
 Schema rule: `SCHEMA` states each key once, as (type, default); the `model`
 keys are the keyword parameters of the problem's builder, typed and
-defaulted by its signature.  `PROBLEM_DEFAULTS` gives a problem's own
-values.  One walk fills in defaults and raises `ConfigError` on an unknown
-key or a value of the wrong type: float keys take any number, int keys
-only integers, bool keys only true/false, `X | None` keys also null.  A
-section given as null keeps its defaults.
+defaulted by its signature, and `initial_field.params` those of the
+kind's field function.  `PROBLEM_DEFAULTS` gives a problem's own values
+(its start params only for its own start kind).  One walk fills in
+defaults and raises `ConfigError` on an unknown key or a value of the
+wrong type: float keys take any number, int keys (all counts) only
+positive integers, bool keys only true/false, `X | None` keys also null.
+A section given as null keeps its defaults.
 
 Units are millimetres (geometry), W/mK (conductivity), and kelvin.  The
 level-set bandwidth `smoothing.delta` is in the level-set's own units;
@@ -47,37 +49,31 @@ from igatop.objectives import OBJECTIVE_REGIONS
 # ---------------------------------------------------------------------------
 
 
-def _radial(p, radius=1.3, scale=1.0, **_):
+def _radial(p, radius: float = 1.3, scale: float = 1.0):
     return scale * (np.hypot(p[:, 0], p[:, 1]) - radius)
 
 
-def _ring(p, radius=1.5, half_width=0.25, **_):
+def _ring(p, radius: float = 1.5, half_width: float = 0.25):
     return half_width - np.abs(np.hypot(p[:, 0], p[:, 1]) - radius)
 
 
-def _bands(p, radii=(1.25, 1.75), half_width=0.12, **_):
+def _bands(p, radii: list[float] = (1.25, 1.75), half_width: float = 0.12):
     r = np.hypot(p[:, 0], p[:, 1])
     return np.max([half_width - np.abs(r - rk) for rk in radii], axis=0)
 
 
-def _circles(p, centers, radius, **_):
-    d = np.min(
-        [np.hypot(p[:, 0] - cx, p[:, 1] - cy) for cx, cy in centers], axis=0
-    )
-    return radius - d
-
-
-def _circle_lattice(p, n=2, pitch=1.0, radius=0.4, center=(0.0, 0.0), **_):
+def _circle_lattice(p, n: int = 2, pitch: float = 1.0, radius: float = 0.4,
+                    center: list[float] = (0.0, 0.0)):
     half = (n - 1) / 2.0
     centers = [
         (center[0] + (i - half) * pitch, center[1] + (j - half) * pitch)
         for i in range(n)
         for j in range(n)
     ]
-    return _circles(p, centers, radius)
+    return radius - np.min([np.hypot(p[:, 0] - cx, p[:, 1] - cy) for cx, cy in centers], axis=0)
 
 
-def _constant(p, value=1.0, **_):
+def _constant(p, value: float = 1.0):
     return np.full(p.shape[0], value)
 
 
@@ -95,7 +91,19 @@ def initial_field_fn(spec: dict):
     return lambda p: fn(p, **spec["params"])
 
 
-# key: (type, default); a None default of a non-null type is set per problem
+def _signature_schema(fn, skip: int = 0) -> dict:
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())[skip:]
+    return {p.name: (p.annotation, p.default) for p in params}
+
+
+def params_schema(kind: str) -> dict:
+    """`initial_field.params` of a kind: the field function's keyword
+    parameters after the points, or the restart file's path."""
+    return {"path": (str, None)} if kind == "restart" else _signature_schema(INITIAL_FIELDS[kind], 1)
+
+
+# key: (type, default); a None default of a non-null type is set per problem;
+# int keys count something and must be positive (Literal[0]: zero allowed)
 SCHEMA = {
     "objective_kind": (Literal[tuple(OBJECTIVE_REGIONS)], None),
     "smoothing": {"delta": (float, None), "alpha": (float, 0.0)},
@@ -120,7 +128,7 @@ SCHEMA = {
     "initial_field": {"kind": (Literal[("restart", *INITIAL_FIELDS)], "ring"),
                       "params": (dict, {})},
     "output": {"dir": (str, "out"), "grid": (int, 201), "adjoint": (bool, False),
-               "checkpoint_every": (int | None, 0)},
+               "checkpoint_every": (int | Literal[0] | None, 0)},
     "quadrature": {"n_per_span": (int | None, None), "measures_per_span": (int, 4)},
     # null lists: the command's own values
     "sweep": {"kind": (Literal["radius", "refinement"], "radius"),
@@ -162,11 +170,10 @@ def model_builder(problem: str):
 
 
 def model_schema(problem: str) -> dict:
-    params = inspect.signature(model_builder(problem), eval_str=True).parameters.values()
-    return {p.name: (p.annotation, p.default) for p in params}
+    return _signature_schema(model_builder(problem))
 
 
-_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+_NAMES = {float: "a number", int: "a positive integer", bool: "true or false", str: "a string",
           dict: "a mapping", type(None): "null"}
 _STRING_HINT = " (PyYAML reads 1e-2 as a string; write 1.0e-2)"
 
@@ -176,13 +183,14 @@ def _conforms(v, tp) -> bool:
     if origin in (typing.Union, types.UnionType):
         return any(_conforms(v, a) for a in args)
     if origin is Literal:
-        return isinstance(v, str) and v in args
+        return any(type(v) is type(a) and v == a for a in args)
     if origin is list:
-        return isinstance(v, list) and all(_conforms(x, args[0]) for x in v)
+        # tuples only as signature defaults: YAML reads sequences as lists
+        return isinstance(v, list | tuple) and all(_conforms(x, args[0]) for x in v)
     if tp is float:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     if tp is int:
-        return isinstance(v, int) and not isinstance(v, bool)
+        return isinstance(v, int) and not isinstance(v, bool) and v > 0
     return isinstance(v, tp)
 
 
@@ -191,9 +199,9 @@ def _describe(tp) -> str:
     if origin in (typing.Union, types.UnionType):
         return " or ".join(map(_describe, args))
     if origin is Literal:
-        return "one of " + ", ".join(args)
+        return str(args[0]) if len(args) == 1 else "one of " + ", ".join(args)
     if origin is list:
-        return "a list of " + {float: "numbers", int: "integers"}[args[0]]
+        return "a list of " + {float: "numbers", int: "positive integers"}[args[0]]
     return _NAMES[tp]
 
 
@@ -255,7 +263,11 @@ class RunConfig:
             raise ConfigError(
                 f"problem must be one of {sorted(PROBLEM_DEFAULTS)}, got {problem!r}"
             )
-        merged = _deep_update(copy.deepcopy(PROBLEM_DEFAULTS[problem]), raw)
+        defaults = copy.deepcopy(PROBLEM_DEFAULTS[problem])
+        init, default_kind = raw.get("initial_field"), defaults["initial_field"]["kind"]
+        if isinstance(init, dict) and init.get("kind", default_kind) != default_kind:
+            defaults["initial_field"]["params"] = {}  # they are parameters of the default kind
+        merged = _deep_update(defaults, raw)
         cfg = cls(problem, _resolve(merged, SCHEMA | {"model": model_schema(problem)}))
         cfg.validate()
         return cfg
@@ -287,14 +299,11 @@ class RunConfig:
         beta = d["model"]["beta"]
         if beta is not None and beta <= 0:
             raise ConfigError(
-                f"model.beta must be null (scaled penalty) or a positive number, got {beta!r}"
+                f"model.beta must be null (shared control points) or a positive number, got {beta!r}"
             )
-        params = d["initial_field"]["params"]
-        if d["initial_field"]["kind"] == "restart":
-            _checked(params.get("path"), str, "initial_field.params.path")
-        for k, v in params.items():
-            if k != "path":
-                _checked(v, float | list[float], f"initial_field.params.{k}")
+        # checked against the signature; unset params keep the function's defaults
+        init = d["initial_field"]
+        _resolve(init["params"], params_schema(init["kind"]), "initial_field.params.")
         return self
 
     def build_model(self) -> MultiPatchModel:

@@ -110,8 +110,7 @@ def sample_fields(
             out["phi"][sel] = phi
             kappa = kappa_at(phi, model.design_pair, sp_)
         out["kappa"][sel] = kappa
-        dofs = tab.indices + disc.dof_offsets[int(p)]
-        t_loc = T[dofs]
+        t_loc = T[disc.patch_dofs[int(p)][tab.indices]]
         out["T"][sel] = np.einsum("nl,nl->n", tab.values, t_loc)
         tx = np.einsum("nl,nl->n", tab.dx, t_loc)
         ty = np.einsum("nl,nl->n", tab.dy, t_loc)

@@ -77,7 +77,7 @@ class MultiPatchModel:
     boundaries: list[BoundaryTag]
     kappa_regions: dict[str, float]
     design_pair: MaterialPair
-    beta: float | None = None  # absolute Nitsche penalty; None scales it per edge
+    beta: float | None = None  # absolute Nitsche penalty; None shares interface dofs
     gamma: float = 0.5
     symmetry_ok: bool = True
 

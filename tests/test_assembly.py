@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from igatop.assembly import (
-    NITSCHE_PENALTY_C,
     MaterialPair,
     assemble_nitsche,
     assemble_system,
@@ -159,9 +158,10 @@ class TestBulk:
 
 
 class TestNitsche:
-    def test_two_patch_matches_one_patch(self):
+    @pytest.mark.parametrize("beta", [None, 1e6])
+    def test_two_patch_matches_one_patch(self, beta):
         spec = RefineSpec(2, 1, 4, 4)
-        m2 = refine_model(two_square_model(beta=1e6), spec)
+        m2 = refine_model(two_square_model(beta=beta), spec)
         m1 = refine_model(one_square_model(), spec)
         d2, d1 = discretize(m2), discretize(m1)
         T2 = solve_state(d2).at_quadrature()
@@ -179,7 +179,7 @@ class TestNitsche:
         assert jump <= 1e-6
 
     def test_penalty_matrix_sym_psd(self):
-        model = refine_model(build_cloak_model("circular"), RefineSpec(2, 1, 2, 2))
+        model = refine_model(build_cloak_model("circular", beta=1e4), RefineSpec(2, 1, 2, 2))
         disc = discretize(model)
         _, Ks = assemble_nitsche(disc, override={"inside": 1.0, "design": 1.0, "outside": 1.0})
         Ksd = Ks.toarray()
@@ -215,7 +215,7 @@ def ring_cloak_state(cloak, sub):
 def per_edge_stiffness(disc, field, sp_, override=None):
     """K from the quadrature rows Gx/Gy and the per-edge interface rows:
     every point scaled by its own conductivity, one consistency and one
-    penalty product per edge (the scaled default penalty)."""
+    penalty product per edge (the absolute penalty model.beta)."""
     model, override = disc.model, override or {}
     mats = model.design_pair
 
@@ -225,10 +225,6 @@ def per_edge_stiffness(disc, field, sp_, override=None):
         if region == "design":
             return kappa_at(D @ field.coeffs, mats, sp_)
         return model.kappa_regions[region]
-
-    def kappa_hat(region):
-        k = max(mats.kappa_pos, mats.kappa_neg) if region == "design" else model.kappa_regions[region]
-        return max(k, override.get(region, 0.0))
 
     kq = np.empty(disc.w.size)
     for region in np.unique(disc.qlabel):
@@ -241,8 +237,7 @@ def per_edge_stiffness(disc, field, sp_, override=None):
         flux = (sp.diags(gamma * kappa(e.region_a, e.D1) * np.ones(e.w.size)) @ e.G1n
                 + sp.diags((1 - gamma) * kappa(e.region_b, e.D2) * np.ones(e.w.size)) @ e.G2n)
         Kn = -e.En.T @ sp.diags(e.w) @ flux
-        beta = NITSCHE_PENALTY_C * max(kappa_hat(e.region_a), kappa_hat(e.region_b)) * e.p2_h
-        K = K + Kn + Kn.T + e.En.T @ sp.diags(e.w * beta) @ e.En
+        K = K + Kn + Kn.T + e.En.T @ sp.diags(e.w * model.beta) @ e.En
     return K.tocsr()
 
 
@@ -251,7 +246,7 @@ class TestAssemblyReference:
                                           {"design": 1e-4}])
     def test_matches_per_edge_formula(self, override):
         # the cloak's own reference-field overrides (objectives.compute_reference_fields)
-        disc, field, sp_ = ring_cloak(build_cloak_model("circular"), 4)
+        disc, field, sp_ = ring_cloak(build_cloak_model("circular", beta=1e4), 4)
         K, _ = assemble_system(disc, field, sp_, override)
         K_ref = per_edge_stiffness(disc, field, sp_, override)
         assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
@@ -398,14 +393,14 @@ class TestSolves:
                 Tq = Tq[~disc.region_mask("inside")]
             assert Tq.min() >= 200.0 - 1e-6 and Tq.max() <= 300.0 + 1e-6
 
-    def test_maximum_principle_scaled_penalty_all_regions(self):
-        # the default per-edge penalty keeps the insulator interior determinate
+    def test_maximum_principle_strong_coupling_all_regions(self):
+        # shared interface dofs keep the insulator interior determinate
         Tq = ring_cloak_state(build_cloak_model("circular"), 8).at_quadrature()
         assert Tq.min() >= 200.0 - 1e-6 and Tq.max() <= 300.0 + 1e-6
 
-    def test_scaled_penalty_conductivity_scale_invariance(self):
-        # T depends only on conductivity ratios; a penalty scaled to the
-        # conductivities keeps that, an absolute one would not
+    def test_strong_coupling_conductivity_scale_invariance(self):
+        # T depends only on conductivity ratios; shared interface dofs keep
+        # that, an absolute penalty would not
         T1, T2 = (
             ring_cloak_state(build_cloak_model(
                 "circular", kappa_base=200.0 * s, kappa_obstacle=1e-4 * s,
@@ -413,6 +408,22 @@ class TestSolves:
             for s in (1.0, 1e3)
         )
         assert np.abs(T2 - T1).max() <= 1e-9 * 300.0
+
+    def test_nitsche_approaches_strong_coupling(self):
+        # the Nitsche state tends to the shared-dof one as beta grows, O(1/beta);
+        # an absolute beta leaves the kappa=1e-4 obstacle interior indeterminate,
+        # so the states are compared outside it
+        strong = ring_cloak_state(build_cloak_model("circular"), 4)
+        outside = ~strong.disc.region_mask("inside")
+        T_strong = strong.at_quadrature()[outside]
+        errs = [
+            np.abs(ring_cloak_state(build_cloak_model("circular", beta=beta), 4)
+                   .at_quadrature()[outside] - T_strong).max()
+            for beta in (1e4, 1e5, 1e6, 1e7)
+        ]
+        assert all(b <= 0.2 * a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] <= 1e-5
+
 
 class TestSensitivity:
     def test_constant_temperature_zero_sensitivity(self, annulus_setup):
@@ -431,9 +442,10 @@ class TestSensitivity:
         P = RNG.standard_normal(disc.ndof)
         assert np.abs(sensitivity_contraction(disc, fld, SP, T, P)).max() == 0.0
 
-    def test_total_gradient_matches_fd(self):
+    @pytest.mark.parametrize("beta", [None, 1e4])
+    def test_total_gradient_matches_fd(self, beta):
         # the project's core correctness gate at module scale
-        ann = build_annulus(beta=1e4)
+        ann = build_annulus(beta=beta)
         basis = design_basis_for(ann, RefineSpec(2, 1, 2, 2))
         disc = discretize(refine_model(ann, RefineSpec(2, 1, 8, 8)), basis)
         quad = design_quadrature(basis, 4)

@@ -244,13 +244,35 @@ class TestErrors:
         ("model.kapa_pos=5.0", "model.kapa_pos"),
         ("smoothing.delt=0.1", "smoothing.delt"),
         ("outputs.grid=5", "outputs"),
+        ("output.grid=0", "output.grid"),
+        ("output.grid=-3", "output.grid"),
+        ("output.checkpoint_every=-1", "output.checkpoint_every"),
+        ("quadrature.measures_per_span=0", "quadrature.measures_per_span"),
+        ("quadrature.n_per_span=0", "quadrature.n_per_span"),
+        ("reinit.lines_per_span=0", "reinit.lines_per_span"),
+        ("sweep.subdivisions=[0]", "sweep.subdivisions"),
+        ("initial_field.params.radus=5.0", "initial_field.params.radus"),
+        ("initial_field.kind=lattice initial_field.params.n=2.5", "initial_field.params.n"),
+        ("initial_field.kind=lattice initial_field.params.n=0", "initial_field.params.n"),
+        ("initial_field.kind=constant initial_field.params.radius=1.0",
+         "initial_field.params.radius"),
     ])
     def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
-        # each of these ended in a traceback or was accepted unchecked
+        # each of these ended in a traceback, ran until export or was accepted unchecked
         cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
-        assert run_cli([command, "--config", cfg, "--set", override]) == 1
+        sets = [arg for ov in override.split() for arg in ("--set", ov)]
+        assert run_cli([command, "--config", cfg, *sets]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
+
+    def test_default_params_stay_with_default_kind(self):
+        resolved = {kind: RunConfig.from_dict({
+            "problem": "cloak", "initial_field": {"kind": kind, "params": {"radius": 20.0}},
+        }).data["initial_field"]["params"] for kind in ("ring", "radial")}
+        assert resolved == {"ring": {"radius": 20.0, "half_width": 10.0},
+                            "radial": {"radius": 20.0}}
+        constant = RunConfig.from_dict({"problem": "cloak", "initial_field": {"kind": "constant"}})
+        assert constant.data["initial_field"]["params"] == {}
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
     def test_shipped_config_loads(self, name):
