@@ -16,12 +16,23 @@ under strong coupling).  An assembly scales the fixed regions by their
 conductivities (a sum kept for the model's own values) and forms two
 weighted products A^T diag(s) B, one over the design-region quadrature
 rows and one over the stacked interface rows; the weights scale the
-columns of a precomputed A^T.  K_ff is symmetric positive definite, so
-each state solve factors it once with SuperLU in symmetric mode (diagonal
-pivots, an ordering of K_ff + K_ff^T).  The free-dof blocks are sliced
-once per state solve and shared by the solve, its refinement sweeps and
-the adjoint.  Solves refine iteratively only while the componentwise
-backward error is above eps and the last sweep halved it.
+columns of a precomputed A^T.
+
+Only the free dofs a field-dependent row touches (T: the design-region
+columns and, under an explicit beta, the columns of the design-side
+interface points) see K_ff change.  The other free dofs (I) are
+eliminated once per mesh, by the first solve without an override: K_II
+is factored and W = K_TI K_II^-1 K_IT formed (substructuring; Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 14).  A state
+solve then factors only the Schur complement S = K_TT - W, or K_ff itself
+when nothing is eliminated: on an all-design mesh, and under an override,
+which may rescale any region.  K_ff, and so K_II and S, is symmetric
+positive definite; SuperLU factors in symmetric mode (diagonal pivots, an
+ordering of A + A^T).  The free-dof blocks are sliced once per state
+solve, and the solve, its refinement sweeps and the adjoint share them
+and the factors.  Solves refine iteratively on the full K_ff only while
+the componentwise backward error is above eps and the last sweep halved
+it.
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -193,6 +204,8 @@ class Discretization:
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
+    # built by the first solve without an override (see _substructure)
+    substructure: Substructure | None = None
 
     def region_mask(self, labels) -> np.ndarray:
         if isinstance(labels, str):
@@ -471,13 +484,30 @@ class FreeBlocks:
 
 
 @dataclass
+class Substructure:
+    """The free dofs split into T, every dof a field-dependent row touches,
+    and I, the rest, with the fixed blocks factored once per mesh.
+
+    Field-dependent rows couple T only to T, so K_II, K_IT and K_TI, and
+    W = K_TI K_II^-1 K_IT, do not change during a run.
+    """
+
+    T: np.ndarray  # positions in `free`
+    I: np.ndarray
+    lu_II: object = None  # None when I is empty
+    K_IT: sp.csr_matrix | None = None
+    K_TI: sp.csr_matrix | None = None
+    W: sp.csr_matrix | None = None  # (|T|, |T|)
+
+
+@dataclass
 class FieldSolution:
     """Solution coefficients plus the factorized constrained system."""
 
     disc: Discretization
     values: np.ndarray  # (ndof,)
     K: sp.csr_matrix
-    lu: object
+    lu: SchurLU
     blocks: FreeBlocks
 
     def at_quadrature(self):
@@ -490,18 +520,82 @@ def _free_blocks(disc: Discretization, K: sp.csr_matrix) -> FreeBlocks:
     return FreeBlocks(Kff=Kff, Kfd=Kf[:, disc.dirichlet_idx], abs_Kff=abs(Kff))
 
 
-def _constrained_factor(blocks: FreeBlocks):
-    # K_ff is symmetric positive definite: diagonal pivots are stable, and
-    # the fill-reducing ordering is that of K_ff + K_ff^T
+def _splu(A: sp.csr_matrix):
+    # K_ff, and so K_II and S, is symmetric positive definite: diagonal
+    # pivots are stable, and the fill-reducing ordering is that of A + A^T
     try:
-        lu = splu(blocks.Kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
             "singular stiffness system (suspected untagged boundary or missing "
             f"Dirichlet data): {exc}"
         ) from exc
-    return lu
+
+
+def _substructure(disc: Discretization, Kff: sp.csr_matrix) -> Substructure:
+    """The mesh's split of the free dofs, built from the first K_ff
+    assembled without an override.
+
+    T holds the columns of the design-region rows and, under an explicit
+    beta, both operators' columns at the design-labelled interface points.
+    W takes one K_II solve per column of K_IT that holds an entry.
+    """
+    if disc.substructure is not None:
+        return disc.substructure
+    touched = [disc.bulk.B.indices]
+    on_design = disc.sides.labels == "design"
+    if np.any(on_design):
+        touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
+    in_T = np.isin(disc.free, np.concatenate(touched))
+    T, I = np.flatnonzero(in_T), np.flatnonzero(~in_T)
+    if not T.size:  # no field-dependent rows: K_ff stays whole
+        T, I = I, T
+    sub = Substructure(T=T, I=I)
+    if I.size:
+        K_I = Kff[I]
+        sub.K_IT, sub.K_TI, sub.lu_II = K_I[:, T], Kff[T][:, I], _splu(K_I[:, I])
+        cols = np.unique(sub.K_IT.indices)
+        rows = np.flatnonzero(np.diff(sub.K_TI.indptr))
+        Wb = sub.K_TI[rows] @ sub.lu_II.solve(sub.K_IT[:, cols].toarray())
+        sub.W = sp.csr_matrix(
+            (Wb.ravel(), (np.repeat(rows, cols.size), np.tile(cols, rows.size))),
+            shape=(T.size, T.size))
+    disc.substructure = sub
+    return sub
+
+
+class SchurLU:
+    """K_ff factored through the Schur complement S = K_TT - W of a
+    substructure; K_ff itself, unsliced, when nothing is eliminated.
+
+    `solve(b, trans)` solves K_ff x = b ("N") or K_ff^T x = b ("T") with
+    two K_II solves and one S solve; `nnz` counts the entries of both
+    factors.
+    """
+
+    def __init__(self, Kff: sp.csr_matrix, sub: Substructure | None):
+        self.sub = sub if sub is not None and sub.I.size else None
+        if self.sub is None:
+            self.lu_S = _splu(Kff)
+            self.nnz = self.lu_S.nnz
+        else:
+            T = self.sub.T
+            self.lu_S = _splu(Kff[T][:, T] - self.sub.W)
+            self.nnz = self.lu_S.nnz + self.sub.lu_II.nnz
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        sub = self.sub
+        if sub is None:
+            return self.lu_S.solve(b, trans=trans)
+        # K^T has the blocks K_II^T, K_TI^T (row I) and K_IT^T, K_TT^T (row T)
+        K_IT, K_TI = (sub.K_IT, sub.K_TI) if trans == "N" else (sub.K_TI.T, sub.K_IT.T)
+        b_I = b[sub.I]
+        x = np.empty_like(b)
+        x[sub.T] = x_T = self.lu_S.solve(
+            b[sub.T] - K_TI @ sub.lu_II.solve(b_I, trans=trans), trans=trans)
+        x[sub.I] = sub.lu_II.solve(b_I - K_IT @ x_T, trans=trans)
+        return x
 
 
 _EPS = np.finfo(float).eps
@@ -564,7 +658,8 @@ def solve_state(
     """Assemble and solve the constrained conduction system."""
     K, F = assemble_system(disc, field, sp_, override)
     blocks = _free_blocks(disc, K)
-    lu = _constrained_factor(blocks)
+    # an override may rescale any region, so nothing is eliminated under one
+    lu = SchurLU(blocks.Kff, None if override else _substructure(disc, blocks.Kff))
     T = _constrained_solve(disc, blocks, lu, F)
     return FieldSolution(disc=disc, values=T, K=K, lu=lu, blocks=blocks)
 

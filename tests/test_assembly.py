@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from igatop.assembly import (
     MaterialPair,
@@ -13,7 +16,7 @@ from igatop.assembly import (
     solve_adjoint,
     solve_state,
 )
-from igatop.assembly import _kappa_bulk
+from igatop.assembly import SchurLU, _kappa_bulk, _substructure
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
@@ -375,6 +378,48 @@ class TestSolves:
         )
         denom = np.abs(P_t).max()
         assert np.abs(P_t - P_n).max() <= 1e-10 * max(denom, 1.0)
+
+    @staticmethod
+    def condensed_vs_full(cloak, sub, rtol, skip=()):
+        """Condensed state and adjoint solves against one splu of K_ff, on
+        the free dofs outside the regions `skip`."""
+        disc, field, sp_ = ring_cloak(cloak, sub)
+        # the fixed blocks come from the first field's K_ff; the second
+        # (phi = 0) moves the conductivity at every design point
+        solve_state(disc, field, sp_)
+        sol = solve_state(disc, DesignField(field.basis, np.zeros_like(field.coeffs)), sp_)
+        assert disc.substructure.I.size > 0
+        free, b = disc.free, sol.blocks
+        skipped = [disc.patch_dofs[p] for p, lab in enumerate(disc.model.labels) if lab in skip]
+        keep = ~np.isin(free, np.concatenate([np.zeros(0, int)] + skipped))
+        full = splu(b.Kff.tocsc())
+        T_ref = full.solve(disc.F0[free] - b.Kfd @ disc.dirichlet_val)
+        load = RNG.standard_normal(disc.w.size)
+        P_ref = full.solve((disc.N.T @ (disc.w * load))[free], trans="T")
+        for x, ref in ((sol.values[free], T_ref), (solve_adjoint(sol, load)[free], P_ref)):
+            assert np.abs(x - ref)[keep].max() <= rtol * np.abs(ref).max()
+        return disc, sol
+
+    def test_condensed_solves_match_full_factor(self):
+        # shipped cloak solution mesh
+        disc, sol = self.condensed_vs_full(build_cloak_model("circular"), 16, 1e-12)
+        # transposed solves swap K_IT and K_TI: checked on a nonsymmetric
+        # K_ff (a skew part added, so its symmetric part stays K_ff)
+        U = sp.triu(sol.blocks.Kff, 1)
+        K = (sol.blocks.Kff + 0.5 * (U - U.T)).tocsr()
+        sub = _substructure(replace(disc, substructure=None), K)
+        lu, full = SchurLU(K, sub), splu(K.tocsc())
+        rhs = RNG.standard_normal(disc.free.size)
+        for trans in "NT":
+            ref = full.solve(rhs, trans=trans)
+            assert np.abs(lu.solve(rhs, trans) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_condensed_solves_match_full_factor_explicit_beta(self):
+        # the interface rows at design-side points couple into the
+        # neighbouring regions' dofs, which must stay with the design.  The
+        # kappa=1e-4 obstacle interior is indeterminate under an absolute
+        # beta (cond K_ff ~ 3e10: a dense solve and splu differ there by 6e-5 K)
+        self.condensed_vs_full(build_cloak_model("circular", beta=1e4), 4, 1e-9, ("inside",))
 
     def test_maximum_principle(self):
         # full-domain bounds at a float64-friendly penalty; at the production
