@@ -28,11 +28,11 @@ solve then factors only the Schur complement S = K_TT - W, or K_ff itself
 when nothing is eliminated: on an all-design mesh, and under an override,
 which may rescale any region.  K_ff, and so K_II and S, is symmetric
 positive definite; SuperLU factors in symmetric mode (diagonal pivots, an
-ordering of A + A^T).  The free-dof blocks are sliced once per state
-solve, and the solve, its refinement sweeps and the adjoint share them
-and the factors.  Solves refine iteratively on the full K_ff only while
-the componentwise backward error is above eps and the last sweep halved
-it.
+ordering of A + A^T).  One `ConstrainedSystem` per state solve slices
+the free-dof blocks, holds the factors and solves: the state, its
+refinement sweeps and the (transposed) adjoint share them.  Solves
+refine iteratively on the full K_ff only while the componentwise
+backward error is above eps and the last sweep halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -67,8 +67,8 @@ __all__ = [
     "dkappa_dphi",
     "Discretization",
     "discretize",
-    "assemble_nitsche",
     "assemble_system",
+    "ConstrainedSystem",
     "FieldSolution",
     "solve_state",
     "solve_adjoint",
@@ -144,7 +144,6 @@ def _edge_tab(patch, edge: str, t: np.ndarray):
 class EdgeQuad:
     """Precomputed interface-edge quadrature and coupling operators."""
 
-    pair: InterfacePair
     w: np.ndarray  # gauss weight x edge length element
     En: sp.csr_matrix  # jump rows N_a - N_b (ne, ndof)
     G1n: sp.csr_matrix  # normal derivative rows of side a
@@ -183,10 +182,7 @@ class Discretization:
     phys: np.ndarray
     qlabel: np.ndarray
     N: sp.csr_matrix
-    Gx: sp.csr_matrix
-    Gy: sp.csr_matrix
-    D: sp.csr_matrix | None
-    # design-region quadrature points, B = A the rows of [Gx; Gy] there:
+    # design-region quadrature points, B = A their x and y gradient rows:
     # K_d = B^T diag([w kappa; w kappa]) B
     bulk: DesignRows
     # unit-conductivity bulk matrix of each non-design region
@@ -228,15 +224,13 @@ def discretize(
         pts, wts = patch_quadrature(patch, n_per_span)
         tab = tabulate(patch, pts)
         nq = pts.shape[0]
-        # design-basis values and columns; none off the design
-        drows = (np.zeros((nq, 0)), np.zeros((nq, 0), dtype=int))
+        cols = patch_dofs[pid][tab.indices]
+        tabs.append({"N": (tab.values, cols), "dx": (tab.dx, cols), "dy": (tab.dy, cols)})
         if basis is not None and model.labels[pid] == "design":
+            # design-basis values and columns
             k = basis.patch_ids.index(pid)
             dtab = tabulate(basis.patches[k], pts)
-            drows = (dtab.values, dtab.indices + int(basis.offsets[k]))
-        cols = patch_dofs[pid][tab.indices]
-        tabs.append({"N": (tab.values, cols), "dx": (tab.dx, cols), "dy": (tab.dy, cols),
-                     "D": drows})
+            tabs[-1]["D"] = (dtab.values, dtab.indices + int(basis.offsets[k]))
         w_all.append(wts * tab.det_j)
         phys_all.append(tab.phys)
         lab_all.append(np.full(nq, model.labels[pid], dtype="<U8"))
@@ -247,8 +241,7 @@ def discretize(
     def grad_rows(pids):
         return _block_csr([tabs[pid][key] for key in ("dx", "dy") for pid in pids], ndof)
 
-    N, Gx, Gy = patch_rows("N"), patch_rows("dx"), patch_rows("dy")
-    D = patch_rows("D", ncols=m) if basis is not None else None
+    N = patch_rows("N")
     w = np.concatenate(w_all)
     qlabel = np.concatenate(lab_all)
     design_mask = qlabel == "design"
@@ -315,9 +308,6 @@ def discretize(
         phys=np.concatenate(phys_all),
         qlabel=qlabel,
         N=N,
-        Gx=Gx,
-        Gy=Gy,
-        D=D,
         bulk=bulk,
         region_K=region_K,
         edges=edges,
@@ -386,7 +376,6 @@ def _build_edge(model, basis, pair: InterfacePair, patch_dofs, ndof) -> EdgeQuad
         return sp.csr_matrix((dtab.values.ravel(), (rows, cols)), shape=(ne, basis.m))
 
     return EdgeQuad(
-        pair=pair,
         w=gw * ds,
         En=(Na - Nb).tocsr(),
         G1n=G1n,
@@ -430,27 +419,6 @@ def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
     return kappa
 
 
-def _kappa_bulk(disc, field, sp_, override) -> np.ndarray:
-    """Conductivity at the design-region quadrature points."""
-    return _kappa_points(disc, disc.bulk, field, sp_, override)
-
-
-def assemble_nitsche(
-    disc: Discretization,
-    field: DesignField | None = None,
-    sp_: SmoothingParams | None = None,
-    override: dict | None = None,
-):
-    """Interface consistency matrix K_n and jump-penalty matrix K_s.
-
-    K_n is one weighted product over the stacked interface points; K_s is
-    the mesh's precomputed penalty.  Both are zero under strong coupling.
-    """
-    sides = disc.sides
-    kappa = _kappa_points(disc, sides, field, sp_, override)
-    return -_gram(sides.At, sides.B, sides.w * kappa), disc.Ks
-
-
 def assemble_system(
     disc: Discretization,
     field: DesignField | None = None,
@@ -460,27 +428,21 @@ def assemble_system(
     """Full stiffness K = K_b + K_n + K_n^T + K_s and the applied-flux load.
 
     Only the design-region rows of K_b and the interface term K_n follow
-    the field; the rest is the mesh's fixed sum, rescaled under `override`.
+    the field; the rest is the mesh's fixed sum (K_s included), rescaled
+    under `override`.  K_n is one weighted product over the stacked
+    interface points, zero under strong coupling.
     """
-    Kn, Ks = assemble_nitsche(disc, field, sp_, override)
-    K = _fixed_matrix(disc.model, disc.region_K, Ks, override) if override else disc.K_fixed
-    bulk = disc.bulk
-    Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * _kappa_bulk(disc, field, sp_, override), 2))
+    sides, bulk = disc.sides, disc.bulk
+    Kn = -_gram(sides.At, sides.B, sides.w * _kappa_points(disc, sides, field, sp_, override))
+    K = _fixed_matrix(disc.model, disc.region_K, disc.Ks, override) if override else disc.K_fixed
+    kappa = _kappa_points(disc, bulk, field, sp_, override)
+    Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * kappa, 2))
     return (K + Kd + (Kn + Kn.T)).tocsr(), disc.F0.copy()
 
 
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FreeBlocks:
-    """K restricted to the free dofs, sliced once per state solve."""
-
-    Kff: sp.csr_matrix
-    Kfd: sp.csr_matrix  # free rows, Dirichlet columns
-    abs_Kff: sp.csr_matrix
 
 
 @dataclass
@@ -498,26 +460,6 @@ class Substructure:
     K_IT: sp.csr_matrix | None = None
     K_TI: sp.csr_matrix | None = None
     W: sp.csr_matrix | None = None  # (|T|, |T|)
-
-
-@dataclass
-class FieldSolution:
-    """Solution coefficients plus the factorized constrained system."""
-
-    disc: Discretization
-    values: np.ndarray  # (ndof,)
-    K: sp.csr_matrix
-    lu: SchurLU
-    blocks: FreeBlocks
-
-    def at_quadrature(self):
-        return self.disc.N @ self.values
-
-
-def _free_blocks(disc: Discretization, K: sp.csr_matrix) -> FreeBlocks:
-    Kf = K[disc.free]
-    Kff = Kf[:, disc.free]
-    return FreeBlocks(Kff=Kff, Kfd=Kf[:, disc.dirichlet_idx], abs_Kff=abs(Kff))
 
 
 def _splu(A: sp.csr_matrix):
@@ -565,16 +507,26 @@ def _substructure(disc: Discretization, Kff: sp.csr_matrix) -> Substructure:
     return sub
 
 
-class SchurLU:
-    """K_ff factored through the Schur complement S = K_TT - W of a
-    substructure; K_ff itself, unsliced, when nothing is eliminated.
+_EPS = np.finfo(float).eps
 
-    `solve(b, trans)` solves K_ff x = b ("N") or K_ff^T x = b ("T") with
-    two K_II solves and one S solve; `nnz` counts the entries of both
-    factors.
+
+class ConstrainedSystem:
+    """K with its Dirichlet dofs eliminated, factored once per state solve.
+
+    K_ff, K_fd and |K_ff| are sliced once.  K_ff is factored through the
+    Schur complement S = K_TT - W of the mesh's substructure, or whole when
+    nothing is eliminated: on an all-design mesh, and under an override,
+    which may rescale any region.  `solve` serves the state and the
+    (transposed) adjoint solve; `nnz` counts the entries of all factors.
     """
 
-    def __init__(self, Kff: sp.csr_matrix, sub: Substructure | None):
+    def __init__(self, disc: Discretization, K: sp.csr_matrix, override: dict | None = None):
+        self.disc = disc
+        Kf = K[disc.free]
+        self.Kff = Kff = Kf[:, disc.free]
+        self.Kfd = Kf[:, disc.dirichlet_idx]  # free rows, Dirichlet columns
+        self.abs_Kff = abs(Kff)
+        sub = None if override else _substructure(disc, Kff)
         self.sub = sub if sub is not None and sub.I.size else None
         if self.sub is None:
             self.lu_S = _splu(Kff)
@@ -584,7 +536,9 @@ class SchurLU:
             self.lu_S = _splu(Kff[T][:, T] - self.sub.W)
             self.nnz = self.lu_S.nnz + self.sub.lu_II.nnz
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _solve_free(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """K_ff x = b ("N") or K_ff^T x = b ("T"): two K_II solves and one
+        S solve, or one solve with the whole K_ff."""
         sub = self.sub
         if sub is None:
             return self.lu_S.solve(b, trans=trans)
@@ -597,56 +551,68 @@ class SchurLU:
         x[sub.I] = sub.lu_II.solve(b_I - K_IT @ x_T, trans=trans)
         return x
 
+    def solve(self, F: np.ndarray, dirichlet_val=None, transpose: bool = False) -> np.ndarray:
+        """All dofs of K x = F (K^T x = F when `transpose`) with x fixed to
+        `dirichlet_val` (default: the mesh's own values) at the Dirichlet dofs."""
+        disc = self.disc
+        free = disc.free
+        dval = disc.dirichlet_val if dirichlet_val is None else dirichlet_val
+        rhs = F[free]
+        if disc.dirichlet_idx.size and np.any(dval != 0.0):
+            rhs = rhs - self.Kfd @ dval
+        A = self.Kff.T if transpose else self.Kff
+        absA = self.abs_Kff.T if transpose else self.abs_Kff
+        abs_rhs = np.abs(rhs)
+        trans = "T" if transpose else "N"
 
-_EPS = np.finfo(float).eps
+        def residual(x):
+            r = rhs - A @ x
+            denom = absA @ np.abs(x) + abs_rhs
+            # componentwise backward error max |r| / (|A| |x| + |b|)
+            berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
+            return r, berr
+
+        x_f = self._solve_free(rhs, trans)
+        r, berr = residual(x_f)
+        # iterative refinement in working precision only while it helps (the
+        # LAPACK xGERFS rule): sweep while the backward error is above eps and
+        # the last sweep halved it, and keep a sweep only if it lowered it; near
+        # float64 roundoff the residual is noise and a sweep would add error
+        for _ in range(2):
+            if berr <= _EPS:
+                break
+            x_new = x_f + self._solve_free(r, trans)
+            r_new, berr_new = residual(x_new)
+            if not berr_new < berr:
+                break
+            x_f, r = x_new, r_new
+            if berr_new > 0.5 * berr:
+                break
+            berr = berr_new
+        res = np.linalg.norm(r)
+        # normwise guard against a failed factorization: the residual is
+        # measured against |K| |x| + |rhs|
+        scale = np.linalg.norm(rhs) + absA.max() * np.linalg.norm(x_f)
+        if res > 1e-10 * max(scale, 1.0):
+            raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
+        x = np.zeros(disc.ndof)
+        x[free] = x_f
+        if disc.dirichlet_idx.size:
+            x[disc.dirichlet_idx] = dval
+        return x
 
 
-def _constrained_solve(disc, blocks: FreeBlocks, lu, F, dirichlet_val=None, transpose=False):
-    free = disc.free
-    dval = disc.dirichlet_val if dirichlet_val is None else dirichlet_val
-    rhs = F[free]
-    if disc.dirichlet_idx.size and np.any(dval != 0.0):
-        rhs = rhs - blocks.Kfd @ dval
-    A = blocks.Kff.T if transpose else blocks.Kff
-    absA = blocks.abs_Kff.T if transpose else blocks.abs_Kff
-    abs_rhs = np.abs(rhs)
-    trans = "T" if transpose else "N"
+@dataclass
+class FieldSolution:
+    """Solution coefficients plus the factorized constrained system."""
 
-    def residual(x):
-        r = rhs - A @ x
-        denom = absA @ np.abs(x) + abs_rhs
-        # componentwise backward error max |r| / (|A| |x| + |b|)
-        berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
-        return r, berr
+    disc: Discretization
+    values: np.ndarray  # (ndof,)
+    K: sp.csr_matrix
+    lu: ConstrainedSystem
 
-    x_f = lu.solve(rhs, trans=trans)
-    r, berr = residual(x_f)
-    # iterative refinement in working precision only while it helps (the
-    # LAPACK xGERFS rule): sweep while the backward error is above eps and
-    # the last sweep halved it, and keep a sweep only if it lowered it; near
-    # float64 roundoff the residual is noise and a sweep would add error
-    for _ in range(2):
-        if berr <= _EPS:
-            break
-        x_new = x_f + lu.solve(r, trans=trans)
-        r_new, berr_new = residual(x_new)
-        if not berr_new < berr:
-            break
-        x_f, r = x_new, r_new
-        if berr_new > 0.5 * berr:
-            break
-        berr = berr_new
-    res = np.linalg.norm(r)
-    # normwise guard against a failed factorization: the residual is
-    # measured against |K| |x| + |rhs|
-    scale = np.linalg.norm(rhs) + absA.max() * np.linalg.norm(x_f)
-    if res > 1e-10 * max(scale, 1.0):
-        raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
-    x = np.zeros(disc.ndof)
-    x[free] = x_f
-    if disc.dirichlet_idx.size:
-        x[disc.dirichlet_idx] = dval
-    return x
+    def at_quadrature(self):
+        return self.disc.N @ self.values
 
 
 def solve_state(
@@ -657,25 +623,19 @@ def solve_state(
 ) -> FieldSolution:
     """Assemble and solve the constrained conduction system."""
     K, F = assemble_system(disc, field, sp_, override)
-    blocks = _free_blocks(disc, K)
-    # an override may rescale any region, so nothing is eliminated under one
-    lu = SchurLU(blocks.Kff, None if override else _substructure(disc, blocks.Kff))
-    T = _constrained_solve(disc, blocks, lu, F)
-    return FieldSolution(disc=disc, values=T, K=K, lu=lu, blocks=blocks)
+    lu = ConstrainedSystem(disc, K, override)
+    return FieldSolution(disc=disc, values=lu.solve(F), K=K, lu=lu)
 
 
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data,
-    reusing the state factorization and free-dof blocks (transposed solve).
+    reusing the state's free-dof blocks and factors (transposed solve).
     """
     disc = state.disc
     F_adj = disc.N.T @ (disc.w * load_q)
-    return _constrained_solve(
-        disc, state.blocks, state.lu, F_adj,
-        dirichlet_val=np.zeros_like(disc.dirichlet_val), transpose=True,
-    )
+    return state.lu.solve(F_adj, np.zeros_like(disc.dirichlet_val), transpose=True)
 
 
 def sensitivity_contraction(
@@ -691,7 +651,7 @@ def sensitivity_contraction(
     Nitsche consistency terms at the stacked interface points on design
     sides; the jump penalty has no kappa dependence.
     """
-    if disc.D is None:
+    if disc.basis is None:
         raise AssemblyError("discretization was built without a design basis")
     mats = disc.model.design_pair
     bulk, sides = disc.bulk, disc.sides

@@ -53,7 +53,6 @@ class Pipeline:
     """Everything assembled from one run configuration."""
 
     cfg: RunConfig
-    model: MultiPatchModel
     refined: MultiPatchModel
     disc: Discretization
     quad: DesignQuad
@@ -86,11 +85,15 @@ def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
     else:
         coeffs = project_lsf(quad, initial_field_fn(init))
     field0 = DesignField(basis, coeffs)
-    return Pipeline(cfg, model, refined, disc, quad, smoothing, problem, field0)
+    return Pipeline(cfg, refined, disc, quad, smoothing, problem, field0)
+
+
+# each problem's own objective kind
+OBJECTIVE_KINDS = {"annulus": "annular", "cloak": "cloak", "camouflage": "camouflage"}
 
 
 def objective_spec(cfg: RunConfig, disc: Discretization) -> ObjectiveSpec:
-    return make_objective(disc, cfg.data["objective_kind"], **cfg.data["objective"])
+    return make_objective(disc, OBJECTIVE_KINDS[cfg.problem], **cfg.data["objective"])
 
 
 def sqp_config(cfg: RunConfig) -> SqpConfig:

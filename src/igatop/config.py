@@ -41,7 +41,6 @@ from igatop.model import (
     build_camouflage_model,
     build_cloak_model,
 )
-from igatop.objectives import OBJECTIVE_REGIONS
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,6 @@ def params_schema(kind: str) -> dict:
 # key: (type, default); a None default of a non-null type is set per problem;
 # int keys count something and must be positive (Literal[0]: zero allowed)
 SCHEMA = {
-    "objective_kind": (Literal[tuple(OBJECTIVE_REGIONS)], None),
     "smoothing": {"delta": (float, None), "alpha": (float, 0.0)},
     "objective": {"chi": (float, 0.0), "rho": (float, 0.0)},
     "design": {"degree_circ": (int, 2), "degree_rad": (int, 1), "subdiv_circ": (int, 3),
@@ -138,7 +136,6 @@ SCHEMA = {
 
 PROBLEM_DEFAULTS = {
     "annulus": {
-        "objective_kind": "annular",
         "smoothing": {"delta": 0.05},
         "solution": {"subdiv_circ": 32, "subdiv_rad": 32},
         "initial_field": {"kind": "radial", "params": {"radius": 1.3}},
@@ -147,14 +144,12 @@ PROBLEM_DEFAULTS = {
                 "max_iterations": 200, "max_function_evaluations": 800},
     },
     "cloak": {
-        "objective_kind": "cloak",
         "smoothing": {"delta": 2.0},
         "solution": {"subdiv_circ": 16, "subdiv_rad": 16},
         "initial_field": {"kind": "ring", "params": {"radius": 35.0, "half_width": 10.0}},
         "sqp": {"reinit_every_fevals": 100},
     },
     "camouflage": {
-        "objective_kind": "camouflage",
         "smoothing": {"delta": 1.5},
         "solution": {"subdiv_circ": 12, "subdiv_rad": 12},
         "initial_field": {"kind": "ring", "params": {"radius": 17.5, "half_width": 4.0}},
@@ -274,8 +269,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str, overrides: list[str] | None = None) -> "RunConfig":
-        with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+        try:
+            with open(path) as f:
+                raw = yaml.safe_load(f) or {}
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a YAML mapping")
         for ov in overrides or []:
@@ -288,7 +288,10 @@ class RunConfig:
                 node = node.setdefault(p, {})
                 if not isinstance(node, dict):
                     raise ConfigError(f"cannot override through non-mapping key {p!r}")
-            node[parts[-1]] = yaml.safe_load(val)
+            try:
+                node[parts[-1]] = yaml.safe_load(val)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"override {key.strip()}: {val!r} is not valid YAML") from exc
         return cls.from_dict(raw)
 
     def validate(self):
@@ -296,6 +299,10 @@ class RunConfig:
         d = self.data
         if d["smoothing"]["delta"] <= 0:
             raise ConfigError("smoothing.delta must be positive")
+        knee = d["sweep"]["knee_factor"]
+        if knee < 1:
+            # the knee is the coarsest mesh within this factor of the finest mesh's error
+            raise ConfigError(f"sweep.knee_factor must be at least 1, got {knee!r}")
         beta = d["model"]["beta"]
         if beta is not None and beta <= 0:
             raise ConfigError(

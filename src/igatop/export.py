@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from igatop.assembly import Discretization, kappa_at
+from igatop.errors import ConfigError
 from igatop.levelset import DesignField, SmoothingParams
 from igatop.splines import tabulate
 
@@ -169,9 +170,17 @@ def write_coeffs_csv(path: str, coeffs: np.ndarray):
 
 
 def read_coeffs_csv(path: str) -> np.ndarray:
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    return np.array([float(r[1]) for r in rows[1:]])
+    """Coefficients of a `write_coeffs_csv` file (a restart's
+    `initial_field.params.path`)."""
+    try:
+        with open(path) as f:
+            rows = list(csv.reader(f))
+    except OSError as exc:
+        raise ConfigError(f"cannot read restart file {path}: {exc.strerror}") from exc
+    try:
+        return np.array([float(r[1]) for r in rows[1:]])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"restart file {path} has a row without a number: {exc}") from exc
 
 
 def write_convergence_csv(path: str, history):
@@ -190,5 +199,8 @@ def write_convergence_csv(path: str, history):
 
 def ensure_outdir(path: str) -> str:
     path = os.environ.get("IGATOP_OUTDIR", path)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir: cannot create {path}: {exc.strerror}") from exc
     return path

@@ -47,7 +47,6 @@ class ObjectiveSpec:
     chi: float = 0.0
     rho: float = 0.0
     t_ref: np.ndarray | None = None  # reference temperatures at solution dofs
-    t_ins: np.ndarray | None = None  # all-insulator design temperatures
     j_norm: float = 1.0
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ def compute_reference_fields(disc: Discretization, kind: str):
 def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float = 0.0):
     spec = ObjectiveSpec(kind=kind, region=OBJECTIVE_REGIONS[kind], chi=chi, rho=rho)
     if kind in ("cloak", "camouflage"):
-        spec.t_ref, spec.t_ins, spec.j_norm = compute_reference_fields(disc, kind)
+        spec.t_ref, _, spec.j_norm = compute_reference_fields(disc, kind)
     return spec
 
 

@@ -7,7 +7,7 @@ linear problem driven by the source 2*T of the integral-of-T^2 objective
 (sign convention matches the assembled adjoint system: same stiffness,
 right-hand side -integral(N^T * 2T)), again with a 4x4 system for the
 homogeneous-solution coefficients.  Also provides the exact objective
-integral and generic finite-difference gradient checks.
+integral, its derivative in the interface radius, and its minimizer.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ def annulus_state(r, r_interface, params: AnnulusParams = AnnulusParams()):
     return np.where(r <= np.real(r_interface), inner, outer)
 
 
-def annulus_state_derivs(r, r_interface, params: AnnulusParams = AnnulusParams()):
-    """dT/dr and d2T/dr2 (piecewise, for ODE residual checks)."""
-    r = np.asarray(r, dtype=float)
-    _check_radius(r, params)
-    ca, da, cb, db = _state_coeffs(r_interface, params)
-    d = np.where(r <= r_interface, da, db)
-    return d / r, -d / r**2
-
-
 def _adjoint_coeffs(r_interface, params: AnnulusParams):
     """Homogeneous coefficients (C1, D1, C2, D2) of the adjoint solution.
 
@@ -129,27 +120,6 @@ def annulus_adjoint(r, r_interface, params: AnnulusParams = AnnulusParams()):
     return np.where(r <= np.real(r_interface), inner, outer)
 
 
-def annulus_adjoint_derivs(r, r_interface, params: AnnulusParams = AnnulusParams()):
-    """dP/dr and d2P/dr2 (piecewise)."""
-    r = np.asarray(r, dtype=float)
-    _check_radius(r, params)
-    (C1, D1, C2, D2), (ca, da, cb, db) = _adjoint_coeffs(r_interface, params)
-    ka, kb = params.kappa_inner, params.kappa_outer
-
-    def derivs(C, c, d, k):
-        dP = C / r + (c - d) * r / k + d * (2 * r * np.log(r) + r) / (2 * k)
-        d2P = -C / r**2 + (c - d) / k + d * (2 * np.log(r) + 3) / (2 * k)
-        return dP, d2P
-
-    d_in = derivs(C1, ca, da, ka)
-    d_out = derivs(C2, cb, db, kb)
-    mask = r <= r_interface
-    return (
-        np.where(mask, d_in[0], d_out[0]),
-        np.where(mask, d_in[1], d_out[1]),
-    )
-
-
 def annulus_objective(r_interface, params: AnnulusParams = AnnulusParams()):
     """Exact J = integral of T^2 over the annulus (closed-form radial integral).
 
@@ -185,22 +155,6 @@ def annulus_optimum(params: AnnulusParams = AnnulusParams(), resolution: float =
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, grid.size - 1)]
     return float(grid[k]), float(vals[k])
-
-
-def fd_gradient(f, x, h: float = 1e-6, scheme: str = "central") -> np.ndarray:
-    """Componentwise finite-difference gradient estimate of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        if scheme == "central":
-            g[i] = (f(x + e) - f(x - e)) / (2 * h)
-        elif scheme == "forward":
-            g[i] = (f(x + e) - f(x)) / h
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    return g
 
 
 def _check_radius(r, params: AnnulusParams):

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from igatop.assembly import (
+    ConstrainedSystem,
     MaterialPair,
-    assemble_nitsche,
     assemble_system,
     discretize,
     dkappa_dphi,
@@ -16,7 +16,6 @@ from igatop.assembly import (
     solve_adjoint,
     solve_state,
 )
-from igatop.assembly import SchurLU, _kappa_bulk, _substructure
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
@@ -36,7 +35,7 @@ from igatop.model import (
 )
 from igatop.objectives import HeatProblem, eval_total, make_objective
 from igatop.oracle import annulus_adjoint, annulus_state
-from igatop.splines import KnotVector, NurbsPatch
+from igatop.splines import KnotVector, NurbsPatch, patch_quadrature, tabulate
 
 RNG = np.random.default_rng(23)
 SP = SmoothingParams(0.05)
@@ -184,8 +183,7 @@ class TestNitsche:
     def test_penalty_matrix_sym_psd(self):
         model = refine_model(build_cloak_model("circular", beta=1e4), RefineSpec(2, 1, 2, 2))
         disc = discretize(model)
-        _, Ks = assemble_nitsche(disc, override={"inside": 1.0, "design": 1.0, "outside": 1.0})
-        Ksd = Ks.toarray()
+        Ksd = disc.Ks.toarray()
         assert np.abs(Ksd - Ksd.T).max() <= 1e-6 * np.abs(Ksd).max()
         w = np.linalg.eigvalsh(Ksd)
         assert w.min() >= -1e-8 * w.max()
@@ -216,10 +214,11 @@ def ring_cloak_state(cloak, sub):
 
 
 def per_edge_stiffness(disc, field, sp_, override=None):
-    """K from the quadrature rows Gx/Gy and the per-edge interface rows:
-    every point scaled by its own conductivity, one consistency and one
-    penalty product per edge (the absolute penalty model.beta)."""
-    model, override = disc.model, override or {}
+    """K from gradient rows tabulated patch by patch, as `discretize` does,
+    and the per-edge interface rows: every point scaled by its own
+    conductivity, one consistency and one penalty product per edge (the
+    absolute penalty model.beta)."""
+    model, basis, override = disc.model, disc.basis, override or {}
     mats = model.design_pair
 
     def kappa(region, D):
@@ -229,12 +228,24 @@ def per_edge_stiffness(disc, field, sp_, override=None):
             return kappa_at(D @ field.coeffs, mats, sp_)
         return model.kappa_regions[region]
 
-    kq = np.empty(disc.w.size)
-    for region in np.unique(disc.qlabel):
-        mask = disc.qlabel == region
-        kq[mask] = kappa(region, disc.D[mask])
-    W = sp.diags(disc.w * kq)
-    K = disc.Gx.T @ W @ disc.Gx + disc.Gy.T @ W @ disc.Gy
+    def rows(values, cols, ncols):
+        n, k = values.shape
+        return sp.csr_matrix((values.ravel(), (np.repeat(np.arange(n), k), cols.ravel())),
+                             shape=(n, ncols))
+
+    K = sp.csr_matrix((disc.ndof, disc.ndof))
+    for pid, patch in enumerate(model.patches):
+        pts, wts = patch_quadrature(patch)
+        tab = tabulate(patch, pts)
+        region, D = model.labels[pid], None
+        if region == "design":
+            k = basis.patch_ids.index(pid)
+            dtab = tabulate(basis.patches[k], pts)
+            D = rows(dtab.values, dtab.indices + basis.offsets[k], basis.m)
+        W = sp.diags(wts * tab.det_j * kappa(region, D))
+        for deriv in (tab.dx, tab.dy):
+            G = rows(deriv, disc.patch_dofs[pid][tab.indices], disc.ndof)
+            K = K + G.T @ W @ G
     gamma = model.gamma
     for e in disc.edges:
         flux = (sp.diags(gamma * kappa(e.region_a, e.D1) * np.ones(e.w.size)) @ e.G1n
@@ -258,11 +269,12 @@ class TestAssemblyReference:
         # componentwise backward error of the refined state solve on the
         # shipped cloak solution mesh
         sol = ring_cloak_state(build_cloak_model("circular"), 16)
-        disc, b = sol.disc, sol.blocks
+        disc, Kf = sol.disc, sol.K[sol.disc.free]
+        Kff = Kf[:, disc.free]
         x = sol.values[disc.free]
-        rhs = disc.F0[disc.free] - b.Kfd @ disc.dirichlet_val
-        r = rhs - b.Kff @ x
-        berr = np.max(np.abs(r) / (b.abs_Kff @ np.abs(x) + np.abs(rhs)))
+        rhs = disc.F0[disc.free] - Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val
+        r = rhs - Kff @ x
+        berr = np.max(np.abs(r) / (abs(Kff) @ np.abs(x) + np.abs(rhs)))
         assert berr <= 10 * np.finfo(float).eps
 
 
@@ -370,12 +382,8 @@ class TestSolves:
         load = RNG.standard_normal(disc.w.size)
         P_t = solve_adjoint(sol, load)
         # symmetric K: direct solve with K agrees
-        from igatop.assembly import _constrained_solve
-
         F_adj = disc.N.T @ (disc.w * load)
-        P_n = _constrained_solve(
-            disc, sol.blocks, sol.lu, F_adj, dirichlet_val=np.zeros_like(disc.dirichlet_val)
-        )
+        P_n = sol.lu.solve(F_adj, np.zeros_like(disc.dirichlet_val))
         denom = np.abs(P_t).max()
         assert np.abs(P_t - P_n).max() <= 1e-10 * max(denom, 1.0)
 
@@ -389,11 +397,11 @@ class TestSolves:
         solve_state(disc, field, sp_)
         sol = solve_state(disc, DesignField(field.basis, np.zeros_like(field.coeffs)), sp_)
         assert disc.substructure.I.size > 0
-        free, b = disc.free, sol.blocks
+        free, Kf = disc.free, sol.K[disc.free]
         skipped = [disc.patch_dofs[p] for p, lab in enumerate(disc.model.labels) if lab in skip]
         keep = ~np.isin(free, np.concatenate([np.zeros(0, int)] + skipped))
-        full = splu(b.Kff.tocsc())
-        T_ref = full.solve(disc.F0[free] - b.Kfd @ disc.dirichlet_val)
+        full = splu(Kf[:, free].tocsc())
+        T_ref = full.solve(disc.F0[free] - Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
         load = RNG.standard_normal(disc.w.size)
         P_ref = full.solve((disc.N.T @ (disc.w * load))[free], trans="T")
         for x, ref in ((sol.values[free], T_ref), (solve_adjoint(sol, load)[free], P_ref)):
@@ -404,15 +412,19 @@ class TestSolves:
         # shipped cloak solution mesh
         disc, sol = self.condensed_vs_full(build_cloak_model("circular"), 16, 1e-12)
         # transposed solves swap K_IT and K_TI: checked on a nonsymmetric
-        # K_ff (a skew part added, so its symmetric part stays K_ff)
-        U = sp.triu(sol.blocks.Kff, 1)
-        K = (sol.blocks.Kff + 0.5 * (U - U.T)).tocsr()
-        sub = _substructure(replace(disc, substructure=None), K)
-        lu, full = SchurLU(K, sub), splu(K.tocsc())
-        rhs = RNG.standard_normal(disc.free.size)
+        # K (a skew part added, so its symmetric part stays K)
+        U = sp.triu(sol.K, 1)
+        K = (sol.K + 0.5 * (U - U.T)).tocsr()
+        lu = ConstrainedSystem(replace(disc, substructure=None), K)
+        assert lu.sub is not None
+        full = splu(K[disc.free][:, disc.free].tocsc())
+        F = np.zeros(disc.ndof)
+        F[disc.free] = RNG.standard_normal(disc.free.size)
+        zeros = np.zeros_like(disc.dirichlet_val)
         for trans in "NT":
-            ref = full.solve(rhs, trans=trans)
-            assert np.abs(lu.solve(rhs, trans) - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref = full.solve(F[disc.free], trans=trans)
+            x = lu.solve(F, zeros, transpose=trans == "T")[disc.free]
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_condensed_solves_match_full_factor_explicit_beta(self):
         # the interface rows at design-side points couple into the
@@ -515,4 +527,4 @@ class TestSensitivity:
         from igatop.errors import AssemblyError
 
         with pytest.raises(AssemblyError):
-            _kappa_bulk(disc, None, None, None)
+            assemble_system(disc)

@@ -256,6 +256,9 @@ class TestErrors:
         ("initial_field.kind=lattice initial_field.params.n=0", "initial_field.params.n"),
         ("initial_field.kind=constant initial_field.params.radius=1.0",
          "initial_field.params.radius"),
+        # each problem names its own objective
+        ("objective_kind=cloak", "objective_kind"),
+        ("output.dir=[", "output.dir"),
     ])
     def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
         # each of these ended in a traceback, ran until export or was accepted unchecked
@@ -264,6 +267,51 @@ class TestErrors:
         assert run_cli([command, "--config", cfg, *sets]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
+
+    def test_knee_factor_below_one_exit_code(self, tmp_path, capsys):
+        # no mesh is within a factor below 1 of the finest error: rejected
+        # before the sweep runs
+        cfg = write_cfg(tmp_path / "s.yaml", {
+            "problem": "annulus",
+            "design": {"subdiv_circ": 2, "subdiv_rad": 2},
+            "output": {"dir": str(tmp_path / "out")},
+            "sweep": {"kind": "refinement", "subdivisions": [2], "deltas": [0.5],
+                      "r_values": [1.5]},
+        })
+        assert run_cli(["sweep", "--config", cfg, "--set", "sweep.knee_factor=0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "sweep.knee_factor" in err
+        assert not (tmp_path / "out").exists()
+        assert RunConfig.load(cfg, ["sweep.knee_factor=1.0"]).data["sweep"]["knee_factor"] == 1.0
+
+    @pytest.mark.parametrize("text", [None, "problem: [annulus\n"], ids=["missing", "yaml"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        assert run_cli(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(cfg) in err
+
+    @pytest.mark.parametrize("text", [None, "index,value\n0,1.0\n1,abc\n"],
+                             ids=["missing", "not_a_number"])
+    def test_unreadable_restart_exit_code(self, tmp_path, tiny_annulus_cfg, capsys, text):
+        path = tmp_path / "restart.csv"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli(["optimize", "--config", tiny_annulus_cfg,
+                        "--set", "initial_field.kind=restart",
+                        "--set", f"initial_field.params.path={path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(path) in err
+
+    def test_uncreatable_output_dir_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        cfg = write_cfg(tmp_path / "o.yaml", {"problem": "annulus", "sweep": {"r_values": [1.5]}})
+        assert run_cli(["oracle", "--config", cfg, "--set", f"output.dir={blocker / 'out'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "output.dir" in err
 
     def test_default_params_stay_with_default_kind(self):
         resolved = {kind: RunConfig.from_dict({

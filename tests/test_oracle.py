@@ -5,17 +5,44 @@ from scipy.integrate import quad
 from igatop.errors import DomainError
 from igatop.oracle import (
     AnnulusParams,
+    _adjoint_coeffs,
+    _state_coeffs,
     annulus_adjoint,
-    annulus_adjoint_derivs,
     annulus_objective,
     annulus_objective_derivative,
     annulus_optimum,
     annulus_state,
-    annulus_state_derivs,
-    fd_gradient,
 )
 
 P = AnnulusParams()
+
+
+def annulus_state_derivs(r, r_interface, params: AnnulusParams = AnnulusParams()):
+    """dT/dr and d2T/dr2 (piecewise, for ODE residual checks)."""
+    r = np.asarray(r, dtype=float)
+    ca, da, cb, db = _state_coeffs(r_interface, params)
+    d = np.where(r <= r_interface, da, db)
+    return d / r, -d / r**2
+
+
+def annulus_adjoint_derivs(r, r_interface, params: AnnulusParams = AnnulusParams()):
+    """dP/dr and d2P/dr2 (piecewise)."""
+    r = np.asarray(r, dtype=float)
+    (C1, D1, C2, D2), (ca, da, cb, db) = _adjoint_coeffs(r_interface, params)
+    ka, kb = params.kappa_inner, params.kappa_outer
+
+    def derivs(C, c, d, k):
+        dP = C / r + (c - d) * r / k + d * (2 * r * np.log(r) + r) / (2 * k)
+        d2P = -C / r**2 + (c - d) / k + d * (2 * np.log(r) + 3) / (2 * k)
+        return dP, d2P
+
+    d_in = derivs(C1, ca, da, ka)
+    d_out = derivs(C2, cb, db, kb)
+    mask = r <= r_interface
+    return (
+        np.where(mask, d_in[0], d_out[0]),
+        np.where(mask, d_in[1], d_out[1]),
+    )
 
 
 class TestState:
@@ -95,24 +122,3 @@ class TestObjective:
         dref = abs(annulus_objective_derivative(1.2, P))
         assert abs(d0) < 1e-4 * dref
 
-
-class TestFdGradient:
-    def test_exact_on_quadratic(self):
-        A = np.array([[3.0, 1.0], [1.0, 2.0]])
-        b = np.array([-1.0, 4.0])
-        f = lambda x: 0.5 * x @ A @ x + b @ x
-        x0 = np.array([0.3, -1.2])
-        g = fd_gradient(f, x0, h=1e-4)
-        assert np.allclose(g, A @ x0 + b, atol=1e-10)
-
-    def test_h_sweep_v_curve(self):
-        # error vs step size dips then rises again (round-off regime)
-        f = lambda x: float(np.sin(x[0]) * np.exp(x[1]))
-        x0 = np.array([0.7, 0.2])
-        exact = np.array([np.cos(0.7) * np.exp(0.2), np.sin(0.7) * np.exp(0.2)])
-        errs = []
-        for h in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-            errs.append(np.max(np.abs(fd_gradient(f, x0, h=h) - exact)))
-        k = int(np.argmin(errs))
-        assert 0 < k < len(errs) - 1
-        assert errs[-1] > errs[k] and errs[0] > errs[k]
