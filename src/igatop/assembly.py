@@ -98,7 +98,8 @@ def _stack(rows: list, ncols: int) -> sp.csr_matrix:
 
 def _block_csr(blocks: list, ncols: int) -> sp.csr_matrix:
     """CSR of consecutive row blocks, each a pair of (n, k) arrays: the
-    values and the column indices (ascending and distinct along a row)."""
+    values and the column indices (distinct along a row, but not ascending
+    where patches share interface dofs; scipy accepts unsorted indices)."""
     if not blocks:
         return sp.csr_matrix((0, ncols))
     counts = np.concatenate([np.full(v.shape[0], v.shape[1]) for v, _ in blocks])

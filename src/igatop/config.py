@@ -1,4 +1,5 @@
-"""Run configuration: YAML schema, per-problem defaults, initial fields.
+"""Run configuration: YAML schema, per-problem defaults, initial fields,
+and the pipeline (`build_pipeline`) built from a configuration.
 
 A run configuration is one YAML document; every key has a default matching
 the published study setups, so a minimal file is just `problem: annulus`.
@@ -6,13 +7,15 @@ the published study setups, so a minimal file is just `problem: annulus`.
 
 Schema rule: `SCHEMA` states each key once, as (type, default); the `model`
 keys are the keyword parameters of the problem's builder, typed and
-defaulted by its signature, and `initial_field.params` those of the
-kind's field function.  `PROBLEM_DEFAULTS` gives a problem's own values
-(its start params only for its own start kind).  One walk fills in
-defaults and raises `ConfigError` on an unknown key or a value of the
-wrong type: float keys take any number, int keys (all counts) only
-positive integers, bool keys only true/false, `X | None` keys also null.
-A section given as null keeps its defaults.
+defaulted by its signature, the `sqp` keys those of `optimizer.SqpConfig`,
+and `initial_field.params` those of the kind's field function.
+`PROBLEM_DEFAULTS` gives a problem's own values (its start params only
+for its own start kind).  One walk fills in defaults and raises
+`ConfigError` on an unknown key or a value of the wrong type: float keys
+take any number, int keys (all counts) only positive integers, bool keys
+only true/false, `X | None` keys also null.  A section given as null
+keeps its defaults; `validate` adds the range checks the types do not
+express, `SqpConfig`'s among them.
 
 Units are millimetres (geometry), W/mK (conductivity), and kelvin.  The
 level-set bandwidth `smoothing.delta` is in the level-set's own units;
@@ -34,13 +37,28 @@ from typing import Literal
 import numpy as np
 import yaml
 
+from igatop.assembly import Discretization, discretize
 from igatop.errors import ConfigError
+from igatop.export import read_coeffs_csv
+from igatop.levelset import (
+    DesignField,
+    DesignQuad,
+    SmoothingParams,
+    build_symmetry_map,
+    design_quadrature,
+    project_lsf,
+)
 from igatop.model import (
     MultiPatchModel,
+    RefineSpec,
     build_annulus,
     build_camouflage_model,
     build_cloak_model,
+    design_basis_for,
+    refine_model,
 )
+from igatop.objectives import HeatProblem, ObjectiveSpec, make_objective
+from igatop.optimizer import SqpConfig
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +113,13 @@ def _signature_schema(fn, skip: int = 0) -> dict:
     return {p.name: (p.annotation, p.default) for p in params}
 
 
-def params_schema(kind: str) -> dict:
-    """`initial_field.params` of a kind: the field function's keyword
-    parameters after the points, or the restart file's path."""
-    return {"path": (str, None)} if kind == "restart" else _signature_schema(INITIAL_FIELDS[kind], 1)
+def field_params(spec: dict) -> dict:
+    """An `initial_field` section's params, checked against the field
+    function's keyword parameters after the points (or the restart file's
+    path), with the unset ones at the function's defaults."""
+    kind = spec["kind"]
+    schema = {"path": (str, None)} if kind == "restart" else _signature_schema(INITIAL_FIELDS[kind], 1)
+    return _resolve(spec["params"], schema, "initial_field.params.")
 
 
 # key: (type, default); a None default of a non-null type is set per problem;
@@ -110,17 +131,7 @@ SCHEMA = {
                "subdiv_rad": (int, 4), "symmetry": (Literal["xy", "coincide", "none"], "xy")},
     "solution": {"degree_circ": (int, 2), "degree_rad": (int, 1),
                  "subdiv_circ": (int, None), "subdiv_rad": (int, None)},
-    "sqp": {
-        "objective_limit": (float, 1.0e-9),
-        "step_tolerance": (float, 1.0e-8),
-        "optimality_tolerance": (float, 1.0e-6),
-        "max_iterations": (int, 300),
-        "max_function_evaluations": (int, 1500),
-        "consecutive_steptol_stop": (int, 4),
-        "reinit_every_iters": (int | None, 10),
-        "reinit_every_fevals": (int | None, 100),
-        "bounds": (float | None, None),  # null: +- model diameter
-    },
+    "sqp": _signature_schema(SqpConfig),
     "reinit": {"enabled": (bool, True), "lines_per_span": (int, 20)},
     # params: keyword arguments of the field function, or the restart file's path
     "initial_field": {"kind": (Literal[("restart", *INITIAL_FIELDS)], "ring"),
@@ -162,10 +173,6 @@ def model_builder(problem: str):
     # looked up on each call, so a wrapper rebound to these module names is used
     return {"annulus": build_annulus, "cloak": build_cloak_model,
             "camouflage": build_camouflage_model}[problem]
-
-
-def model_schema(problem: str) -> dict:
-    return _signature_schema(model_builder(problem))
 
 
 _NAMES = {float: "a number", int: "a positive integer", bool: "true or false", str: "a string",
@@ -263,7 +270,8 @@ class RunConfig:
         if isinstance(init, dict) and init.get("kind", default_kind) != default_kind:
             defaults["initial_field"]["params"] = {}  # they are parameters of the default kind
         merged = _deep_update(defaults, raw)
-        cfg = cls(problem, _resolve(merged, SCHEMA | {"model": model_schema(problem)}))
+        schema = SCHEMA | {"model": _signature_schema(model_builder(problem))}
+        cfg = cls(problem, _resolve(merged, schema))
         cfg.validate()
         return cfg
 
@@ -308,9 +316,8 @@ class RunConfig:
             raise ConfigError(
                 f"model.beta must be null (shared control points) or a positive number, got {beta!r}"
             )
-        # checked against the signature; unset params keep the function's defaults
-        init = d["initial_field"]
-        _resolve(init["params"], params_schema(init["kind"]), "initial_field.params.")
+        field_params(d["initial_field"])
+        SqpConfig(**d["sqp"])  # its own range checks
         return self
 
     def build_model(self) -> MultiPatchModel:
@@ -320,3 +327,50 @@ class RunConfig:
         out = {"problem": self.problem}
         out.update(copy.deepcopy(self.data))
         return out
+
+
+@dataclass
+class Pipeline:
+    """Everything assembled from one run configuration."""
+
+    cfg: RunConfig
+    disc: Discretization  # disc.model is the refined model
+    quad: DesignQuad
+    smoothing: SmoothingParams
+    problem: HeatProblem
+    field0: DesignField
+
+
+def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
+    d = cfg.data
+    model = cfg.build_model()
+    design = dict(d["design"])
+    symmetry = design.pop("symmetry")
+    basis = design_basis_for(model, RefineSpec(**design))
+    refined = refine_model(model, RefineSpec(**d["solution"]))
+    disc = discretize(refined, basis, n_per_span=d["quadrature"]["n_per_span"])
+    quad = design_quadrature(basis, d["quadrature"]["measures_per_span"])
+    sym = build_symmetry_map(basis, symmetry if model.symmetry_ok else "coincide")
+    smoothing = SmoothingParams(**d["smoothing"])
+    problem = None
+    if with_objective:
+        problem = HeatProblem(disc, objective_spec(cfg, disc), smoothing, quad, sym)
+    init = d["initial_field"]
+    if init["kind"] == "restart":
+        coeffs = read_coeffs_csv(init["params"]["path"])
+        if coeffs.size != basis.m:
+            raise ConfigError(
+                f"restart file has {coeffs.size} coefficients, basis needs {basis.m}"
+            )
+    else:
+        coeffs = project_lsf(quad, initial_field_fn(init))
+    field0 = DesignField(basis, coeffs)
+    return Pipeline(cfg, disc, quad, smoothing, problem, field0)
+
+
+# each problem's own objective kind
+OBJECTIVE_KINDS = {"annulus": "annular", "cloak": "cloak", "camouflage": "camouflage"}
+
+
+def objective_spec(cfg: RunConfig, disc: Discretization) -> ObjectiveSpec:
+    return make_objective(disc, OBJECTIVE_KINDS[cfg.problem], **cfg.data["objective"])

@@ -321,7 +321,6 @@ class SymmetryMap:
 
     orbit: np.ndarray  # (m,) orbit index per coefficient
     n_var: int
-    mode: str
 
     def expand(self, variables: np.ndarray) -> np.ndarray:
         variables = np.asarray(variables, dtype=float)
@@ -351,7 +350,7 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     """
     m = basis.m
     if mode == "none":
-        return SymmetryMap(orbit=np.arange(m), n_var=m, mode=mode)
+        return SymmetryMap(orbit=np.arange(m), n_var=m)
     if mode not in ("coincide", "xy"):
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
@@ -370,4 +369,4 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     i, j = np.concatenate(pairs).T
     graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(m, m))
     n_var, orbit = connected_components(graph, directed=False)
-    return SymmetryMap(orbit=orbit, n_var=n_var, mode=mode)
+    return SymmetryMap(orbit=orbit, n_var=n_var)

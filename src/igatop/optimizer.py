@@ -12,7 +12,7 @@ iterate is returned, not the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,34 +33,34 @@ __all__ = [
 ]
 
 
+# Armijo sufficient-decrease constant and the shortest step tried
+ARMIJO_C1 = 1.0e-4
+ALPHA_MIN = 1.0e-10
+
+
 @dataclass
 class SqpConfig:
+    """SQP settings; the keys, types and defaults of a run configuration's
+    `sqp` section are this signature.  `bounds` is the half-width of the box
+    |x_i| <= bounds; null means the model diameter in `optimize` (signed-
+    distance magnitudes cannot exceed it) and no box in `minimize`."""
+
     objective_limit: float = 1.0e-9
     step_tolerance: float = 1.0e-8
     optimality_tolerance: float = 1.0e-6
-    max_iterations: int = 500
-    max_function_evaluations: int = 5000
-    lower: float | np.ndarray | None = None
-    upper: float | np.ndarray | None = None
+    max_iterations: int = 300
+    max_function_evaluations: int = 1500
+    consecutive_steptol_stop: int = 4
     reinit_every_iters: int | None = 10
     reinit_every_fevals: int | None = 100
-    consecutive_steptol_stop: int = 4
-    armijo_c1: float = 1.0e-4
-    alpha_min: float = 1.0e-10
+    bounds: float | None = None
 
     def __post_init__(self):
         for name in ("objective_limit", "step_tolerance", "optimality_tolerance"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-
-    def bounds_for(self, n: int):
-        lo = self.lower if self.lower is not None else -np.inf
-        hi = self.upper if self.upper is not None else np.inf
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
-        if np.any(lo > hi):
-            raise ConfigError("lower bounds exceed upper bounds")
-        return lo, hi
+        if self.bounds is not None and not self.bounds > 0:
+            raise ConfigError(f"bounds must be positive or null, got {self.bounds!r}")
 
 
 @dataclass
@@ -154,16 +154,16 @@ def solve_qp_subproblem(g, H, lower, upper, x):
     return p
 
 
-def line_search(f, x, p, f0, gtp, cfg: SqpConfig):
+def line_search(f, x, p, f0, gtp):
     """Armijo backtracking from alpha = 1; returns (alpha, f_new, n_evals) or None."""
     if gtp >= 0:
         return None
     alpha = 1.0
     n_evals = 0
-    while alpha >= cfg.alpha_min:
+    while alpha >= ALPHA_MIN:
         f_new = f(x + alpha * p)
         n_evals += 1
-        if f_new <= f0 + cfg.armijo_c1 * alpha * gtp:
+        if f_new <= f0 + ARMIJO_C1 * alpha * gtp:
             return alpha, f_new, n_evals
         alpha *= 0.5
     return None
@@ -186,11 +186,9 @@ def bfgs_update(H, s, y):
 
 
 def projected_grad_inf(x, g, lower, upper):
+    tol = 1e-14 * np.maximum(1.0, np.abs(x))
+    at_lo, at_hi = x <= lower + tol, x >= upper - tol
     pg = g.copy()
-    fin_lo = np.isfinite(lower)
-    fin_hi = np.isfinite(upper)
-    at_lo = fin_lo & (x <= np.where(fin_lo, lower, -np.inf) + 1e-14 * np.maximum(1.0, np.abs(x)))
-    at_hi = fin_hi & (x >= np.where(fin_hi, upper, np.inf) - 1e-14 * np.maximum(1.0, np.abs(x)))
     pg[at_lo] = np.minimum(g[at_lo], 0.0)
     pg[at_hi] = np.maximum(g[at_hi], 0.0)
     return float(np.abs(pg).max()) if pg.size else 0.0
@@ -220,22 +218,24 @@ def _hessian_reset(g: np.ndarray) -> np.ndarray:
     return scale * np.eye(g.size)
 
 
-def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
+def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diameter=np.inf):
     """Core SQP loop over fun(x) -> (j_total, gradient, aux).
 
+    The box is |x_i| <= cfg.bounds, or <= diameter when that is null.
     reinit_hook(x) -> x_new restores the level-set scaling; when absent, a
     step-tolerance failure stops immediately.  Returns
     (best_x, state, stop_reason).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    lower, upper = cfg.bounds_for(n)
+    bound = diameter if cfg.bounds is None else cfg.bounds
+    lower, upper = np.full(n, -bound), np.full(n, bound)
     x = np.clip(x0, lower, upper)
 
     j, g, aux = fun(x)
     state = SqpState(x=x, g=g, H=_hessian_reset(g), j_total=j, fevals=1)
     state.best_x, state.best_j = x.copy(), j
-    _record(state, cfg, aux, 0.0, 0.0, "start", record_hook)
+    _record(state, aux, 0.0, 0.0, "start", record_hook)
 
     can_reinit = reinit_hook is not None
 
@@ -249,7 +249,7 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
         state.round_fevals = 0
         if j_new < state.best_j:
             state.best_j, state.best_x = j_new, x_new.copy()
-        _record(state, cfg, aux_new, 0.0, 0.0, "reinit", record_hook)
+        _record(state, aux_new, 0.0, 0.0, "reinit", record_hook)
 
     stop_reason = None
     while True:
@@ -275,7 +275,7 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
             state.round_fevals += 1
             return trial[1]
 
-        ls = line_search(f_only, state.x, p, state.j_total, gtp, cfg)
+        ls = line_search(f_only, state.x, p, state.j_total, gtp)
         state.iteration += 1
         state.round_iters += 1
         if ls is not None:
@@ -288,13 +288,13 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
             if j_new < state.best_j:
                 state.best_j, state.best_x = j_new, x_new.copy()
             small = np.abs(s).max() <= cfg.step_tolerance
-            _record(state, cfg, aux, float(np.abs(s).max()), alpha,
-                    "steptol" if small else "", record_hook)
+            _record(state, aux, float(np.abs(s).max()), alpha, "steptol" if small else "",
+                    record_hook)
             if not small:
                 state.steptol_streak = 0
                 continue
         else:
-            _record(state, cfg, None, 0.0, 0.0, "steptol", record_hook)
+            _record(state, None, 0.0, 0.0, "steptol", record_hook)
 
         # step-tolerance failure: reinitialize and restart, or give up
         state.steptol_streak += 1
@@ -307,7 +307,7 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None):
     return state.best_x, state, stop_reason
 
 
-def _record(state, cfg, aux, step_norm, alpha, event, hook):
+def _record(state, aux, step_norm, alpha, event, hook):
     if isinstance(aux, ObjectiveValue):
         jm, jt, jv = aux.j_main, aux.j_tknv, aux.j_vol
     else:
@@ -338,14 +338,6 @@ def optimize(
 ):
     """Full level-set optimization; returns (best field, state, stop reason)."""
     sym = problem.sym
-    if cfg.lower is None or cfg.upper is None:
-        # default box: signed-distance magnitudes cannot exceed the diameter
-        d = problem.disc.model.diameter()
-        cfg = replace(
-            cfg,
-            lower=-d if cfg.lower is None else cfg.lower,
-            upper=d if cfg.upper is None else cfg.upper,
-        )
 
     def fun(x):
         val = eval_total(problem, problem.field(sym.expand(x)))
@@ -359,6 +351,7 @@ def optimize(
             return sym.reduce_coeffs(fld2.coeffs)
 
     x0 = sym.reduce_coeffs(field0.coeffs)
-    best_x, state, reason = minimize(fun, x0, cfg, reinit_hook, record_hook)
+    best_x, state, reason = minimize(fun, x0, cfg, reinit_hook, record_hook,
+                                     problem.disc.model.diameter())
     best = problem.field(sym.expand(best_x))
     return best, state, reason

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from igatop.assembly import discretize, solve_state
-from igatop.cli import _refinement_sweep, build_pipeline, sqp_config
-from igatop.config import RunConfig, initial_field_fn
+from igatop.config import RunConfig, build_pipeline, initial_field_fn
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
@@ -36,8 +35,9 @@ from igatop.model import (
     refine_model,
 )
 from igatop.objectives import HeatProblem, eval_total, make_objective
-from igatop.optimizer import optimize
+from igatop.optimizer import SqpConfig, optimize
 from igatop.oracle import annulus_objective
+from igatop.studies import refinement_sweep
 
 J_STAR = 1.6094e4
 R_STAR = 1.80612
@@ -58,7 +58,7 @@ def annulus_bench():
     mesh, 4356 dofs once the seam control points are shared."""
     pipe = build_pipeline(RunConfig.from_dict({"problem": "annulus"}))
     assert pipe.problem.sym.n_var == 25
-    assert sum(p.n_ctrl for p in pipe.refined.patches) == 4389 and pipe.disc.ndof == 4356
+    assert sum(p.n_ctrl for p in pipe.disc.model.patches) == 4389 and pipe.disc.ndof == 4356
     return pipe
 
 
@@ -93,7 +93,7 @@ def cloak_runs():
         out["ndof"] = pipe.disc.ndof
         hist = []
         t0 = time.time()
-        best, state, reason = optimize(pipe.problem, pipe.field0, sqp_config(cfg),
+        best, state, reason = optimize(pipe.problem, pipe.field0, SqpConfig(**cfg.data["sqp"]),
                                        use_reinit=use_reinit,
                                        record_hook=lambda r, s: hist.append(r))
         val = eval_total(pipe.problem, best)
@@ -118,7 +118,7 @@ class TestCriterion1:
             c0 = project_lsf(pipe.quad, initial_field_fn(s))
             t0 = time.time()
             best, state, reason = optimize(pipe.problem, pipe.problem.field(c0),
-                                           sqp_config(pipe.cfg), use_reinit=False)
+                                           SqpConfig(**pipe.cfg.data["sqp"]), use_reinit=False)
             dt = time.time() - t0
             val = eval_total(pipe.problem, best)
             pts, _ = interface_points(best, 20)
@@ -192,7 +192,7 @@ class TestCriterion3:
             "sweep": {"kind": "refinement", "subdivisions": [4, 8, 16, 32, 64],
                       "deltas": [0.5, 0.1, 0.05, 0.01, 0.005]},
         })
-        slope, intercept = _refinement_sweep(cfg, str(tmp_path))
+        slope, intercept = refinement_sweep(cfg)
         # errors at the production bandwidth decrease with refinement until
         # the bandwidth-limited floor
         import csv
@@ -282,7 +282,7 @@ class TestCriterion6:
         })
         pipe = build_pipeline(cfg)
         t0 = time.time()
-        best, state, reason = optimize(pipe.problem, pipe.field0, sqp_config(cfg))
+        best, state, reason = optimize(pipe.problem, pipe.field0, SqpConfig(**cfg.data["sqp"]))
         val = eval_total(pipe.problem, best)
         ok = val.j_main <= 5e-3
         report("criterion 6 (camouflage terminal J <= 5e-3 at reduced scale)",

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import yaml
 
 from igatop.cli import main
 from igatop.config import RunConfig
+from igatop.optimizer import SqpConfig
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -50,6 +52,25 @@ class TestSolve:
         header = (tmp_path / "out" / "field.vtk").read_text().splitlines()
         assert header[0].startswith("# vtk DataFile")
         assert "STRUCTURED_POINTS" in "\n".join(header[:6])
+
+    @pytest.mark.parametrize("scale,radius", [(1.0, 1.3), (-1.0, 1.3), (1.0, 0.5), (1.0, 2.5)])
+    def test_oracle_error_follows_field(self, tiny_annulus_cfg, capsys, scale, radius):
+        # a negative scale puts kappa_pos inside the interface, and a circle
+        # outside the annulus leaves one material; compared with the
+        # closed form of an interface at that radius and kappa_neg inside,
+        # the errors read 0.76, 0.28 and 2.90
+        assert run_cli(["solve", "--config", tiny_annulus_cfg,
+                        "--set", f"initial_field.params.scale={scale}",
+                        "--set", f"initial_field.params.radius={radius}"]) == 0
+        out = capsys.readouterr().out
+        err = float(out.split("rel_L2_error_vs_oracle = ")[1].split()[0])
+        assert err < 0.1
+
+    def test_no_oracle_error_without_interface(self, tiny_annulus_cfg, capsys):
+        assert run_cli(["solve", "--config", tiny_annulus_cfg,
+                        "--set", "initial_field.params.scale=0.0"]) == 0
+        out = capsys.readouterr().out
+        assert "J_annular" in out and "rel_L2_error_vs_oracle" not in out
 
     def test_homogeneous_plate_linear_field(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -268,6 +289,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
 
+    @pytest.mark.parametrize("bounds", ["0.0", "-1.0"])
+    def test_non_positive_bounds_exit_code(self, tiny_annulus_cfg, capsys, bounds):
+        # 0 pinned every design variable at 0; -1 was read as +-1
+        assert run_cli(["optimize", "--config", tiny_annulus_cfg,
+                        "--set", f"sqp.bounds={bounds}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "bounds" in err
+
     def test_knee_factor_below_one_exit_code(self, tmp_path, capsys):
         # no mesh is within a factor below 1 of the finest error: rejected
         # before the sweep runs
@@ -325,6 +354,19 @@ class TestErrors:
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
     def test_shipped_config_loads(self, name):
         RunConfig.load(os.path.join(CONFIGS, name))
+
+    def test_sqp_defaults_are_sqp_config(self):
+        assert SqpConfig(**RunConfig.from_dict({"problem": "cloak"}).data["sqp"]) == SqpConfig()
+
+    def test_shipped_configs_resolve_as_recorded(self):
+        # resolved data of every shipped config, recorded when the sqp
+        # section was still written out in the schema
+        with open(os.path.join(os.path.dirname(__file__), "resolved_configs.json")) as f:
+            recorded = json.load(f)
+        assert sorted(recorded) == sorted(os.listdir(CONFIGS))
+        for name, data in recorded.items():
+            resolved = RunConfig.load(os.path.join(CONFIGS, name)).data
+            assert json.loads(json.dumps(resolved)) == data, name
 
     def test_env_outdir_override(self, tmp_path, tiny_annulus_cfg, monkeypatch):
         alt = tmp_path / "env_out"

@@ -64,17 +64,17 @@ class TestLineSearch:
         f = lambda x: float((x - 1.0) @ (x - 1.0))
         x = np.zeros(3)
         p = np.ones(3)  # exact Newton step
-        out = line_search(lambda xt: f(xt), x, p, f(x), -6.0, SqpConfig())
+        out = line_search(lambda xt: f(xt), x, p, f(x), -6.0)
         assert out is not None and out[0] == 1.0
 
     def test_ascent_direction_fails(self):
         f = lambda x: float(x @ x)
-        out = line_search(lambda xt: f(xt), np.ones(2), np.ones(2), 2.0, 4.0, SqpConfig())
+        out = line_search(lambda xt: f(xt), np.ones(2), np.ones(2), 2.0, 4.0)
         assert out is None
 
     def test_increasing_function_exhausts(self):
         out = line_search(lambda xt: 1.0 + float(xt @ xt), np.zeros(2),
-                          np.array([1.0, 0.0]), 0.5, -1.0, SqpConfig())
+                          np.array([1.0, 0.0]), 0.5, -1.0)
         assert out is None
 
     def test_armijo_bound_satisfied(self):
@@ -82,7 +82,7 @@ class TestLineSearch:
         x = np.zeros(1)
         p = np.array([1.0])
         f0, gtp = f(x), -0.6
-        out = line_search(lambda xt: f(xt), x, p, f0, gtp, SqpConfig())
+        out = line_search(lambda xt: f(xt), x, p, f0, gtp)
         alpha, f_new, _ = out
         assert f_new <= f0 + 1e-4 * alpha * gtp
 
@@ -158,8 +158,7 @@ class TestMinimize:
 
     def test_box_constraint_active(self):
         fun = lambda x: (float((x[0] - 2.0) ** 2), np.array([2 * (x[0] - 2.0)]), None)
-        cfg = SqpConfig(lower=-10.0, upper=1.0,
-                        reinit_every_iters=None, reinit_every_fevals=None)
+        cfg = SqpConfig(bounds=1.0, reinit_every_iters=None, reinit_every_fevals=None)
         cfg.objective_limit = -1e30
         best, _, _ = minimize(fun, np.array([0.0]), cfg)
         assert best[0] == pytest.approx(1.0, abs=1e-10)
