@@ -1,9 +1,15 @@
 """Result-file writers: legacy VTK structured points, CSV tables, restarts.
 
 Field export samples the multi-patch solution on a regular grid over the
-model bounding box by inverting the geometry map per grid point (nearest
-seed from a per-patch parametric cloud, then Newton); points outside the
-domain are written as NaN.
+model bounding box by inverting the geometry map per grid point; points
+outside the domain are written as NaN.  Each point starts a clipped Newton
+iteration from its nearest seed of a per-patch parametric cloud and stops
+on its own: once converged, or once held at a parameter bound (the target
+lies outside that patch).  A point not located retries from its second and
+third nearest seed, and from every seed tied with the third: a target just
+across the annulus's seam (where v = 0 meets v = 1) from its nearest seed is
+found only from the other side, and the seeds that patches sharing a corner
+have in common can fill all three places.
 """
 
 from __future__ import annotations
@@ -36,38 +42,69 @@ def locate_points(model, targets: np.ndarray):
     seeds_xy = np.concatenate([g[1] for g in grids])
     seed_pid = np.concatenate(owners)
     tree = cKDTree(seeds_xy)
-    _, nearest = tree.query(targets, k=3)
-    nearest = np.atleast_2d(nearest)
 
     n = targets.shape[0]
     out_pid = np.full(n, -1, dtype=int)
     out_uv = np.full((n, 2), np.nan)
-    for cand in range(nearest.shape[1]):
-        todo = out_pid < 0
-        if not np.any(todo):
-            break
-        idx = np.where(todo)[0]
-        cand_seed = nearest[idx, cand]
-        for pid in np.unique(seed_pid[cand_seed]):
-            sel = idx[seed_pid[cand_seed] == pid]
-            if sel.size == 0:
-                continue
-            uv = seeds_uv[nearest[sel, cand]].copy()
-            tgt = targets[sel]
-            patch = model.patches[pid]
-            for _ in range(30):
-                tab = tabulate(patch, uv, check_jacobian=False)
-                r = tab.phys - tgt
-                det = tab.det_j
-                du = -(tab.jac[:, 1, 1] * r[:, 0] - tab.jac[:, 0, 1] * r[:, 1]) / det
-                dv = -(-tab.jac[:, 1, 0] * r[:, 0] + tab.jac[:, 0, 0] * r[:, 1]) / det
-                step = np.column_stack([du, dv])
-                uv = np.clip(uv + np.clip(step, -0.25, 0.25), 0.0, 1.0)
-            tab = tabulate(patch, uv, check_jacobian=False)
-            ok = np.linalg.norm(tab.phys - tgt, axis=1) <= tol * 10
+
+    def attempt(idx, seeds):
+        """Newton from seed seeds[i] towards target idx[i]; keeps the hits."""
+        for pid in np.unique(seed_pid[seeds]):
+            mine = seed_pid[seeds] == pid
+            sel = idx[mine]
+            uv, ok = _invert(model.patches[pid], seeds_uv[seeds[mine]], targets[sel], tol)
             out_pid[sel[ok]] = pid
             out_uv[sel[ok]] = uv[ok]
+
+    _, nearest = tree.query(targets, k=3)
+    for cand in range(3):
+        idx = np.where(out_pid < 0)[0]
+        if idx.size == 0:
+            return out_pid, out_uv
+        attempt(idx, nearest[idx, cand])
+    # patches sharing an edge or corner have coincident seeds there, and
+    # the three nearest can leave out the patch holding the point: a point
+    # not yet located also tries every other seed as near as its third
+    ties = tree.query_ball_point(seeds_xy, tol, return_length=True).max()
+    idx = np.where(out_pid < 0)[0]
+    if idx.size:
+        dist, more = tree.query(targets[idx], k=2 + ties)
+        fresh = (dist <= dist[:, 2:3] + tol) & np.all(
+            more[:, :, None] != nearest[idx, None, :], axis=2
+        )
+        for cand in range(more.shape[1]):
+            t = fresh[:, cand] & (out_pid[idx] < 0)
+            if np.any(t):
+                attempt(idx[t], more[t, cand])
     return out_pid, out_uv
+
+
+def _invert(patch, uv, tgt, tol):
+    """Damped Newton for patch(uv) = tgt, clipped to the unit square.
+
+    A point stops once its update moves uv by at most 1e-14, or once the
+    step pushes it past a parameter bound while it moves by at most 1e-9
+    (the target lies outside the patch); the rest run 30 steps.  Returns
+    (uv, located), located where the image is within 10 tol of the target.
+    """
+    uv = uv.copy()
+    active = np.arange(uv.shape[0])
+    for _ in range(30):
+        tab = tabulate(patch, uv[active], check_jacobian=False)
+        r = tab.phys - tgt[active]
+        det = tab.det_j
+        du = -(tab.jac[:, 1, 1] * r[:, 0] - tab.jac[:, 0, 1] * r[:, 1]) / det
+        dv = -(-tab.jac[:, 1, 0] * r[:, 0] + tab.jac[:, 0, 0] * r[:, 1]) / det
+        trial = uv[active] + np.clip(np.column_stack([du, dv]), -0.25, 0.25)
+        clipped = np.clip(trial, 0.0, 1.0)
+        moved = np.abs(clipped - uv[active]).max(axis=1)
+        uv[active] = clipped
+        past = np.any((trial < 0.0) | (trial > 1.0), axis=1)
+        active = active[(moved > 1e-14) & ~(past & (moved <= 1e-9))]
+        if active.size == 0:
+            break
+    tab = tabulate(patch, uv, check_jacobian=False)
+    return uv, np.linalg.norm(tab.phys - tgt, axis=1) <= tol * 10
 
 
 def sample_fields(
@@ -135,20 +172,29 @@ def write_vtk_structured(path: str, xs, ys, data: dict):
         f.write(f"POINT_DATA {nx * ny}\n")
         for name, arr in data.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            # VTK structured points run x fastest
-            vals = arr.T.reshape(-1)
-            for chunk in np.array_split(vals, max(1, vals.size // 8)):
-                f.write(" ".join(f"{v:.9g}" for v in chunk) + "\n")
+            # VTK structured points run x fastest; about 8 values a line,
+            # the longer lines first
+            vals = arr.T.reshape(-1).tolist()
+            n_lines = max(1, len(vals) // 8)
+            width, n_long = divmod(len(vals), n_lines)
+            f.write((_row_format(width + 1, " ", "\n") * n_long
+                     + _row_format(width, " ", "\n") * (n_lines - n_long)) % tuple(vals))
 
 
 def write_grid_csv(path: str, xs, ys, data: dict):
+    """One row per grid point, y fastest; rows end in CRLF, as `csv` ends them."""
     names = list(data)
+    cols = [np.repeat(xs, ys.size), np.tile(ys, xs.size)]
+    cols += [data[c].reshape(-1) for c in names]
+    row = _row_format(len(cols), ",", "\r\n")
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y"] + names)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                w.writerow([f"{x:.9g}", f"{y:.9g}"] + [f"{data[c][i, j]:.9g}" for c in names])
+        f.write(",".join(["x", "y"] + names) + "\r\n")
+        f.writelines(row % vals for vals in zip(*(c.tolist() for c in cols)))
+
+
+def _row_format(n: int, sep: str, end: str) -> str:
+    """A %-format for one row of n values at 9 significant digits."""
+    return sep.join(["%.9g"] * n) + end
 
 
 def write_table_csv(path: str, header: list[str], rows):

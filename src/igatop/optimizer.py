@@ -57,8 +57,9 @@ class SqpConfig:
 
     def __post_init__(self):
         for name in ("objective_limit", "step_tolerance", "optimality_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
         if self.bounds is not None and not self.bounds > 0:
             raise ConfigError(f"bounds must be positive or null, got {self.bounds!r}")
 

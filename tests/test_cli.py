@@ -280,6 +280,8 @@ class TestErrors:
         # each problem names its own objective
         ("objective_kind=cloak", "objective_kind"),
         ("output.dir=[", "output.dir"),
+        # NaN fails every comparison, so `<= 0` let it through
+        ("sqp.optimality_tolerance=.nan", "optimality_tolerance"),
     ])
     def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
         # each of these ended in a traceback, ran until export or was accepted unchecked
