@@ -5,9 +5,8 @@ and `oracle` (the annulus studies of studies.py).  Every command reads
 one YAML run configuration (``--config``) with optional ``--set
 key.path=value`` overrides, from which config.py builds the pipeline,
 and writes deterministic result files (legacy VTK for fields, CSV for
-everything else) into the output directory (``output.dir``, overridable
-via the IGATOP_OUTDIR environment variable).  Exit codes: 0 success,
-1 configuration error, 2 numerical failure.
+everything else) into the output directory ``output.dir``.  Exit codes:
+0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations

@@ -305,14 +305,14 @@ class RunConfig:
     def validate(self):
         """Value checks the types do not express."""
         d = self.data
-        if d["smoothing"]["delta"] <= 0:
+        if not d["smoothing"]["delta"] > 0:
             raise ConfigError("smoothing.delta must be positive")
         knee = d["sweep"]["knee_factor"]
-        if knee < 1:
+        if not knee >= 1:
             # the knee is the coarsest mesh within this factor of the finest mesh's error
             raise ConfigError(f"sweep.knee_factor must be at least 1, got {knee!r}")
         beta = d["model"]["beta"]
-        if beta is not None and beta <= 0:
+        if beta is not None and not beta > 0:
             raise ConfigError(
                 f"model.beta must be null (shared control points) or a positive number, got {beta!r}"
             )

@@ -244,7 +244,6 @@ def write_convergence_csv(path: str, history):
 
 
 def ensure_outdir(path: str) -> str:
-    path = os.environ.get("IGATOP_OUTDIR", path)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:

@@ -34,7 +34,7 @@ class SmoothingParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ConfigError("bandwidth delta must be positive")
         if not 0 <= self.alpha < 1:
             raise ConfigError("floor alpha must lie in [0, 1)")

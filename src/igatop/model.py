@@ -41,7 +41,7 @@ class MaterialPair:
     kappa_neg: float
 
     def __post_init__(self):
-        if self.kappa_pos <= 0 or self.kappa_neg <= 0:
+        if not (self.kappa_pos > 0 and self.kappa_neg > 0):
             raise ConfigError("member conductivities must be positive")
 
 
@@ -53,6 +53,10 @@ class BoundaryTag:
     edge: str  # 'u0' | 'u1' | 'v0' | 'v1'
     kind: str  # 'dirichlet' | 'neumann' | 'insulated'
     value: float = 0.0  # T_D in K for dirichlet, Q_N in W/m^2 for neumann
+
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise ConfigError(f"boundary value on edge ({self.patch}, {self.edge}) must be finite")
 
 
 @dataclass
@@ -80,6 +84,11 @@ class MultiPatchModel:
     beta: float | None = None  # absolute Nitsche penalty; None shares interface dofs
     gamma: float = 0.5
     symmetry_ok: bool = True
+
+    def __post_init__(self):
+        for label, k in self.kappa_regions.items():
+            if not k > 0:
+                raise ConfigError(f"conductivity of region {label!r} must be positive, got {k!r}")
 
     @property
     def design_patch_ids(self) -> list[int]:

@@ -52,7 +52,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-        if self.chi < 0 or self.rho < 0:
+        if not (self.chi >= 0 and self.rho >= 0):
             raise ConfigError("regularization weights must be non-negative")
         if self.j_norm <= 0:
             raise ConfigError("normalization must be positive")

@@ -4,14 +4,23 @@ Implements clamped B-spline/NURBS machinery for tensor-product surface
 patches: span lookup, basis functions with first derivatives, rational
 (weighted) surface evaluation with physical gradients via the geometry
 Jacobian, knot insertion, and degree elevation.  Evaluation routines are
-vectorized over batches of parametric points; refinement operates on
-homogeneous control nets so the geometry map is preserved exactly.
+vectorized over batches of parametric points.
+
+Refinement is one change of basis on the homogeneous control net along
+one axis.  Knot insertion, degree elevation and span subdivision only
+build the target knot vector.  The target space must contain the current
+one: the same end knots, a degree raised by t >= 0, and every interior
+knot kept with at least its multiplicity plus t but no more than the new
+degree.  The curve then lies in the target space, and collocation at the
+target's Greville abscissae recovers its control net exactly in exact
+arithmetic (Schoenberg-Whitney makes that system nonsingular; de Boor,
+A Practical Guide to Splines, ch. XIII).  A target that does not contain
+the curve raises RefinementError instead of returning an approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -209,44 +218,60 @@ def tabulate(patch: NurbsPatch, pts: np.ndarray, check_jacobian: bool = True) ->
 
 
 # ---------------------------------------------------------------------------
-# refinement: knot insertion and degree elevation on homogeneous nets
+# refinement: one change of basis on homogeneous nets
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous(patch: NurbsPatch) -> np.ndarray:
-    Pw = np.empty(patch.control_points.shape[:-1] + (3,))
-    Pw[..., :2] = patch.control_points * patch.weights[..., None]
-    Pw[..., 2] = patch.weights
-    return Pw
+def _collocation(kv: KnotVector, us: np.ndarray) -> np.ndarray:
+    """Dense matrix of every basis function of kv at the points us."""
+    spans = find_span_array(kv, us)
+    vals, _ = basis_and_ders(kv, us, spans)
+    out = np.zeros((us.size, kv.n_funcs))
+    cols = spans[:, None] - kv.degree + np.arange(kv.degree + 1)[None, :]
+    np.put_along_axis(out, cols, vals, axis=1)
+    return out
 
 
-def _from_homogeneous(kvu: KnotVector, kvv: KnotVector, Pw: np.ndarray) -> NurbsPatch:
-    w = Pw[..., 2]
-    cps = Pw[..., :2] / w[..., None]
-    return NurbsPatch(knots_u=kvu, knots_v=kvv, control_points=cps, weights=w)
+def _axis_knots(patch: NurbsPatch, direction: str) -> KnotVector:
+    if direction not in ("u", "v"):
+        raise RefinementError(f"direction must be 'u' or 'v', got {direction!r}")
+    return patch.knots_u if direction == "u" else patch.knots_v
 
 
-def _knot_multiplicity(values: np.ndarray, u: float) -> int:
-    tol = _PARAM_TOL * max(1.0, abs(values[-1] - values[0]))
-    return int(np.sum(np.abs(values - u) <= tol))
+def _interior_knots(kv: KnotVector):
+    v = kv.values
+    return np.unique(v[(v > kv.start) & (v < kv.end)], return_counts=True)
 
 
-def _insert_one_1d(U: np.ndarray, p: int, Pw: np.ndarray, u: float):
-    """Insert u once into (U, Pw) along axis 0 of Pw. Returns (U_new, Pw_new)."""
-    n = Pw.shape[0]
-    span = int(np.searchsorted(U, u, side="right") - 1)
-    span = min(max(span, p), n - 1)
-    s = _knot_multiplicity(U, u)
-    if s >= p:
-        raise RefinementError(f"inserting {u} would exceed multiplicity {p}")
-    Q = np.empty((n + 1,) + Pw.shape[1:])
-    Q[: span - p + 1] = Pw[: span - p + 1]
-    for i in range(span - p + 1, span - s + 1):
-        alpha = (u - U[i]) / (U[i + p] - U[i])
-        Q[i] = alpha * Pw[i] + (1.0 - alpha) * Pw[i - 1]
-    Q[span - s + 1:] = Pw[span - s:]
-    U_new = np.insert(U, span + 1, u)
-    return U_new, Q
+def _change_basis(patch: NurbsPatch, direction: str, values: np.ndarray, degree: int) -> NurbsPatch:
+    """The same patch on the knot vector (values, degree) in one direction.
+
+    The new homogeneous net Q solves N_new(g) Q = N_old(g) P at the
+    target's Greville abscissae g, once the target space is checked to
+    contain the current one (module docstring).
+    """
+    kv = _axis_knots(patch, direction)
+    new = KnotVector(values, degree)
+    old_k, old_m = _interior_knots(kv)
+    if np.any(_interior_knots(new)[1] > degree):
+        raise RefinementError(f"an interior knot would exceed multiplicity {degree}")
+    kept = (new.values == old_k[:, None]).sum(axis=1)
+    t = degree - kv.degree
+    if t < 0 or (new.start, new.end) != (kv.start, kv.end) or np.any(kept < old_m + t):
+        raise RefinementError("the target spline space does not contain the patch")
+
+    g = np.lib.stride_tricks.sliding_window_view(new.values[1:-1], degree).mean(axis=1)
+    axis = "uv".index(direction)
+    w = patch.weights[..., None]
+    P = np.moveaxis(np.concatenate([patch.control_points * w, w], axis=-1), axis, 0)
+    # solved with this right-hand side, not through N_new^-1 N_old: the
+    # beta=1e12 case of test_maximum_principle flips with that roundoff
+    rhs = _collocation(kv, g) @ P.reshape(kv.n_funcs, -1)
+    Q = np.linalg.solve(_collocation(new, g), rhs).reshape((new.n_funcs,) + P.shape[1:])
+    Qw = np.moveaxis(Q, 0, axis)
+    knots = [patch.knots_u, patch.knots_v]
+    knots[axis] = new
+    return NurbsPatch(*knots, control_points=Qw[..., :2] / Qw[..., 2:], weights=Qw[..., 2])
 
 
 def knot_insert(patch: NurbsPatch, new_knots, direction: str) -> NurbsPatch:
@@ -254,156 +279,26 @@ def knot_insert(patch: NurbsPatch, new_knots, direction: str) -> NurbsPatch:
     new_knots = np.atleast_1d(np.asarray(new_knots, dtype=float))
     if new_knots.size == 0:
         return patch
-    if direction not in ("u", "v"):
-        raise RefinementError(f"direction must be 'u' or 'v', got {direction!r}")
-    kv = patch.knots_u if direction == "u" else patch.knots_v
+    kv = _axis_knots(patch, direction)
     tol = _PARAM_TOL * max(1.0, abs(kv.end - kv.start))
     if np.any(new_knots <= kv.start + tol) or np.any(new_knots >= kv.end - tol):
         raise RefinementError("new knots must lie strictly inside the parametric range")
-    Pw = _homogeneous(patch)
-    if direction == "v":
-        Pw = np.swapaxes(Pw, 0, 1)
-    U = kv.values.copy()
-    for u in np.sort(new_knots):
-        U, Pw = _insert_one_1d(U, kv.degree, Pw, float(u))
-    if direction == "v":
-        Pw = np.swapaxes(Pw, 0, 1)
-        return _from_homogeneous(patch.knots_u, KnotVector(U, kv.degree), Pw)
-    return _from_homogeneous(KnotVector(U, kv.degree), patch.knots_v, Pw)
-
-
-def _elevate_1d(U: np.ndarray, p: int, Pw: np.ndarray, t: int):
-    """Degree elevation of a clamped curve by t (Piegl-Tiller A5.9).
-
-    Pw carries homogeneous points along axis 0; trailing axes are payload.
-    Returns the elevated (U_new, Pw_new) with every knot multiplicity
-    raised by t, so continuity is preserved.
-    """
-    n = Pw.shape[0] - 1
-    m = n + p + 1
-    ph = p + t
-    ph2 = ph // 2
-    payload = Pw.shape[1:]
-
-    bezalfs = np.zeros((ph + 1, p + 1))
-    bezalfs[0, 0] = 1.0
-    bezalfs[ph, p] = 1.0
-    for i in range(1, ph2 + 1):
-        inv = 1.0 / comb(ph, i)
-        for j in range(max(0, i - t), min(p, i) + 1):
-            bezalfs[i, j] = inv * comb(p, j) * comb(t, i - j)
-    for i in range(ph2 + 1, ph):
-        for j in range(max(0, i - t), min(p, i) + 1):
-            bezalfs[i, j] = bezalfs[ph - i, p - j]
-
-    mh = ph
-    kind = ph + 1
-    r = -1
-    a = p
-    b = p + 1
-    cind = 1
-    ua = U[0]
-
-    n_distinct = np.unique(U).size
-    Qw = np.zeros((Pw.shape[0] + t * (n_distinct - 1) + 4,) + payload)
-    Uh = np.zeros(Qw.shape[0] + ph + 1)
-    bpts = Pw[: p + 1].copy()
-    ebpts = np.zeros((ph + 1,) + payload)
-    next_bpts = np.zeros((p - 1 if p > 1 else 1,) + payload)
-    alfs = np.zeros(max(p - 1, 1))
-
-    Qw[0] = Pw[0]
-    Uh[: ph + 1] = ua
-
-    while b < m:
-        i = b
-        while b < m and U[b] == U[b + 1]:
-            b += 1
-        mul = b - i + 1
-        mh += mul + t
-        ub = U[b]
-        oldr = r
-        r = p - mul
-        lbz = (oldr + 2) // 2 if oldr > 0 else 1
-        rbz = ph - (r + 1) // 2 if r > 0 else ph
-        if r > 0:
-            numer = ub - ua
-            for k in range(p, mul, -1):
-                alfs[k - mul - 1] = numer / (U[a + k] - ua)
-            for j in range(1, r + 1):
-                save = r - j
-                s = mul + j
-                for k in range(p, s - 1, -1):
-                    bpts[k] = alfs[k - s] * bpts[k] + (1.0 - alfs[k - s]) * bpts[k - 1]
-                next_bpts[save] = bpts[p]
-        for i2 in range(lbz, ph + 1):
-            ebpts[i2] = 0.0
-            for j in range(max(0, i2 - t), min(p, i2) + 1):
-                ebpts[i2] += bezalfs[i2, j] * bpts[j]
-        if oldr > 1:
-            first = kind - 2
-            last = kind
-            den = ub - ua
-            bet = (ub - Uh[kind - 1]) / den
-            for tr in range(1, oldr):
-                i2 = first
-                j = last
-                kj = j - kind + 1
-                while j - i2 > tr:
-                    if i2 < cind:
-                        alf = (ub - Uh[i2]) / (ua - Uh[i2])
-                        Qw[i2] = alf * Qw[i2] + (1.0 - alf) * Qw[i2 - 1]
-                    if j >= lbz:
-                        if j - tr <= kind - ph + oldr:
-                            gam = (ub - Uh[j - tr]) / den
-                            ebpts[kj] = gam * ebpts[kj] + (1.0 - gam) * ebpts[kj + 1]
-                        else:
-                            ebpts[kj] = bet * ebpts[kj] + (1.0 - bet) * ebpts[kj + 1]
-                    i2 += 1
-                    j -= 1
-                    kj -= 1
-                first -= 1
-                last += 1
-        if a != p:
-            for _ in range(ph - oldr):
-                Uh[kind] = ua
-                kind += 1
-        for j in range(lbz, rbz + 1):
-            Qw[cind] = ebpts[j]
-            cind += 1
-        if b < m:
-            for j in range(r):
-                bpts[j] = next_bpts[j]
-            for j in range(r, p + 1):
-                bpts[j] = Pw[b - p + j]
-            a = b
-            b += 1
-            ua = ub
-        else:
-            for i2 in range(ph + 1):
-                Uh[kind + i2] = ub
-    nh = mh - ph - 1
-    return Uh[: mh + 1].copy(), Qw[: nh + 1].copy()
+    U = np.sort(np.concatenate([kv.values, new_knots]))
+    return _change_basis(patch, direction, U, kv.degree)
 
 
 def degree_elevate(patch: NurbsPatch, t: int, direction: str) -> NurbsPatch:
-    """Raise the polynomial degree by t in one direction; geometry unchanged."""
+    """Raise the polynomial degree by t in one direction; geometry unchanged.
+
+    Every distinct knot's multiplicity rises by t, so continuity is kept.
+    """
     if t < 0:
         raise RefinementError("degree increment must be non-negative")
     if t == 0:
         return patch
-    if direction not in ("u", "v"):
-        raise RefinementError(f"direction must be 'u' or 'v', got {direction!r}")
-    kv = patch.knots_u if direction == "u" else patch.knots_v
-    Pw = _homogeneous(patch)
-    if direction == "v":
-        Pw = np.swapaxes(Pw, 0, 1)
-    U_new, Qw = _elevate_1d(kv.values, kv.degree, Pw, t)
-    kv_new = KnotVector(U_new, kv.degree + t)
-    if direction == "v":
-        Qw = np.swapaxes(Qw, 0, 1)
-        return _from_homogeneous(patch.knots_u, kv_new, Qw)
-    return _from_homogeneous(kv_new, patch.knots_v, Qw)
+    kv = _axis_knots(patch, direction)
+    knots, mult = np.unique(kv.values, return_counts=True)
+    return _change_basis(patch, direction, np.repeat(knots, mult + t), kv.degree + t)
 
 
 def subdivide_spans(patch: NurbsPatch, k_u: int, k_v: int) -> NurbsPatch:
@@ -412,12 +307,9 @@ def subdivide_spans(patch: NurbsPatch, k_u: int, k_v: int) -> NurbsPatch:
     for direction, k in (("u", k_u), ("v", k_v)):
         if k <= 1:
             continue
-        kv = out.knots_u if direction == "u" else out.knots_v
-        breaks = kv.span_breaks()
-        new = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            new.extend(a + (b - a) * np.arange(1, k) / k)
-        out = knot_insert(out, np.asarray(new), direction)
+        breaks = _axis_knots(out, direction).span_breaks()
+        new = [a + (b - a) * np.arange(1, k) / k for a, b in zip(breaks[:-1], breaks[1:])]
+        out = knot_insert(out, np.concatenate(new), direction)
     return out
 
 

@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from igatop import splines
+from igatop.config import RunConfig
 from igatop.errors import DomainError, GeometryError, RefinementError
 from igatop.splines import (
     KnotVector,
@@ -14,6 +18,7 @@ from igatop.splines import (
 )
 
 RNG = np.random.default_rng(20240817)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def cox_de_boor(knots, degree, i, u):
@@ -32,6 +37,44 @@ def cox_de_boor(knots, degree, i, u):
     if den > 0:
         right = (knots[i + degree + 1] - u) / den * cox_de_boor(knots, degree - 1, i + 1, u)
     return left + right
+
+
+def boehm_insert(U, p, Pw, u):
+    """Boehm's single-knot insertion (Piegl & Tiller, The NURBS Book, A5.1)
+    along axis 0 of the homogeneous net Pw; the reference for refinement."""
+    n = Pw.shape[0]
+    span = min(max(int(np.searchsorted(U, u, side="right") - 1), p), n - 1)
+    s = int(np.sum(U == u))
+    Q = np.empty((n + 1,) + Pw.shape[1:])
+    Q[: span - p + 1] = Pw[: span - p + 1]
+    for i in range(span - p + 1, span - s + 1):
+        alpha = (u - U[i]) / (U[i + p] - U[i])
+        Q[i] = alpha * Pw[i] + (1.0 - alpha) * Pw[i - 1]
+    Q[span - s + 1:] = Pw[span - s:]
+    return np.insert(U, span + 1, u), Q
+
+
+def homogeneous(patch):
+    w = patch.weights[..., None]
+    return np.concatenate([patch.control_points * w, w], axis=-1)
+
+
+def boehm_subdivide(patch, k_u, k_v):
+    """subdivide_spans by one Boehm insertion per new knot: knots, control points and weights."""
+    Pw = homogeneous(patch)
+    knots = [patch.knots_u.values, patch.knots_v.values]
+    for axis, (kv, k) in enumerate(((patch.knots_u, k_u), (patch.knots_v, k_v))):
+        if k <= 1:
+            continue
+        breaks = kv.span_breaks()
+        new = np.concatenate(
+            [a + (b - a) * np.arange(1, k) / k for a, b in zip(breaks[:-1], breaks[1:])]
+        )
+        U, net = kv.values, np.moveaxis(Pw, axis, 0)
+        for u in new:
+            U, net = boehm_insert(U, kv.degree, net, float(u))
+        knots[axis], Pw = U, np.moveaxis(net, 0, axis)
+    return knots[0], knots[1], Pw[..., :2] / Pw[..., 2:], Pw[..., 2]
 
 
 def quarter_circle_patch(radius=1.0, r_in=0.5):
@@ -181,6 +224,58 @@ class TestDegreeElevate:
         # simple interior knot gains exactly +1 multiplicity
         assert np.sum(out.knots_v.values == 0.5) == 2
         assert out.shape[1] == patch.shape[1] + 2  # +t per Bezier segment
+
+
+class TestChangeOfBasis:
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_subdivision_matches_boehm_on_shipped_models(self, name):
+        # every base patch, elevated to the solution degrees, at the shipped
+        # solution subdivisions
+        cfg = RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml"))
+        data, model = cfg.data["solution"], cfg.build_model()
+        tol = 1e-13 * model.diameter()
+        for patch, roles in zip(model.patches, model.roles):
+            (du, su), (dv, sv) = [(data[f"degree_{r}"], data[f"subdiv_{r}"]) for r in roles]
+            patch = degree_elevate(patch, du - patch.knots_u.degree, "u")
+            patch = degree_elevate(patch, dv - patch.knots_v.degree, "v")
+            out = subdivide_spans(patch, su, sv)
+            ku, kv, cps, w = boehm_subdivide(patch, su, sv)
+            assert np.array_equal(out.knots_u.values, ku)
+            assert np.array_equal(out.knots_v.values, kv)
+            assert np.max(np.abs(out.control_points - cps)) < tol
+            assert np.max(np.abs(out.weights - w)) < 1e-13 * np.max(w)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("direction", ["u", "v"])
+    def test_bezier_elevation_closed_form(self, p, direction):
+        # Q_i = (i/(p+1)) P_{i-1} + (1 - i/(p+1)) P_i on homogeneous points
+        bez = KnotVector(np.r_[np.zeros(p + 1), np.ones(p + 1)], p)
+        lin = KnotVector(np.array([0.0, 0, 1, 1]), 1)
+        cps = RNG.random((p + 1, 2, 2)) + np.arange(p + 1)[:, None, None] * [1.0, 0.0]
+        w = 0.5 + RNG.random((p + 1, 2))
+        patch = NurbsPatch(bez, lin, cps, w)
+        if direction == "v":
+            patch = NurbsPatch(lin, bez, np.swapaxes(cps, 0, 1), w.T)
+        out = degree_elevate(patch, 1, direction)
+        axis = "uv".index(direction)
+        P = np.moveaxis(homogeneous(patch), axis, 0)
+        a = (np.arange(p + 2) / (p + 1))[:, None, None]
+        pad = np.zeros((1,) + P.shape[1:])
+        Q = a * np.concatenate([pad, P]) + (1 - a) * np.concatenate([P, pad])
+        got = np.moveaxis(homogeneous(out), axis, 0)
+        assert np.max(np.abs(got - Q)) < 1e-14 * np.max(np.abs(Q))
+
+    @pytest.mark.parametrize("values,degree", [
+        ([0.0, 0, 0, 1, 1, 1], 2),  # the interior knot 0.5 dropped
+        ([0.0, 0, 0, 0, 0.5, 1, 1, 1, 1], 3),  # degree raised, multiplicity not
+        ([0.0, 0, 0.5, 1, 1], 1),  # degree lowered
+        ([0.0, 0, 0, 0.25, 0.5, 0.5, 0.5, 1, 1, 1], 2),  # multiplicity above the degree
+        ([0.0, 0, 0, 0.5, 2, 2, 2], 2),  # another parametric range
+    ])
+    def test_target_not_containing_the_patch_rejected(self, values, degree):
+        patch = knot_insert(quarter_circle_patch(), [0.5], "v")
+        with pytest.raises(RefinementError):
+            splines._change_basis(patch, "v", np.array(values), degree)
 
 
 class TestQuadrature:
