@@ -30,9 +30,10 @@ which may rescale any region.  K_ff, and so K_II and S, is symmetric
 positive definite; SuperLU factors in symmetric mode (diagonal pivots, an
 ordering of A + A^T).  One `ConstrainedSystem` per state solve slices
 the free-dof blocks, holds the factors and solves: the state, its
-refinement sweeps and the (transposed) adjoint share them.  Solves
-refine iteratively on the full K_ff only while the componentwise
-backward error is above eps and the last sweep halved it.
+refinement sweeps and the adjoint share them, the adjoint because K_ff is
+symmetric (K^T P = K P).  Solves refine iteratively on the full K_ff only
+while the componentwise backward error is above eps and the last sweep
+halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -517,8 +518,9 @@ class ConstrainedSystem:
     K_ff, K_fd and |K_ff| are sliced once.  K_ff is factored through the
     Schur complement S = K_TT - W of the mesh's substructure, or whole when
     nothing is eliminated: on an all-design mesh, and under an override,
-    which may rescale any region.  `solve` serves the state and the
-    (transposed) adjoint solve; `nnz` counts the entries of all factors.
+    which may rescale any region.  `solve` serves the state and the adjoint
+    solve, which reuses the state's factors because K_ff is symmetric; `nnz`
+    counts the entries of all factors.
     """
 
     def __init__(self, disc: Discretization, K: sp.csr_matrix, override: dict | None = None):
@@ -537,43 +539,37 @@ class ConstrainedSystem:
             self.lu_S = _splu(Kff[T][:, T] - self.sub.W)
             self.nnz = self.lu_S.nnz + self.sub.lu_II.nnz
 
-    def _solve_free(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """K_ff x = b ("N") or K_ff^T x = b ("T"): two K_II solves and one
-        S solve, or one solve with the whole K_ff."""
+    def _solve_free(self, b: np.ndarray) -> np.ndarray:
+        """K_ff x = b: two K_II solves and one S solve, or one solve with the
+        whole K_ff."""
         sub = self.sub
         if sub is None:
-            return self.lu_S.solve(b, trans=trans)
-        # K^T has the blocks K_II^T, K_TI^T (row I) and K_IT^T, K_TT^T (row T)
-        K_IT, K_TI = (sub.K_IT, sub.K_TI) if trans == "N" else (sub.K_TI.T, sub.K_IT.T)
+            return self.lu_S.solve(b)
         b_I = b[sub.I]
         x = np.empty_like(b)
-        x[sub.T] = x_T = self.lu_S.solve(
-            b[sub.T] - K_TI @ sub.lu_II.solve(b_I, trans=trans), trans=trans)
-        x[sub.I] = sub.lu_II.solve(b_I - K_IT @ x_T, trans=trans)
+        x[sub.T] = x_T = self.lu_S.solve(b[sub.T] - sub.K_TI @ sub.lu_II.solve(b_I))
+        x[sub.I] = sub.lu_II.solve(b_I - sub.K_IT @ x_T)
         return x
 
-    def solve(self, F: np.ndarray, dirichlet_val=None, transpose: bool = False) -> np.ndarray:
-        """All dofs of K x = F (K^T x = F when `transpose`) with x fixed to
-        `dirichlet_val` (default: the mesh's own values) at the Dirichlet dofs."""
+    def solve(self, F: np.ndarray, dirichlet_val=None) -> np.ndarray:
+        """All dofs of K x = F with x fixed to `dirichlet_val` (default: the
+        mesh's own values) at the Dirichlet dofs."""
         disc = self.disc
         free = disc.free
         dval = disc.dirichlet_val if dirichlet_val is None else dirichlet_val
         rhs = F[free]
         if disc.dirichlet_idx.size and np.any(dval != 0.0):
             rhs = rhs - self.Kfd @ dval
-        A = self.Kff.T if transpose else self.Kff
-        absA = self.abs_Kff.T if transpose else self.abs_Kff
         abs_rhs = np.abs(rhs)
-        trans = "T" if transpose else "N"
 
         def residual(x):
-            r = rhs - A @ x
-            denom = absA @ np.abs(x) + abs_rhs
+            r = rhs - self.Kff @ x
+            denom = self.abs_Kff @ np.abs(x) + abs_rhs
             # componentwise backward error max |r| / (|A| |x| + |b|)
             berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
             return r, berr
 
-        x_f = self._solve_free(rhs, trans)
+        x_f = self._solve_free(rhs)
         r, berr = residual(x_f)
         # iterative refinement in working precision only while it helps (the
         # LAPACK xGERFS rule): sweep while the backward error is above eps and
@@ -582,7 +578,7 @@ class ConstrainedSystem:
         for _ in range(2):
             if berr <= _EPS:
                 break
-            x_new = x_f + self._solve_free(r, trans)
+            x_new = x_f + self._solve_free(r)
             r_new, berr_new = residual(x_new)
             if not berr_new < berr:
                 break
@@ -593,7 +589,7 @@ class ConstrainedSystem:
         res = np.linalg.norm(r)
         # normwise guard against a failed factorization: the residual is
         # measured against |K| |x| + |rhs|
-        scale = np.linalg.norm(rhs) + absA.max() * np.linalg.norm(x_f)
+        scale = np.linalg.norm(rhs) + self.abs_Kff.max() * np.linalg.norm(x_f)
         if res > 1e-10 * max(scale, 1.0):
             raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
         x = np.zeros(disc.ndof)
@@ -631,12 +627,12 @@ def solve_state(
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
 
-    Solves K^T P = integral(N^T load) with homogeneous Dirichlet data,
-    reusing the state's free-dof blocks and factors (transposed solve).
+    Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
+    is symmetric, so this is a solve with the state's blocks and factors.
     """
     disc = state.disc
     F_adj = disc.N.T @ (disc.w * load_q)
-    return state.lu.solve(F_adj, np.zeros_like(disc.dirichlet_val), transpose=True)
+    return state.lu.solve(F_adj, np.zeros_like(disc.dirichlet_val))
 
 
 def sensitivity_contraction(

@@ -293,7 +293,9 @@ class RunConfig:
             node = raw
             parts = key.strip().split(".")
             for p in parts[:-1]:
-                node = node.setdefault(p, {})
+                if node.get(p) is None:  # a null section keeps its defaults
+                    node[p] = {}
+                node = node[p]
                 if not isinstance(node, dict):
                     raise ConfigError(f"cannot override through non-mapping key {p!r}")
             try:

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from igatop.assembly import Discretization, kappa_at
 from igatop.errors import ConfigError
-from igatop.levelset import DesignField, SmoothingParams
+from igatop.levelset import DesignField, SmoothingParams, phi_on_patch
 from igatop.splines import tabulate
 
 
@@ -133,7 +133,6 @@ def sample_fields(
         name: np.full(n, np.nan)
         for name in ("T", "phi", "kappa", "flux_x", "flux_y")
     }
-    basis = disc.basis
     for p in np.unique(pid[pid >= 0]):
         sel = np.where(pid == p)[0]
         patch = model.patches[int(p)]
@@ -141,10 +140,7 @@ def sample_fields(
         label = model.labels[int(p)]
         kappa = np.full(sel.size, model.kappa_regions.get(label, np.nan))
         if label == "design":
-            k = basis.patch_ids.index(int(p))
-            dtab = tabulate(basis.patches[k], uv[sel], check_jacobian=False)
-            c_loc = field.coeffs[basis.patch_slice(k)][dtab.indices]
-            phi = np.einsum("nl,nl->n", dtab.values, c_loc)
+            phi = phi_on_patch(field, field.basis.patch_ids.index(int(p)), uv[sel])
             out["phi"][sel] = phi
             kappa = kappa_at(phi, model.design_pair, sp_)
         out["kappa"][sel] = kappa

@@ -163,7 +163,8 @@ def project_values(quad: DesignQuad, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _phi_on_patch(field: DesignField, k: int, pts: np.ndarray) -> np.ndarray:
+def phi_on_patch(field: DesignField, k: int, pts: np.ndarray) -> np.ndarray:
+    """phi at parameter points `pts` of the design basis's k-th patch."""
     tab = tabulate(field.basis.patches[k], pts, check_jacobian=False)
     c_loc = field.coeffs[field.basis.patch_slice(k)][tab.indices]
     return np.einsum("nl,nl->n", tab.values, c_loc)
@@ -206,7 +207,7 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
             pts = np.column_stack([F.ravel(), S.ravel()])
             if fixed_axis == 1:
                 pts = pts[:, ::-1]
-            phi = _phi_on_patch(field, k, pts).reshape(F.shape)
+            phi = phi_on_patch(field, k, pts).reshape(F.shape)
             sign_flip = phi[:, :-1] * phi[:, 1:] < 0
             li, si = np.nonzero(sign_flip)
             if li.size == 0:
@@ -220,7 +221,7 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
                 pm = np.column_stack([fixed_vals, mid])
                 if fixed_axis == 1:
                     pm = pm[:, ::-1]
-                fm = _phi_on_patch(field, k, pm)
+                fm = phi_on_patch(field, k, pm)
                 done = np.abs(fm) <= 1e-10
                 move_lo = fm * flo > 0
                 lo = np.where(move_lo & ~done, mid, lo)
@@ -273,8 +274,7 @@ def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20)
 
     rows = []
     basis = field.basis
-    for pid in basis.patch_ids:
-        k = basis.patch_ids.index(pid)
+    for k, pid in enumerate(basis.patch_ids):
         sel = [uv for p, uv in params if p == pid]
         if not sel:
             continue

@@ -368,6 +368,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "output.dir" in err
 
+    def test_override_through_null_section(self, tmp_path):
+        # a null section keeps its defaults, and an override sets one key in it
+        cfg = write_cfg(tmp_path / "n.yaml", {"problem": "annulus", "sqp": None})
+        defaults = RunConfig.from_dict({"problem": "annulus"}).data["sqp"]
+        sqp = RunConfig.load(cfg, ["sqp.max_iterations=5"]).data["sqp"]
+        assert sqp == defaults | {"max_iterations": 5} != defaults
+
+    def test_override_through_scalar_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.yaml", {"problem": "annulus", "sqp": 3})
+        assert run_cli(["solve", "--config", cfg, "--set", "sqp.max_iterations=5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "non-mapping key 'sqp'" in err
+
     def test_default_params_stay_with_default_kind(self):
         resolved = {kind: RunConfig.from_dict({
             "problem": "cloak", "initial_field": {"kind": kind, "params": {"radius": 20.0}},

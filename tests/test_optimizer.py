@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,40 @@ class TestQpSubproblem:
                 assert lam[i] <= 1e-8
             else:
                 assert abs(lam[i]) < 1e-8
+
+    def test_matches_enumerated_minimizer(self):
+        # every free / at-lower / at-upper assignment of the step's
+        # coordinates, with x inside an asymmetric box that is open on some
+        # sides; the best feasible stationary point is the minimizer
+        rng = np.random.default_rng(10)
+        H = spd_matrix(6, 3)
+        g = 20.0 * rng.standard_normal(6)
+        x = np.array([0.1, -0.2, 0.3, -0.4, 0.5, -0.6])
+        lower = np.array([-0.3, -np.inf, 0.0, -1.0, -np.inf, -0.9])
+        upper = np.array([0.4, 0.5, np.inf, np.inf, np.inf, 0.2])
+        lo, hi = lower - x, upper - x
+        q = lambda p: g @ p + 0.5 * p @ H @ p
+        best, best_q = None, np.inf
+        for sides in itertools.product((0, -1, 1), repeat=6):
+            sides = np.array(sides)
+            p = np.where(sides < 0, lo, np.where(sides > 0, hi, 0.0))
+            if not np.all(np.isfinite(p)):
+                continue
+            free = sides == 0
+            fixed = ~free
+            if free.any():
+                p[free] = np.linalg.solve(H[np.ix_(free, free)],
+                                          -g[free] - H[np.ix_(free, fixed)] @ p[fixed])
+            if np.all(p >= lo) and np.all(p <= hi) and q(p) < best_q:
+                best, best_q = p, q(p)
+        # the reference minimizer has bounds active on both sides, and a free
+        # coordinate
+        at_lo, at_hi = np.isclose(best, lo), np.isclose(best, hi)
+        assert at_lo.any() and at_hi.any() and not np.all(at_lo | at_hi)
+        p = solve_qp_subproblem(g, H, lower, upper, x)
+        assert np.all(lo <= p) and np.all(p <= hi)
+        assert np.abs(p - best).max() <= 1e-10
+        assert abs(q(p) - best_q) <= 1e-10 * abs(best_q)
 
 
 class TestLineSearch:
