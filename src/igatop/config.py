@@ -352,7 +352,9 @@ def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
     refined = refine_model(model, RefineSpec(**d["solution"]))
     disc = discretize(refined, basis, n_per_span=d["quadrature"]["n_per_span"])
     quad = design_quadrature(basis, d["quadrature"]["measures_per_span"])
-    sym = build_symmetry_map(basis, symmetry if model.symmetry_ok else "coincide")
+    if symmetry == "xy" and not model.symmetry_ok:
+        symmetry = "coincide"
+    sym = build_symmetry_map(basis, symmetry)
     smoothing = SmoothingParams(**d["smoothing"])
     problem = None
     if with_objective:

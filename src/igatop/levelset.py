@@ -4,19 +4,22 @@ The field is a linear combination of the design-basis functions produced
 by the first refinement stage; its expansion coefficients are the
 optimization variables.  Conductivity smoothing uses the polynomial
 Heaviside/Dirac pair with support bandwidth delta.  Reinitialization is
-geometry based: interface points are located by bisection along
-isoparameter lines, new values are signed distances to the nearest
-interface point, and the coarse coefficients are recovered through the
-design mass system with the old interface pinned by penalty rows.
+geometry based: interface points are the exact real roots of the field's
+numerator spline along isoparameter lines, new values are signed
+distances to the nearest interface point, and the coarse coefficients are
+recovered through the design mass system with the old interface pinned by
+penalty rows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import BSpline, PPoly
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
@@ -170,74 +173,51 @@ def phi_on_patch(field: DesignField, k: int, pts: np.ndarray) -> np.ndarray:
     return np.einsum("nl,nl->n", tab.values, c_loc)
 
 
-def _span_grid(kv, per_span: int, interior: bool) -> np.ndarray:
-    """per_span values in every nonempty span (offset midpoints if interior)."""
+def _span_lines(kv, per_span: int) -> np.ndarray:
+    """per_span offset midpoints in every nonempty span of kv."""
     breaks = kv.span_breaks()
-    out = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if interior:
-            out.append(a + (b - a) * (np.arange(per_span) + 0.5) / per_span)
-        else:
-            out.append(np.linspace(a, b, per_span + 1)[:-1])
-    if not interior:
-        out.append([breaks[-1]])
-    return np.concatenate([np.atleast_1d(x) for x in out])
+    t = (np.arange(per_span) + 0.5) / per_span
+    return (breaks[:-1, None] + np.diff(breaks)[:, None] * t).ravel()
 
 
 def interface_points(field: DesignField, lines_per_span: int = 20):
-    """Zero-contour points found by bisection along isoparameter lines.
+    """Zero-contour points: the exact roots of phi along isoparameter lines.
 
     Returns (points (n, 2) physical, params: list of (patch_id, (u, v))).
     Per design patch and per parametric direction, lines_per_span lines
-    cross each knot span; sign changes of the field along each line are
-    bracketed on a fine span-wise scan and bisected to |phi| <= 1e-10.
+    cross each knot span.  Along a line phi is a spline over a positive
+    weight spline, so its zeros are the real roots of the numerator's
+    polynomial pieces, found once per line from its pp-form.
     """
     if lines_per_span < 1:
         raise ConfigError("lines_per_span must be >= 1")
     basis = field.basis
     pts_out, par_out = [], []
     for k, patch in enumerate(basis.patches):
+        net = field.coeffs[basis.patch_slice(k)].reshape(patch.shape) * patch.weights
         for fixed_axis in (0, 1):
-            kv_fixed = patch.knots_u if fixed_axis == 0 else patch.knots_v
-            kv_run = patch.knots_v if fixed_axis == 0 else patch.knots_u
-            lines = _span_grid(kv_fixed, lines_per_span, interior=True)
-            scan = _span_grid(kv_run, max(patch.knots_u.degree, patch.knots_v.degree) + 3,
-                              interior=False)
-            F, S = np.meshgrid(lines, scan, indexing="ij")
-            pts = np.column_stack([F.ravel(), S.ravel()])
+            kv_fixed, kv_run, grid = patch.knots_u, patch.knots_v, net
             if fixed_axis == 1:
-                pts = pts[:, ::-1]
-            phi = phi_on_patch(field, k, pts).reshape(F.shape)
-            sign_flip = phi[:, :-1] * phi[:, 1:] < 0
-            li, si = np.nonzero(sign_flip)
-            if li.size == 0:
-                continue
-            lo = scan[si]
-            hi = scan[si + 1]
-            flo = phi[li, si]
-            fixed_vals = lines[li]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                pm = np.column_stack([fixed_vals, mid])
-                if fixed_axis == 1:
-                    pm = pm[:, ::-1]
-                fm = phi_on_patch(field, k, pm)
-                done = np.abs(fm) <= 1e-10
-                move_lo = fm * flo > 0
-                lo = np.where(move_lo & ~done, mid, lo)
-                flo = np.where(move_lo & ~done, fm, flo)
-                hi = np.where(~move_lo & ~done, mid, hi)
-                if np.all(done) or np.all(hi - lo < 1e-15):
-                    break
-            mid = 0.5 * (lo + hi)
-            pm = np.column_stack([fixed_vals, mid])
+                kv_fixed, kv_run, grid = kv_run, kv_fixed, net.T
+            lines = _span_lines(kv_fixed, lines_per_span)
+            # numerator coefficients in the running direction, one column per line
+            cw = BSpline(kv_fixed.values, grid, kv_fixed.degree)(lines).T
+            numer = BSpline(kv_run.values, cw, kv_run.degree)
+            x, p = kv_run.span_breaks(), kv_run.degree
+            pp = np.stack([numer(x[:-1], nu=j) / factorial(j) for j in range(p, -1, -1)])
+            # one roots call per line: with the lines stacked on a trailing
+            # axis, scipy drops roots equal to those of an earlier line
+            roots = [PPoly(pp[..., i], x).roots(extrapolate=False) for i in range(lines.size)]
+            counts = [r.size for r in roots]
+            run = np.concatenate(roots)
+            fixed = np.repeat(lines, counts)
+            real = ~np.isnan(run)  # NaN follows a segment where phi == 0
+            uv = np.column_stack([fixed[real], run[real]])
             if fixed_axis == 1:
-                pm = pm[:, ::-1]
-            tab = tabulate(patch, pm, check_jacobian=False)
-            pts_out.append(tab.phys)
-            par_out.extend(
-                (basis.patch_ids[k], (pm[i, 0], pm[i, 1])) for i in range(pm.shape[0])
-            )
+                uv = uv[:, ::-1]
+            if uv.size:
+                pts_out.append(tabulate(patch, uv, check_jacobian=False).phys)
+                par_out.extend((basis.patch_ids[k], (u, v)) for u, v in uv)
     if not pts_out:
         return np.empty((0, 2)), []
     pts = np.concatenate(pts_out)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,35 @@ class TestInterfaceAndReinit:
         assert len(pts) > 50
         assert np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.5).max() < 1e-6
         assert len(params) == len(pts)
+
+    @pytest.mark.parametrize("R", [1.25, 1.3, 1.5])
+    def test_exact_circle_one_point_per_radial_line(self, annulus_basis, R):
+        # |P_ij| / |P_0j| is linear in u, so phi = r - R exactly; r = 1.5 is
+        # a knot line
+        P = annulus_basis.patches[0].control_points
+        r = np.hypot(P[..., 0], P[..., 1])
+        c = (r / r[:1] - R).ravel()
+        pts, _ = interface_points(DesignField(annulus_basis, c), 20)
+        assert len(pts) == 24 * 20  # one per radial line: v-spans x lines
+        assert np.abs(radius(pts) - R).max() <= 1e-13
+
+    def test_two_crossings_inside_one_scan_cell(self, annulus_basis, annulus_quad):
+        # phi depends on v only: its numerator has coefficient 1 except -0.34
+        # on one uniform-span quadratic, whose peak 3/4 dips just below zero
+        # over a width far below a fifth of a span
+        patch = annulus_basis.patches[0]
+        numer = np.ones(patch.shape)
+        numer[:, 4] = -0.34
+        fld = DesignField(annulus_basis, (numer / patch.weights).ravel())
+        pts, params = interface_points(fld, 20)
+        assert len(pts) == 2 * 16 * 20  # two per circumferential line
+        uv = np.array([q for _, q in params])
+        tab = tabulate(patch, uv, check_jacobian=False)
+        phi = np.einsum("nl,nl->n", tab.values, fld.coeffs[tab.indices])
+        assert np.abs(phi).max() <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reinitialize(fld, annulus_quad)
 
     def test_positive_field_no_interface(self, annulus_basis):
         pts, params = interface_points(
