@@ -9,7 +9,6 @@ import yaml
 
 from igatop.cli import main
 from igatop.config import RunConfig, build_pipeline
-from igatop.levelset import build_symmetry_map
 from igatop.optimizer import SqpConfig
 
 
@@ -211,15 +210,14 @@ class TestSweepAndOracle:
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("symmetry,coincide", [("none", False), ("xy", True)])
-    def test_symmetry_mode_on_asymmetric_model(self, symmetry, coincide):
+    @pytest.mark.parametrize("symmetry", ["none", "xy"])
+    def test_symmetry_mode_on_asymmetric_model(self, symmetry):
         # config V has no mirror symmetry: only "xy" falls back to "coincide"
         pipe = build_pipeline(RunConfig.from_dict({
             "problem": "cloak", "model": {"config": "V"}, "design": {"symmetry": symmetry},
         }))
-        basis = pipe.field0.basis
-        n_var = build_symmetry_map(basis, "coincide").n_var if coincide else basis.m
-        assert pipe.problem.sym.n_var == n_var == (80 if coincide else 100)
+        n_var = {"none": pipe.field0.basis.m, "xy": 80}[symmetry]
+        assert pipe.problem.sym.n_var == n_var
 
 
 class TestErrors:

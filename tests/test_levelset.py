@@ -13,6 +13,7 @@ from igatop.levelset import (
     heaviside,
     interface_points,
     perimeter,
+    phi_on_patch,
     project_lsf,
     project_values,
     reinitialize,
@@ -166,17 +167,15 @@ class TestInterfaceAndReinit:
 
     def test_two_crossings_inside_one_scan_cell(self, annulus_basis, annulus_quad):
         # phi depends on v only: its numerator has coefficient 1 except -0.34
-        # on one uniform-span quadratic, whose peak 3/4 dips just below zero
-        # over a width far below a fifth of a span
+        # on one uniform-span quadratic, whose peak 3/4 dips below zero on
+        # the middle 0.12 of one span
         patch = annulus_basis.patches[0]
         numer = np.ones(patch.shape)
         numer[:, 4] = -0.34
         fld = DesignField(annulus_basis, (numer / patch.weights).ravel())
         pts, params = interface_points(fld, 20)
         assert len(pts) == 2 * 16 * 20  # two per circumferential line
-        uv = np.array([q for _, q in params])
-        tab = tabulate(patch, uv, check_jacobian=False)
-        phi = np.einsum("nl,nl->n", tab.values, fld.coeffs[tab.indices])
+        phi = phi_on_patch(fld, 0, np.array([q for _, q in params]))
         assert np.abs(phi).max() <= 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("error")
