@@ -192,13 +192,12 @@ class Discretization:
     edges: list[EdgeQuad]
     E: sp.csr_matrix  # jump rows of all interface points, edge after edge
     # both sides of every interface point, side a of all edges first, with
-    # w the edge weight times gamma (side a) or 1 - gamma (side b):
+    # w half the edge weight (the average of the two sides' fluxes):
     # K_n = -[E; E]^T diag(w kappa) [G1n; G2n]
     sides: DesignRows
     Ks: sp.csr_matrix  # jump penalty
     # sum of kappa_r * region_K[r] and Ks for the model's own conductivities
     K_fixed: sp.csr_matrix
-    F0: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
@@ -264,8 +263,7 @@ def discretize(
     edges = [] if model.beta is None else [
         _build_edge(model, basis, pair, patch_dofs, ndof) for pair in model.interfaces]
     E = _stack([e.En for e in edges], ndof)
-    gamma = model.gamma
-    side_w = [gamma * e.w for e in edges] + [(1.0 - gamma) * e.w for e in edges]
+    side_w = [0.5 * e.w for e in edges] * 2
     side_D = [e.D1 for e in edges] + [e.D2 for e in edges]
     sides = DesignRows(
         w=np.concatenate([np.zeros(0)] + side_w),
@@ -278,24 +276,13 @@ def discretize(
     )
     Ks = _gram(E.T.tocsr(), E, np.concatenate([np.zeros(0)] + [e.w * model.beta for e in edges]))
 
-    F0 = np.zeros(ndof)
     dir_map: dict[int, float] = {}
-    for bc in model.boundaries:
-        patch = model.patches[bc.patch]
+    for bc in model.boundaries:  # insulated edges contribute nothing
         if bc.kind == "dirichlet":
-            for dof in patch_dofs[bc.patch][edge_flat_indices(patch, bc.edge)]:
+            for dof in patch_dofs[bc.patch][edge_flat_indices(model.patches[bc.patch], bc.edge)]:
                 prev = dir_map.setdefault(int(dof), bc.value)
                 if prev != bc.value:
                     raise ModelError(f"conflicting Dirichlet values at dof {dof}")
-        elif bc.kind == "neumann":
-            kv = _edge_knots(patch, bc.edge)
-            t, gw = gauss_points_1d(kv)
-            tab, ds, _ = _edge_tab(patch, bc.edge, t)
-            rows = np.repeat(np.arange(t.size), tab.indices.shape[1])
-            cols = patch_dofs[bc.patch][tab.indices].ravel()
-            Ne = sp.csr_matrix((tab.values.ravel(), (rows, cols)), shape=(t.size, ndof))
-            F0 += Ne.T @ (gw * ds * bc.value)
-        # insulated edges contribute nothing
 
     dirichlet_idx = np.array(sorted(dir_map), dtype=int)
     dirichlet_val = np.array([dir_map[i] for i in dirichlet_idx])
@@ -317,7 +304,6 @@ def discretize(
         sides=sides,
         Ks=Ks,
         K_fixed=_fixed_matrix(model, region_K, Ks, {}),
-        F0=F0,
         dirichlet_idx=dirichlet_idx,
         dirichlet_val=dirichlet_val,
         free=free,
@@ -427,7 +413,7 @@ def assemble_system(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ):
-    """Full stiffness K = K_b + K_n + K_n^T + K_s and the applied-flux load.
+    """Full stiffness K = K_b + K_n + K_n^T + K_s.
 
     Only the design-region rows of K_b and the interface term K_n follow
     the field; the rest is the mesh's fixed sum (K_s included), rescaled
@@ -439,7 +425,7 @@ def assemble_system(
     K = _fixed_matrix(disc.model, disc.region_K, disc.Ks, override) if override else disc.K_fixed
     kappa = _kappa_points(disc, bulk, field, sp_, override)
     Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * kappa, 2))
-    return (K + Kd + (Kn + Kn.T)).tocsr(), disc.F0.copy()
+    return (K + Kd + (Kn + Kn.T)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +605,10 @@ def solve_state(
     override: dict | None = None,
 ) -> FieldSolution:
     """Assemble and solve the constrained conduction system."""
-    K, F = assemble_system(disc, field, sp_, override)
+    K = assemble_system(disc, field, sp_, override)
     lu = ConstrainedSystem(disc, K, override)
-    return FieldSolution(disc=disc, values=lu.solve(F), K=K, lu=lu)
+    # no applied flux: the right-hand side comes from the Dirichlet values alone
+    return FieldSolution(disc=disc, values=lu.solve(np.zeros(disc.ndof)), K=K, lu=lu)
 
 
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:

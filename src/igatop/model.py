@@ -3,10 +3,11 @@
 Three families are provided: a two-material annular ring (whole domain is
 designable), square plates with an embedded obstacle and an annular or
 shaped design region (cloak), and a plate with two insulator sectors, a
-conductive object, and a design band between them (camouflage).  Concentric
-regions are built from rational-quadratic 90-degree sectors so interface
-control nets match exactly; plates and shaped boundaries reuse the same
-4-segment loop structure with straight or conic segments.
+conductive object, and a design band between them (camouflage).  Every
+plate comes from one builder: a square core, then one ring of four
+rational-quadratic quarter patches between each pair of consecutive loops
+out to the plate's square.  Loops share one 4-quadrant structure with
+straight or conic segments, so interface control nets match exactly.
 
 Patch axis convention: u runs radially (inner to outer boundary of a
 ring), v runs circumferentially (counterclockwise).  The square core patch
@@ -51,8 +52,8 @@ class BoundaryTag:
 
     patch: int
     edge: str  # 'u0' | 'u1' | 'v0' | 'v1'
-    kind: str  # 'dirichlet' | 'neumann' | 'insulated'
-    value: float = 0.0  # T_D in K for dirichlet, Q_N in W/m^2 for neumann
+    kind: str  # 'dirichlet' | 'insulated'
+    value: float = 0.0  # T_D in K for dirichlet
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -82,7 +83,6 @@ class MultiPatchModel:
     kappa_regions: dict[str, float]
     design_pair: MaterialPair
     beta: float | None = None  # absolute Nitsche penalty; None shares interface dofs
-    gamma: float = 0.5
     symmetry_ok: bool = True
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ class MultiPatchModel:
             key = (bc.patch, bc.edge)
             if key in seen:
                 raise ModelError(f"edge {key} tagged twice")
-            if bc.kind not in ("dirichlet", "neumann", "insulated"):
+            if bc.kind not in ("dirichlet", "insulated"):
                 raise ModelError(f"unknown boundary kind {bc.kind!r}")
             seen[key] = "boundary"
         for itf in self.interfaces:
@@ -138,7 +138,6 @@ class MultiPatchModel:
             "kappa_regions": dict(self.kappa_regions),
             "design_materials": [self.design_pair.kappa_pos, self.design_pair.kappa_neg],
             "beta": self.beta,
-            "gamma": self.gamma,
             "symmetry_ok": self.symmetry_ok,
         }
 
@@ -342,38 +341,41 @@ def core_square_patch(half: float, pieces: int = 1) -> NurbsPatch:
     return NurbsPatch(kv, kv, cps, np.ones((g.size, g.size)))
 
 
-def _ring_interfaces(patches, base: int) -> list[InterfacePair]:
-    """Radial interfaces between the four quarters of one ring."""
-    return [
-        match_edges(patches, base + k, "v1", base + (k + 1) % 4, "v0")
-        for k in range(4)
+_CORE_EDGE_FOR_QUARTER = ("u1", "v1", "u0", "v0")
+
+
+def _plate_model(name: str, loops: list[Loop], core_half: float, labels: list[str],
+                 t_left: float, t_right: float, **regions) -> MultiPatchModel:
+    """Square core of half-width `core_half`, then one ring of four quarter
+    patches inside each loop (innermost first, the plate's square last).
+
+    Interfaces run ring by ring: the four edges onto the ring inside (the
+    core for the first ring), then the four radial edges between its
+    quarters.  The plate's right and left edges are held at t_right and
+    t_left, top and bottom insulated.  `regions` holds the model's
+    conductivities, coupling and symmetry fields.
+    """
+    loops = [square_loop(core_half, loops[0].pieces)] + loops
+    patches = [core_square_patch(core_half, loops[0].pieces)]
+    interfaces = []
+    for inner, outer in zip(loops, loops[1:]):
+        base = len(patches)
+        patches += ring_quarter_patches(inner, outer)
+        inside = ([(0, e) for e in _CORE_EDGE_FOR_QUARTER] if base == 1
+                  else [(base - 4 + k, "u1") for k in range(4)])
+        interfaces += [match_edges(patches, pid, edge, base + k, "u0")
+                       for k, (pid, edge) in enumerate(inside)]
+        interfaces += [match_edges(patches, base + k, "v1", base + (k + 1) % 4, "v0")
+                       for k in range(4)]
+    boundaries = [
+        BoundaryTag(base, "u1", "dirichlet", t_right),
+        BoundaryTag(base + 1, "u1", "insulated"),
+        BoundaryTag(base + 2, "u1", "dirichlet", t_left),
+        BoundaryTag(base + 3, "u1", "insulated"),
     ]
-
-
-def _cross_ring_interfaces(patches, inner_base: int, outer_base: int):
-    return [
-        match_edges(patches, inner_base + k, "u1", outer_base + k, "u0")
-        for k in range(4)
-    ]
-
-
-_CORE_EDGE_FOR_QUARTER = {0: "u1", 1: "v1", 2: "u0", 3: "v0"}
-
-
-def _disk_patches(core_half: float, boundary_loop: Loop):
-    """Square core plus transition ring filling a disk-like region."""
-    core = core_square_patch(core_half, boundary_loop.pieces)
-    ring = ring_quarter_patches(square_loop(core_half, boundary_loop.pieces), boundary_loop)
-    return [core] + ring
-
-
-def _disk_interfaces(patches, core_id: int, ring_base: int):
-    out = [
-        match_edges(patches, core_id, _CORE_EDGE_FOR_QUARTER[k], ring_base + k, "u0")
-        for k in range(4)
-    ]
-    out += _ring_interfaces(patches, ring_base)
-    return out
+    roles = [("circ", "circ")] + [("rad", "circ")] * (len(patches) - 1)
+    return MultiPatchModel(name=name, patches=patches, labels=labels, roles=roles,
+                           interfaces=interfaces, boundaries=boundaries, **regions).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,6 @@ def build_annulus(
     kappa_pos: float = 10.0,
     kappa_neg: float = 100.0,
     beta: float | None = None,
-    gamma: float = 0.5,
 ) -> MultiPatchModel:
     """Annular ring, entirely designable, Dirichlet values on both circles.
 
@@ -414,7 +415,6 @@ def build_annulus(
         kappa_regions={},
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
-        gamma=gamma,
     )
     return model.validate()
 
@@ -435,30 +435,16 @@ CLOAK_CONFIGS = {
 }
 
 
-def _make_loop(spec, pieces: int) -> Loop:
-    kind = spec[0]
-    if kind == "circle":
-        return circle_loop(spec[1], pieces)
-    if kind == "square":
-        return square_loop(spec[1], pieces)
-    if kind == "rect":
-        return rect_loop(spec[1], spec[2], pieces)
-    if kind == "ellipse":
-        return ellipse_loop(spec[1], spec[2], spec[3], pieces)
-    if kind == "diamond":
-        return diamond_loop(spec[1])
-    raise ConfigError(f"unknown loop kind {kind!r}")
-
-
-def _loop_min_halfwidth(spec) -> float:
-    kind = spec[0]
-    if kind in ("circle", "square"):
-        return spec[1]
-    if kind in ("rect", "ellipse"):
-        return min(spec[1], spec[2])
-    if kind == "diamond":
-        return spec[1] / 2.0  # inscribed-square half-width
-    raise ConfigError(f"unknown loop kind {kind!r}")
+#: Loop kind -> (loop from the spec's numbers and the pieces per quadrant,
+#: half-width of the centred square inscribed in the loop).
+_LOOP_KINDS = {
+    "circle": (circle_loop, lambda r: r),
+    "square": (square_loop, lambda half: half),
+    "rect": (rect_loop, min),
+    "ellipse": (ellipse_loop, lambda semi_x, semi_y, angle_deg: min(semi_x, semi_y)),
+    "diamond": (lambda half_diagonal, pieces: diamond_loop(half_diagonal),
+                lambda half_diagonal: half_diagonal / 2.0),
+}
 
 
 def build_cloak_model(
@@ -471,7 +457,6 @@ def build_cloak_model(
     t_left: float = 300.0,
     t_right: float = 200.0,
     beta: float | None = None,
-    gamma: float = 0.5,
 ) -> MultiPatchModel:
     """Square plate with an insulated obstacle and a designable cloak band.
 
@@ -482,43 +467,20 @@ def build_cloak_model(
     if config not in CLOAK_CONFIGS:
         raise ConfigError(f"unknown cloak configuration {config!r}")
     cfg = CLOAK_CONFIGS[config]
-    pieces = 2 if "diamond" in (cfg["obstacle"][0], cfg["cloak"][0]) else 1
-    obstacle_loop = _make_loop(cfg["obstacle"], pieces)
-    cloak_loop = _make_loop(cfg["cloak"], pieces)
-    core_half = 0.45 * _loop_min_halfwidth(cfg["obstacle"])
-
-    patches = _disk_patches(core_half, obstacle_loop)
-    patches += ring_quarter_patches(obstacle_loop, cloak_loop)
-    patches += ring_quarter_patches(cloak_loop, square_loop(plate_half, pieces))
-    labels = ["inside"] * 5 + ["design"] * 4 + ["outside"] * 4
-    roles = [("circ", "circ")] + [("rad", "circ")] * 12
-
-    interfaces = _disk_interfaces(patches, 0, 1)
-    interfaces += _cross_ring_interfaces(patches, 1, 5)
-    interfaces += _ring_interfaces(patches, 5)
-    interfaces += _cross_ring_interfaces(patches, 5, 9)
-    interfaces += _ring_interfaces(patches, 9)
-
-    boundaries = [
-        BoundaryTag(9, "u1", "dirichlet", t_right),
-        BoundaryTag(10, "u1", "insulated"),
-        BoundaryTag(11, "u1", "dirichlet", t_left),
-        BoundaryTag(12, "u1", "insulated"),
-    ]
-    model = MultiPatchModel(
-        name=f"cloak-{config}",
-        patches=patches,
-        labels=labels,
-        roles=roles,
-        interfaces=interfaces,
-        boundaries=boundaries,
+    obstacle, cloak = cfg["obstacle"], cfg["cloak"]
+    pieces = 2 if "diamond" in (obstacle[0], cloak[0]) else 1
+    (obstacle_loop, obstacle_halfwidth), (cloak_loop, _) = (
+        _LOOP_KINDS[obstacle[0]], _LOOP_KINDS[cloak[0]])
+    loops = [obstacle_loop(*obstacle[1:], pieces), cloak_loop(*cloak[1:], pieces),
+             square_loop(plate_half, pieces)]
+    return _plate_model(
+        f"cloak-{config}", loops, 0.45 * obstacle_halfwidth(*obstacle[1:]),
+        ["inside"] * 5 + ["design"] * 4 + ["outside"] * 4, t_left, t_right,
         kappa_regions={"inside": kappa_obstacle, "outside": kappa_base},
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
-        gamma=gamma,
         symmetry_ok=cfg["symmetric"],
     )
-    return model.validate()
 
 
 def build_camouflage_model(
@@ -534,7 +496,6 @@ def build_camouflage_model(
     t_left: float = 300.0,
     t_right: float = 200.0,
     beta: float | None = None,
-    gamma: float = 0.5,
 ) -> MultiPatchModel:
     """Plate with two insulator sectors, a central object, and a design band.
 
@@ -545,50 +506,15 @@ def build_camouflage_model(
     """
     if not 0 < r_object < r_design < r_sector < plate_half:
         raise ConfigError("need 0 < r_object < r_design < r_sector < plate_half")
-    core_half = 0.45 * r_object
-    patches = _disk_patches(core_half, circle_loop(r_object))
-    patches += ring_quarter_patches(circle_loop(r_object), circle_loop(r_design))
-    patches += ring_quarter_patches(circle_loop(r_design), circle_loop(r_sector))
-    patches += ring_quarter_patches(circle_loop(r_sector), square_loop(plate_half))
-    labels = (
-        ["inside"] * 5
-        + ["design"] * 4
-        + ["sector", "outside", "sector", "outside"]
-        + ["outside"] * 4
-    )
-    roles = [("circ", "circ")] + [("rad", "circ")] * 16
-
-    interfaces = _disk_interfaces(patches, 0, 1)
-    interfaces += _cross_ring_interfaces(patches, 1, 5)
-    interfaces += _ring_interfaces(patches, 5)
-    interfaces += _cross_ring_interfaces(patches, 5, 9)
-    interfaces += _ring_interfaces(patches, 9)
-    interfaces += _cross_ring_interfaces(patches, 9, 13)
-    interfaces += _ring_interfaces(patches, 13)
-
-    boundaries = [
-        BoundaryTag(13, "u1", "dirichlet", t_right),
-        BoundaryTag(14, "u1", "insulated"),
-        BoundaryTag(15, "u1", "dirichlet", t_left),
-        BoundaryTag(16, "u1", "insulated"),
-    ]
-    model = MultiPatchModel(
-        name="camouflage",
-        patches=patches,
-        labels=labels,
-        roles=roles,
-        interfaces=interfaces,
-        boundaries=boundaries,
-        kappa_regions={
-            "inside": kappa_object,
-            "outside": kappa_base,
-            "sector": kappa_sector,
-        },
+    loops = [circle_loop(r) for r in (r_object, r_design, r_sector)] + [square_loop(plate_half)]
+    return _plate_model(
+        "camouflage", loops, 0.45 * r_object,
+        ["inside"] * 5 + ["design"] * 4 + ["sector", "outside"] * 2 + ["outside"] * 4,
+        t_left, t_right,
+        kappa_regions={"inside": kappa_object, "outside": kappa_base, "sector": kappa_sector},
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
-        gamma=gamma,
     )
-    return model.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,8 @@ class TestErrors:
         ("output.dir=[", "output.dir"),
         # NaN fails every comparison, so `<= 0` let it through
         ("sqp.optimality_tolerance=.nan", "optimality_tolerance"),
+        # the Nitsche average weight is the constant 1/2, not a key
+        ("model.gamma=0.5", "model.gamma"),
     ])
     def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
         # each of these ended in a traceback, ran until export or was accepted unchecked

@@ -7,6 +7,7 @@ from igatop.errors import ConfigError
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
+    _span_lines,
     build_symmetry_map,
     design_quadrature,
     dirac,
@@ -189,10 +190,15 @@ class TestInterfaceAndReinit:
 
     def test_point_count_bound(self, annulus_basis, annulus_quad):
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
-        pts, _ = interface_points(DesignField(annulus_basis, c), 20)
-        # one sign change per radial line; lines from both directions
-        n_lines = 16 * 20 + 4 * 20  # v-spans x lines + u-spans x lines
-        assert len(pts) <= 2 * n_lines
+        pts, params = interface_points(DesignField(annulus_basis, c), 20)
+        patch = annulus_basis.patches[0]
+        # lines of constant v run radially (24 v-spans), of constant u
+        # circumferentially (16 u-spans)
+        radial, circumferential = _span_lines(patch.knots_v, 20), _span_lines(patch.knots_u, 20)
+        assert (radial.size, circumferential.size) == (480, 320)
+        # the circle crosses each radial line once and no circumferential line
+        assert len(pts) == radial.size
+        assert np.array_equal(np.sort([v for _, (_, v) in params]), radial)
 
     def test_signed_distance_fixed_point(self, annulus_basis, annulus_quad):
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
