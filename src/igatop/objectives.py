@@ -40,7 +40,8 @@ OBJECTIVE_REGIONS = {
 
 @dataclass
 class ObjectiveSpec:
-    """Objective kind plus cached reference fields and normalization."""
+    """Objective kind plus the per-run constants make_objective computes:
+    reference fields, normalization and the evaluation-region mask."""
 
     kind: str
     region: tuple[str, ...]
@@ -48,6 +49,8 @@ class ObjectiveSpec:
     rho: float = 0.0
     t_ref: np.ndarray | None = None  # reference temperatures at solution dofs
     j_norm: float = 1.0
+    mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
+    t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
@@ -88,22 +91,23 @@ def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float
     spec = ObjectiveSpec(kind=kind, region=OBJECTIVE_REGIONS[kind], chi=chi, rho=rho)
     if kind in ("cloak", "camouflage"):
         spec.t_ref, _, spec.j_norm = compute_reference_fields(disc, kind)
+        spec.t_ref_q = disc.N @ spec.t_ref
+    spec.mask = disc.region_mask(spec.region)
     return spec
 
 
 def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
     """Main objective value and dJ/dT at quadrature points (adjoint source)."""
-    mask = disc.region_mask(spec.region)
     Tq = sol.at_quadrature()
     if spec.kind == "annular":
         integrand = Tq**2
         dj_dt = 2.0 * Tq
     else:
-        diff = Tq - disc.N @ spec.t_ref
+        diff = Tq - spec.t_ref_q
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
-    dj_dt = np.where(mask, dj_dt, 0.0)
-    j_main = float((disc.w * integrand)[mask].sum())
+    dj_dt = np.where(spec.mask, dj_dt, 0.0)
+    j_main = float((disc.w * integrand)[spec.mask].sum())
     return j_main, dj_dt
 
 

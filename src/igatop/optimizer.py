@@ -9,6 +9,12 @@ that triggers level-set reinitialization (when available) instead of
 stopping until four consecutive failures.  A schedule also reinitializes
 every fixed number of iterations or function evaluations.  The best-seen
 iterate is returned, not the last.
+
+The start and every reinitialization, scheduled or step-tolerance, run one
+restart routine: evaluate, reset H to |g|_inf I, begin a new reinitialization
+round, and accept the point.  Accepting an iterate (a restart or a line-search
+step) is the one place that moves the current point, updates the best-seen
+iterate and writes a record.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ class SqpState:
     steptol_streak: int = 0
     best_x: np.ndarray = None
     best_j: float = np.inf
+    aux: object = None  # fun's third output at the current iterate
 
 
 def solve_qp_subproblem(g, H, lower, upper, x):
@@ -172,11 +179,6 @@ def check_stop(state: SqpState, cfg: SqpConfig, lower, upper, can_reinit: bool):
     return "continue"
 
 
-def _hessian_reset(g: np.ndarray) -> np.ndarray:
-    scale = np.clip(np.abs(g).max(), 1e-8, 1e8)
-    return scale * np.eye(g.size)
-
-
 def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diameter=np.inf):
     """Core SQP loop over fun(x) -> (j_total, gradient, aux).
 
@@ -189,86 +191,74 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diamet
     n = x0.size
     bound = diameter if cfg.bounds is None else cfg.bounds
     lower, upper = np.full(n, -bound), np.full(n, bound)
-    x = np.clip(x0, lower, upper)
-
-    j, g, aux = fun(x)
-    state = SqpState(x=x, g=g, H=_hessian_reset(g), j_total=j, fevals=1)
-    state.best_x, state.best_j = x.copy(), j
-    _record(state, aux, 0.0, 0.0, "start", record_hook)
-
+    state = SqpState(x=None, g=None, H=None, j_total=np.nan)
     can_reinit = reinit_hook is not None
 
-    def do_reinit():
-        x_new = reinit_hook(state.x)
-        j_new, g_new, aux_new = fun(x_new)
-        state.fevals += 1
-        state.x, state.g, state.j_total = x_new, g_new, j_new
-        state.H = _hessian_reset(g_new)
-        state.round_iters = 0
-        state.round_fevals = 0
-        if j_new < state.best_j:
-            state.best_j, state.best_x = j_new, x_new.copy()
-        _record(state, aux_new, 0.0, 0.0, "reinit", record_hook)
+    def accept(x, j, g, aux, step_norm, alpha, event):
+        state.x, state.g, state.j_total, state.aux = x, g, j, aux
+        # the start point is the first best, whatever its J (NaN included)
+        if state.best_x is None or j < state.best_j:
+            state.best_j, state.best_x = j, x.copy()
+        _record(state, step_norm, alpha, event, record_hook)
 
-    stop_reason = None
+    def restart(x, event):
+        j, g, aux = fun(x)
+        state.fevals += 1
+        state.H = np.clip(np.abs(g).max(), 1e-8, 1e8) * np.eye(g.size)
+        state.round_iters = state.round_fevals = 0
+        accept(x, j, g, aux, 0.0, 0.0, event)
+
+    trial = None
+
+    def f_only(xt):
+        nonlocal trial
+        trial = (xt, *fun(xt))
+        state.fevals += 1
+        state.round_fevals += 1
+        return trial[1]
+
+    restart(np.clip(x0, lower, upper), "start")
     while True:
         decision = check_stop(state, cfg, lower, upper, can_reinit)
-        if decision == "continue":
-            pass
-        elif decision == "reinit":
-            do_reinit()
+        if decision == "reinit":
+            restart(reinit_hook(state.x), "reinit")
             state.steptol_streak = 0
             continue
-        else:
-            stop_reason = decision[1]
-            break
+        if decision != "continue":
+            return state.best_x, state, decision[1]
 
         p = solve_qp_subproblem(state.g, state.H, lower, upper, state.x)
-        gtp = float(state.g @ p)
-        trial = None
-
-        def f_only(xt):
-            nonlocal trial
-            trial = (xt, *fun(xt))
-            state.fevals += 1
-            state.round_fevals += 1
-            return trial[1]
-
-        ls = line_search(f_only, state.x, p, state.j_total, gtp)
+        ls = line_search(f_only, state.x, p, state.j_total, float(state.g @ p))
         state.iteration += 1
         state.round_iters += 1
-        if ls is not None:
+        if ls is None:
+            _record(state, 0.0, 0.0, "steptol", record_hook)
+        else:
             # Armijo returns on the trial it accepts, so that is the last one
             alpha = ls[0]
             s = alpha * p
             x_new, j_new, g_new, aux = trial
             state.H = bfgs_update(state.H, s, g_new - state.g)
-            state.x, state.g, state.j_total = x_new, g_new, j_new
-            if j_new < state.best_j:
-                state.best_j, state.best_x = j_new, x_new.copy()
-            small = np.abs(s).max() <= cfg.step_tolerance
-            _record(state, aux, float(np.abs(s).max()), alpha, "steptol" if small else "",
-                    record_hook)
+            step = float(np.abs(s).max())
+            small = step <= cfg.step_tolerance
+            accept(x_new, j_new, g_new, aux, step, alpha, "steptol" if small else "")
             if not small:
                 state.steptol_streak = 0
                 continue
-        else:
-            _record(state, None, 0.0, 0.0, "steptol", record_hook)
 
         # step-tolerance failure: reinitialize and restart, or give up
         state.steptol_streak += 1
         if not can_reinit:
-            stop_reason = "step_tolerance"
-            break
+            return state.best_x, state, "step_tolerance"
         if state.steptol_streak < cfg.consecutive_steptol_stop:
-            do_reinit()
-
-    return state.best_x, state, stop_reason
+            restart(reinit_hook(state.x), "reinit")
 
 
-def _record(state, aux, step_norm, alpha, event, hook):
-    if isinstance(aux, ObjectiveValue):
-        jm, jt, jv = aux.j_main, aux.j_tknv, aux.j_vol
+def _record(state, step_norm, alpha, event, hook):
+    """Hand the hook one IterationRecord with the current iterate's terms;
+    a fun whose aux is not an ObjectiveValue reports J_total as J_main."""
+    if isinstance(state.aux, ObjectiveValue):
+        jm, jt, jv = state.aux.j_main, state.aux.j_tknv, state.aux.j_vol
     else:
         jm, jt, jv = state.j_total, 0.0, 0.0
     rec = IterationRecord(

@@ -12,7 +12,7 @@ from igatop.levelset import (
     project_lsf,
 )
 from igatop.model import RefineSpec, build_annulus, design_basis_for, refine_model
-from igatop.objectives import HeatProblem, make_objective
+from igatop.objectives import HeatProblem, ObjectiveValue, make_objective
 from igatop.optimizer import (
     SqpConfig,
     SqpState,
@@ -211,6 +211,90 @@ class TestMinimize:
         cfg.objective_limit = -1e30
         best, st, _ = minimize(fun, np.array([3.0, -4.0]), cfg)
         assert st.best_j <= 1e-12
+
+
+def uphill_from(x0):
+    """fun with J_total = 3 + |x - x0|^2 but a reported gradient of ones, so
+    that every line search from x0 climbs and fails."""
+    def fun(x):
+        return 3.0 + float((x - x0) @ (x - x0)), np.ones_like(x), None
+    return fun
+
+
+class TestRecords:
+    def _rows(self, fun):
+        hist = []
+        cfg = SqpConfig(reinit_every_iters=None, reinit_every_fevals=None)
+        _, _, reason = minimize(fun, np.zeros(1), cfg,
+                                record_hook=lambda r, s: hist.append(r))
+        assert reason == "step_tolerance"
+        return [(r.event, r.j_main, r.j_tknv, r.j_vol, r.j_total) for r in hist]
+
+    def test_failed_line_search_keeps_accepted_terms(self):
+        # chi = 0.05, rho = 0.1: 1 + 0.05 * 20 + 0.1 * 10 = 3
+        plain = uphill_from(np.zeros(1))
+
+        def fun(x):
+            j, g, _ = plain(x)
+            z = np.zeros_like(x)
+            return j, g, ObjectiveValue(j - 2.0, 20.0, 10.0, j, z, z, z, g, g)
+
+        assert self._rows(fun) == [("start", 1.0, 20.0, 10.0, 3.0),
+                                   ("steptol", 1.0, 20.0, 10.0, 3.0)]
+
+    def test_plain_fun_reports_total_as_main(self):
+        assert self._rows(uphill_from(np.zeros(1))) == [("start", 3.0, 0.0, 0.0, 3.0),
+                                                        ("steptol", 3.0, 0.0, 0.0, 3.0)]
+
+
+class TestStepToleranceReinit:
+    """Runs whose line searches fail from chosen points.  J = u^2 in the
+    first coordinate; the second tags the point: t = 1 reports the gradient
+    with the wrong sign, so the line search climbs and fails, t = 0 reports
+    it truly.  The reinitialization hook hands out the next scripted point."""
+
+    @staticmethod
+    def _run(points, cfg):
+        calls, hist = [0], []
+
+        def fun(x):
+            calls[0] += 1
+            u, t = x
+            return u * u, np.array([(1.0 - 2.0 * t) * 2.0 * u, 0.0]), None
+
+        script = iter(points[1:])
+        best, state, reason = minimize(
+            fun, points[0], cfg, reinit_hook=lambda x: np.array(next(script)),
+            record_hook=lambda r, s: hist.append((r.event, s.steptol_streak)))
+        return best, state, reason, hist, calls[0]
+
+    def test_failures_reinitialize_until_the_streak_stops(self):
+        cfg = SqpConfig(reinit_every_iters=None, reinit_every_fevals=None)
+        points = [(4.0, 1.0), (3.0, 1.0), (2.0, 1.0), (5.0, 1.0)]
+        best, state, reason, hist, calls = self._run(points, cfg)
+        events = [e for e, _ in hist]
+        assert events == ["start"] + ["steptol", "reinit"] * 3 + ["steptol"]
+        assert cfg.consecutive_steptol_stop == 4
+        assert reason == "step_tolerance" and state.steptol_streak == 4
+        # start, three reinitializations, and each failed search's trials
+        assert state.fevals == calls == 4 + 4 * 34
+        assert np.array_equal(best, [2.0, 1.0]) and state.best_j == 4.0
+
+    def test_scheduled_reinit_starts_the_streak_over(self):
+        # two failures, one accepted step, then the iteration schedule fires;
+        # only the four consecutive failures after it stop the run
+        cfg = SqpConfig(reinit_every_iters=1, reinit_every_fevals=None)
+        points = [(4.0, 1.0), (4.0, 1.0), (3.0, 0.0)] + [(4.0, 1.0)] * 4
+        best, state, reason, hist, calls = self._run(points, cfg)
+        assert hist == [("start", 0), ("steptol", 0), ("reinit", 1), ("steptol", 1),
+                        ("reinit", 2), ("", 2), ("reinit", 0), ("steptol", 0),
+                        ("reinit", 1), ("steptol", 1), ("reinit", 2), ("steptol", 2),
+                        ("reinit", 3), ("steptol", 3)]
+        assert reason == "step_tolerance" and state.steptol_streak == 4
+        assert state.fevals == calls
+        # the accepted step, u = 3 -> 2 (BVLS to roundoff)
+        assert best == pytest.approx([2.0, 0.0], abs=1e-12)
+        assert state.best_j == pytest.approx(4.0, abs=1e-12)
 
 
 class TestOptimizeDeterminism:
