@@ -12,8 +12,8 @@ sum_e int_e beta [N] [N] with that absolute beta.
 Everything the level set does not move is built once per mesh: the bulk
 matrix of each non-design region at unit conductivity, the jump penalty,
 and the interface rows of all edges stacked into one operator (empty
-under strong coupling).  An assembly scales the fixed regions by their
-conductivities (a sum kept for the model's own values) and forms two
+under strong coupling).  A whole assembly scales the fixed regions by
+their conductivities (a sum kept for the model's own values) and forms two
 weighted products A^T diag(s) B, one over the design-region quadrature
 rows and one over the stacked interface rows; the weights scale the
 columns of a precomputed A^T.
@@ -21,19 +21,26 @@ columns of a precomputed A^T.
 Only the free dofs a field-dependent row touches (T: the design-region
 columns and, under an explicit beta, the columns of the design-side
 interface points) see K_ff change.  The other free dofs (I) are
-eliminated once per mesh, by the first solve without an override: K_II
-is factored and W = K_TI K_II^-1 K_IT formed (substructuring; Saad,
-Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 14).  A state
-solve then factors only the Schur complement S = K_TT - W, or K_ff itself
-when nothing is eliminated: on an all-design mesh, and under an override,
-which may rescale any region.  K_ff, and so K_II and S, is symmetric
-positive definite; SuperLU factors in symmetric mode (diagonal pivots, an
-ordering of A + A^T).  One `ConstrainedSystem` per state solve slices
-the free-dof blocks, holds the factors and solves: the state, its
-refinement sweeps and the adjoint share them, the adjoint because K_ff is
-symmetric (K^T P = K P).  Solves refine iteratively on the full K_ff only
-while the componentwise backward error is above eps and the last sweep
-halved it.
+eliminated once per mesh, by the first solve without an override
+(static condensation; Przemieniecki, AIAA J. 1, 1963): K_II is factored,
+Z = K_II^-1 K_IT formed densely on the columns where K_IT holds entries,
+and S = K_TT - W, W = K_TI Z, split into the part of the fixed regions
+and one linear map per kind of field-dependent point, from the points'
+weights times conductivities onto S's fixed pattern.  S is stored in the
+elimination order of SuperLU's minimum-degree ordering of that pattern,
+found once (Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).
+An evaluation then applies the maps, factors S with its natural order and
+solves on T alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is
+solved and refined, and x_I = K_II^-1 b_I - Z x_rim.  The state's
+K_II^-1 b_I is the mesh's, so an evaluation (state and adjoint) takes one
+K_II solve.  Where nothing is eliminated, on an all-design mesh and under
+an override (which may rescale any region), K is assembled whole and K_ff
+factored.  K_ff, and so K_II and S, is symmetric positive definite;
+SuperLU factors in symmetric mode (diagonal pivots, an ordering of
+A + A^T).  The adjoint reuses the state's factors because K_ff is
+symmetric (K^T P = K P).  Solves refine iteratively on the factored
+matrix (S or K_ff) only while the componentwise backward error is above
+eps and the last sweep halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -44,7 +51,7 @@ the jump penalty does not depend on the level set and drops out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +77,7 @@ __all__ = [
     "discretize",
     "assemble_system",
     "ConstrainedSystem",
+    "CondensedSystem",
     "FieldSolution",
     "solve_state",
     "solve_adjoint",
@@ -436,25 +444,37 @@ def assemble_system(
 @dataclass
 class Substructure:
     """The free dofs split into T, every dof a field-dependent row touches,
-    and I, the rest, with the fixed blocks factored once per mesh.
+    and I, the rest, with everything the field does not move built once
+    per mesh.
 
-    Field-dependent rows couple T only to T, so K_II, K_IT and K_TI, and
-    W = K_TI K_II^-1 K_IT, do not change during a run.
+    Field-dependent rows couple T only to T, so K_II, K_IT, K_TI and
+    W = K_TI K_II^-1 K_IT do not change during a run, nor do the fixed
+    regions' parts of S = K_TT - W and of the condensed state load.  S's
+    data is that fixed part plus, per kind of field-dependent point, a map
+    applied to the points' weights times conductivities.  T is numbered
+    in the elimination order of S's factor, so S is factored as stored.
     """
 
-    T: np.ndarray  # positions in `free`
+    T: np.ndarray  # positions in `free`; in S's elimination order when I is non-empty
     I: np.ndarray
-    lu_II: object = None  # None when I is empty
-    K_IT: sp.csr_matrix | None = None
+    # the rest only when I is non-empty
+    lu_II: object = None
     K_TI: sp.csr_matrix | None = None
-    W: sp.csr_matrix | None = None  # (|T|, |T|)
+    rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
+    Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense
+    y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
+    S: sp.csc_matrix | None = None  # S's fixed pattern, holding its fixed part
+    g: np.ndarray | None = None  # the fixed part of the condensed state load
+    # per kind of field-dependent point: (its rows, the points used, the map
+    # onto S's data, the map onto the state load's T rows)
+    maps: list = dc_field(default_factory=list)
 
 
-def _splu(A: sp.csr_matrix):
+def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
     # K_ff, and so K_II and S, is symmetric positive definite: diagonal
     # pivots are stable, and the fill-reducing ordering is that of A + A^T
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
@@ -463,13 +483,46 @@ def _splu(A: sp.csr_matrix):
         ) from exc
 
 
-def _substructure(disc: Discretization, Kff: sp.csr_matrix) -> Substructure:
-    """The mesh's split of the free dofs, built from the first K_ff
-    assembled without an override.
+def _pair_products(A: sp.csr_matrix, B: sp.csr_matrix):
+    """Every product A[r, i] B[r, j] of an entry of row r of A and one of
+    row r of B, for all rows r: the arrays (r, i, j, product)."""
+    na, nb = np.diff(A.indptr), np.diff(B.indptr)
+    n = na * nb
+    r = np.repeat(np.arange(n.size), n)
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    a = A.indptr[r] + t // nb[r]
+    b = B.indptr[r] + t % nb[r]
+    return r, A.indices[a], B.indices[b], A.data[a] * B.data[b]
+
+
+def _point_entries(disc: Discretization):
+    """The stiffness entries of every field-dependent point at unit weight
+    times conductivity: per kind of point, (rows, points used, dof i, dof j,
+    value, point).
+
+    A design-region point adds (B_x,i B_x,j + B_y,i B_y,j) to K_ij; the x
+    and y gradient rows of one point share their columns.  A design-side
+    interface point adds -(A_i B_j) to K_ij and to K_ji, with A its jump row.
+    """
+    bulk, sides = disc.bulk, disc.sides
+    nq = bulk.w.size
+    r, i, j, vx = _pair_products(bulk.B[:nq], bulk.B[:nq])
+    vy = _pair_products(bulk.B[nq:], bulk.B[nq:])[3]
+    out = [(bulk, np.arange(nq), i, j, vx + vy, r)]
+    pts = np.flatnonzero(sides.labels == "design")
+    if pts.size:
+        r, i, j, v = _pair_products(sides.At.T.tocsr()[pts], sides.B[pts])
+        out.append((sides, pts, np.concatenate([i, j]), np.concatenate([j, i]),
+                    -np.tile(v, 2), np.tile(r, 2)))
+    return out
+
+
+def _substructure(disc: Discretization) -> Substructure:
+    """The mesh's split of the free dofs, built by its first solve without
+    an override.
 
     T holds the columns of the design-region rows and, under an explicit
     beta, both operators' columns at the design-labelled interface points.
-    W takes one K_II solve per column of K_IT that holds an entry.
     """
     if disc.substructure is not None:
         return disc.substructure
@@ -483,105 +536,195 @@ def _substructure(disc: Discretization, Kff: sp.csr_matrix) -> Substructure:
         T, I = I, T
     sub = Substructure(T=T, I=I)
     if I.size:
-        K_I = Kff[I]
-        sub.K_IT, sub.K_TI, sub.lu_II = K_I[:, T], Kff[T][:, I], _splu(K_I[:, I])
-        cols = np.unique(sub.K_IT.indices)
-        rows = np.flatnonzero(np.diff(sub.K_TI.indptr))
-        Wb = sub.K_TI[rows] @ sub.lu_II.solve(sub.K_IT[:, cols].toarray())
-        sub.W = sp.csr_matrix(
-            (Wb.ravel(), (np.repeat(rows, cols.size), np.tile(cols, rows.size))),
-            shape=(T.size, T.size))
+        _condense(disc, sub)
     disc.substructure = sub
     return sub
+
+
+def _condense(disc: Discretization, sub: Substructure):
+    """Eliminate I once: factor K_II, form Z and W, and build S's pattern,
+    fixed part and maps and the condensed state load.
+
+    The fixed entries are those of K assembled with the design at zero
+    conductivity.  W takes one K_II solve per column of K_IT that holds an
+    entry, and the state load one more.  S's ordering is SuperLU's minimum
+    degree ordering of its pattern, which does not depend on the values;
+    one factorization at the design pair's mean conductivity finds it.
+    """
+    T, I, free = sub.T, sub.I, disc.free
+    Kf = assemble_system(disc, override={"design": 0.0})[free]
+    Kff = Kf[:, free]
+    K_I, K_T = Kff[I], Kff[T]
+    K_IT, K_TI = K_I[:, T], K_T[:, I]
+    sub.lu_II = _splu(K_I[:, I])
+    rim = np.unique(K_IT.indices)
+    sub.Z = sub.lu_II.solve(K_IT[:, rim].toarray())
+    b = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
+    sub.y_I = sub.lu_II.solve(b[I])
+    g = b[T] - K_TI @ sub.y_I
+    coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
+    K_TT = K_T[:, T].tocoo()
+    W = K_TI[coupled] @ sub.Z
+    wi, wj = np.nonzero(W)  # regions of I that K_II does not connect give zero blocks
+    # S's fixed entries (K_TT, then -W) and every point's, in T's numbering
+    n = T.size
+    pos = np.full(disc.ndof, -1)
+    pos[free[T]] = np.arange(n)
+    dval = np.zeros(disc.ndof)
+    dval[disc.dirichlet_idx] = disc.dirichlet_val
+    is_dir = np.zeros(disc.ndof, dtype=bool)
+    is_dir[disc.dirichlet_idx] = True
+    ti, tj = [K_TT.row, coupled[wi]], [K_TT.col, rim[wj]]
+    n_fixed = K_TT.nnz + wi.size
+    families, loads = [], []
+    for rows, pts, i, j, v, r in _point_entries(disc):
+        in_S = (pos[i] >= 0) & (pos[j] >= 0)
+        to_b = (pos[i] >= 0) & is_dir[j]  # Dirichlet columns move to the load
+        ti.append(pos[i[in_S]])
+        tj.append(pos[j[in_S]])
+        families.append((rows, pts, v[in_S], r[in_S]))
+        loads.append((pos[i[to_b]], -v[to_b] * dval[j[to_b]], r[to_b]))
+    ti, tj = np.concatenate(ti), np.concatenate(tj)
+    keys, entry = np.unique(ti * n + tj, return_inverse=True)
+    nnz = keys.size
+    mean = 0.5 * (disc.model.design_pair.kappa_pos + disc.model.design_pair.kappa_neg)
+    vals = [K_TT.data, -W[wi, wj]]
+    vals += [v * mean * rows.w[pts][r] for rows, pts, v, r in families]
+    S1 = sp.csc_matrix((np.bincount(entry, np.concatenate(vals), nnz), (keys // n, keys % n)),
+                       shape=(n, n))
+    p = _splu(S1).perm_c  # T position -> elimination step
+    q = np.argsort(p)
+    # renumber T by elimination step and store S in CSC order
+    csc_keys = p[keys % n] * n + p[keys // n]  # column-major
+    order = np.argsort(csc_keys)
+    rank = np.empty(nnz, dtype=int)
+    rank[order] = np.arange(nnz)
+    entry = rank[entry]
+    csc_keys = csc_keys[order]
+    indptr = np.searchsorted(csc_keys, np.arange(n + 1) * n)
+    fixed = np.bincount(entry[:n_fixed], np.concatenate(vals[:2]), nnz)
+    sub.S = sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n))
+    sub.T, sub.K_TI, sub.rim, sub.g = T[q], K_TI[q], p[rim], g[q]
+    start = n_fixed
+    for (rows, pts, v, r), (bi, bv, br) in zip(families, loads):
+        M = sp.csr_matrix((v, (entry[start:start + v.size], r)), shape=(nnz, pts.size))
+        Mb = sp.csr_matrix((bv, (p[bi], br)), shape=(n, pts.size))
+        sub.maps.append((rows, pts, M, Mb))
+        start += v.size
 
 
 _EPS = np.finfo(float).eps
 
 
-class ConstrainedSystem:
-    """K with its Dirichlet dofs eliminated, factored once per state solve.
+def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
+    """A x = rhs with the factor `lu` of A, refined iteratively, and guarded
+    against a failed factorization."""
+    abs_rhs = np.abs(rhs)
 
-    K_ff, K_fd and |K_ff| are sliced once.  K_ff is factored through the
-    Schur complement S = K_TT - W of the mesh's substructure, or whole when
-    nothing is eliminated: on an all-design mesh, and under an override,
-    which may rescale any region.  `solve` serves the state and the adjoint
-    solve, which reuses the state's factors because K_ff is symmetric; `nnz`
-    counts the entries of all factors.
+    def residual(x):
+        r = rhs - A @ x
+        denom = abs_A @ np.abs(x) + abs_rhs
+        # componentwise backward error max |r| / (|A| |x| + |b|)
+        berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
+        return r, berr
+
+    x = lu.solve(rhs)
+    r, berr = residual(x)
+    # iterative refinement in working precision only while it helps (the
+    # LAPACK xGERFS rule): sweep while the backward error is above eps and
+    # the last sweep halved it, and keep a sweep only if it lowered it; near
+    # float64 roundoff the residual is noise and a sweep would add error
+    for _ in range(2):
+        if berr <= _EPS:
+            break
+        x_new = x + lu.solve(r)
+        r_new, berr_new = residual(x_new)
+        if not berr_new < berr:
+            break
+        x, r = x_new, r_new
+        if berr_new > 0.5 * berr:
+            break
+        berr = berr_new
+    res = np.linalg.norm(r)
+    # normwise guard against a failed factorization: the residual is
+    # measured against |A| |x| + |rhs|
+    scale = np.linalg.norm(rhs) + abs_A.max() * np.linalg.norm(x)
+    if res > 1e-10 * max(scale, 1.0):
+        raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
+    return x
+
+
+class ConstrainedSystem:
+    """K with its Dirichlet dofs eliminated and K_ff factored whole: on an
+    all-design mesh, and under an override, which may rescale any region.
+
+    K_ff, K_fd and |K_ff| are sliced once.  `solve` serves the state and
+    the adjoint, which reuses the state's factor because K_ff is symmetric.
     """
 
-    def __init__(self, disc: Discretization, K: sp.csr_matrix, override: dict | None = None):
+    def __init__(self, disc: Discretization, K: sp.csr_matrix):
         self.disc = disc
         Kf = K[disc.free]
         self.Kff = Kff = Kf[:, disc.free]
         self.Kfd = Kf[:, disc.dirichlet_idx]  # free rows, Dirichlet columns
         self.abs_Kff = abs(Kff)
-        sub = None if override else _substructure(disc, Kff)
-        self.sub = sub if sub is not None and sub.I.size else None
-        if self.sub is None:
-            self.lu_S = _splu(Kff)
-            self.nnz = self.lu_S.nnz
-        else:
-            T = self.sub.T
-            self.lu_S = _splu(Kff[T][:, T] - self.sub.W)
-            self.nnz = self.lu_S.nnz + self.sub.lu_II.nnz
+        self.lu = _splu(Kff)
+        self.nnz = self.lu.nnz
 
-    def _solve_free(self, b: np.ndarray) -> np.ndarray:
-        """K_ff x = b: two K_II solves and one S solve, or one solve with the
-        whole K_ff."""
-        sub = self.sub
-        if sub is None:
-            return self.lu_S.solve(b)
-        b_I = b[sub.I]
-        x = np.empty_like(b)
-        x[sub.T] = x_T = self.lu_S.solve(b[sub.T] - sub.K_TI @ sub.lu_II.solve(b_I))
-        x[sub.I] = sub.lu_II.solve(b_I - sub.K_IT @ x_T)
-        return x
-
-    def solve(self, F: np.ndarray, dirichlet_val=None) -> np.ndarray:
-        """All dofs of K x = F with x fixed to `dirichlet_val` (default: the
-        mesh's own values) at the Dirichlet dofs."""
+    def solve(self, F: np.ndarray | None = None) -> np.ndarray:
+        """All dofs of K x = F with zero Dirichlet data, or with no F the
+        state: no load and the mesh's own Dirichlet values."""
         disc = self.disc
         free = disc.free
-        dval = disc.dirichlet_val if dirichlet_val is None else dirichlet_val
-        rhs = F[free]
-        if disc.dirichlet_idx.size and np.any(dval != 0.0):
-            rhs = rhs - self.Kfd @ dval
-        abs_rhs = np.abs(rhs)
-
-        def residual(x):
-            r = rhs - self.Kff @ x
-            denom = self.abs_Kff @ np.abs(x) + abs_rhs
-            # componentwise backward error max |r| / (|A| |x| + |b|)
-            berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
-            return r, berr
-
-        x_f = self._solve_free(rhs)
-        r, berr = residual(x_f)
-        # iterative refinement in working precision only while it helps (the
-        # LAPACK xGERFS rule): sweep while the backward error is above eps and
-        # the last sweep halved it, and keep a sweep only if it lowered it; near
-        # float64 roundoff the residual is noise and a sweep would add error
-        for _ in range(2):
-            if berr <= _EPS:
-                break
-            x_new = x_f + self._solve_free(r)
-            r_new, berr_new = residual(x_new)
-            if not berr_new < berr:
-                break
-            x_f, r = x_new, r_new
-            if berr_new > 0.5 * berr:
-                break
-            berr = berr_new
-        res = np.linalg.norm(r)
-        # normwise guard against a failed factorization: the residual is
-        # measured against |K| |x| + |rhs|
-        scale = np.linalg.norm(rhs) + self.abs_Kff.max() * np.linalg.norm(x_f)
-        if res > 1e-10 * max(scale, 1.0):
-            raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
+        rhs = np.zeros(free.size) if F is None else F[free]
+        if F is None and disc.dirichlet_idx.size and np.any(disc.dirichlet_val != 0.0):
+            rhs = rhs - self.Kfd @ disc.dirichlet_val
         x = np.zeros(disc.ndof)
-        x[free] = x_f
-        if disc.dirichlet_idx.size:
-            x[disc.dirichlet_idx] = dval
+        x[free] = _refined_solve(self.lu, self.Kff, self.abs_Kff, rhs)
+        if F is None and disc.dirichlet_idx.size:
+            x[disc.dirichlet_idx] = disc.dirichlet_val
+        return x
+
+
+class CondensedSystem:
+    """K_ff condensed onto T for one design field: S assembled by the
+    mesh's maps and factored in its ordering.
+
+    A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
+    and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
+    K_II^-1 b_I is the mesh's; another load costs one K_II solve.  `nnz`
+    counts the entries of both factors.
+    """
+
+    def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
+        self.disc, self.sub = disc, sub
+        data, self.g = sub.S.data.copy(), sub.g.copy()
+        for rows, pts, M, Mb in sub.maps:
+            s = (rows.w * _kappa_points(disc, rows, field, sp_, None))[pts]
+            data += M @ s
+            self.g += Mb @ s
+        self.S = sp.csc_matrix((data, sub.S.indices, sub.S.indptr), shape=sub.S.shape)
+        self.abs_S = abs(self.S)
+        self.lu = _splu(self.S, "NATURAL")
+        self.nnz = self.lu.nnz + sub.lu_II.nnz
+
+    def solve(self, F: np.ndarray | None = None) -> np.ndarray:
+        """As `ConstrainedSystem.solve`."""
+        disc, sub = self.disc, self.sub
+        if F is None:
+            y_I, g = sub.y_I, self.g
+        else:
+            b = F[disc.free]
+            y_I = sub.lu_II.solve(b[sub.I])
+            g = b[sub.T] - sub.K_TI @ y_I
+        x_T = _refined_solve(self.lu, self.S, self.abs_S, g)
+        x_f = np.empty(disc.free.size)
+        x_f[sub.T] = x_T
+        x_f[sub.I] = y_I - sub.Z @ x_T[sub.rim]
+        x = np.zeros(disc.ndof)
+        x[disc.free] = x_f
+        if F is None:
+            x[disc.dirichlet_idx] = disc.dirichlet_val
         return x
 
 
@@ -591,8 +734,8 @@ class FieldSolution:
 
     disc: Discretization
     values: np.ndarray  # (ndof,)
-    K: sp.csr_matrix
-    lu: ConstrainedSystem
+    K: sp.spmatrix  # the assembled K, or S on a condensed solve
+    lu: ConstrainedSystem | CondensedSystem
 
     def at_quadrature(self):
         return self.disc.N @ self.values
@@ -604,22 +747,26 @@ def solve_state(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ) -> FieldSolution:
-    """Assemble and solve the constrained conduction system."""
+    """Solve the constrained conduction system: condensed onto T where the
+    mesh's substructure eliminates anything, else with K_ff whole.  There is
+    no applied flux; the load comes from the Dirichlet values alone."""
+    sub = None if override else _substructure(disc)
+    if sub is not None and sub.I.size:
+        lu = CondensedSystem(disc, sub, field, sp_)
+        return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
     K = assemble_system(disc, field, sp_, override)
-    lu = ConstrainedSystem(disc, K, override)
-    # no applied flux: the right-hand side comes from the Dirichlet values alone
-    return FieldSolution(disc=disc, values=lu.solve(np.zeros(disc.ndof)), K=K, lu=lu)
+    lu = ConstrainedSystem(disc, K)
+    return FieldSolution(disc=disc, values=lu.solve(), K=K, lu=lu)
 
 
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
-    is symmetric, so this is a solve with the state's blocks and factors.
+    is symmetric, so this is a solve with the state's factors.
     """
     disc = state.disc
-    F_adj = disc.N.T @ (disc.w * load_q)
-    return state.lu.solve(F_adj, np.zeros_like(disc.dirichlet_val))
+    return state.lu.solve(disc.N.T @ (disc.w * load_q))
 
 
 def sensitivity_contraction(

@@ -120,13 +120,14 @@ def solve_qp_subproblem(g, H, lower, upper, x):
                       tol=QP_TOL, max_iter=4 * g.size + 16).x
 
 
-def line_search(f, x, p, f0, gtp):
-    """Armijo backtracking from alpha = 1; returns (alpha, f_new, n_evals) or None."""
+def line_search(f, x, p, f0, gtp, max_evals=None):
+    """Armijo backtracking from alpha = 1, at most `max_evals` trials (no
+    limit when None); returns (alpha, f_new, n_evals) or None."""
     if gtp >= 0:
         return None
     alpha = 1.0
     n_evals = 0
-    while alpha >= ALPHA_MIN:
+    while alpha >= ALPHA_MIN and (max_evals is None or n_evals < max_evals):
         f_new = f(x + alpha * p)
         n_evals += 1
         if f_new <= f0 + ARMIJO_C1 * alpha * gtp:
@@ -222,13 +223,13 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diamet
         decision = check_stop(state, cfg, lower, upper, can_reinit)
         if decision == "reinit":
             restart(reinit_hook(state.x), "reinit")
-            state.steptol_streak = 0
             continue
         if decision != "continue":
             return state.best_x, state, decision[1]
 
         p = solve_qp_subproblem(state.g, state.H, lower, upper, state.x)
-        ls = line_search(f_only, state.x, p, state.j_total, float(state.g @ p))
+        ls = line_search(f_only, state.x, p, state.j_total, float(state.g @ p),
+                         cfg.max_function_evaluations - state.fevals)
         state.iteration += 1
         state.round_iters += 1
         if ls is None:
@@ -246,8 +247,12 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diamet
                 state.steptol_streak = 0
                 continue
 
-        # step-tolerance failure: reinitialize and restart, or give up
+        # step-tolerance failure: reinitialize and restart, or give up.  At
+        # the evaluation cap (which may have cut the line search short) the
+        # next stop check ends the run there, without a restart's evaluation
         state.steptol_streak += 1
+        if state.fevals >= cfg.max_function_evaluations:
+            continue
         if not can_reinit:
             return state.best_x, state, "step_tolerance"
         if state.steptol_streak < cfg.consecutive_steptol_stop:

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from igatop import assembly
 from igatop.assembly import (
     MaterialPair,
     assemble_system,
@@ -13,6 +16,7 @@ from igatop.assembly import (
     solve_adjoint,
     solve_state,
 )
+from igatop.config import RunConfig, build_pipeline
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
@@ -35,6 +39,7 @@ from igatop.oracle import annulus_adjoint, annulus_state
 from igatop.splines import KnotVector, NurbsPatch, patch_quadrature, tabulate
 
 RNG = np.random.default_rng(23)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SP = SmoothingParams(0.05)
 COPPER_PDMS = MaterialPair(398.0, 0.27)
 
@@ -264,8 +269,9 @@ class TestAssemblyReference:
     def test_state_backward_error_at_eps(self):
         # componentwise backward error of the refined state solve on the
         # shipped cloak solution mesh
-        sol = ring_cloak_state(build_cloak_model("circular"), 16)
-        disc, Kf = sol.disc, sol.K[sol.disc.free]
+        disc, field, sp_ = ring_cloak(build_cloak_model("circular"), 16)
+        sol = solve_state(disc, field, sp_)
+        Kf = assemble_system(disc, field, sp_)[disc.free]
         Kff = Kf[:, disc.free]
         x = sol.values[disc.free]
         rhs = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
@@ -357,12 +363,13 @@ class TestSolves:
         """Condensed state and adjoint solves against one splu of K_ff, on
         the free dofs outside the regions `skip`."""
         disc, field, sp_ = ring_cloak(cloak, sub)
-        # the fixed blocks come from the first field's K_ff; the second
+        # the first solve builds the mesh's substructure; the second
         # (phi = 0) moves the conductivity at every design point
         solve_state(disc, field, sp_)
-        sol = solve_state(disc, DesignField(field.basis, np.zeros_like(field.coeffs)), sp_)
+        zero = DesignField(field.basis, np.zeros_like(field.coeffs))
+        sol = solve_state(disc, zero, sp_)
         assert disc.substructure.I.size > 0
-        free, Kf = disc.free, sol.K[disc.free]
+        free, Kf = disc.free, assemble_system(disc, zero, sp_)[disc.free]
         skipped = [disc.patch_dofs[p] for p, lab in enumerate(disc.model.labels) if lab in skip]
         keep = ~np.isin(free, np.concatenate([np.zeros(0, int)] + skipped))
         full = splu(Kf[:, free].tocsc())
@@ -431,6 +438,86 @@ class TestSolves:
         ]
         assert all(b <= 0.2 * a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 1e-5
+
+
+@pytest.fixture(scope="module")
+def plates():
+    """Pipelines of the shipped cloak and camouflage configs."""
+    return {name: build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
+            for name in ("cloak", "camouflage")}
+
+
+class TestCondensed:
+    """Evaluations on a mesh whose substructure eliminates I solve on T alone."""
+
+    @pytest.mark.parametrize("name", ["cloak", "camouflage", "explicit-beta ring cloak"])
+    def test_map_assembled_schur_complement(self, plates, name):
+        # S from the mesh's maps against K_ff[T][:, T] - W sliced from the
+        # whole assembly, W from a K_II factor of its own; the start design
+        # and a perturbed one
+        if name in plates:
+            pipe = plates[name]
+            disc, field, sp_ = pipe.disc, pipe.field0, pipe.smoothing
+        else:
+            disc, field, sp_ = ring_cloak(build_cloak_model("circular", beta=1e4), 4)
+        rng = np.random.default_rng(7)
+        for c in (field.coeffs, field.coeffs + 0.5 * rng.standard_normal(field.coeffs.size)):
+            fld = DesignField(field.basis, c)
+            S = solve_state(disc, fld, sp_).K.toarray()
+            sub = disc.substructure
+            Kff = assemble_system(disc, fld, sp_)[disc.free][:, disc.free]
+            W = Kff[sub.T][:, sub.I] @ splu(Kff[sub.I][:, sub.I].tocsc()).solve(
+                Kff[sub.I][:, sub.T].toarray())
+            ref = Kff[sub.T][:, sub.T].toarray() - W
+            assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("beta", [None, 1e4])
+    def test_design_on_a_dirichlet_edge(self, beta):
+        # the design square's x = 0 edge is held at 300 K, so the design
+        # points move the Dirichlet load on T too (no shipped plate does)
+        model = two_square_model(beta=beta)
+        model.labels = ["design", "outside"]
+        model.design_pair = MaterialPair(10.0, 0.5)
+        basis = design_basis_for(model, RefineSpec(2, 1, 2, 2))
+        disc = discretize(refine_model(model, RefineSpec(2, 1, 4, 4)), basis)
+        c = project_lsf(design_quadrature(basis, 4),
+                        lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) - 0.3)
+        field, sp_ = DesignField(basis, c), SmoothingParams(0.1)
+        sol = solve_state(disc, field, sp_)
+        assert disc.substructure.I.size and disc.substructure.maps[0][3].nnz
+        Kf = assemble_system(disc, field, sp_)[disc.free]
+        full = splu(Kf[:, disc.free].tocsc())
+        T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
+        load = RNG.standard_normal(disc.w.size)
+        P_ref = full.solve((disc.N.T @ (disc.w * load))[disc.free])
+        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, load), P_ref)):
+            assert np.abs(x[disc.free] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_factorization_and_one_interior_solve_per_evaluation(self, plates,
+                                                                     monkeypatch):
+        pipe = plates["cloak"]
+        eval_total(pipe.problem, pipe.field0)  # the first solve builds the substructure
+        sub = pipe.disc.substructure
+        counts = {"splu": 0, "assemble_system": 0, "K_II solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountedLU:
+            def __init__(self, lu):
+                self.nnz, self.solve = lu.nnz, counted("K_II solve", lu.solve)
+
+        monkeypatch.setattr(assembly, "splu", counted("splu", assembly.splu))
+        monkeypatch.setattr(assembly, "assemble_system",
+                            counted("assemble_system", assembly.assemble_system))
+        monkeypatch.setattr(sub, "lu_II", CountedLU(sub.lu_II))
+        c = pipe.field0.coeffs + RNG.standard_normal(pipe.field0.coeffs.size)
+        eval_total(pipe.problem, DesignField(pipe.field0.basis, c))
+        assert counts["splu"] == 1 and counts["assemble_system"] == 0
+        assert counts["K_II solve"] <= 1
 
 
 class TestSensitivity:

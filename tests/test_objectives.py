@@ -1,7 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from igatop.assembly import discretize, solve_state
+from igatop.assembly import (
+    ConstrainedSystem,
+    FieldSolution,
+    assemble_system,
+    discretize,
+    kappa_at,
+    sensitivity_contraction,
+    solve_adjoint,
+    solve_state,
+)
+from igatop.config import RunConfig, build_pipeline
 from igatop.errors import ConfigError
 from igatop.levelset import (
     DesignField,
@@ -28,6 +41,7 @@ from igatop.objectives import (
 )
 
 RNG = np.random.default_rng(31)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +229,38 @@ class TestEvalTotal:
             jp, jm = (eval_total(prob, DesignField(basis, c0 + s * t * p)).j_total
                       for s in (1.0, -1.0))
             assert (jp - jm) / (2.0 * t) == pytest.approx(slope, rel=1e-6)
+
+
+def whole_factor_main(prob: HeatProblem, field: DesignField, K):
+    """J_main and its gradient with K's K_ff factored whole."""
+    disc = prob.disc
+    lu = ConstrainedSystem(disc, K)
+    sol = FieldSolution(disc=disc, values=lu.solve(), K=K, lu=lu)
+    j, dj_dt = eval_main(prob.spec, disc, sol)
+    P = solve_adjoint(sol, -dj_dt)
+    return j, sensitivity_contraction(disc, field, prob.smoothing, sol.values, P)
+
+
+class TestCondensedEvaluation:
+    @pytest.mark.parametrize("name", ["cloak", "camouflage"])
+    def test_matches_whole_factor(self, name):
+        # eval_total condenses onto T on the shipped plates; the reference
+        # factors the whole K_ff.  Roundoff alone sets a floor: the reference
+        # itself moves when the design points of its assembly are summed in
+        # reverse order (by 2e-9 of the camouflage start's gradient), so the
+        # bound is 1e-12 or four times that move, the larger
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
+        prob, disc, bulk = pipe.problem, pipe.disc, pipe.disc.bulk
+        rng = np.random.default_rng(5)
+        for k in range(4):
+            c = pipe.field0.coeffs + (0.5 * rng.standard_normal(bulk.D.shape[1]) if k else 0.0)
+            field = prob.field(c)
+            val = eval_total(prob, field)
+            kappa = kappa_at(bulk.D @ c, disc.model.design_pair, prob.smoothing)
+            B, s = bulk.B[::-1], np.tile(bulk.w * kappa, 2)[::-1]
+            K_rev = (disc.K_fixed + B.T @ sp.diags(s) @ B).tocsr()
+            j, g = whole_factor_main(prob, field, assemble_system(disc, field, prob.smoothing))
+            j_rev, g_rev = whole_factor_main(prob, field, K_rev)
+            for x, ref, alt in ((val.j_main, j, j_rev), (val.grad_main, g, g_rev)):
+                floor = np.abs(alt - ref).max()
+                assert np.abs(x - ref).max() <= max(1e-12 * np.abs(ref).max(), 4.0 * floor)

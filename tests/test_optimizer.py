@@ -113,6 +113,12 @@ class TestLineSearch:
                           np.array([1.0, 0.0]), 0.5, -1.0)
         assert out is None
 
+    def test_trials_stop_at_max_evals(self):
+        calls = []
+        out = line_search(lambda xt: calls.append(xt) or 1.0 + float(xt @ xt), np.zeros(2),
+                          np.array([1.0, 0.0]), 0.5, -1.0, max_evals=5)
+        assert out is None and len(calls) == 5
+
     def test_armijo_bound_satisfied(self):
         f = lambda a: float((a[0] - 0.3) ** 2)
         x = np.zeros(1)
@@ -295,6 +301,55 @@ class TestStepToleranceReinit:
         # the accepted step, u = 3 -> 2 (BVLS to roundoff)
         assert best == pytest.approx([2.0, 0.0], abs=1e-12)
         assert state.best_j == pytest.approx(4.0, abs=1e-12)
+
+
+class TestEvaluationCap:
+    """A run never evaluates more often than `max_function_evaluations`: a
+    line search stops its trials at the evaluations left, and no restart is
+    made at the cap."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 10, 35, 36, 40, 100])
+    def test_failing_searches_with_reinit(self, cap):
+        # every line search climbs and fails (34 trials uncapped), and every
+        # reinitialization hands out another such point
+        calls = [0]
+
+        def fun(x):
+            calls[0] += 1
+            return 3.0 + float(x @ x), np.ones_like(x), None
+
+        cfg = SqpConfig(max_function_evaluations=cap, reinit_every_iters=None,
+                        reinit_every_fevals=None)
+        _, state, reason = minimize(fun, np.zeros(1), cfg, reinit_hook=lambda x: np.zeros(1))
+        assert state.fevals == calls[0] == cap
+        assert reason == "max_function_evaluations"
+
+    @pytest.mark.parametrize("cap", [1, 5, 20])
+    def test_without_reinit_and_on_a_descent_run(self, cap):
+        calls = [0]
+
+        def uphill(x):
+            calls[0] += 1
+            return 3.0 + float(x @ x), np.ones_like(x), None
+
+        cfg = SqpConfig(max_function_evaluations=cap, reinit_every_iters=None,
+                        reinit_every_fevals=None)
+        _, state, reason = minimize(uphill, np.zeros(1), cfg)
+        assert state.fevals == calls[0] == cap and reason == "max_function_evaluations"
+
+        # the Rosenbrock valley takes more evaluations than any cap here
+        calls[0] = 0
+
+        def rosenbrock(x):
+            calls[0] += 1
+            a, b = x
+            return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+                    np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]), None)
+
+        cfg.objective_limit = -1.0
+        _, state, reason = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg,
+                                    reinit_hook=lambda x: x)
+        assert state.fevals == calls[0] <= cap and reason == "max_function_evaluations"
 
 
 class TestOptimizeDeterminism:
