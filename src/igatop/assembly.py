@@ -26,20 +26,21 @@ eliminated once per mesh, by the first solve without an override
 Z = K_II^-1 K_IT formed densely on the columns where K_IT holds entries,
 and S = K_TT - W, W = K_TI Z, split into the part of the fixed regions
 and one linear map per kind of field-dependent point, from the points'
-weights times conductivities onto S's fixed pattern.  S is stored in the
-elimination order of SuperLU's minimum-degree ordering of that pattern,
-found once (Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).
-An evaluation then applies the maps, factors S with its natural order and
+weights times conductivities onto S's fixed pattern.  On an all-design
+mesh I is empty and S is K_ff itself.  S is stored in the elimination
+order of SuperLU's minimum-degree ordering of that pattern, found once
+(Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).  An
+evaluation then applies the maps, factors S with its natural order and
 solves on T alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is
 solved and refined, and x_I = K_II^-1 b_I - Z x_rim.  The state's
-K_II^-1 b_I is the mesh's, so an evaluation (state and adjoint) takes one
-K_II solve.  Where nothing is eliminated, on an all-design mesh and under
-an override (which may rescale any region), K is assembled whole and K_ff
-factored.  K_ff, and so K_II and S, is symmetric positive definite;
-SuperLU factors in symmetric mode (diagonal pivots, an ordering of
-A + A^T).  The adjoint reuses the state's factors because K_ff is
-symmetric (K^T P = K P).  Solves refine iteratively on the factored
-matrix (S or K_ff) only while the componentwise backward error is above
+K_II^-1 b_I is the mesh's, so an evaluation (state and adjoint) takes at
+most one K_II solve.  A solve under an override (which may rescale any
+region) splits the free dofs once for itself: I empty, S = K_ff sliced
+from a whole assembly, factored in SuperLU's own ordering.  K_ff, and so
+K_II and S, is symmetric positive definite; SuperLU factors in symmetric
+mode (diagonal pivots, an ordering of A + A^T).  The adjoint reuses the
+state's factors because K_ff is symmetric (K^T P = K P).  Solves refine
+iteratively on S only while the componentwise backward error is above
 eps and the last sweep halved it.
 
 Sensitivities with respect to level-set expansion coefficients contract
@@ -76,7 +77,6 @@ __all__ = [
     "Discretization",
     "discretize",
     "assemble_system",
-    "ConstrainedSystem",
     "CondensedSystem",
     "FieldSolution",
     "solve_state",
@@ -204,8 +204,6 @@ class Discretization:
     # K_n = -[E; E]^T diag(w kappa) [G1n; G2n]
     sides: DesignRows
     Ks: sp.csr_matrix  # jump penalty
-    # sum of kappa_r * region_K[r] and Ks for the model's own conductivities
-    K_fixed: sp.csr_matrix
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
@@ -311,7 +309,6 @@ def discretize(
         E=E,
         sides=sides,
         Ks=Ks,
-        K_fixed=_fixed_matrix(model, region_K, Ks, {}),
         dirichlet_idx=dirichlet_idx,
         dirichlet_val=dirichlet_val,
         free=free,
@@ -430,7 +427,7 @@ def assemble_system(
     """
     sides, bulk = disc.sides, disc.bulk
     Kn = -_gram(sides.At, sides.B, sides.w * _kappa_points(disc, sides, field, sp_, override))
-    K = _fixed_matrix(disc.model, disc.region_K, disc.Ks, override) if override else disc.K_fixed
+    K = _fixed_matrix(disc.model, disc.region_K, disc.Ks, override or {})
     kappa = _kappa_points(disc, bulk, field, sp_, override)
     Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * kappa, 2))
     return (K + Kd + (Kn + Kn.T)).tocsr()
@@ -453,21 +450,25 @@ class Substructure:
     data is that fixed part plus, per kind of field-dependent point, a map
     applied to the points' weights times conductivities.  T is numbered
     in the elimination order of S's factor, so S is factored as stored.
+    I may be empty (an all-design mesh): S is then K_ff.  A one-off split
+    under an override keeps the free dofs' order and factors in SuperLU's
+    own ordering.
     """
 
-    T: np.ndarray  # positions in `free`; in S's elimination order when I is non-empty
+    T: np.ndarray  # positions in `free`
     I: np.ndarray
+    S: sp.spmatrix  # S's fixed pattern, holding its fixed part
+    g: np.ndarray  # the fixed part of the condensed state load
+    # per kind of field-dependent point: (its rows, the points used, the map
+    # onto S's data, the map onto the state load's T rows)
+    maps: list = dc_field(default_factory=list)
+    permc_spec: str = "NATURAL"  # the ordering S is factored with
     # the rest only when I is non-empty
     lu_II: object = None
     K_TI: sp.csr_matrix | None = None
     rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
     Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense
     y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
-    S: sp.csc_matrix | None = None  # S's fixed pattern, holding its fixed part
-    g: np.ndarray | None = None  # the fixed part of the condensed state load
-    # per kind of field-dependent point: (its rows, the points used, the map
-    # onto S's data, the map onto the state load's T rows)
-    maps: list = dc_field(default_factory=list)
 
 
 def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -524,26 +525,22 @@ def _substructure(disc: Discretization) -> Substructure:
     T holds the columns of the design-region rows and, under an explicit
     beta, both operators' columns at the design-labelled interface points.
     """
-    if disc.substructure is not None:
-        return disc.substructure
-    touched = [disc.bulk.B.indices]
-    on_design = disc.sides.labels == "design"
-    if np.any(on_design):
-        touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
-    in_T = np.isin(disc.free, np.concatenate(touched))
-    T, I = np.flatnonzero(in_T), np.flatnonzero(~in_T)
-    if not T.size:  # no field-dependent rows: K_ff stays whole
-        T, I = I, T
-    sub = Substructure(T=T, I=I)
-    if I.size:
-        _condense(disc, sub)
-    disc.substructure = sub
-    return sub
+    if disc.substructure is None:
+        touched = [disc.bulk.B.indices]
+        on_design = disc.sides.labels == "design"
+        if np.any(on_design):
+            touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
+        in_T = np.isin(disc.free, np.concatenate(touched))
+        if not np.any(in_T):  # no field-dependent rows: S is K_ff
+            in_T[:] = True
+        disc.substructure = _condense(disc, np.flatnonzero(in_T), np.flatnonzero(~in_T))
+    return disc.substructure
 
 
-def _condense(disc: Discretization, sub: Substructure):
-    """Eliminate I once: factor K_II, form Z and W, and build S's pattern,
-    fixed part and maps and the condensed state load.
+def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray) -> Substructure:
+    """Eliminate I once and build S's pattern, fixed part and maps and the
+    condensed state load; where I is non-empty, factor K_II and form Z and
+    W first.
 
     The fixed entries are those of K assembled with the design at zero
     conductivity.  W takes one K_II solve per column of K_IT that holds an
@@ -551,22 +548,32 @@ def _condense(disc: Discretization, sub: Substructure):
     degree ordering of its pattern, which does not depend on the values;
     one factorization at the design pair's mean conductivity finds it.
     """
-    T, I, free = sub.T, sub.I, disc.free
+    free = disc.free
     Kf = assemble_system(disc, override={"design": 0.0})[free]
     Kff = Kf[:, free]
-    K_I, K_T = Kff[I], Kff[T]
-    K_IT, K_TI = K_I[:, T], K_T[:, I]
-    sub.lu_II = _splu(K_I[:, I])
-    rim = np.unique(K_IT.indices)
-    sub.Z = sub.lu_II.solve(K_IT[:, rim].toarray())
-    b = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
-    sub.y_I = sub.lu_II.solve(b[I])
-    g = b[T] - K_TI @ sub.y_I
-    coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
+    K_T = Kff[T]
     K_TT = K_T[:, T].tocoo()
-    W = K_TI[coupled] @ sub.Z
-    wi, wj = np.nonzero(W)  # regions of I that K_II does not connect give zero blocks
+    b = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
+    g = b[T]
     # S's fixed entries (K_TT, then -W) and every point's, in T's numbering
+    ti, tj, fixed_vals = [K_TT.row], [K_TT.col], [K_TT.data]
+    lu_II = K_TI = rim = Z = y_I = None
+    if I.size:
+        K_I = Kff[I]
+        K_IT, K_TI = K_I[:, T], K_T[:, I]
+        lu_II = _splu(K_I[:, I])
+        rim = np.unique(K_IT.indices)
+        Z = lu_II.solve(K_IT[:, rim].toarray())
+        y_I = lu_II.solve(b[I])
+        g = g - K_TI @ y_I
+        coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
+        W = K_TI[coupled] @ Z
+        wi, wj = np.nonzero(W)  # regions of I that K_II does not connect give zero blocks
+        ti.append(coupled[wi])
+        tj.append(rim[wj])
+        fixed_vals.append(-W[wi, wj])
+    fixed_vals = np.concatenate(fixed_vals)
+    n_fixed = fixed_vals.size
     n = T.size
     pos = np.full(disc.ndof, -1)
     pos[free[T]] = np.arange(n)
@@ -574,8 +581,6 @@ def _condense(disc: Discretization, sub: Substructure):
     dval[disc.dirichlet_idx] = disc.dirichlet_val
     is_dir = np.zeros(disc.ndof, dtype=bool)
     is_dir[disc.dirichlet_idx] = True
-    ti, tj = [K_TT.row, coupled[wi]], [K_TT.col, rim[wj]]
-    n_fixed = K_TT.nnz + wi.size
     families, loads = [], []
     for rows, pts, i, j, v, r in _point_entries(disc):
         in_S = (pos[i] >= 0) & (pos[j] >= 0)
@@ -588,8 +593,7 @@ def _condense(disc: Discretization, sub: Substructure):
     keys, entry = np.unique(ti * n + tj, return_inverse=True)
     nnz = keys.size
     mean = 0.5 * (disc.model.design_pair.kappa_pos + disc.model.design_pair.kappa_neg)
-    vals = [K_TT.data, -W[wi, wj]]
-    vals += [v * mean * rows.w[pts][r] for rows, pts, v, r in families]
+    vals = [fixed_vals] + [v * mean * rows.w[pts][r] for rows, pts, v, r in families]
     S1 = sp.csc_matrix((np.bincount(entry, np.concatenate(vals), nnz), (keys // n, keys % n)),
                        shape=(n, n))
     p = _splu(S1).perm_c  # T position -> elimination step
@@ -602,15 +606,29 @@ def _condense(disc: Discretization, sub: Substructure):
     entry = rank[entry]
     csc_keys = csc_keys[order]
     indptr = np.searchsorted(csc_keys, np.arange(n + 1) * n)
-    fixed = np.bincount(entry[:n_fixed], np.concatenate(vals[:2]), nnz)
-    sub.S = sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n))
-    sub.T, sub.K_TI, sub.rim, sub.g = T[q], K_TI[q], p[rim], g[q]
-    start = n_fixed
+    # on an all-design mesh under strong coupling the fixed part is empty,
+    # and bincount of nothing returns integers
+    fixed = np.bincount(entry[:n_fixed], fixed_vals, nnz).astype(float, copy=False)
+    maps, start = [], n_fixed
     for (rows, pts, v, r), (bi, bv, br) in zip(families, loads):
         M = sp.csr_matrix((v, (entry[start:start + v.size], r)), shape=(nnz, pts.size))
         Mb = sp.csr_matrix((bv, (p[bi], br)), shape=(n, pts.size))
-        sub.maps.append((rows, pts, M, Mb))
+        maps.append((rows, pts, M, Mb))
         start += v.size
+    return Substructure(
+        T=T[q], I=I, S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)), g=g[q],
+        maps=maps, lu_II=lu_II, K_TI=None if K_TI is None else K_TI[q],
+        rim=None if rim is None else p[rim], Z=Z, y_I=y_I,
+    )
+
+
+def _whole_split(disc: Discretization, K: sp.csr_matrix) -> Substructure:
+    """A one-off split for a solve under an override: T every free dof, I
+    empty, S = K_ff with no maps, factored in SuperLU's own ordering."""
+    Kf = K[disc.free]
+    return Substructure(T=np.arange(disc.free.size), I=np.zeros(0, dtype=int),
+                        S=Kf[:, disc.free], g=-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val),
+                        permc_spec="MMD_AT_PLUS_A")
 
 
 _EPS = np.finfo(float).eps
@@ -654,73 +672,46 @@ def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-class ConstrainedSystem:
-    """K with its Dirichlet dofs eliminated and K_ff factored whole: on an
-    all-design mesh, and under an override, which may rescale any region.
-
-    K_ff, K_fd and |K_ff| are sliced once.  `solve` serves the state and
-    the adjoint, which reuses the state's factor because K_ff is symmetric.
-    """
-
-    def __init__(self, disc: Discretization, K: sp.csr_matrix):
-        self.disc = disc
-        Kf = K[disc.free]
-        self.Kff = Kff = Kf[:, disc.free]
-        self.Kfd = Kf[:, disc.dirichlet_idx]  # free rows, Dirichlet columns
-        self.abs_Kff = abs(Kff)
-        self.lu = _splu(Kff)
-        self.nnz = self.lu.nnz
-
-    def solve(self, F: np.ndarray | None = None) -> np.ndarray:
-        """All dofs of K x = F with zero Dirichlet data, or with no F the
-        state: no load and the mesh's own Dirichlet values."""
-        disc = self.disc
-        free = disc.free
-        rhs = np.zeros(free.size) if F is None else F[free]
-        if F is None and disc.dirichlet_idx.size and np.any(disc.dirichlet_val != 0.0):
-            rhs = rhs - self.Kfd @ disc.dirichlet_val
-        x = np.zeros(disc.ndof)
-        x[free] = _refined_solve(self.lu, self.Kff, self.abs_Kff, rhs)
-        if F is None and disc.dirichlet_idx.size:
-            x[disc.dirichlet_idx] = disc.dirichlet_val
-        return x
-
-
 class CondensedSystem:
     """K_ff condensed onto T for one design field: S assembled by the
-    mesh's maps and factored in its ordering.
+    split's maps and factored in its ordering.
 
     A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
     and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
-    K_II^-1 b_I is the mesh's; another load costs one K_II solve.  `nnz`
-    counts the entries of both factors.
+    K_II^-1 b_I is the mesh's; another load costs one K_II solve, and none
+    where I is empty.  `solve` serves the state and the adjoint, which
+    reuses the state's factor because K_ff is symmetric.  `nnz` counts the
+    entries of both factors.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
         self.disc, self.sub = disc, sub
-        data, self.g = sub.S.data.copy(), sub.g.copy()
+        self.S, self.g = sub.S.copy(), sub.g.copy()
         for rows, pts, M, Mb in sub.maps:
             s = (rows.w * _kappa_points(disc, rows, field, sp_, None))[pts]
-            data += M @ s
+            self.S.data += M @ s
             self.g += Mb @ s
-        self.S = sp.csc_matrix((data, sub.S.indices, sub.S.indptr), shape=sub.S.shape)
         self.abs_S = abs(self.S)
-        self.lu = _splu(self.S, "NATURAL")
-        self.nnz = self.lu.nnz + sub.lu_II.nnz
+        self.lu = _splu(self.S, sub.permc_spec)
+        self.nnz = self.lu.nnz + (sub.lu_II.nnz if sub.I.size else 0)
 
     def solve(self, F: np.ndarray | None = None) -> np.ndarray:
-        """As `ConstrainedSystem.solve`."""
+        """All dofs of K x = F with zero Dirichlet data, or with no F the
+        state: no load and the mesh's own Dirichlet values."""
         disc, sub = self.disc, self.sub
         if F is None:
             y_I, g = sub.y_I, self.g
         else:
             b = F[disc.free]
-            y_I = sub.lu_II.solve(b[sub.I])
-            g = b[sub.T] - sub.K_TI @ y_I
+            y_I, g = None, b[sub.T]
+            if sub.I.size:
+                y_I = sub.lu_II.solve(b[sub.I])
+                g = g - sub.K_TI @ y_I
         x_T = _refined_solve(self.lu, self.S, self.abs_S, g)
         x_f = np.empty(disc.free.size)
         x_f[sub.T] = x_T
-        x_f[sub.I] = y_I - sub.Z @ x_T[sub.rim]
+        if sub.I.size:
+            x_f[sub.I] = y_I - sub.Z @ x_T[sub.rim]
         x = np.zeros(disc.ndof)
         x[disc.free] = x_f
         if F is None:
@@ -730,12 +721,12 @@ class CondensedSystem:
 
 @dataclass
 class FieldSolution:
-    """Solution coefficients plus the factorized constrained system."""
+    """Solution coefficients plus the factorized condensed system."""
 
     disc: Discretization
     values: np.ndarray  # (ndof,)
-    K: sp.spmatrix  # the assembled K, or S on a condensed solve
-    lu: ConstrainedSystem | CondensedSystem
+    K: sp.spmatrix  # the matrix factored: S, which is K_ff where I is empty
+    lu: CondensedSystem
 
     def at_quadrature(self):
         return self.disc.N @ self.values
@@ -747,16 +738,15 @@ def solve_state(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ) -> FieldSolution:
-    """Solve the constrained conduction system: condensed onto T where the
-    mesh's substructure eliminates anything, else with K_ff whole.  There is
-    no applied flux; the load comes from the Dirichlet values alone."""
-    sub = None if override else _substructure(disc)
-    if sub is not None and sub.I.size:
-        lu = CondensedSystem(disc, sub, field, sp_)
-        return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
-    K = assemble_system(disc, field, sp_, override)
-    lu = ConstrainedSystem(disc, K)
-    return FieldSolution(disc=disc, values=lu.solve(), K=K, lu=lu)
+    """Solve the constrained conduction system condensed onto T, with the
+    mesh's split or, under an override, a one-off split of its own.  There
+    is no applied flux; the load comes from the Dirichlet values alone."""
+    if override:
+        sub = _whole_split(disc, assemble_system(disc, field, sp_, override))
+    else:
+        sub = _substructure(disc)
+    lu = CondensedSystem(disc, sub, field, sp_)
+    return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 
 
 def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
