@@ -2,7 +2,13 @@
 
 Field export samples the multi-patch solution on a regular grid over the
 model bounding box by inverting the geometry map per grid point; points
-outside the domain are written as NaN.  Each point starts a clipped Newton
+outside the domain are written as NaN.  With positive weights each
+element's image lies in the convex hull of its local control net (Piegl &
+Tiller, The NURBS Book, 2nd ed., sections 4.2 and 6.1), so a grid point
+in no element's control box, padded by the distance a located image may
+miss its target by, is outside every patch and is written as NaN without a
+Newton step.  A uniform cell grid and a 2D difference array mark the boxes
+with no loop over elements.  Each remaining point starts a clipped Newton
 iteration from its nearest seed of a per-patch parametric cloud and stops
 on its own: once converged, or once held at a parameter bound (the target
 lies outside that patch).  A point not located retries from its second and
@@ -29,9 +35,94 @@ from igatop.splines import tabulate
 def locate_points(model, targets: np.ndarray):
     """Find (patch, u, v) for physical points; NaN parameters when outside.
 
+    A cover first drops every target that lies in no element's control
+    box (padded by the 10 tol a located image may miss its target by):
+    such a target is outside every patch and takes no Newton step.  The
+    rest go through the seeded Newton search, whose result for a target
+    depends only on that target.
+
     Returns (patch_idx (n,), params (n,2)); patch_idx is -1 outside.
     """
     tol = 1e-9 * model.diameter()
+    n = targets.shape[0]
+    out_pid = np.full(n, -1, dtype=int)
+    out_uv = np.full((n, 2), np.nan)
+    cand = _covered(model, targets, 10 * tol)
+    if cand.size:
+        out_pid[cand], out_uv[cand] = _search(model, targets[cand], tol)
+    return out_pid, out_uv
+
+
+def _control_boxes(model):
+    """Axis-aligned box (lo, hi) of each element's local control net, every patch.
+
+    With positive weights an element's image lies in the convex hull of
+    its (p+1)(q+1) local control points, so in this box.
+    """
+    lo, hi = [], []
+    for patch in model.patches:
+        p, q = patch.knots_u.degree, patch.knots_v.degree
+        # window k - p of the net holds the control points of span k
+        su = np.flatnonzero(np.diff(patch.knots_u.values) > 0) - p
+        sv = np.flatnonzero(np.diff(patch.knots_v.values) > 0) - q
+        for out, fn in ((lo, np.minimum), (hi, np.maximum)):
+            out.append(_windows(patch.control_points, p, q, fn)[np.ix_(su, sv)].reshape(-1, 2))
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _windows(net, p, q, fn):
+    """fn reduced over every (p+1) x (q+1) window of the net, by shifted slices."""
+    nu, nv = net.shape[:2]
+    rows = net[: nu - p]
+    for r in range(1, p + 1):
+        rows = fn(rows, net[r: nu - p + r])
+    out = rows[:, : nv - q]
+    for s in range(1, q + 1):
+        out = fn(out, rows[:, s: nv - q + s])
+    return out
+
+
+def _covered(model, targets, pad):
+    """Indices of the targets in some element's control box padded by pad.
+
+    A target outside the boxes' common bounding box is in none.  The rest
+    are kept when their cell meets a box, on a uniform grid of cells over
+    their range where a 2D difference array marks the boxes.  Cell indices
+    grow monotonically with the coordinate, so a target in a box lies in a
+    cell the box marks.
+    """
+    if targets.shape[0] == 0:
+        return np.arange(0)
+    lo, hi = _control_boxes(model)
+    lo, hi = lo - pad, hi + pad
+    x, y = targets[:, 0], targets[:, 1]
+    t0 = np.maximum(lo.min(axis=0), [x.min(), y.min()])
+    t1 = np.minimum(hi.max(axis=0), [x.max(), y.max()])
+    inside = np.flatnonzero((x >= t0[0]) & (x <= t1[0]) & (y >= t0[1]) & (y <= t1[1]))
+    if inside.size == 0:
+        return inside
+    meets = np.all((hi >= t0) & (lo <= t1), axis=1)
+    lo, hi = lo[meets], hi[meets]
+    # as many cells as targets, and no fewer than boxes
+    g = int(np.ceil(np.sqrt(max(inside.size, lo.shape[0]))))
+    h = np.where(t1 > t0, (t1 - t0) / g, 1.0)
+
+    def cell(pts):
+        return np.clip(np.floor((pts - t0) / h), 0, g - 1).astype(int)
+
+    # +1 at a box's first cell and -1 past its last on each axis: the
+    # running sums then count the boxes meeting each cell
+    (i0, j0), (i1, j1) = cell(lo).T, cell(hi).T + 1
+    size = (g + 1) ** 2
+    up = np.bincount(np.concatenate([i0 * (g + 1) + j0, i1 * (g + 1) + j1]), minlength=size)
+    down = np.bincount(np.concatenate([i0 * (g + 1) + j1, i1 * (g + 1) + j0]), minlength=size)
+    marked = (up - down).reshape(g + 1, g + 1).cumsum(axis=0).cumsum(axis=1) > 0
+    ci, cj = cell(targets[inside]).T
+    return inside[marked[ci, cj]]
+
+
+def _search(model, targets, tol):
+    """Newton from each target's nearest seeds: (patch_idx, params) as in locate_points."""
     grids, owners = [], []
     for pid, patch in enumerate(model.patches):
         s = np.linspace(0.0, 1.0, 24)
