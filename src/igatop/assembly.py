@@ -43,6 +43,31 @@ state's factors because K_ff is symmetric (K^T P = K P).  Solves refine
 iteratively on S only while the componentwise backward error is above
 eps and the last sweep halved it.
 
+The first solve without an override also finds the mesh's mirror group:
+the mirrors x -> -x and y -> -y (about the origin) that map the dof
+control points, the quadrature points with their labels and the design
+net onto themselves, the solution and design bases onto themselves, and
+leave the Dirichlet values exactly equal.  The annulus keeps both, the
+cloak and camouflage plates the y-mirror only (x -> -x swaps their two
+Dirichlet values).  A field whose coefficients are exactly equal on every
+orbit of the design net has mirror-symmetric conductivities, so its state
+is mirror symmetric and a Galerkin solve on the invariant vectors, E^T S E
+x = E^T g with E the 0/1 matrix of T's orbits, is exact (Bossavit,
+"Symmetry, groups and boundary value problems", CMAME 56, 1986).  Such a
+solve uses a second split built by `_condense` as above, with S's rows
+numbered by orbit, so the same maps sum every entry onto its orbit pair
+and the factor is E^T S E: a quarter of the annulus's rows, half of the
+plates'.  x_T is read out as x_red[orbit].  Every iterate, line-search
+trial and reinitialization of a run with `design.symmetry: xy` is such a
+field; any other (a projected start, a finite-difference nudge,
+`symmetry: none`) uses the plain split, so the trivial group is the plain
+split alone.  An adjoint load solves on the orbits only if it is exactly
+invariant at the quadrature points (`objectives.eval_main` averages
+dJ/dT over their orbits); any other load goes to the plain split.  The
+group is trivial under an explicit beta: there any reordering of the
+penalty-sized sums can move the solution by far more than roundoff (the
+beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
+
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
 dkappa/dphi * R_i * (grad T . grad P) over the design rows; the interface
@@ -56,11 +81,20 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from igatop.errors import AssemblyError, ModelError, SolverError
-from igatop.levelset import DesignField, SmoothingParams, dirac, heaviside
+from igatop.levelset import (
+    MIRRORS,
+    DesignField,
+    SmoothingParams,
+    dirac,
+    heaviside,
+    match_tolerance,
+    mirror_images,
+    net_orbits,
+    orbits,
+)
 from igatop.model import (
     DesignBasis,
     InterfacePair,
@@ -207,8 +241,11 @@ class Discretization:
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
-    # built by the first solve without an override (see _substructure)
+    # built by the first solve without an override (see _substructure): the
+    # mirror group, the plain split and the split on the group's orbits
+    group: MirrorGroup | None = None
     substructure: Substructure | None = None
+    symmetric_split: Substructure | None = None
 
     def region_mask(self, labels) -> np.ndarray:
         if isinstance(labels, str):
@@ -324,13 +361,10 @@ def _number_dofs(model: MultiPatchModel) -> tuple[int, list[np.ndarray]]:
     lowest index), so the explicit-beta numbering is the plain one.
     """
     offsets = np.cumsum([0] + [p.n_ctrl for p in model.patches])
-    pairs = [np.zeros((0, 2), dtype=int)]
+    pairs = []
     if model.beta is None:
         pairs += [itf.pairs + offsets[[itf.patch_a, itf.patch_b]] for itf in model.interfaces]
-    i, j = np.concatenate(pairs).T
-    n = int(offsets[-1])
-    ndof, dof = connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
-                                     directed=False)
+    ndof, dof = orbits(int(offsets[-1]), pairs)
     return int(ndof), np.split(dof, offsets[1:-1])
 
 
@@ -439,6 +473,141 @@ def assemble_system(
 
 
 @dataclass
+class MirrorGroup:
+    """The mirrors among x -> -x and y -> -y that a mesh, its design net
+    and its Dirichlet data all respect, by their orbits.
+
+    Per dof and per quadrature point, `dof_orbit` and `quad_orbit` number
+    its orbit, and `quad_first` is the first point of it; per design
+    coefficient, `design_first` is the first coefficient of its orbit, with
+    coincident control points (multi-patch seams) in one orbit.  No
+    `mirrors`: the trivial group, with no orbits.
+    """
+
+    mirrors: list = dc_field(default_factory=list)
+    dof_orbit: np.ndarray | None = None
+    quad_orbit: np.ndarray | None = None
+    quad_first: np.ndarray | None = None
+    design_first: np.ndarray | None = None
+
+    def acts_on(self, field) -> bool:
+        """Whether a solve of `field` may run on the orbits: the group is
+        not trivial and the coefficients are exactly equal on every orbit."""
+        if not self.mirrors:
+            return False
+        return (field is None or self.design_first is None
+                or np.array_equal(field.coeffs[self.design_first], field.coeffs))
+
+    def invariant(self, v_q: np.ndarray) -> bool:
+        """Whether a vector over the quadrature points is exactly invariant."""
+        return np.array_equal(v_q[self.quad_first], v_q)
+
+    def average(self, v_q: np.ndarray) -> np.ndarray:
+        """The mean of a vector over the quadrature points on each orbit:
+        one float at every point of an orbit, so exactly invariant."""
+        return (np.bincount(self.quad_orbit, v_q) / np.bincount(self.quad_orbit))[self.quad_orbit]
+
+
+# rows of an operator at mirrored points must match to this, relative
+_ROW_TOL = 1e-12
+
+
+def _largest(A: sp.spmatrix) -> float:
+    return float(np.abs(A.data).max(initial=0.0))
+
+
+def _first(orbit: np.ndarray) -> np.ndarray:
+    """The first member of each point's orbit."""
+    return np.unique(orbit, return_index=True)[1][orbit]
+
+
+def _design_side(disc: Discretization) -> np.ndarray:
+    """Per free dof, whether it is in T: a column of the design-region
+    rows or, under an explicit beta, of either operator at the
+    design-labelled interface points.  Every free dof where no such row
+    exists (S is then K_ff)."""
+    touched = [disc.bulk.B.indices]
+    on_design = disc.sides.labels == "design"
+    if np.any(on_design):
+        touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
+    in_T = np.isin(disc.free, np.concatenate(touched))
+    if not np.any(in_T):
+        in_T[:] = True
+    return in_T
+
+
+def _find_group(disc: Discretization) -> MirrorGroup:
+    """The mirrors of MIRRORS (about the origin) that map the mesh onto
+    itself.  A mirror must map the dof control points, the quadrature
+    points (with their labels and weights) and the design net each onto
+    themselves; keep every dof's Dirichlet value, or its being free and in
+    T or I, exactly; map the solution basis onto itself (its rows at the
+    mirrored points equal its rows with the dofs permuted); and map
+    invariant designs onto invariant conductivities (the design-basis rows
+    at the mirrored points, summed over each orbit of the net, equal the
+    rows so summed).  Under an explicit beta the group is trivial (see the
+    module docstring)."""
+    model, basis, bulk = disc.model, disc.basis, disc.bulk
+    if model.beta is not None:
+        return MirrorGroup()
+    dof_pts = np.empty((disc.ndof, 2))
+    for patch, dofs in zip(model.patches, disc.patch_dofs):
+        dof_pts[dofs] = patch.control_points.reshape(-1, 2)
+    # per dof: Dirichlet or not, its value, in T or not
+    dof_tag = np.zeros((disc.ndof, 3))
+    dof_tag[disc.dirichlet_idx, 0] = 1.0
+    dof_tag[disc.dirichlet_idx, 1] = disc.dirichlet_val
+    dof_tag[disc.free[_design_side(disc)], 2] = 1.0
+    design = np.flatnonzero(disc.qlabel == "design")  # the rows of bulk, in order
+    at_bulk = np.full(disc.w.size, -1)
+    at_bulk[design] = np.arange(design.size)
+    tol = 1e-8 * max(model.diameter(), 1.0)
+    candidates = zip(MIRRORS, mirror_images(dof_pts, tol), mirror_images(disc.phys, tol),
+                     [None] * len(MIRRORS) if basis is None else
+                     mirror_images(basis.control_points, match_tolerance(basis.control_points)))
+    mirrors, dof_images, quad_images, net_images = [], [], [], []
+    for refl, p, s, d in candidates:
+        if p is None or s is None or np.unique(p).size < p.size or np.unique(s).size < s.size:
+            continue
+        if not (np.array_equal(dof_tag[p], dof_tag) and np.array_equal(disc.qlabel[s], disc.qlabel)):
+            continue
+        if (np.abs(disc.w[s] - disc.w).max() > _ROW_TOL * np.abs(disc.w).max()
+                or _largest(disc.N[s] - disc.N[:, p]) > _ROW_TOL * _largest(disc.N)):
+            continue
+        if basis is not None:
+            if d is None:
+                continue
+            net = _net_orbits(basis, [d])
+            C = sp.csr_matrix((np.ones(basis.m), (np.arange(basis.m), net)))
+            if _largest((bulk.D[at_bulk[s[design]]] - bulk.D) @ C) > _ROW_TOL * _largest(bulk.D):
+                continue
+            net_images.append(d)
+        mirrors.append(refl)
+        dof_images.append(np.column_stack([np.arange(p.size), p]))
+        quad_images.append(np.column_stack([np.arange(s.size), s]))
+    if not mirrors:
+        return MirrorGroup()
+    quad_orbit = orbits(disc.w.size, quad_images)[1]
+    return MirrorGroup(
+        mirrors=mirrors, dof_orbit=orbits(disc.ndof, dof_images)[1], quad_orbit=quad_orbit,
+        quad_first=_first(quad_orbit),
+        design_first=None if basis is None else _first(_net_orbits(basis, net_images)),
+    )
+
+
+def _net_orbits(basis: DesignBasis, images: list) -> np.ndarray:
+    pts = basis.control_points
+    return net_orbits(pts, images, match_tolerance(pts))[1]
+
+
+def _mirror_group(disc: Discretization) -> MirrorGroup:
+    """The mesh's mirror group, found by its first solve without an override."""
+    if disc.group is None:
+        disc.group = _find_group(disc)
+    return disc.group
+
+
+@dataclass
 class Substructure:
     """The free dofs split into T, every dof a field-dependent row touches,
     and I, the rest, with everything the field does not move built once
@@ -448,11 +617,14 @@ class Substructure:
     W = K_TI K_II^-1 K_IT do not change during a run, nor do the fixed
     regions' parts of S = K_TT - W and of the condensed state load.  S's
     data is that fixed part plus, per kind of field-dependent point, a map
-    applied to the points' weights times conductivities.  T is numbered
-    in the elimination order of S's factor, so S is factored as stored.
-    I may be empty (an all-design mesh): S is then K_ff.  A one-off split
-    under an override keeps the free dofs' order and factors in SuperLU's
-    own ordering.
+    applied to the points' weights times conductivities.  On the mesh's
+    mirror group S's rows are the orbits of T's dofs (`orbit`): S is
+    E^T (K_TT - W) E, E the 0/1 matrix of T's orbits.  S's rows are
+    numbered in the elimination order of its factor, so S is factored as
+    stored, and T is sorted by its row.  I may be empty (an all-design
+    mesh): S is then K_ff, or E^T K_ff E.  A one-off split under an
+    override keeps the free dofs' order and factors in SuperLU's own
+    ordering.
     """
 
     T: np.ndarray  # positions in `free`
@@ -460,15 +632,24 @@ class Substructure:
     S: sp.spmatrix  # S's fixed pattern, holding its fixed part
     g: np.ndarray  # the fixed part of the condensed state load
     # per kind of field-dependent point: (its rows, the points used, the map
-    # onto S's data, the map onto the state load's T rows)
+    # onto S's data, the map onto the state load's rows)
     maps: list = dc_field(default_factory=list)
     permc_spec: str = "NATURAL"  # the ordering S is factored with
+    orbit: np.ndarray | None = None  # S's row of each T entry; None: T's own
     # the rest only when I is non-empty
     lu_II: object = None
     K_TI: sp.csr_matrix | None = None
     rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
     Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense
     y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
+
+    def reduce(self, v_T: np.ndarray) -> np.ndarray:
+        """E^T v: a load on T summed onto S's rows."""
+        return v_T if self.orbit is None else np.bincount(self.orbit, v_T, self.S.shape[0])
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """E x: a solution on S's rows read out on T."""
+        return x if self.orbit is None else x[self.orbit]
 
 
 def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -484,22 +665,51 @@ def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
         ) from exc
 
 
-def _pair_products(A: sp.csr_matrix, B: sp.csr_matrix):
-    """Every product A[r, i] B[r, j] of an entry of row r of A and one of
-    row r of B, for all rows r: the arrays (r, i, j, product)."""
+def _pair_products(pairs: list):
+    """The products A[r, i] B[r, j] of every entry of row r of A with every
+    entry of row r of B, for all rows r, summed over `pairs` of CSR
+    operators that share the first pair's pattern: the arrays (r, i, j,
+    sum), row after row, with A's entries outer and B's inner.
+
+    Rows with the same entry counts are broadcast together: on a patch
+    every row has the same counts, so a mesh takes one block per patch
+    (one in all on the annulus), with no per-product index arithmetic.
+    """
+    A, B = pairs[0]
     na, nb = np.diff(A.indptr), np.diff(B.indptr)
     n = na * nb
-    r = np.repeat(np.arange(n.size), n)
-    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    a = A.indptr[r] + t // nb[r]
-    b = B.indptr[r] + t % nb[r]
-    return r, A.indices[a], B.indices[b], A.data[a] * B.data[b]
+    start = np.cumsum(n) - n
+    r = np.empty(int(n.sum()), dtype=np.intp)
+    i, j, v = np.empty(r.size, A.indices.dtype), np.empty(r.size, B.indices.dtype), np.empty(r.size)
+    kind = na * (int(nb.max(initial=0)) + 1) + nb
+    for k in np.unique(kind):
+        rows = np.flatnonzero(kind == k)
+        ka, kb = int(na[rows[0]]), int(nb[rows[0]])
+        shape = (rows.size, ka, kb)
+        first = start[rows[0]]
+        # consecutive rows fill one slice of the outputs, written in place
+        at = (slice(first, first + rows.size * ka * kb) if rows[-1] - rows[0] + 1 == rows.size
+              else (start[rows, None] + np.arange(ka * kb)).ravel())
+        blocks = ([x[at].reshape(shape) for x in (r, i, j, v)] if isinstance(at, slice)
+                  else [np.empty(shape, x.dtype) for x in (r, i, j, v)])
+        a = A.indptr[rows, None] + np.arange(ka)  # (rows, ka) entries of A
+        b = B.indptr[rows, None] + np.arange(kb)
+        blocks[0][...] = rows[:, None, None]
+        blocks[1][...] = A.indices[a][:, :, None]
+        blocks[2][...] = B.indices[b][:, None, :]
+        np.multiply(A.data[a][:, :, None], B.data[b][:, None, :], out=blocks[3])
+        for A_, B_ in pairs[1:]:
+            blocks[3] += A_.data[a][:, :, None] * B_.data[b][:, None, :]
+        if not isinstance(at, slice):
+            for x, blk in zip((r, i, j, v), blocks):
+                x[at] = blk.ravel()
+    return r, i, j, v
 
 
 def _point_entries(disc: Discretization):
     """The stiffness entries of every field-dependent point at unit weight
-    times conductivity: per kind of point, (rows, points used, dof i, dof j,
-    value, point).
+    times conductivity: per kind of point, yielded in turn, (rows, points
+    used, dof i, dof j, value, point).
 
     A design-region point adds (B_x,i B_x,j + B_y,i B_y,j) to K_ij; the x
     and y gradient rows of one point share their columns.  A design-side
@@ -507,40 +717,59 @@ def _point_entries(disc: Discretization):
     """
     bulk, sides = disc.bulk, disc.sides
     nq = bulk.w.size
-    r, i, j, vx = _pair_products(bulk.B[:nq], bulk.B[:nq])
-    vy = _pair_products(bulk.B[nq:], bulk.B[nq:])[3]
-    out = [(bulk, np.arange(nq), i, j, vx + vy, r)]
+    Bx, By = bulk.B[:nq], bulk.B[nq:]
+    r, i, j, v = _pair_products([(Bx, Bx), (By, By)])
+    yield bulk, np.arange(nq), i, j, v, r
+    del r, i, j, v
     pts = np.flatnonzero(sides.labels == "design")
     if pts.size:
-        r, i, j, v = _pair_products(sides.At.T.tocsr()[pts], sides.B[pts])
-        out.append((sides, pts, np.concatenate([i, j]), np.concatenate([j, i]),
-                    -np.tile(v, 2), np.tile(r, 2)))
-    return out
+        r, i, j, v = _pair_products([(sides.At.T.tocsr()[pts], sides.B[pts])])
+        yield (sides, pts, np.concatenate([i, j]), np.concatenate([j, i]),
+               -np.tile(v, 2), np.tile(r, 2))
 
 
-def _substructure(disc: Discretization) -> Substructure:
-    """The mesh's split of the free dofs, built by its first solve without
-    an override.
+def _point_families(disc: Discretization, pos: np.ndarray, n: int, keys: list):
+    """Every field-dependent point's entries in S, one kind of point at a
+    time: appends their keys row * n + column to `keys` and returns, per
+    kind, (rows, points used, values, point) of those entries and its load
+    from the Dirichlet columns on S's rows (row, value, point).  `pos` is
+    each dof's row of S, -1 off T."""
+    dval = np.zeros(disc.ndof)
+    dval[disc.dirichlet_idx] = disc.dirichlet_val
+    is_dir = np.zeros(disc.ndof, dtype=bool)
+    is_dir[disc.dirichlet_idx] = True
+    families, loads = [], []
+    for rows, pts, i, j, v, r in _point_entries(disc):
+        pi, pj = pos[i], pos[j]
+        in_S = (pi >= 0) & (pj >= 0)
+        to_b = (pi >= 0) & is_dir[j]  # Dirichlet columns move to the load
+        keys.append(pi[in_S] * n + pj[in_S])
+        families.append((rows, pts, v[in_S], r[in_S]))
+        loads.append((pi[to_b], -v[to_b] * dval[j[to_b]], r[to_b]))
+    return families, loads
 
-    T holds the columns of the design-region rows and, under an explicit
-    beta, both operators' columns at the design-labelled interface points.
-    """
-    if disc.substructure is None:
-        touched = [disc.bulk.B.indices]
-        on_design = disc.sides.labels == "design"
-        if np.any(on_design):
-            touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
-        in_T = np.isin(disc.free, np.concatenate(touched))
-        if not np.any(in_T):  # no field-dependent rows: S is K_ff
-            in_T[:] = True
-        disc.substructure = _condense(disc, np.flatnonzero(in_T), np.flatnonzero(~in_T))
-    return disc.substructure
+
+def _substructure(disc: Discretization, reduced: bool = False) -> Substructure:
+    """The mesh's plain split, or with `reduced` its split on the mirror
+    group's orbits, each built by the first solve that asks for it."""
+    split = disc.symmetric_split if reduced else disc.substructure
+    if split is None:
+        in_T = _design_side(disc)
+        split = _condense(disc, np.flatnonzero(in_T), np.flatnonzero(~in_T),
+                          _mirror_group(disc).dof_orbit if reduced else None)
+        if reduced:
+            disc.symmetric_split = split
+        else:
+            disc.substructure = split
+    return split
 
 
-def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray) -> Substructure:
+def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray,
+              dof_orbit: np.ndarray | None = None) -> Substructure:
     """Eliminate I once and build S's pattern, fixed part and maps and the
     condensed state load; where I is non-empty, factor K_II and form Z and
-    W first.
+    W first.  With `dof_orbit` (per dof), S's rows are the orbits of T's
+    dofs, and every entry of S and row of a load is summed onto its orbit.
 
     The fixed entries are those of K assembled with the design at zero
     conductivity.  W takes one K_II solve per column of K_IT that holds an
@@ -555,8 +784,15 @@ def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray) -> Substructur
     K_TT = K_T[:, T].tocoo()
     b = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
     g = b[T]
-    # S's fixed entries (K_TT, then -W) and every point's, in T's numbering
-    ti, tj, fixed_vals = [K_TT.row], [K_TT.col], [K_TT.data]
+    # each T position's row of S before its ordering: its orbit, or itself
+    if dof_orbit is None:
+        row, n = np.arange(T.size), T.size
+    else:
+        ids, row = np.unique(dof_orbit[free[T]], return_inverse=True)
+        n = ids.size
+    # S's fixed entries (K_TT, then -W) and every point's, in those rows, as
+    # keys row * n + column
+    keys, fixed_vals = [row[K_TT.row] * n + row[K_TT.col]], [K_TT.data]
     lu_II = K_TI = rim = Z = y_I = None
     if I.size:
         K_I = Kff[I]
@@ -569,36 +805,22 @@ def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray) -> Substructur
         coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
         W = K_TI[coupled] @ Z
         wi, wj = np.nonzero(W)  # regions of I that K_II does not connect give zero blocks
-        ti.append(coupled[wi])
-        tj.append(rim[wj])
+        keys.append(row[coupled[wi]] * n + row[rim[wj]])
         fixed_vals.append(-W[wi, wj])
     fixed_vals = np.concatenate(fixed_vals)
     n_fixed = fixed_vals.size
-    n = T.size
     pos = np.full(disc.ndof, -1)
-    pos[free[T]] = np.arange(n)
-    dval = np.zeros(disc.ndof)
-    dval[disc.dirichlet_idx] = disc.dirichlet_val
-    is_dir = np.zeros(disc.ndof, dtype=bool)
-    is_dir[disc.dirichlet_idx] = True
-    families, loads = [], []
-    for rows, pts, i, j, v, r in _point_entries(disc):
-        in_S = (pos[i] >= 0) & (pos[j] >= 0)
-        to_b = (pos[i] >= 0) & is_dir[j]  # Dirichlet columns move to the load
-        ti.append(pos[i[in_S]])
-        tj.append(pos[j[in_S]])
-        families.append((rows, pts, v[in_S], r[in_S]))
-        loads.append((pos[i[to_b]], -v[to_b] * dval[j[to_b]], r[to_b]))
-    ti, tj = np.concatenate(ti), np.concatenate(tj)
-    keys, entry = np.unique(ti * n + tj, return_inverse=True)
+    pos[free[T]] = row
+    families, loads = _point_families(disc, pos, n, keys)
+    keys, entry = np.unique(np.concatenate(keys), return_inverse=True)
     nnz = keys.size
     mean = 0.5 * (disc.model.design_pair.kappa_pos + disc.model.design_pair.kappa_neg)
     vals = [fixed_vals] + [v * mean * rows.w[pts][r] for rows, pts, v, r in families]
     S1 = sp.csc_matrix((np.bincount(entry, np.concatenate(vals), nnz), (keys // n, keys % n)),
                        shape=(n, n))
-    p = _splu(S1).perm_c  # T position -> elimination step
+    p = _splu(S1).perm_c  # row -> elimination step
     q = np.argsort(p)
-    # renumber T by elimination step and store S in CSC order
+    # renumber the rows by elimination step and store S in CSC order
     csc_keys = p[keys % n] * n + p[keys // n]  # column-major
     order = np.argsort(csc_keys)
     rank = np.empty(nnz, dtype=int)
@@ -615,10 +837,15 @@ def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray) -> Substructur
         Mb = sp.csr_matrix((bv, (p[bi], br)), shape=(n, pts.size))
         maps.append((rows, pts, M, Mb))
         start += v.size
+    # sort T by its rows' steps (T's own order is the steps themselves)
+    step = p[row]
+    by_step = np.argsort(step, kind="stable")
     return Substructure(
-        T=T[q], I=I, S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)), g=g[q],
-        maps=maps, lu_II=lu_II, K_TI=None if K_TI is None else K_TI[q],
-        rim=None if rim is None else p[rim], Z=Z, y_I=y_I,
+        T=T[by_step], I=I, S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)),
+        g=(g if dof_orbit is None else np.bincount(row, g, n))[q], maps=maps,
+        orbit=None if dof_orbit is None else step[by_step],
+        lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step],
+        rim=None if rim is None else np.argsort(by_step)[rim], Z=Z, y_I=y_I,
     )
 
 
@@ -679,13 +906,16 @@ class CondensedSystem:
     A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
     and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
     K_II^-1 b_I is the mesh's; another load costs one K_II solve, and none
-    where I is empty.  `solve` serves the state and the adjoint, which
-    reuses the state's factor because K_ff is symmetric.  `nnz` counts the
-    entries of both factors.
+    where I is empty.  On a split with orbits a load is summed onto S's
+    rows and x_T read out from them, so the load must be invariant under
+    the mirror group (`solve_adjoint` sends any other to `plain`).  `solve`
+    serves the state and the adjoint, which reuses the state's factor
+    because K_ff is symmetric.  `nnz` counts the entries of both factors.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
-        self.disc, self.sub = disc, sub
+        self.disc, self.sub, self.field, self.sp_ = disc, sub, field, sp_
+        self._plain = None
         self.S, self.g = sub.S.copy(), sub.g.copy()
         for rows, pts, M, Mb in sub.maps:
             s = (rows.w * _kappa_points(disc, rows, field, sp_, None))[pts]
@@ -694,6 +924,15 @@ class CondensedSystem:
         self.abs_S = abs(self.S)
         self.lu = _splu(self.S, sub.permc_spec)
         self.nnz = self.lu.nnz + (sub.lu_II.nnz if sub.I.size else 0)
+
+    def plain(self) -> CondensedSystem:
+        """The same field on the mesh's plain split: itself where its split
+        has no orbits, else assembled and factored by the first call."""
+        if self.sub.orbit is None:
+            return self
+        if self._plain is None:
+            self._plain = CondensedSystem(self.disc, _substructure(self.disc), self.field, self.sp_)
+        return self._plain
 
     def solve(self, F: np.ndarray | None = None) -> np.ndarray:
         """All dofs of K x = F with zero Dirichlet data, or with no F the
@@ -707,7 +946,8 @@ class CondensedSystem:
             if sub.I.size:
                 y_I = sub.lu_II.solve(b[sub.I])
                 g = g - sub.K_TI @ y_I
-        x_T = _refined_solve(self.lu, self.S, self.abs_S, g)
+            g = sub.reduce(g)
+        x_T = sub.expand(_refined_solve(self.lu, self.S, self.abs_S, g))
         x_f = np.empty(disc.free.size)
         x_f[sub.T] = x_T
         if sub.I.size:
@@ -738,13 +978,15 @@ def solve_state(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ) -> FieldSolution:
-    """Solve the constrained conduction system condensed onto T, with the
-    mesh's split or, under an override, a one-off split of its own.  There
-    is no applied flux; the load comes from the Dirichlet values alone."""
+    """Solve the constrained conduction system condensed onto T: on the
+    mesh's split on its mirror group's orbits where the group acts on the
+    field, else on its plain split, or, under an override, on a one-off
+    split of its own.  There is no applied flux; the load comes from the
+    Dirichlet values alone."""
     if override:
         sub = _whole_split(disc, assemble_system(disc, field, sp_, override))
     else:
-        sub = _substructure(disc)
+        sub = _substructure(disc, _mirror_group(disc).acts_on(field))
     lu = CondensedSystem(disc, sub, field, sp_)
     return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 
@@ -753,10 +995,15 @@ def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
-    is symmetric, so this is a solve with the state's factors.
+    is symmetric, so this is a solve with the state's factors.  A state
+    solved on the mirror group's orbits keeps them only for a load exactly
+    invariant under the group; any other goes to the plain split, never
+    projected onto the invariant loads.
     """
-    disc = state.disc
-    return state.lu.solve(disc.N.T @ (disc.w * load_q))
+    disc, lu = state.disc, state.lu
+    if lu.sub.orbit is not None and not disc.group.invariant(load_q):
+        lu = lu.plain()
+    return lu.solve(disc.N.T @ (disc.w * load_q))
 
 
 def sensitivity_contraction(

@@ -320,6 +320,45 @@ class SymmetryMap:
         return sums / counts
 
 
+#: the mirrors about the coordinate axes, as sign pairs: y -> -y and x -> -x
+MIRRORS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
+
+
+def match_tolerance(pts: np.ndarray) -> float:
+    """Distance within which two control points coincide: 1e-8 of the
+    net's diameter (at least 1e-8)."""
+    return 1e-8 * max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1.0)
+
+
+def mirror_images(pts: np.ndarray, tol: float) -> list:
+    """Per mirror of MIRRORS (a reflection about the origin), the index of
+    a point within `tol` of each point's image, or None where some image is
+    no point.  Among coincident points the match is any one of them."""
+    tree = cKDTree(pts)
+    out = []
+    for refl in MIRRORS:
+        dist, j = tree.query(pts * refl)
+        out.append(j if np.all(dist <= tol) else None)
+    return out
+
+
+def orbits(n: int, pairs: list[np.ndarray]) -> tuple[int, np.ndarray]:
+    """The number of orbits of n points joined by the index pairs (rows of
+    (k, 2) arrays) and each point's orbit, numbered in the order of its
+    lowest index."""
+    i, j = np.concatenate([np.zeros((0, 2), dtype=int)] + pairs).T
+    return connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
+                                directed=False)
+
+
+def net_orbits(pts: np.ndarray, images: list[np.ndarray], tol: float) -> tuple[int, np.ndarray]:
+    """Orbits of a control net: coincident points (multi-patch seams) and
+    each point with its `images` (index arrays from `mirror_images`)."""
+    pairs = [cKDTree(pts).query_pairs(tol, output_type="ndarray")]
+    pairs += [np.column_stack([np.arange(j.size), j]) for j in images]
+    return orbits(len(pts), pairs)
+
+
 def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     """Group design coefficients into orbits.
 
@@ -334,19 +373,9 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     if mode not in ("coincide", "xy"):
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    tol = 1e-8 * max(diam, 1.0)
-    tree = cKDTree(pts)
-    pairs = [tree.query_pairs(tol, output_type="ndarray")]
-    if mode == "xy":
-        for refl in (np.array([1.0, -1.0]), np.array([-1.0, 1.0])):
-            dist, j = tree.query(pts * refl)
-            if np.any(dist > tol):
-                raise ConfigError(
-                    "design net is not mirror symmetric; use mode='coincide' or 'none'"
-                )
-            pairs.append(np.column_stack([np.arange(m), j]))
-    i, j = np.concatenate(pairs).T
-    graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(m, m))
-    n_var, orbit = connected_components(graph, directed=False)
+    tol = match_tolerance(pts)
+    images = mirror_images(pts, tol) if mode == "xy" else []
+    if any(j is None for j in images):
+        raise ConfigError("design net is not mirror symmetric; use mode='coincide' or 'none'")
+    n_var, orbit = net_orbits(pts, images, tol)
     return SymmetryMap(orbit=orbit, n_var=n_var)

@@ -51,6 +51,9 @@ class ObjectiveSpec:
     j_norm: float = 1.0
     mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
     t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
+    # whether the mesh's mirror group leaves the objective invariant (see
+    # invariant_under); None until the first state solved on its orbits
+    mirrored: bool | None = dc_field(repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
@@ -59,6 +62,16 @@ class ObjectiveSpec:
             raise ConfigError("regularization weights must be non-negative")
         if self.j_norm <= 0:
             raise ConfigError("normalization must be positive")
+
+    def invariant_under(self, group) -> bool:
+        """Whether the mirror group leaves the objective invariant: the
+        region mask exactly, and t_ref to roundoff, measured against |t_ref|
+        (the reference solves do not run on the orbits).  Checked once."""
+        if self.mirrored is None:
+            t = self.t_ref_q
+            self.mirrored = group.invariant(self.mask) and (
+                t is None or np.abs(group.average(t) - t).max() <= 1e-12 * np.abs(t).max())
+        return self.mirrored
 
 
 def compute_reference_fields(disc: Discretization, kind: str):
@@ -97,7 +110,13 @@ def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float
 
 
 def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
-    """Main objective value and dJ/dT at quadrature points (adjoint source)."""
+    """Main objective value and dJ/dT at quadrature points (adjoint source).
+
+    For a state solved on the mesh's mirror orbits, dJ/dT is averaged over
+    each orbit of quadrature points where the objective is invariant: the
+    state is invariant there, and T at quadrature points and t_ref only to
+    roundoff, which would send the adjoint to the plain split.
+    """
     Tq = sol.at_quadrature()
     if spec.kind == "annular":
         integrand = Tq**2
@@ -107,6 +126,8 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
     dj_dt = np.where(spec.mask, dj_dt, 0.0)
+    if sol.lu.sub.orbit is not None and spec.invariant_under(disc.group):
+        dj_dt = disc.group.average(dj_dt)
     j_main = float((disc.w * integrand)[spec.mask].sum())
     return j_main, dj_dt
 

@@ -22,10 +22,12 @@ from igatop.levelset import (
     SmoothingParams,
     build_symmetry_map,
     design_quadrature,
+    mirror_images,
     project_lsf,
 )
 from igatop.model import (
     BoundaryTag,
+    DesignBasis,
     MultiPatchModel,
     RefineSpec,
     build_annulus,
@@ -457,24 +459,33 @@ class TestCondensed:
     def test_map_assembled_schur_complement(self, plates, name):
         # S from the mesh's maps against K_ff[T][:, T] - W sliced from the
         # whole assembly, W from a K_II factor of its own (none where I is
-        # empty: S is K_ff permuted); the start design and a perturbed one
+        # empty: S is K_ff permuted); the start design, a perturbed one and
+        # the perturbed one made mirror symmetric, whose S on the mirror
+        # orbits of T is E^T (K_ff[T][:, T] - W) E (the explicit-beta ring
+        # cloak has no mirrors: its S is the plain one)
         if name in plates:
             pipe = plates[name]
             disc, field, sp_ = pipe.disc, pipe.field0, pipe.smoothing
         else:
             disc, field, sp_ = ring_cloak(build_cloak_model("circular", beta=1e4), 4)
         rng = np.random.default_rng(7)
-        for c in (field.coeffs, field.coeffs + 0.5 * rng.standard_normal(field.coeffs.size)):
+        perturbed = field.coeffs + 0.5 * rng.standard_normal(field.coeffs.size)
+        sym = build_symmetry_map(field.basis, "xy")
+        for c in (field.coeffs, perturbed, sym.expand(sym.reduce_coeffs(perturbed))):
             fld = DesignField(field.basis, c)
-            S = solve_state(disc, fld, sp_).K
-            sub = disc.substructure
+            sol = solve_state(disc, fld, sp_)
+            S, sub = sol.K, sol.lu.sub
             Kff = assemble_system(disc, fld, sp_)[disc.free][:, disc.free]
             ref = Kff[sub.T][:, sub.T]
             if sub.I.size:
                 W = Kff[sub.T][:, sub.I] @ splu(Kff[sub.I][:, sub.I].tocsc()).solve(
                     Kff[sub.I][:, sub.T].toarray())
                 S, ref = S.toarray(), ref.toarray() - W
+            if sub.orbit is not None:
+                E = sp.csr_matrix((np.ones(sub.T.size), (np.arange(sub.T.size), sub.orbit)))
+                ref = E.T @ ref @ E
             assert abs(S - ref).max() <= 1e-14 * abs(ref).max()
+        assert (sub.orbit is not None) == (name in plates)  # the symmetric design's split
 
     @pytest.mark.parametrize("beta", [None, 1e4])
     def test_design_on_a_dirichlet_edge(self, beta):
@@ -529,6 +540,104 @@ class TestCondensed:
         eval_total(pipe.problem, DesignField(pipe.field0.basis, c))
         assert counts["splu"] == 1 and counts["assemble_system"] == 0
         assert counts["K_II solve"] <= (1 if sub.I.size else 0)
+
+
+def centred_square_model(design_basis=None):
+    """The square [-1, 1]^2 as one design patch, held at 300 K on x = -1
+    and 200 K on x = 1 (so x -> -x is no symmetry of it), with the design
+    basis of a (2, 1, 2, 2) refinement or the one given."""
+    kv = KnotVector(np.array([0.0, 0, 1, 1]), 1)
+    cps = np.array([[[-1.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [1.0, 1.0]]])
+    model = MultiPatchModel(
+        "centred", [NurbsPatch(kv, kv, cps, np.ones((2, 2)))], ["design"], [("rad", "circ")], [],
+        [BoundaryTag(0, "u0", "dirichlet", 300.0), BoundaryTag(0, "u1", "dirichlet", 200.0),
+         BoundaryTag(0, "v0", "insulated"), BoundaryTag(0, "v1", "insulated")],
+        {}, MaterialPair(10.0, 0.5),
+    ).validate()
+    basis = design_basis or design_basis_for(model, RefineSpec(2, 1, 2, 2))
+    return discretize(refine_model(model, RefineSpec(2, 1, 4, 4)), basis)
+
+
+class TestMirrorGroup:
+    """Mirror-symmetric designs solve on the orbits of the mesh's mirror
+    group; everything else on the plain split."""
+
+    Y_MIRROR = (1.0, -1.0)
+
+    @staticmethod
+    def mirrors(disc):
+        return [tuple(m) for m in assembly._mirror_group(disc).mirrors]
+
+    def test_groups_of_the_shipped_meshes(self, plates):
+        # the x-mirror swaps the plates' two Dirichlet values
+        assert self.mirrors(plates["annulus"].disc) == [(1.0, -1.0), (-1.0, 1.0)]
+        for name in ("cloak", "camouflage"):
+            assert self.mirrors(plates[name].disc) == [self.Y_MIRROR]
+
+    def test_trivial_group_under_explicit_beta_and_on_an_asymmetric_plate(self):
+        ring = ring_cloak(build_cloak_model("circular", beta=1e4), 4)[0]
+        model = build_cloak_model("V")
+        tilted = discretize(refine_model(model, RefineSpec(2, 1, 4, 4)),
+                            design_basis_for(model, RefineSpec(2, 1, 2, 2)))
+        assert self.mirrors(ring) == [] and self.mirrors(tilted) == []
+
+    def test_mirror_dropped_where_the_design_basis_is_not_symmetric(self):
+        # a design net mirror symmetric as points whose v knots are not:
+        # its rows at the y-mirrored points are no permutation of its rows
+        assert self.mirrors(centred_square_model()) == [self.Y_MIRROR]
+        kv_v = KnotVector(np.array([0.0, 0, 0, 0.3, 1, 1, 1]), 2)
+        ys = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
+        cps = np.stack([np.column_stack([np.full(4, x), ys]) for x in (-1.0, 1.0)])
+        net = NurbsPatch(KnotVector(np.array([0.0, 0, 1, 1]), 1), kv_v, cps, np.ones((2, 4)))
+        basis = DesignBasis(patch_ids=[0], patches=[net], offsets=np.array([0]), m=8)
+        disc = centred_square_model(basis)
+        assert all(j is not None for j in mirror_images(basis.control_points, 1e-8))
+        assert self.mirrors(disc) == []
+        field = DesignField(basis, np.tile([1.0, -1.0, -1.0, 1.0], 2))  # equal on the net's orbits
+        assert solve_state(disc, field, SmoothingParams(0.5)).lu.sub is disc.substructure
+
+    def test_symmetric_evaluation_factors_one_quarter(self, monkeypatch):
+        # a fresh annulus pipeline: the plain split is never built
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "annulus.yaml")))
+        prob, sym = pipe.problem, pipe.problem.sym
+        x0 = sym.reduce_coeffs(pipe.field0.coeffs)
+        eval_total(prob, prob.field(sym.expand(x0)))  # builds the group and the orbit split
+        rows, counts = [], {"assemble_system": 0}
+        splu_ = assembly.splu
+
+        def counted_splu(A, *args, **kwargs):
+            rows.append(A.shape[0])
+            return splu_(A, *args, **kwargs)
+
+        def counted_assembly(*args, **kwargs):
+            counts["assemble_system"] += 1
+            return assemble_system(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "splu", counted_splu)
+        monkeypatch.setattr(assembly, "assemble_system", counted_assembly)
+        x = x0 + np.random.default_rng(41).standard_normal(x0.size)
+        val = eval_total(prob, prob.field(sym.expand(x)))
+        assert rows == [1023] and counts["assemble_system"] == 0
+        assert val.state.lu.sub is pipe.disc.symmetric_split and pipe.disc.substructure is None
+
+    def test_nudged_design_and_random_load_use_the_plain_split(self, plates):
+        pipe = plates["cloak"]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        c = sym.expand(sym.reduce_coeffs(pipe.field0.coeffs))
+        sol = solve_state(disc, prob.field(c), pipe.smoothing)
+        assert sol.lu.sub.orbit is not None
+        c[3] += 1e-3
+        nudged = solve_state(disc, prob.field(c), pipe.smoothing)
+        assert nudged.lu.sub is disc.substructure and nudged.lu.sub.orbit is None
+        # a load the mirror does not leave invariant is solved on the plain
+        # split, not projected onto the invariant loads
+        c[3] -= 1e-3
+        load = np.random.default_rng(43).standard_normal(disc.w.size)
+        P = solve_adjoint(sol, load)[disc.free]
+        Kff = assemble_system(disc, prob.field(c), pipe.smoothing)[disc.free][:, disc.free]
+        P_ref = splu(Kff.tocsc()).solve((disc.N.T @ (disc.w * load))[disc.free])
+        assert np.abs(P - P_ref).max() <= 1e-12 * np.abs(P_ref).max()
+        assert sol.lu.plain().sub is disc.substructure
 
 
 class TestSensitivity:

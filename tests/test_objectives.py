@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from igatop.assembly import (
     CondensedSystem,
     FieldSolution,
+    _substructure,
     _whole_split,
     assemble_system,
     discretize,
@@ -232,14 +233,28 @@ class TestEvalTotal:
             assert (jp - jm) / (2.0 * t) == pytest.approx(slope, rel=1e-6)
 
 
-def whole_factor_main(prob: HeatProblem, field: DesignField, K):
-    """J_main and its gradient with K's K_ff factored whole."""
+def split_main(prob: HeatProblem, field: DesignField, sub):
+    """J_main, its gradient and the state solved on the split `sub`."""
     disc = prob.disc
-    lu = CondensedSystem(disc, _whole_split(disc, K), field, prob.smoothing)
+    lu = CondensedSystem(disc, sub, field, prob.smoothing)
     sol = FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
     j, dj_dt = eval_main(prob.spec, disc, sol)
     P = solve_adjoint(sol, -dj_dt)
-    return j, sensitivity_contraction(disc, field, prob.smoothing, sol.values, P)
+    return j, sensitivity_contraction(disc, field, prob.smoothing, sol.values, P), sol.values
+
+
+def whole_factor_main(prob: HeatProblem, field: DesignField, K):
+    """J_main and its gradient with K's K_ff factored whole."""
+    return split_main(prob, field, _whole_split(prob.disc, K))[:2]
+
+
+def reversed_design_sum(prob: HeatProblem, field: DesignField):
+    """The whole K with the design points of its assembly summed in reverse
+    order: the same matrix up to roundoff."""
+    disc, bulk = prob.disc, prob.disc.bulk
+    kappa = kappa_at(bulk.D @ field.coeffs, disc.model.design_pair, prob.smoothing)
+    B, s = bulk.B[::-1], np.tile(bulk.w * kappa, 2)[::-1]
+    return (assemble_system(disc, override={"design": 0.0}) + B.T @ sp.diags(s) @ B).tocsr()
 
 
 class TestCondensedEvaluation:
@@ -257,12 +272,54 @@ class TestCondensedEvaluation:
             c = pipe.field0.coeffs + (0.5 * rng.standard_normal(bulk.D.shape[1]) if k else 0.0)
             field = prob.field(c)
             val = eval_total(prob, field)
-            kappa = kappa_at(bulk.D @ c, disc.model.design_pair, prob.smoothing)
-            B, s = bulk.B[::-1], np.tile(bulk.w * kappa, 2)[::-1]
-            K_rev = (assemble_system(disc, override={"design": 0.0})
-                     + B.T @ sp.diags(s) @ B).tocsr()
             j, g = whole_factor_main(prob, field, assemble_system(disc, field, prob.smoothing))
-            j_rev, g_rev = whole_factor_main(prob, field, K_rev)
+            j_rev, g_rev = whole_factor_main(prob, field, reversed_design_sum(prob, field))
             for x, ref, alt in ((val.j_main, j, j_rev), (val.grad_main, g, g_rev)):
                 floor = np.abs(alt - ref).max()
                 assert np.abs(x - ref).max() <= max(1e-12 * np.abs(ref).max(), 4.0 * floor)
+
+
+class TestSymmetricEvaluation:
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_orbit_split_matches_plain_split(self, name):
+        # the sym-expanded start and three symmetric perturbations solve on
+        # the mesh's mirror orbits; the reference is the plain split.  The
+        # optimizer reads the reduced gradient: the full one's antisymmetric
+        # part is roundoff of the plain solve, which the averaged adjoint
+        # load drops (3e-12 of the cloak start's gradient).  On the
+        # camouflage the bound is 1e-12 or four times the move of a
+        # whole-K_ff solve under a reversed design sum, the larger
+        # (TestCondensedEvaluation)
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
+        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
+        x0 = sym.reduce_coeffs(pipe.field0.coeffs)
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            field = prob.field(sym.expand(x0 + (0.5 * rng.standard_normal(x0.size) if k else 0.0)))
+            val = eval_total(prob, field)
+            assert val.state.lu.sub is disc.symmetric_split
+            j, g, T = split_main(prob, field, _substructure(disc))
+            got = (val.j_main, val.grad_reduced, val.state.values)
+            refs = (j, sym.reduce_gradient(g), T)
+            floors = (0.0, 0.0, 0.0)
+            if name == "camouflage":
+                whole = split_main(prob, field, _whole_split(
+                    disc, assemble_system(disc, field, prob.smoothing)))
+                rev = split_main(prob, field, _whole_split(disc, reversed_design_sum(prob, field)))
+                floors = [np.abs(a - b).max() for a, b in zip(
+                    (rev[0], sym.reduce_gradient(rev[1]), rev[2]),
+                    (whole[0], sym.reduce_gradient(whole[1]), whole[2]))]
+            for x, ref, floor in zip(got, refs, floors):
+                assert np.abs(x - ref).max() <= max(1e-12 * np.abs(ref).max(), 4.0 * floor)
+
+    def test_adjoint_load_averaged_on_orbit_states_only(self):
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
+        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
+        symmetric = prob.field(sym.expand(sym.reduce_coeffs(pipe.field0.coeffs)))
+        _, dj_sym = eval_main(prob.spec, disc, solve_state(disc, symmetric, prob.smoothing))
+        assert disc.group.invariant(dj_sym) and prob.spec.mirrored
+        sol = solve_state(disc, pipe.field0, prob.smoothing)  # a projected start: plain split
+        Tq = sol.at_quadrature()
+        _, dj = eval_main(prob.spec, disc, sol)
+        raw = np.where(prob.spec.mask, 2.0 * (Tq - prob.spec.t_ref_q) / prob.spec.j_norm, 0.0)
+        assert np.array_equal(dj, raw)
