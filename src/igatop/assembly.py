@@ -90,7 +90,6 @@ from igatop.levelset import (
     SmoothingParams,
     dirac,
     heaviside,
-    match_tolerance,
     mirror_images,
     net_orbits,
     orbits,
@@ -561,10 +560,9 @@ def _find_group(disc: Discretization) -> MirrorGroup:
     design = np.flatnonzero(disc.qlabel == "design")  # the rows of bulk, in order
     at_bulk = np.full(disc.w.size, -1)
     at_bulk[design] = np.arange(design.size)
-    tol = 1e-8 * max(model.diameter(), 1.0)
-    candidates = zip(MIRRORS, mirror_images(dof_pts, tol), mirror_images(disc.phys, tol),
+    candidates = zip(MIRRORS, mirror_images(dof_pts), mirror_images(disc.phys),
                      [None] * len(MIRRORS) if basis is None else
-                     mirror_images(basis.control_points, match_tolerance(basis.control_points)))
+                     mirror_images(basis.control_points))
     mirrors, dof_images, quad_images, net_images = [], [], [], []
     for refl, p, s, d in candidates:
         if p is None or s is None or np.unique(p).size < p.size or np.unique(s).size < s.size:
@@ -577,7 +575,7 @@ def _find_group(disc: Discretization) -> MirrorGroup:
         if basis is not None:
             if d is None:
                 continue
-            net = _net_orbits(basis, [d])
+            net = net_orbits(basis.control_points, [d])[1]
             C = sp.csr_matrix((np.ones(basis.m), (np.arange(basis.m), net)))
             if _largest((bulk.D[at_bulk[s[design]]] - bulk.D) @ C) > _ROW_TOL * _largest(bulk.D):
                 continue
@@ -591,13 +589,9 @@ def _find_group(disc: Discretization) -> MirrorGroup:
     return MirrorGroup(
         mirrors=mirrors, dof_orbit=orbits(disc.ndof, dof_images)[1], quad_orbit=quad_orbit,
         quad_first=_first(quad_orbit),
-        design_first=None if basis is None else _first(_net_orbits(basis, net_images)),
+        design_first=None if basis is None else _first(
+            net_orbits(basis.control_points, net_images)[1]),
     )
-
-
-def _net_orbits(basis: DesignBasis, images: list) -> np.ndarray:
-    pts = basis.control_points
-    return net_orbits(pts, images, match_tolerance(pts))[1]
 
 
 def _mirror_group(disc: Discretization) -> MirrorGroup:
@@ -671,38 +665,30 @@ def _pair_products(pairs: list):
     operators that share the first pair's pattern: the arrays (r, i, j,
     sum), row after row, with A's entries outer and B's inner.
 
-    Rows with the same entry counts are broadcast together: on a patch
-    every row has the same counts, so a mesh takes one block per patch
-    (one in all on the annulus), with no per-product index arithmetic.
+    Each run of consecutive rows with the same entry counts is broadcast
+    into one slice of the outputs: on a patch every row has the same
+    counts, so the annulus takes one run, with no per-product index
+    arithmetic.
     """
     A, B = pairs[0]
     na, nb = np.diff(A.indptr), np.diff(B.indptr)
-    n = na * nb
-    start = np.cumsum(n) - n
-    r = np.empty(int(n.sum()), dtype=np.intp)
+    start = np.concatenate([[0], np.cumsum(na * nb)])
+    r = np.empty(start[-1], dtype=np.intp)
     i, j, v = np.empty(r.size, A.indices.dtype), np.empty(r.size, B.indices.dtype), np.empty(r.size)
-    kind = na * (int(nb.max(initial=0)) + 1) + nb
-    for k in np.unique(kind):
-        rows = np.flatnonzero(kind == k)
-        ka, kb = int(na[rows[0]]), int(nb[rows[0]])
-        shape = (rows.size, ka, kb)
-        first = start[rows[0]]
-        # consecutive rows fill one slice of the outputs, written in place
-        at = (slice(first, first + rows.size * ka * kb) if rows[-1] - rows[0] + 1 == rows.size
-              else (start[rows, None] + np.arange(ka * kb)).ravel())
-        blocks = ([x[at].reshape(shape) for x in (r, i, j, v)] if isinstance(at, slice)
-                  else [np.empty(shape, x.dtype) for x in (r, i, j, v)])
-        a = A.indptr[rows, None] + np.arange(ka)  # (rows, ka) entries of A
-        b = B.indptr[rows, None] + np.arange(kb)
-        blocks[0][...] = rows[:, None, None]
-        blocks[1][...] = A.indices[a][:, :, None]
-        blocks[2][...] = B.indices[b][:, None, :]
-        np.multiply(A.data[a][:, :, None], B.data[b][:, None, :], out=blocks[3])
+    runs = np.flatnonzero((np.diff(na) != 0) | (np.diff(nb) != 0)) + 1
+    for lo, hi in zip(np.concatenate([[0], runs]), np.concatenate([runs, [na.size]])):
+        if lo == hi:  # an operator with no rows
+            continue
+        rows, ka, kb = np.arange(lo, hi), int(na[lo]), int(nb[lo])
+        r_, i_, j_, v_ = (x[start[lo]:start[hi]].reshape(hi - lo, ka, kb) for x in (r, i, j, v))
+        a = A.indptr[lo:hi, None] + np.arange(ka)  # (rows, ka) entries of A
+        b = B.indptr[lo:hi, None] + np.arange(kb)
+        r_[...] = rows[:, None, None]
+        i_[...] = A.indices[a][:, :, None]
+        j_[...] = B.indices[b][:, None, :]
+        np.multiply(A.data[a][:, :, None], B.data[b][:, None, :], out=v_)
         for A_, B_ in pairs[1:]:
-            blocks[3] += A_.data[a][:, :, None] * B_.data[b][:, None, :]
-        if not isinstance(at, slice):
-            for x, blk in zip((r, i, j, v), blocks):
-                x[at] = blk.ravel()
+            v_ += A_.data[a][:, :, None] * B_.data[b][:, None, :]
     return r, i, j, v
 
 

@@ -324,17 +324,17 @@ class SymmetryMap:
 MIRRORS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
 
 
-def match_tolerance(pts: np.ndarray) -> float:
-    """Distance within which two control points coincide: 1e-8 of the
-    net's diameter (at least 1e-8)."""
+def _match_tolerance(pts: np.ndarray) -> float:
+    """Distance within which two points coincide: 1e-8 of their bounding
+    box's diagonal (at least 1e-8)."""
     return 1e-8 * max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1.0)
 
 
-def mirror_images(pts: np.ndarray, tol: float) -> list:
+def mirror_images(pts: np.ndarray) -> list:
     """Per mirror of MIRRORS (a reflection about the origin), the index of
-    a point within `tol` of each point's image, or None where some image is
-    no point.  Among coincident points the match is any one of them."""
-    tree = cKDTree(pts)
+    a point that coincides with each point's image, or None where some
+    image is no point.  Among coincident points the match is any one."""
+    tree, tol = cKDTree(pts), _match_tolerance(pts)
     out = []
     for refl in MIRRORS:
         dist, j = tree.query(pts * refl)
@@ -351,10 +351,10 @@ def orbits(n: int, pairs: list[np.ndarray]) -> tuple[int, np.ndarray]:
                                 directed=False)
 
 
-def net_orbits(pts: np.ndarray, images: list[np.ndarray], tol: float) -> tuple[int, np.ndarray]:
+def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> tuple[int, np.ndarray]:
     """Orbits of a control net: coincident points (multi-patch seams) and
     each point with its `images` (index arrays from `mirror_images`)."""
-    pairs = [cKDTree(pts).query_pairs(tol, output_type="ndarray")]
+    pairs = [cKDTree(pts).query_pairs(_match_tolerance(pts), output_type="ndarray")]
     pairs += [np.column_stack([np.arange(j.size), j]) for j in images]
     return orbits(len(pts), pairs)
 
@@ -373,9 +373,8 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
     if mode not in ("coincide", "xy"):
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
-    tol = match_tolerance(pts)
-    images = mirror_images(pts, tol) if mode == "xy" else []
+    images = mirror_images(pts) if mode == "xy" else []
     if any(j is None for j in images):
         raise ConfigError("design net is not mirror symmetric; use mode='coincide' or 'none'")
-    n_var, orbit = net_orbits(pts, images, tol)
+    n_var, orbit = net_orbits(pts, images)
     return SymmetryMap(orbit=orbit, n_var=n_var)

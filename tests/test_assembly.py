@@ -591,7 +591,7 @@ class TestMirrorGroup:
         net = NurbsPatch(KnotVector(np.array([0.0, 0, 1, 1]), 1), kv_v, cps, np.ones((2, 4)))
         basis = DesignBasis(patch_ids=[0], patches=[net], offsets=np.array([0]), m=8)
         disc = centred_square_model(basis)
-        assert all(j is not None for j in mirror_images(basis.control_points, 1e-8))
+        assert all(j is not None for j in mirror_images(basis.control_points))
         assert self.mirrors(disc) == []
         field = DesignField(basis, np.tile([1.0, -1.0, -1.0, 1.0], 2))  # equal on the net's orbits
         assert solve_state(disc, field, SmoothingParams(0.5)).lu.sub is disc.substructure
