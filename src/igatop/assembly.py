@@ -240,8 +240,9 @@ class Discretization:
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
-    # built by the first solve without an override (see _substructure): the
-    # mirror group, the plain split and the split on the group's orbits
+    # the mirror group, found by the first solve without an override, and
+    # the plain split and the split on the group's orbits, each built by the
+    # first solve that needs it (see _substructure)
     group: MirrorGroup | None = None
     substructure: Substructure | None = None
     symmetric_split: Substructure | None = None
