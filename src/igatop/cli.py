@@ -31,7 +31,7 @@ from igatop.export import (
     write_vtk_structured,
 )
 from igatop.levelset import interface_points
-from igatop.objectives import eval_main, eval_total
+from igatop.objectives import eval_main
 from igatop.optimizer import SqpConfig, optimize
 
 
@@ -89,7 +89,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
         lines_per_span=cfg.data["reinit"]["lines_per_span"],
         record_hook=record,
     )
-    val = eval_total(pipe.problem, best)
+    # the best iterate's evaluation, kept by the optimizer
+    val = state.best_aux
     print(f"stop_reason = {reason}")
     print(f"iterations = {state.iteration}  function_evaluations = {state.fevals}")
     print(f"J_main = {val.j_main:.9g}")

@@ -14,7 +14,7 @@ The start and every reinitialization, scheduled or step-tolerance, run one
 restart routine: evaluate, reset H to |g|_inf I, begin a new reinitialization
 round, and accept the point.  Accepting an iterate (a restart or a line-search
 step) is the one place that moves the current point, updates the best-seen
-iterate and writes a record.
+iterate (with fun's aux there) and writes a record.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class SqpState:
     best_x: np.ndarray = None
     best_j: float = np.inf
     aux: object = None  # fun's third output at the current iterate
+    best_aux: object = None  # and at the best iterate
 
 
 def solve_qp_subproblem(g, H, lower, upper, x):
@@ -199,7 +200,7 @@ def minimize(fun, x0, cfg: SqpConfig, reinit_hook=None, record_hook=None, diamet
         state.x, state.g, state.j_total, state.aux = x, g, j, aux
         # the start point is the first best, whatever its J (NaN included)
         if state.best_x is None or j < state.best_j:
-            state.best_j, state.best_x = j, x.copy()
+            state.best_j, state.best_x, state.best_aux = j, x.copy(), aux
         _record(state, step_norm, alpha, event, record_hook)
 
     def restart(x, event):

@@ -16,11 +16,36 @@ target's Greville abscissae recovers its control net exactly in exact
 arithmetic (Schoenberg-Whitney makes that system nonsingular; de Boor,
 A Practical Guide to Splines, ch. XIII).  A target that does not contain
 the curve raises RefinementError instead of returning an approximation.
+
+Tabulation works point-last: the Cox-de Boor table is (p+1, p+1, n) and
+every local table (nloc, n), so each numpy operation runs over contiguous
+rows of points.  It keeps every float operation, and its order, of the
+points-first formulation (the reference in tests/test_splines.py), so
+every table equals that one bit for bit:
+
+- a sum over the local functions that was `.sum(axis=1)` over a contiguous
+  axis follows numpy's pairwise order there: in order below eight terms,
+  else eight running sums over blocks of eight, combined as
+  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder (`_sum_local`);
+  for the cloak's nine functions a plain row-by-row sum differs;
+- one that was an einsum over the local functions ("nl,nld->nd") runs in
+  order: a `.sum(axis=0)` over the leading axis, with at least two values
+  behind it (over a single point numpy would sum pairwise);
+- the per-point tables callers read are C-contiguous (n, nloc) copies, as
+  before: their einsums over a row take another order on a transposed view.
+
+`tabulate` computes the geometry (phys, jac, det_j) at once; `PatchTab`
+builds `indices`, `values` and the physical gradients `dx`, `dy` the first
+time they are read.  Newton steps that only invert the geometry map, and
+callers that only read values, pay for no gradients.  In a traced run the
+time to build them lands in the span of the caller that reads them, not in
+`splines.tabulate`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,54 +96,52 @@ def find_span_array(kv: KnotVector, us: np.ndarray) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     lo, hi = kv.start, kv.end
     tol = _PARAM_TOL * max(1.0, abs(hi - lo))
-    if np.any(us < lo - tol) or np.any(us > hi + tol):
+    if us.size and (np.fmin.reduce(us) < lo - tol or np.fmax.reduce(us) > hi + tol):
         raise DomainError(f"parameter outside [{lo}, {hi}]")
-    us = np.clip(us, lo, hi)
+    # a parameter within tol outside the range lands in the end span here
     spans = np.searchsorted(kv.values, us, side="right") - 1
-    return np.clip(spans, kv.degree, kv.n_funcs - 1)
+    return np.minimum(np.maximum(spans, kv.degree, out=spans), kv.n_funcs - 1, out=spans)
 
 
 def basis_and_ders(kv: KnotVector, us: np.ndarray, spans: np.ndarray):
     """Nonzero basis functions and first derivatives at each parameter.
 
-    Returns (vals, ders), each of shape (npts, degree+1); column r holds
+    Returns (vals, ders), each of shape (degree+1, npts): row r holds
     function index spans - degree + r.  Cox-de Boor triangular recurrence,
-    vectorized over the point batch.
+    vectorized over the point batch, with the points on the last axis.
     """
-    U = kv.values
     p = kv.degree
     us = np.asarray(us, dtype=float)
     npts = us.size
-    ndu = np.empty((npts, p + 1, p + 1))
-    ndu[:, 0, 0] = 1.0
-    left = np.empty((npts, p + 1))
-    right = np.empty((npts, p + 1))
+    out = np.empty((2, p + 1, npts))
+    # row k holds knot spans + k + 1 - p, for k < 2p (none at degree 0)
+    win = kv.values[spans + np.arange(1 - p, p + 1)[:, None]]
+    left = np.empty((p + 1, npts))
+    right = np.empty((p + 1, npts))
+    np.subtract(us, win[p - 1::-1], out=left[1:])  # us - U[spans + 1 - j]
+    np.subtract(win[p:], us, out=right[1:])  # U[spans + j] - us
+    ndu = np.empty((p + 1, p + 1, npts))
+    ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[:, j] = us - U[spans + 1 - j]
-        right[:, j] = U[spans + j] - us
         saved = np.zeros(npts)
         for r in range(j):
-            ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
-            temp = ndu[:, r, j - 1] / ndu[:, j, r]
-            ndu[:, r, j] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        ndu[:, j, j] = saved
-    vals = ndu[:, :, p].copy()
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    out[0] = ndu[:, p]
 
-    ders = np.empty((npts, p + 1))
-    if p == 0:
-        ders[:] = 0.0
-        return vals, ders
-    for r in range(p + 1):
-        acc = np.zeros(npts)
-        if r >= 1:
-            d1 = U[spans + r] - U[spans - p + r]
-            acc += ndu[:, r - 1, p - 1] / d1
-        if r <= p - 1:
-            d2 = U[spans + r + 1] - U[spans - p + r + 1]
-            acc -= ndu[:, r, p - 1] / d2
-        ders[:, r] = p * acc
-    return vals, ders
+    # ders[r] = p (ndu[r-1, p-1] / h[r-1] - ndu[r, p-1] / h[r]), h the
+    # knot differences U[spans + r + 1] - U[spans + r + 1 - p]; terms with
+    # no function drop out
+    quot = ndu[:p, p - 1] / (win[p:] - win[:p])
+    ders = out[1]
+    ders[:] = 0.0
+    ders[1:] += quot
+    ders[:p] -= quot
+    ders *= p
+    return out[0], ders
 
 
 @dataclass(frozen=True)
@@ -159,62 +182,123 @@ class NurbsPatch:
         return nu * nv
 
 
-@dataclass
-class PatchTab:
-    """Vectorized basis tabulation at a batch of parametric points."""
+def _points_first(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, nloc) copy of a point-last (nloc, n) table."""
+    return np.ascontiguousarray(a.T)
 
-    params: np.ndarray  # (n, 2)
-    phys: np.ndarray  # (n, 2)
-    indices: np.ndarray  # (n, nloc) flat local control indices
-    values: np.ndarray  # (n, nloc)
-    dx: np.ndarray  # (n, nloc) physical d/dx
-    dy: np.ndarray  # (n, nloc)
-    det_j: np.ndarray  # (n,)
-    jac: np.ndarray = field(repr=False, default=None)  # (n, 2, 2)
+
+class PatchTab:
+    """Vectorized basis tabulation at a batch of parametric points.
+
+    The geometry (params, phys, det_j and jac) is computed by `tabulate`.
+    The per-point tables `indices`, `values`, `dx` and `dy`, each (n, nloc)
+    and C-contiguous, are built from the point-last tables the first time
+    they are read; the physical gradients dx, dy are computed only then.
+    """
+
+    def __init__(self, params, phys, jac, det_j, loc, R, dR):
+        self.params = params  # (n, 2)
+        self.phys = phys  # (n, 2)
+        self.jac = jac  # (n, 2, 2)
+        self.det_j = det_j  # (n,)
+        self._loc = loc  # (nloc, n) flat local control indices
+        self._R = R  # (nloc, n) rational basis values
+        self._dR = dR  # (nloc, 2, n) their d/du and d/dv
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return _points_first(self._loc)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _points_first(self._R)
+
+    @cached_property
+    def _grads(self) -> np.ndarray:
+        """(2, n, nloc): physical d/dx and d/dy, through the inverse Jacobian."""
+        J = self.jac
+        along_u = np.stack([J[:, 1, 1], -J[:, 0, 1]])
+        along_v = np.stack([-J[:, 1, 0], J[:, 0, 0]])
+        g = (along_u * self._dR[:, :1] + along_v * self._dR[:, 1:]) / self.det_j
+        return np.ascontiguousarray(g.transpose(1, 2, 0))
+
+    @property
+    def dx(self) -> np.ndarray:
+        return self._grads[0]
+
+    @property
+    def dy(self) -> np.ndarray:
+        return self._grads[1]
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in numpy's order for a contiguous axis of len(a).
+
+    Eight running sums over blocks of eight, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order;
+    above 128 terms the halves (cut at a multiple of eight) are summed
+    apart.  Callers use it for 8 terms or more.
+    """
+    m = a.shape[0]
+    if m > 128:
+        h = m // 2 - (m // 2) % 8
+        return _pairwise_sum(a[:h]) + _pairwise_sum(a[h:])
+    r = a[:8]
+    tail = m - m % 8
+    for i in range(8, tail, 8):
+        r = r + a[i: i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(tail, m):
+        s += a[i]
+    return s
+
+
+def _sum_local(a: np.ndarray) -> np.ndarray:
+    """Sum of a point-last table over its local functions (axis 0), in the
+    order `.sum(axis=1)` takes over a contiguous points-first table."""
+    if a.shape[0] < 8:
+        # in order, which is also how a reduction over a leading axis runs
+        return a.sum(axis=0)
+    return 0.0 + _pairwise_sum(a)
 
 
 def tabulate(patch: NurbsPatch, pts: np.ndarray, check_jacobian: bool = True) -> PatchTab:
-    """Evaluate the rational basis, gradients, and geometry at parametric points."""
+    """Evaluate the rational basis and the geometry at parametric points;
+    the physical gradients are computed when first read (PatchTab)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     kvu, kvv = patch.knots_u, patch.knots_v
     p, q = kvu.degree, kvv.degree
+    nloc = (p + 1) * (q + 1)
     su = find_span_array(kvu, pts[:, 0])
     sv = find_span_array(kvv, pts[:, 1])
     Nu, dNu = basis_and_ders(kvu, pts[:, 0], su)
     Nv, dNv = basis_and_ders(kvv, pts[:, 1], sv)
 
     nu, nv = patch.shape
-    iu = su[:, None] - p + np.arange(p + 1)[None, :]
-    iv = sv[:, None] - q + np.arange(q + 1)[None, :]
-    loc = (iu[:, :, None] * nv + iv[:, None, :]).reshape(n, -1)
+    iu = su - p + np.arange(p + 1)[:, None]
+    iv = sv - q + np.arange(q + 1)[:, None]
+    loc = (iu[:, None] * nv + iv[None]).reshape(nloc, n)
 
-    B = (Nu[:, :, None] * Nv[:, None, :]).reshape(n, -1)
-    Bu = (dNu[:, :, None] * Nv[:, None, :]).reshape(n, -1)
-    Bv = (Nu[:, :, None] * dNv[:, None, :]).reshape(n, -1)
-
+    # B, dB/du and dB/dv of each local function, (nloc, 3, n)
+    Bs = (np.stack([Nu, dNu, Nu], axis=1)[:, None]
+          * np.stack([Nv, Nv, dNv], axis=1)[None]).reshape(nloc, 3, n)
     w_loc = patch.weights.reshape(-1)[loc]
-    P_loc = patch.control_points.reshape(-1, 2)[loc]
+    xy_loc = patch.control_points.reshape(-1)[2 * loc[:, None] + np.arange(2)[:, None]]
 
-    Bw = B * w_loc
-    W = Bw.sum(axis=1)
-    Wu = (Bu * w_loc).sum(axis=1)
-    Wv = (Bv * w_loc).sum(axis=1)
-    R = Bw / W[:, None]
-    dRu = w_loc * (Bu - B * (Wu / W)[:, None]) / W[:, None]
-    dRv = w_loc * (Bv - B * (Wv / W)[:, None]) / W[:, None]
+    Bw = Bs * w_loc[:, None]
+    W = _sum_local(Bw)  # W, dW/du, dW/dv
+    R = Bw[:, 0] / W[0]
+    dR = w_loc[:, None] * (Bs[:, 1:] - Bs[:, :1] * (W[1:] / W[0])) / W[0]
 
-    phys = np.einsum("nl,nld->nd", R, P_loc)
-    jac = np.empty((n, 2, 2))
-    jac[:, :, 0] = np.einsum("nl,nld->nd", dRu, P_loc)
-    jac[:, :, 1] = np.einsum("nl,nld->nd", dRv, P_loc)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    # each sum over the local functions runs in order, leading axis first
+    phys = _points_first((R[:, None] * xy_loc).sum(axis=0))
+    dP = (dR[:, :, None] * xy_loc[:, None]).sum(axis=0)  # [d/du, d/dv][x, y]
+    jac = np.ascontiguousarray(dP.transpose(2, 1, 0))
+    det = dP[0, 0] * dP[1, 1] - dP[1, 0] * dP[0, 1]
     if check_jacobian and np.any(det <= 0):
         raise GeometryError("non-positive Jacobian determinant in patch evaluation")
-
-    dx = (jac[:, 1, 1, None] * dRu - jac[:, 1, 0, None] * dRv) / det[:, None]
-    dy = (-jac[:, 0, 1, None] * dRu + jac[:, 0, 0, None] * dRv) / det[:, None]
-    return PatchTab(params=pts, phys=phys, indices=loc, values=R, dx=dx, dy=dy, det_j=det, jac=jac)
+    return PatchTab(params=pts, phys=phys, jac=jac, det_j=det, loc=loc, R=R, dR=dR)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +312,7 @@ def _collocation(kv: KnotVector, us: np.ndarray) -> np.ndarray:
     vals, _ = basis_and_ders(kv, us, spans)
     out = np.zeros((us.size, kv.n_funcs))
     cols = spans[:, None] - kv.degree + np.arange(kv.degree + 1)[None, :]
-    np.put_along_axis(out, cols, vals, axis=1)
+    np.put_along_axis(out, cols, vals.T, axis=1)
     return out
 
 
@@ -318,19 +402,25 @@ def subdivide_spans(patch: NurbsPatch, k_u: int, k_v: int) -> NurbsPatch:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def gauss_points_1d(kv: KnotVector, n_per_span: int | None = None):
     """Gauss-Legendre points/weights over the nonempty spans of a knot vector."""
     n_g = kv.degree + 1 if n_per_span is None else n_per_span
-    gx, gw = np.polynomial.legendre.leggauss(n_g)
+    gx, gw = _gauss_legendre(n_g)
     breaks = kv.span_breaks()
-    pts, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= 1e-14 * max(1.0, abs(kv.end - kv.start)):
-            continue
-        half = 0.5 * (b - a)
-        pts.append(0.5 * (a + b) + half * gx)
-        wts.append(half * gw)
-    return np.concatenate(pts), np.concatenate(wts)
+    a, b = breaks[:-1], breaks[1:]
+    keep = b - a > 1e-14 * max(1.0, abs(kv.end - kv.start))
+    a, b = a[keep, None], b[keep, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * gx).ravel(), (half * gw).ravel()
 
 
 def patch_quadrature(patch: NurbsPatch, n_per_span: int | None = None):

@@ -136,6 +136,39 @@ class TestOptimize:
             b2 = (tmp_path / "o2" / name).read_bytes()
             assert b1 == b2, f"{name} differs between identical runs"
 
+    def test_best_iterate_is_not_evaluated_again(self, tmp_path, tiny_annulus_cfg,
+                                                 monkeypatch, capsys):
+        # the printed terms and the field export come from the optimizer's own
+        # evaluation of the best iterate; evaluating it again writes the same
+        from igatop import cli, export, objectives, optimizer
+
+        orig_eval, orig_optimize = objectives.eval_total, cli.optimize
+        seen = {"evals": 0}
+
+        def counted(*args, **kwargs):
+            seen["evals"] += 1
+            return orig_eval(*args, **kwargs)
+
+        def run(problem, *args, **kwargs):
+            best, state, reason = orig_optimize(problem, *args, **kwargs)
+            seen.update(problem=problem, best=best, at_return=seen["evals"])
+            return best, state, reason
+
+        monkeypatch.setattr(optimizer, "eval_total", counted)
+        monkeypatch.setattr(objectives, "eval_total", counted)
+        monkeypatch.setattr(cli, "eval_total", counted, raising=False)
+        monkeypatch.setattr(cli, "optimize", run)
+        assert run_cli(["optimize", "--config", tiny_annulus_cfg]) == 0
+        assert seen["evals"] - seen["at_return"] == 0
+
+        val = orig_eval(seen["problem"], seen["best"])
+        out = capsys.readouterr().out
+        assert f"J_main = {val.j_main:.9g}" in out.splitlines()
+        xs, ys, data = export.sample_fields(seen["problem"].disc, val.state.values, seen["best"],
+                                           seen["problem"].smoothing, 41)
+        export.write_grid_csv(str(tmp_path / "again.csv"), xs, ys, data)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "out" / "field.csv").read_bytes()
+
     def test_convergence_csv_schema(self, tmp_path, tiny_annulus_cfg):
         assert run_cli(["optimize", "--config", tiny_annulus_cfg]) == 0
         header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]

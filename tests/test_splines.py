@@ -6,11 +6,13 @@ import pytest
 from igatop import splines
 from igatop.config import RunConfig
 from igatop.errors import DomainError, GeometryError, RefinementError
+from igatop.model import RefineSpec, design_basis_for, refine_model
 from igatop.splines import (
     KnotVector,
     NurbsPatch,
     degree_elevate,
     find_span_array,
+    gauss_points_1d,
     knot_insert,
     patch_quadrature,
     subdivide_spans,
@@ -90,6 +92,95 @@ def quarter_circle_patch(radius=1.0, r_in=0.5):
     return NurbsPatch(kvu, kvv, cps, weights)
 
 
+def points_first_basis(kv, us, spans):
+    """Values and first derivatives, each (npts, degree+1): the Cox-de Boor
+    recurrence with the points on the first axis, as first written."""
+    U, p, npts = kv.values, kv.degree, us.size
+    ndu = np.empty((npts, p + 1, p + 1))
+    ndu[:, 0, 0] = 1.0
+    left = np.empty((npts, p + 1))
+    right = np.empty((npts, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = us - U[spans + 1 - j]
+        right[:, j] = U[spans + j] - us
+        saved = np.zeros(npts)
+        for r in range(j):
+            ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
+            temp = ndu[:, r, j - 1] / ndu[:, j, r]
+            ndu[:, r, j] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        ndu[:, j, j] = saved
+    vals = ndu[:, :, p].copy()
+    ders = np.zeros((npts, p + 1))
+    for r in range(p + 1 if p else 0):
+        acc = np.zeros(npts)
+        if r >= 1:
+            acc += ndu[:, r - 1, p - 1] / (U[spans + r] - U[spans - p + r])
+        if r <= p - 1:
+            acc -= ndu[:, r, p - 1] / (U[spans + r + 1] - U[spans - p + r + 1])
+        ders[:, r] = p * acc
+    return vals, ders
+
+
+def points_first_tabulate(patch, pts):
+    """Every table of `tabulate` with the points on the first axis and the
+    local functions on the contiguous last one (sums over them by
+    `.sum(axis=1)` and einsum), as first written: the reference the
+    point-last tabulation must equal bit for bit."""
+    n = pts.shape[0]
+    kvu, kvv = patch.knots_u, patch.knots_v
+    p, q = kvu.degree, kvv.degree
+    su, sv = find_span_array(kvu, pts[:, 0]), find_span_array(kvv, pts[:, 1])
+    Nu, dNu = points_first_basis(kvu, pts[:, 0], su)
+    Nv, dNv = points_first_basis(kvv, pts[:, 1], sv)
+    iu = su[:, None] - p + np.arange(p + 1)[None, :]
+    iv = sv[:, None] - q + np.arange(q + 1)[None, :]
+    loc = (iu[:, :, None] * patch.shape[1] + iv[:, None, :]).reshape(n, -1)
+    B = (Nu[:, :, None] * Nv[:, None, :]).reshape(n, -1)
+    Bu = (dNu[:, :, None] * Nv[:, None, :]).reshape(n, -1)
+    Bv = (Nu[:, :, None] * dNv[:, None, :]).reshape(n, -1)
+    w_loc = patch.weights.reshape(-1)[loc]
+    P_loc = patch.control_points.reshape(-1, 2)[loc]
+    Bw = B * w_loc
+    W = Bw.sum(axis=1)
+    Wu = (Bu * w_loc).sum(axis=1)
+    Wv = (Bv * w_loc).sum(axis=1)
+    R = Bw / W[:, None]
+    dRu = w_loc * (Bu - B * (Wu / W)[:, None]) / W[:, None]
+    dRv = w_loc * (Bv - B * (Wv / W)[:, None]) / W[:, None]
+    jac = np.empty((n, 2, 2))
+    jac[:, :, 0] = np.einsum("nl,nld->nd", dRu, P_loc)
+    jac[:, :, 1] = np.einsum("nl,nld->nd", dRv, P_loc)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    return {
+        "phys": np.einsum("nl,nld->nd", R, P_loc), "jac": jac, "det_j": det,
+        "values": R, "indices": loc,
+        "dx": (jac[:, 1, 1, None] * dRu - jac[:, 1, 0, None] * dRv) / det[:, None],
+        "dy": (-jac[:, 0, 1, None] * dRu + jac[:, 0, 0, None] * dRv) / det[:, None],
+    }
+
+
+def shipped_patches(name):
+    """Every patch of a shipped config's solution mesh and design basis."""
+    cfg = RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml"))
+    model = cfg.build_model()
+    design = {k: v for k, v in cfg.data["design"].items() if k != "symmetry"}
+    return (refine_model(model, RefineSpec(**cfg.data["solution"])).patches
+            + design_basis_for(model, RefineSpec(**design)).patches)
+
+
+def sample_params(patch, rng):
+    """Seeded random batches (1 to 500 points), every pair of knot
+    breakpoints, breakpoints against random values, and the corners."""
+    bu, bv = patch.knots_u.span_breaks(), patch.knots_v.span_breaks()
+    batches = [rng.random((n, 2)) for n in (1, 2, 3, 8, 9, 500)]
+    batches.append(np.stack(np.meshgrid(bu, bv, indexing="ij"), axis=-1).reshape(-1, 2))
+    batches.append(np.column_stack([rng.choice(bu, 60), rng.random(60)]))
+    batches.append(np.column_stack([rng.random(60), rng.choice(bv, 60)]))
+    batches.append(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
+    return batches
+
+
 def unit_square_patch(p=1, q=1):
     patch = NurbsPatch(
         KnotVector(np.array([0.0, 0, 1, 1]), 1),
@@ -163,6 +254,56 @@ class TestBasisEval:
         patch = NurbsPatch(kv, kv, cps, np.ones((2, 2)))
         with pytest.raises(GeometryError):
             tabulate(patch, np.array([[0.5, 0.5]]))
+        # unchecked, the geometry comes back; the gradients are not needed for it
+        assert tabulate(patch, np.array([[0.5, 0.5]]), check_jacobian=False).det_j[0] == 0.0
+
+
+class TestPointLast:
+    """`tabulate` works with the points on the last axis; every table it
+    returns equals the points-first formulation bit for bit."""
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_equals_points_first_on_shipped_patches(self, name):
+        rng = np.random.default_rng(20261019)
+        for patch in shipped_patches(name):
+            for pts in sample_params(patch, rng):
+                ref = points_first_tabulate(patch, pts)
+                tab = tabulate(patch, pts, check_jacobian=False)
+                for key, want in ref.items():
+                    got = getattr(tab, key)
+                    assert got.shape == want.shape, key
+                    assert np.array_equal(got, want), key
+                    # callers' einsums over the rows depend on the layout
+                    assert got.flags.c_contiguous, key
+
+    def test_equals_points_first_at_higher_degrees(self):
+        # 16 and more local functions: numpy's pairwise sum takes more
+        # than one block of eight; degree 0 has a zero Jacobian, so NaN gradients
+        rng = np.random.default_rng(7)
+        for p, q in [(0, 1), (1, 1), (3, 3), (3, 4), (7, 8)]:
+            kvs = [KnotVector(np.r_[np.zeros(d + 1), np.sort(rng.random(3)), np.ones(d + 1)], d)
+                   for d in (p, q)]
+            nu, nv = kvs[0].n_funcs, kvs[1].n_funcs
+            grid = np.stack(np.meshgrid(np.linspace(0, 1, nu), np.linspace(0, 2, nv),
+                                        indexing="ij"), axis=-1)
+            patch = NurbsPatch(*kvs, grid + 0.01 * rng.random((nu, nv, 2)),
+                               0.5 + rng.random((nu, nv)))
+            for pts in sample_params(patch, rng):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ref = points_first_tabulate(patch, pts)
+                    tab = tabulate(patch, pts, check_jacobian=False)
+                    for key, want in ref.items():
+                        assert np.array_equal(getattr(tab, key), want, equal_nan=True), (p, q, key)
+
+    def test_read_order_does_not_matter(self):
+        patch = shipped_patches("cloak")[0]
+        pts = np.random.default_rng(3).random((200, 2))
+        first = tabulate(patch, pts)
+        dx, dy, values = first.dx, first.dy, first.values
+        second = tabulate(patch, pts)
+        assert np.array_equal(second.values, values)
+        assert np.array_equal(second.dy, dy)
+        assert np.array_equal(second.dx, dx)
 
 
 class TestKnotInsert:
@@ -279,6 +420,19 @@ class TestChangeOfBasis:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_gauss_points_equal_the_per_span_loop(self, name):
+        for patch in shipped_patches(name):
+            for kv in (patch.knots_u, patch.knots_v):
+                for n_g in (None, 2, 5):
+                    gx, gw = np.polynomial.legendre.leggauss(kv.degree + 1 if n_g is None else n_g)
+                    breaks = kv.span_breaks()
+                    pts = np.concatenate(
+                        [0.5 * (a + b) + 0.5 * (b - a) * gx for a, b in zip(breaks[:-1], breaks[1:])])
+                    wts = np.concatenate([0.5 * (b - a) * gw for a, b in zip(breaks[:-1], breaks[1:])])
+                    got = gauss_points_1d(kv, n_g)
+                    assert np.array_equal(got[0], pts) and np.array_equal(got[1], wts)
+
     def test_unit_square_area(self):
         patch = unit_square_patch()
         pts, w = patch_quadrature(patch)
