@@ -203,10 +203,8 @@ class DesignRows:
     operators of the weighted product A^T diag(s) B they enter.
 
     Per point: the quadrature weight, the region, and the design-basis
-    values (zero rows off the design; None without a basis).  `on` adds,
-    once per mesh, each point's conductivity from the model's regions (NaN
-    where it follows the field) and the index of the points that follow the
-    field; both are None when a region off the design has no value.
+    values (zero rows off the design; None without a basis), and the
+    conductivity of its region, built once per mesh (NaN without one).
     """
 
     w: np.ndarray
@@ -214,17 +212,7 @@ class DesignRows:
     D: sp.csr_matrix | None
     At: sp.csr_matrix  # A^T in CSR
     B: sp.csr_matrix
-    kappa: np.ndarray | None
-    design: np.ndarray | None
-
-    @classmethod
-    def on(cls, model: MultiPatchModel, labels: np.ndarray, **ops) -> DesignRows:
-        """The rows at points of these regions, with the model's values."""
-        kappa = _region_values(labels, model.kappa_regions)
-        todo = np.isnan(kappa)
-        if np.any(todo & (labels != "design")):
-            return cls(labels=labels, **ops, kappa=None, design=None)
-        return cls(labels=labels, **ops, kappa=kappa, design=np.flatnonzero(todo))
+    kappa: np.ndarray
 
 
 @dataclass
@@ -306,9 +294,10 @@ def discretize(
 
     design = [pid for pid, label in enumerate(model.labels) if label == "design"]
     Gd = grad_rows(design)
-    bulk = DesignRows.on(
-        model, qlabel[design_mask], w=w[design_mask],
+    bulk = DesignRows(
+        w=w[design_mask], labels=qlabel[design_mask],
         D=patch_rows("D", design, m) if basis is not None else None, At=Gd.T.tocsr(), B=Gd,
+        kappa=_region_values(qlabel[design_mask], model.kappa_regions),
     )
     region_K = {}
     for label in sorted(set(model.labels) - {"design"}):
@@ -322,15 +311,15 @@ def discretize(
     E = _stack([e.En for e in edges], ndof)
     side_w = [0.5 * e.w for e in edges] * 2
     side_D = [e.D1 for e in edges] + [e.D2 for e in edges]
-    sides = DesignRows.on(
-        model,
-        np.repeat(np.array([e.region_a for e in edges] + [e.region_b for e in edges],
-                           dtype="<U8"), [ws.size for ws in side_w]),
-        w=np.concatenate([np.zeros(0)] + side_w),
+    side_labels = np.repeat(np.array([e.region_a for e in edges] + [e.region_b for e in edges],
+                                     dtype="<U8"), [ws.size for ws in side_w])
+    sides = DesignRows(
+        w=np.concatenate([np.zeros(0)] + side_w), labels=side_labels,
         D=None if basis is None else _stack(
             [Ds if Ds is not None else sp.csr_matrix((ws.size, m)) for ws, Ds in zip(side_w, side_D)], m),
         At=sp.vstack([E, E]).T.tocsr(),
         B=_stack([e.G1n for e in edges] + [e.G2n for e in edges], ndof),
+        kappa=_region_values(side_labels, model.kappa_regions),
     )
     Ks = _gram(E.T.tocsr(), E, np.concatenate([np.zeros(0)] + [e.w * model.beta for e in edges]))
 
@@ -455,17 +444,14 @@ def _region_values(labels: np.ndarray, kappa_regions: dict) -> np.ndarray:
 
 def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
     """Conductivity at each point of `rows`: the override or the region's
-    own value, else (on the design) the smoothed material of the field.
-    Without an override the region values are the ones `rows` keeps."""
-    if override or rows.kappa is None:
-        kappa = _region_values(rows.labels, {**disc.model.kappa_regions, **(override or {})})
-        todo = np.isnan(kappa)
-        if np.any(todo & (rows.labels != "design")):
-            raise AssemblyError("missing conductivity for a non-design region")
-        todo = np.flatnonzero(todo)
-    else:
-        kappa, todo = rows.kappa.copy(), rows.design
-    if todo.size:
+    own value, else (on the design) the smoothed material of the field."""
+    kappa = rows.kappa.copy()
+    for label, val in (override or {}).items():
+        kappa[rows.labels == label] = val
+    todo = np.isnan(kappa)
+    if np.any(todo & (rows.labels != "design")):
+        raise AssemblyError("missing conductivity for a non-design region")
+    if np.any(todo):
         if field is None:
             raise AssemblyError("design region requires a field or an override")
         kappa[todo] = kappa_at((rows.D @ field.coeffs)[todo], disc.model.design_pair, sp_)

@@ -26,7 +26,8 @@ every table equals that one bit for bit:
 - a sum over the local functions that was `.sum(axis=1)` over a contiguous
   axis follows numpy's pairwise order there: in order below eight terms,
   else eight running sums over blocks of eight, combined as
-  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder (`_sum_local`);
+  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder (`_sum_local`,
+  up to numpy's block of 128 terms);
   for the cloak's nine functions a plain row-by-row sum differs;
 - one that was an einsum over the local functions ("nl,nld->nd") runs in
   order: a `.sum(axis=0)` over the leading axis, with at least two values
@@ -231,18 +232,23 @@ class PatchTab:
         return self._grads[1]
 
 
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in numpy's order for a contiguous axis of len(a).
+def _sum_local(a: np.ndarray) -> np.ndarray:
+    """Sum of a point-last table over its local functions (axis 0), in the
+    order `.sum(axis=1)` takes over a contiguous points-first table.
 
-    Eight running sums over blocks of eight, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order;
-    above 128 terms the halves (cut at a multiple of eight) are summed
-    apart.  Callers use it for 8 terms or more.
+    That is numpy's pairwise sum (verified on numpy 2.4.6; TestPointLast
+    compares the two on every run): from the identity 0.0, in order below
+    eight terms, else eight running sums over blocks of eight, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order.  A
+    contiguous copy with `.sum(axis=-1)` gives the same floats but costs
+    2-3 ms more per 24,000 points.  Above numpy's block of 128 terms
+    (degrees beyond (10, 10)) numpy splits the sum in halves; the blocks
+    here run on, which rounds differently but sums the same terms.
     """
     m = a.shape[0]
-    if m > 128:
-        h = m // 2 - (m // 2) % 8
-        return _pairwise_sum(a[:h]) + _pairwise_sum(a[h:])
+    if m < 8:
+        # a reduction over the leading axis runs in order
+        return a.sum(axis=0)
     r = a[:8]
     tail = m - m % 8
     for i in range(8, tail, 8):
@@ -250,16 +256,7 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for i in range(tail, m):
         s += a[i]
-    return s
-
-
-def _sum_local(a: np.ndarray) -> np.ndarray:
-    """Sum of a point-last table over its local functions (axis 0), in the
-    order `.sum(axis=1)` takes over a contiguous points-first table."""
-    if a.shape[0] < 8:
-        # in order, which is also how a reduction over a leading axis runs
-        return a.sum(axis=0)
-    return 0.0 + _pairwise_sum(a)
+    return 0.0 + s
 
 
 def tabulate(patch: NurbsPatch, pts: np.ndarray, check_jacobian: bool = True) -> PatchTab:

@@ -268,16 +268,6 @@ class TestAssemblyReference:
         K_ref = per_edge_stiffness(disc, field, sp_, override)
         assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
 
-    def test_kept_region_values_match_the_labels(self):
-        # the conductivities each DesignRows keeps for its mesh give the
-        # floats of matching every point's region label, field points included
-        disc, field, sp_ = ring_cloak(build_cloak_model("circular", beta=1e4), 4)
-        for rows in (disc.bulk, disc.sides):
-            assert rows.kappa is not None and rows.design.size
-            kept = assembly._kappa_points(disc, rows, field, sp_, None)
-            labelled = assembly._kappa_points(disc, rows, field, sp_, dict(disc.model.kappa_regions))
-            assert np.array_equal(kept, labelled)
-
     def test_state_backward_error_at_eps(self):
         # componentwise backward error of the refined state solve on the
         # shipped cloak solution mesh
