@@ -49,22 +49,26 @@ control points, the quadrature points with their labels and the design
 net onto themselves, the solution and design bases onto themselves, and
 leave the Dirichlet values exactly equal.  The annulus keeps both, the
 cloak and camouflage plates the y-mirror only (x -> -x swaps their two
-Dirichlet values).  A field whose coefficients are exactly equal on every
-orbit of the design net has mirror-symmetric conductivities, so its state
-is mirror symmetric and a Galerkin solve on the invariant vectors, E^T S E
-x = E^T g with E the 0/1 matrix of T's orbits, is exact (Bossavit,
-"Symmetry, groups and boundary value problems", CMAME 56, 1986).  Such a
-solve uses a second split built by `_condense` as above, with S's rows
+Dirichlet values).  A group holds its orbits of the dofs, the quadrature
+points and the design coefficients as `levelset.Orbits` partitions; the
+trivial group, built once per mesh, holds the identity partitions.  A
+field whose coefficients are exactly equal on every orbit of the design
+net has mirror-symmetric conductivities, so its state is mirror
+symmetric and a Galerkin solve on the invariant vectors, E^T S E x =
+E^T g with E the 0/1 matrix of T's orbits, is exact (Bossavit, "Symmetry,
+groups and boundary value problems", CMAME 56, 1986).  Every split is
+built by `_condense` as above on one group's orbits, with S's rows
 numbered by orbit, so the same maps sum every entry onto its orbit pair
 and the factor is E^T S E: a quarter of the annulus's rows, half of the
-plates'.  x_T is read out as x_red[orbit].  Every iterate, line-search
-trial and reinitialization of a run with `design.symmetry: xy` is such a
-field; any other (a projected start, a finite-difference nudge,
-`symmetry: none`) uses the plain split, so the trivial group is the plain
-split alone.  An adjoint load solves on the orbits only if it is exactly
-invariant at the quadrature points (`objectives.eval_main` averages
-dJ/dT over their orbits); any other load goes to the plain split.  The
-group is trivial under an explicit beta: there any reordering of the
+plates'.  x_T is read out as x_red[orbit].  On the trivial group E is
+the identity and this is the plain split.  Every iterate, line-search
+trial and reinitialization of a run with `design.symmetry: xy` solves on
+the mesh's group; any other field (a projected start, a finite-difference
+nudge, `symmetry: none`) on the trivial group.  An adjoint load stays on
+the state's group only if it is exactly invariant at the quadrature
+points (`objectives.eval_main` averages dJ/dT over their orbits); any
+other load goes to the trivial group's split.  The mesh's group is the
+trivial one under an explicit beta: there any reordering of the
 penalty-sized sums can move the solution by far more than roundoff (the
 beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
 
@@ -87,6 +91,7 @@ from igatop.errors import AssemblyError, ModelError, SolverError
 from igatop.levelset import (
     MIRRORS,
     DesignField,
+    Orbits,
     SmoothingParams,
     dirac,
     heaviside,
@@ -242,12 +247,13 @@ class Discretization:
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free: np.ndarray
-    # the mirror group, found by the first solve without an override, and
-    # the plain split and the split on the group's orbits, each built by the
-    # first solve that needs it (see _substructure)
+    # the trivial mirror group (the identity on every set of orbits); the
+    # mesh's mirror group, found by the first solve without an override;
+    # and the split on each group's orbits, built by the first solve on it
+    # (see _substructure)
+    trivial: MirrorGroup
     group: MirrorGroup | None = None
-    substructure: Substructure | None = None
-    symmetric_split: Substructure | None = None
+    splits: dict = dc_field(default_factory=dict)
 
     def region_mask(self, labels) -> np.ndarray:
         if isinstance(labels, str):
@@ -353,6 +359,7 @@ def discretize(
         dirichlet_idx=dirichlet_idx,
         dirichlet_val=dirichlet_val,
         free=free,
+        trivial=MirrorGroup([], Orbits.identity(ndof), Orbits.identity(w.size), Orbits.identity(m)),
     )
 
 
@@ -368,8 +375,8 @@ def _number_dofs(model: MultiPatchModel) -> tuple[int, list[np.ndarray]]:
     pairs = []
     if model.beta is None:
         pairs += [itf.pairs + offsets[[itf.patch_a, itf.patch_b]] for itf in model.interfaces]
-    ndof, dof = orbits(int(offsets[-1]), pairs)
-    return int(ndof), np.split(dof, offsets[1:-1])
+    dofs = orbits(int(offsets[-1]), pairs)
+    return dofs.count, np.split(dofs.index, offsets[1:-1])
 
 
 def _build_edge(model, basis, pair: InterfacePair, patch_dofs, ndof) -> EdgeQuad:
@@ -484,40 +491,26 @@ def assemble_system(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class MirrorGroup:
     """The mirrors among x -> -x and y -> -y that a mesh, its design net
-    and its Dirichlet data all respect, by their orbits.
-
-    Per dof and per quadrature point, `dof_orbit` and `quad_orbit` number
-    its orbit, and `quad_first` is the first point of it; per design
-    coefficient, `design_first` is the first coefficient of its orbit, with
-    coincident control points (multi-patch seams) in one orbit.  No
-    `mirrors`: the trivial group, with no orbits.
+    and its Dirichlet data all respect, by their orbits: of the dofs, of
+    the quadrature points and of the design coefficients (with coincident
+    control points, multi-patch seams, in one orbit).  With no `mirrors`
+    it is the trivial group, whose orbits are the identity partitions.
+    Groups compare (and key a mesh's splits) by identity.
     """
 
-    mirrors: list = dc_field(default_factory=list)
-    dof_orbit: np.ndarray | None = None
-    quad_orbit: np.ndarray | None = None
-    quad_first: np.ndarray | None = None
-    design_first: np.ndarray | None = None
+    mirrors: list
+    dofs: Orbits
+    quad: Orbits
+    net: Orbits
 
     def acts_on(self, field) -> bool:
-        """Whether a solve of `field` may run on the orbits: the group is
-        not trivial and the coefficients are exactly equal on every orbit."""
-        if not self.mirrors:
-            return False
-        return (field is None or self.design_first is None
-                or np.array_equal(field.coeffs[self.design_first], field.coeffs))
-
-    def invariant(self, v_q: np.ndarray) -> bool:
-        """Whether a vector over the quadrature points is exactly invariant."""
-        return np.array_equal(v_q[self.quad_first], v_q)
-
-    def average(self, v_q: np.ndarray) -> np.ndarray:
-        """The mean of a vector over the quadrature points on each orbit:
-        one float at every point of an orbit, so exactly invariant."""
-        return (np.bincount(self.quad_orbit, v_q) / np.bincount(self.quad_orbit))[self.quad_orbit]
+        """Whether a solve of `field` may run on the orbits: its
+        coefficients are exactly equal on every orbit of the net (always
+        so on the trivial group)."""
+        return field is None or self.net.invariant(field.coeffs)
 
 
 # rows of an operator at mirrored points must match to this, relative
@@ -526,11 +519,6 @@ _ROW_TOL = 1e-12
 
 def _largest(A: sp.spmatrix) -> float:
     return float(np.abs(A.data).max(initial=0.0))
-
-
-def _first(orbit: np.ndarray) -> np.ndarray:
-    """The first member of each point's orbit."""
-    return np.unique(orbit, return_index=True)[1][orbit]
 
 
 def _design_side(disc: Discretization) -> np.ndarray:
@@ -561,7 +549,7 @@ def _find_group(disc: Discretization) -> MirrorGroup:
     module docstring)."""
     model, basis, bulk = disc.model, disc.basis, disc.bulk
     if model.beta is not None:
-        return MirrorGroup()
+        return disc.trivial
     dof_pts = np.empty((disc.ndof, 2))
     for patch, dofs in zip(model.patches, disc.patch_dofs):
         dof_pts[dofs] = patch.control_points.reshape(-1, 2)
@@ -588,7 +576,7 @@ def _find_group(disc: Discretization) -> MirrorGroup:
         if basis is not None:
             if d is None:
                 continue
-            net = net_orbits(basis.control_points, [d])[1]
+            net = net_orbits(basis.control_points, [d]).index
             C = sp.csr_matrix((np.ones(basis.m), (np.arange(basis.m), net)))
             if _largest((bulk.D[at_bulk[s[design]]] - bulk.D) @ C) > _ROW_TOL * _largest(bulk.D):
                 continue
@@ -597,13 +585,10 @@ def _find_group(disc: Discretization) -> MirrorGroup:
         dof_images.append(np.column_stack([np.arange(p.size), p]))
         quad_images.append(np.column_stack([np.arange(s.size), s]))
     if not mirrors:
-        return MirrorGroup()
-    quad_orbit = orbits(disc.w.size, quad_images)[1]
+        return disc.trivial
     return MirrorGroup(
-        mirrors=mirrors, dof_orbit=orbits(disc.ndof, dof_images)[1], quad_orbit=quad_orbit,
-        quad_first=_first(quad_orbit),
-        design_first=None if basis is None else _first(
-            net_orbits(basis.control_points, net_images)[1]),
+        mirrors=mirrors, dofs=orbits(disc.ndof, dof_images), quad=orbits(disc.w.size, quad_images),
+        net=disc.trivial.net if basis is None else net_orbits(basis.control_points, net_images),
     )
 
 
@@ -624,17 +609,19 @@ class Substructure:
     W = K_TI K_II^-1 K_IT do not change during a run, nor do the fixed
     regions' parts of S = K_TT - W and of the condensed state load.  S's
     data is that fixed part plus, per kind of field-dependent point, a map
-    applied to the points' weights times conductivities.  On the mesh's
-    mirror group S's rows are the orbits of T's dofs (`orbit`): S is
-    E^T (K_TT - W) E, E the 0/1 matrix of T's orbits.  S's rows are
-    numbered in the elimination order of its factor, so S is factored as
-    stored, and T is sorted by its row.  I may be empty (an all-design
-    mesh): S is then K_ff, or E^T K_ff E.  A one-off split under an
-    override keeps the free dofs' order and factors in SuperLU's own
-    ordering.
+    applied to the points' weights times conductivities.  S's rows are the
+    orbits of T's dofs under `group` (`orbits`): S is E^T (K_TT - W) E, E
+    the 0/1 matrix of T's orbits, which is the identity on the trivial
+    group.  S's rows are numbered in the elimination order of its factor,
+    so S is factored as stored, and T is sorted by its row.  I may be empty
+    (an all-design mesh): S is then E^T K_ff E.  A one-off split under an
+    override, on the trivial group, keeps the free dofs' order and factors
+    in SuperLU's own ordering.
     """
 
+    group: MirrorGroup
     T: np.ndarray  # positions in `free`
+    orbits: Orbits  # S's row of each T entry
     I: np.ndarray
     S: sp.spmatrix  # S's fixed pattern, holding its fixed part
     g: np.ndarray  # the fixed part of the condensed state load
@@ -642,21 +629,12 @@ class Substructure:
     # onto S's data, the map onto the state load's rows)
     maps: list = dc_field(default_factory=list)
     permc_spec: str = "NATURAL"  # the ordering S is factored with
-    orbit: np.ndarray | None = None  # S's row of each T entry; None: T's own
     # the rest only when I is non-empty
     lu_II: object = None
     K_TI: sp.csr_matrix | None = None
     rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
     Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense
     y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
-
-    def reduce(self, v_T: np.ndarray) -> np.ndarray:
-        """E^T v: a load on T summed onto S's rows."""
-        return v_T if self.orbit is None else np.bincount(self.orbit, v_T, self.S.shape[0])
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """E x: a solution on S's rows read out on T."""
-        return x if self.orbit is None else x[self.orbit]
 
 
 def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -748,27 +726,21 @@ def _point_families(disc: Discretization, pos: np.ndarray, n: int, keys: list):
     return families, loads
 
 
-def _substructure(disc: Discretization, reduced: bool = False) -> Substructure:
-    """The mesh's plain split, or with `reduced` its split on the mirror
-    group's orbits, each built by the first solve that asks for it."""
-    split = disc.symmetric_split if reduced else disc.substructure
-    if split is None:
+def _substructure(disc: Discretization, group: MirrorGroup) -> Substructure:
+    """The mesh's split on the orbits of `group` (the trivial group or the
+    mesh's own), built by the first solve that asks for it."""
+    if group not in disc.splits:
         in_T = _design_side(disc)
-        split = _condense(disc, np.flatnonzero(in_T), np.flatnonzero(~in_T),
-                          _mirror_group(disc).dof_orbit if reduced else None)
-        if reduced:
-            disc.symmetric_split = split
-        else:
-            disc.substructure = split
-    return split
+        disc.splits[group] = _condense(disc, group, np.flatnonzero(in_T), np.flatnonzero(~in_T))
+    return disc.splits[group]
 
 
-def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray,
-              dof_orbit: np.ndarray | None = None) -> Substructure:
+def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
+              I: np.ndarray) -> Substructure:
     """Eliminate I once and build S's pattern, fixed part and maps and the
     condensed state load; where I is non-empty, factor K_II and form Z and
-    W first.  With `dof_orbit` (per dof), S's rows are the orbits of T's
-    dofs, and every entry of S and row of a load is summed onto its orbit.
+    W first.  S's rows are the orbits of T's dofs under `group`, and every
+    entry of S and row of a load is summed onto its orbit.
 
     The fixed entries are those of K assembled with the design at zero
     conductivity.  W takes one K_II solve per column of K_IT that holds an
@@ -783,12 +755,9 @@ def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray,
     K_TT = K_T[:, T].tocoo()
     b = -(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val)
     g = b[T]
-    # each T position's row of S before its ordering: its orbit, or itself
-    if dof_orbit is None:
-        row, n = np.arange(T.size), T.size
-    else:
-        ids, row = np.unique(dof_orbit[free[T]], return_inverse=True)
-        n = ids.size
+    # each T position's row of S before its ordering: its orbit
+    ids, row = np.unique(group.dofs.index[free[T]], return_inverse=True)
+    n = ids.size
     # S's fixed entries (K_TT, then -W) and every point's, in those rows, as
     # keys row * n + column
     keys, fixed_vals = [row[K_TT.row] * n + row[K_TT.col]], [K_TT.data]
@@ -840,20 +809,22 @@ def _condense(disc: Discretization, T: np.ndarray, I: np.ndarray,
     step = p[row]
     by_step = np.argsort(step, kind="stable")
     return Substructure(
-        T=T[by_step], I=I, S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)),
-        g=(g if dof_orbit is None else np.bincount(row, g, n))[q], maps=maps,
-        orbit=None if dof_orbit is None else step[by_step],
+        group=group, T=T[by_step], orbits=Orbits(step[by_step], n), I=I,
+        S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)),
+        g=np.bincount(row, g, n)[q], maps=maps,
         lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step],
         rim=None if rim is None else np.argsort(by_step)[rim], Z=Z, y_I=y_I,
     )
 
 
 def _whole_split(disc: Discretization, K: sp.csr_matrix) -> Substructure:
-    """A one-off split for a solve under an override: T every free dof, I
-    empty, S = K_ff with no maps, factored in SuperLU's own ordering."""
-    Kf = K[disc.free]
-    return Substructure(T=np.arange(disc.free.size), I=np.zeros(0, dtype=int),
-                        S=Kf[:, disc.free], g=-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val),
+    """A one-off split for a solve under an override, on the trivial group:
+    T every free dof, I empty, S = K_ff with no maps, factored in SuperLU's
+    own ordering."""
+    Kf, n = K[disc.free], disc.free.size
+    return Substructure(group=disc.trivial, T=np.arange(n), orbits=Orbits.identity(n),
+                        I=np.zeros(0, dtype=int), S=Kf[:, disc.free],
+                        g=-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val),
                         permc_spec="MMD_AT_PLUS_A")
 
 
@@ -905,11 +876,12 @@ class CondensedSystem:
     A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
     and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
     K_II^-1 b_I is the mesh's; another load costs one K_II solve, and none
-    where I is empty.  On a split with orbits a load is summed onto S's
-    rows and x_T read out from them, so the load must be invariant under
-    the mirror group (`solve_adjoint` sends any other to `plain`).  `solve`
-    serves the state and the adjoint, which reuses the state's factor
-    because K_ff is symmetric.  `nnz` counts the entries of both factors.
+    where I is empty.  A load is summed onto S's rows, the orbits of the
+    split's group, and x_T read out from them, so the load must be
+    invariant under that group (`solve_adjoint` sends any other to `plain`,
+    the split on the trivial group).  `solve` serves the state and the
+    adjoint, which reuses the state's factor because K_ff is symmetric.
+    `nnz` counts the entries of both factors.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
@@ -925,12 +897,11 @@ class CondensedSystem:
         self.nnz = self.lu.nnz + (sub.lu_II.nnz if sub.I.size else 0)
 
     def plain(self) -> CondensedSystem:
-        """The same field on the mesh's plain split: itself where its split
-        has no orbits, else assembled and factored by the first call."""
-        if self.sub.orbit is None:
-            return self
+        """The same field on the mesh's split on the trivial group,
+        assembled and factored by the first call."""
         if self._plain is None:
-            self._plain = CondensedSystem(self.disc, _substructure(self.disc), self.field, self.sp_)
+            self._plain = CondensedSystem(self.disc, _substructure(self.disc, self.disc.trivial),
+                                          self.field, self.sp_)
         return self._plain
 
     def solve(self, F: np.ndarray | None = None) -> np.ndarray:
@@ -945,8 +916,8 @@ class CondensedSystem:
             if sub.I.size:
                 y_I = sub.lu_II.solve(b[sub.I])
                 g = g - sub.K_TI @ y_I
-            g = sub.reduce(g)
-        x_T = sub.expand(_refined_solve(self.lu, self.S, self.abs_S, g))
+            g = sub.orbits.reduce(g)
+        x_T = sub.orbits.expand(_refined_solve(self.lu, self.S, self.abs_S, g))
         x_f = np.empty(disc.free.size)
         x_f[sub.T] = x_T
         if sub.I.size:
@@ -979,13 +950,14 @@ def solve_state(
 ) -> FieldSolution:
     """Solve the constrained conduction system condensed onto T: on the
     mesh's split on its mirror group's orbits where the group acts on the
-    field, else on its plain split, or, under an override, on a one-off
-    split of its own.  There is no applied flux; the load comes from the
-    Dirichlet values alone."""
+    field, else on the trivial group's, or, under an override, on a
+    one-off split of its own.  There is no applied flux; the load comes
+    from the Dirichlet values alone."""
     if override:
         sub = _whole_split(disc, assemble_system(disc, field, sp_, override))
     else:
-        sub = _substructure(disc, _mirror_group(disc).acts_on(field))
+        group = _mirror_group(disc)
+        sub = _substructure(disc, group if group.acts_on(field) else disc.trivial)
     lu = CondensedSystem(disc, sub, field, sp_)
     return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 
@@ -996,11 +968,11 @@ def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
     is symmetric, so this is a solve with the state's factors.  A state
     solved on the mirror group's orbits keeps them only for a load exactly
-    invariant under the group; any other goes to the plain split, never
-    projected onto the invariant loads.
+    invariant under the group; any other goes to the trivial group's
+    split, never projected onto the invariant loads.
     """
     disc, lu = state.disc, state.lu
-    if lu.sub.orbit is not None and not disc.group.invariant(load_q):
+    if not lu.sub.group.quad.invariant(load_q):
         lu = lu.plain()
     return lu.solve(disc.N.T @ (disc.w * load_q))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -224,14 +225,8 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
     # deduplicate crossings found from both line directions
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) if len(pts) > 1 else 1.0
     r = max(1e-7 * max(diam, 1.0), 1e-14)
-    tree = cKDTree(pts)
-    keep = np.ones(len(pts), dtype=bool)
-    for i, j in tree.query_pairs(r):
-        if keep[i] and keep[j]:
-            keep[max(i, j)] = False
-    pts = pts[keep]
-    par_out = [p for p, k_ in zip(par_out, keep) if k_]
-    return pts, par_out
+    keep = np.unique(orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).first)
+    return pts[keep], [par_out[i] for i in keep]
 
 
 def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20) -> DesignField:
@@ -291,33 +286,54 @@ def volume_measure(field: DesignField, sp_: SmoothingParams, quad: DesignQuad):
 
 
 # ---------------------------------------------------------------------------
-# symmetry reduction of the design variables
+# orbit partitions: symmetry reduction of the design variables, the dofs and
+# the quadrature points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryMap:
-    """Surjection from expansion coefficients onto free optimization variables."""
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """A partition of `index.size` members into `count` orbits: `index` is
+    each member's orbit, numbered in the order of its lowest member.  E is
+    its 0/1 matrix, E[i, index[i]] = 1; the identity partition is E = I."""
 
-    orbit: np.ndarray  # (m,) orbit index per coefficient
-    n_var: int
+    index: np.ndarray
+    count: int
 
-    def expand(self, variables: np.ndarray) -> np.ndarray:
-        variables = np.asarray(variables, dtype=float)
-        if variables.shape != (self.n_var,):
-            raise ConfigError(f"expected {self.n_var} variables")
-        return variables[self.orbit]
+    @staticmethod
+    def identity(n: int) -> "Orbits":
+        return Orbits(np.arange(n), n)
 
-    def reduce_gradient(self, grad: np.ndarray) -> np.ndarray:
-        if np.asarray(grad).shape != self.orbit.shape:
-            raise ConfigError("gradient length does not match coefficient count")
-        return np.bincount(self.orbit, weights=grad, minlength=self.n_var)
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """E x: one value per orbit, read out at every member."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.count,):
+            raise ConfigError(f"expected {self.count} orbit values")
+        return x[self.index]
 
-    def reduce_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Orbit means; exact when the coefficient vector is symmetric."""
-        sums = np.bincount(self.orbit, weights=coeffs, minlength=self.n_var)
-        counts = np.bincount(self.orbit, minlength=self.n_var)
-        return sums / counts
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """E^T v: a value per member, summed over each orbit."""
+        if np.shape(v) != self.index.shape:
+            raise ConfigError(f"expected {self.index.size} member values")
+        return np.bincount(self.index, v, self.count)
+
+    def means(self, v: np.ndarray) -> np.ndarray:
+        """Orbit means; exact where v is equal on every orbit."""
+        return self.reduce(v) / np.bincount(self.index, minlength=self.count)
+
+    def average(self, v: np.ndarray) -> np.ndarray:
+        """Each member's orbit mean: one float on every orbit, so exactly
+        invariant."""
+        return self.means(v)[self.index]
+
+    def invariant(self, v: np.ndarray) -> bool:
+        """Whether v is exactly equal on every orbit."""
+        return np.array_equal(v[self.first], v)
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """The lowest member of each member's orbit."""
+        return np.unique(self.index, return_index=True)[1][self.index]
 
 
 #: the mirrors about the coordinate axes, as sign pairs: y -> -y and x -> -x
@@ -342,16 +358,16 @@ def mirror_images(pts: np.ndarray) -> list:
     return out
 
 
-def orbits(n: int, pairs: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """The number of orbits of n points joined by the index pairs (rows of
-    (k, 2) arrays) and each point's orbit, numbered in the order of its
-    lowest index."""
+def orbits(n: int, pairs: list[np.ndarray]) -> Orbits:
+    """The orbits of n points joined by the index pairs (rows of (k, 2)
+    arrays)."""
     i, j = np.concatenate([np.zeros((0, 2), dtype=int)] + pairs).T
-    return connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
-                                directed=False)
+    count, index = connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
+                                        directed=False)
+    return Orbits(index, int(count))
 
 
-def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> tuple[int, np.ndarray]:
+def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> Orbits:
     """Orbits of a control net: coincident points (multi-patch seams) and
     each point with its `images` (index arrays from `mirror_images`)."""
     pairs = [cKDTree(pts).query_pairs(_match_tolerance(pts), output_type="ndarray")]
@@ -359,22 +375,21 @@ def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> tuple[int, np.ndarr
     return orbits(len(pts), pairs)
 
 
-def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> SymmetryMap:
-    """Group design coefficients into orbits.
+def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> Orbits:
+    """Group design coefficients into orbits, the free optimization
+    variables.
 
     Modes: 'none' keeps every coefficient independent; 'coincide' merges
     geometrically coincident control points (multi-patch seams); 'xy'
     additionally merges x- and y-mirror images, for nets symmetric about
-    both axes.  Orbits are numbered in the order of their lowest index.
+    both axes.
     """
-    m = basis.m
     if mode == "none":
-        return SymmetryMap(orbit=np.arange(m), n_var=m)
+        return Orbits.identity(basis.m)
     if mode not in ("coincide", "xy"):
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
     images = mirror_images(pts) if mode == "xy" else []
     if any(j is None for j in images):
         raise ConfigError("design net is not mirror symmetric; use mode='coincide' or 'none'")
-    n_var, orbit = net_orbits(pts, images)
-    return SymmetryMap(orbit=orbit, n_var=n_var)
+    return net_orbits(pts, images)

@@ -26,8 +26,8 @@ from igatop.errors import ConfigError, NormalizationError
 from igatop.levelset import (
     DesignField,
     DesignQuad,
+    Orbits,
     SmoothingParams,
-    SymmetryMap,
     volume_measure,
 )
 
@@ -51,27 +51,28 @@ class ObjectiveSpec:
     j_norm: float = 1.0
     mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
     t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
-    # whether the mesh's mirror group leaves the objective invariant (see
-    # invariant_under); None until the first state solved on its orbits
-    mirrored: bool | None = dc_field(repr=False, default=None)
+    # per mirror group a state was solved on, whether it leaves the
+    # objective invariant (see invariant_under)
+    mirrored: dict = dc_field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-        if not (self.chi >= 0 and self.rho >= 0):
-            raise ConfigError("regularization weights must be non-negative")
+        if not (0 <= self.chi < np.inf and 0 <= self.rho < np.inf):
+            raise ConfigError("regularization weights must be finite and non-negative")
         if self.j_norm <= 0:
             raise ConfigError("normalization must be positive")
 
     def invariant_under(self, group) -> bool:
         """Whether the mirror group leaves the objective invariant: the
         region mask exactly, and t_ref to roundoff, measured against |t_ref|
-        (the reference solves do not run on the orbits).  Checked once."""
-        if self.mirrored is None:
-            t = self.t_ref_q
-            self.mirrored = group.invariant(self.mask) and (
-                t is None or np.abs(group.average(t) - t).max() <= 1e-12 * np.abs(t).max())
-        return self.mirrored
+        (the reference solves do not run on the orbits).  Checked once per
+        group."""
+        if group not in self.mirrored:
+            q, t = group.quad, self.t_ref_q
+            self.mirrored[group] = q.invariant(self.mask) and (
+                t is None or np.abs(q.average(t) - t).max() <= 1e-12 * np.abs(t).max())
+        return self.mirrored[group]
 
 
 def compute_reference_fields(disc: Discretization, kind: str):
@@ -112,10 +113,11 @@ def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float
 def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
     """Main objective value and dJ/dT at quadrature points (adjoint source).
 
-    For a state solved on the mesh's mirror orbits, dJ/dT is averaged over
-    each orbit of quadrature points where the objective is invariant: the
-    state is invariant there, and T at quadrature points and t_ref only to
-    roundoff, which would send the adjoint to the plain split.
+    dJ/dT is averaged over each orbit of quadrature points of the group
+    the state was solved on, where that group leaves the objective
+    invariant: the state is invariant there, and T at quadrature points and
+    t_ref only to roundoff, which would send the adjoint to the trivial
+    group's split.  On the trivial group the average is dJ/dT itself.
     """
     Tq = sol.at_quadrature()
     if spec.kind == "annular":
@@ -126,8 +128,9 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
     dj_dt = np.where(spec.mask, dj_dt, 0.0)
-    if sol.lu.sub.orbit is not None and spec.invariant_under(disc.group):
-        dj_dt = disc.group.average(dj_dt)
+    group = sol.lu.sub.group
+    if spec.invariant_under(group):
+        dj_dt = group.quad.average(dj_dt)
     j_main = float((disc.w * integrand)[spec.mask].sum())
     return j_main, dj_dt
 
@@ -166,7 +169,7 @@ class HeatProblem:
     spec: ObjectiveSpec
     smoothing: SmoothingParams
     quad: DesignQuad  # design-level quadrature for the regularizer terms
-    sym: SymmetryMap
+    sym: Orbits  # the design coefficients' orbits, one per optimization variable
 
     def field(self, coeffs: np.ndarray) -> DesignField:
         return DesignField(self.disc.basis, coeffs)
@@ -194,7 +197,7 @@ def eval_total(problem: HeatProblem, field: DesignField) -> ObjectiveValue:
         grad_tknv=g_tknv,
         grad_vol=g_vol,
         grad_total=g_total,
-        grad_reduced=problem.sym.reduce_gradient(g_total),
+        grad_reduced=problem.sym.reduce(g_total),
         state=sol,
         adjoint=adj,
     )

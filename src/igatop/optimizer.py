@@ -303,9 +303,9 @@ def optimize(
         def reinit_hook(x):
             fld = problem.field(sym.expand(x))
             fld2 = reinitialize(fld, problem.quad, lines_per_span)
-            return sym.reduce_coeffs(fld2.coeffs)
+            return sym.means(fld2.coeffs)
 
-    x0 = sym.reduce_coeffs(field0.coeffs)
+    x0 = sym.means(field0.coeffs)
     best_x, state, reason = minimize(fun, x0, cfg, reinit_hook, record_hook,
                                      problem.disc.model.diameter())
     best = problem.field(sym.expand(best_x))

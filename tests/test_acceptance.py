@@ -57,7 +57,7 @@ def annulus_bench():
     """N_var=25 design basis on the 4389-control-point benchmark solution
     mesh, 4356 dofs once the seam control points are shared."""
     pipe = build_pipeline(RunConfig.from_dict({"problem": "annulus"}))
-    assert pipe.problem.sym.n_var == 25
+    assert pipe.problem.sym.count == 25
     assert sum(p.n_ctrl for p in pipe.disc.model.patches) == 4389 and pipe.disc.ndof == 4356
     return pipe
 
@@ -89,7 +89,7 @@ def cloak_runs():
             "sqp": {"max_iterations": 200, "max_function_evaluations": 600},
         })
         pipe = build_pipeline(cfg)
-        assert pipe.problem.sym.n_var == 25
+        assert pipe.problem.sym.count == 25
         out["ndof"] = pipe.disc.ndof
         hist = []
         t0 = time.time()
@@ -227,19 +227,19 @@ class TestCriterion4:
         c0 = c0 + 2.0 * rng.standard_normal(basis.m)
         # the gate runs on a reduced symmetric variable set (<= 30 variables)
         sym_red = build_symmetry_map(basis, "xy")
-        assert sym_red.n_var <= 30
+        assert sym_red.count <= 30
         details = []
         ok = True
         for chi, rho in ((0.0, 0.0), (1e-3, 1e-3)):
             spec = make_objective(disc, "cloak", chi=chi, rho=rho)
             prob = HeatProblem(disc, spec, smoothing, quad, sym_red)
-            v0 = sym_red.reduce_coeffs(c0)
+            v0 = sym_red.means(c0)
             val = eval_total(prob, prob.field(sym_red.expand(v0)))
             g = val.grad_reduced
             h = 1e-4 * np.abs(v0).max()
             worst = 0.0
-            for i in range(sym_red.n_var):
-                e = np.zeros(sym_red.n_var)
+            for i in range(sym_red.count):
+                e = np.zeros(sym_red.count)
                 e[i] = h
                 jp = eval_total(prob, prob.field(sym_red.expand(v0 + e))).j_total
                 jm = eval_total(prob, prob.field(sym_red.expand(v0 - e))).j_total
@@ -249,7 +249,7 @@ class TestCriterion4:
             ok &= worst <= 1e-4
             details.append(f"chi=rho={chi}: max rel err {worst:.2e}")
         report("criterion 4 (adjoint gradient vs central differences, <=1e-4)",
-               ok, f"{disc.ndof} dof, {sym_red.n_var} vars; " + "; ".join(details))
+               ok, f"{disc.ndof} dof, {sym_red.count} vars; " + "; ".join(details))
 
 
 class TestCriterion5:

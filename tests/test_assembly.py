@@ -371,7 +371,7 @@ class TestSolves:
         solve_state(disc, field, sp_)
         zero = DesignField(field.basis, np.zeros_like(field.coeffs))
         sol = solve_state(disc, zero, sp_)
-        assert disc.substructure.I.size > 0
+        assert disc.splits[disc.trivial].I.size > 0
         free, Kf = disc.free, assemble_system(disc, zero, sp_)[disc.free]
         skipped = [disc.patch_dofs[p] for p, lab in enumerate(disc.model.labels) if lab in skip]
         keep = ~np.isin(free, np.concatenate([np.zeros(0, int)] + skipped))
@@ -471,7 +471,7 @@ class TestCondensed:
         rng = np.random.default_rng(7)
         perturbed = field.coeffs + 0.5 * rng.standard_normal(field.coeffs.size)
         sym = build_symmetry_map(field.basis, "xy")
-        for c in (field.coeffs, perturbed, sym.expand(sym.reduce_coeffs(perturbed))):
+        for c in (field.coeffs, perturbed, sym.expand(sym.means(perturbed))):
             fld = DesignField(field.basis, c)
             sol = solve_state(disc, fld, sp_)
             S, sub = sol.K, sol.lu.sub
@@ -481,11 +481,10 @@ class TestCondensed:
                 W = Kff[sub.T][:, sub.I] @ splu(Kff[sub.I][:, sub.I].tocsc()).solve(
                     Kff[sub.I][:, sub.T].toarray())
                 S, ref = S.toarray(), ref.toarray() - W
-            if sub.orbit is not None:
-                E = sp.csr_matrix((np.ones(sub.T.size), (np.arange(sub.T.size), sub.orbit)))
-                ref = E.T @ ref @ E
+            E = sp.csr_matrix((np.ones(sub.T.size), (np.arange(sub.T.size), sub.orbits.index)))
+            ref = E.T @ ref @ E
             assert abs(S - ref).max() <= 1e-14 * abs(ref).max()
-        assert (sub.orbit is not None) == (name in plates)  # the symmetric design's split
+        assert (sub.group is not disc.trivial) == (name in plates)  # the symmetric design's split
 
     @pytest.mark.parametrize("beta", [None, 1e4])
     def test_design_on_a_dirichlet_edge(self, beta):
@@ -500,7 +499,7 @@ class TestCondensed:
                         lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) - 0.3)
         field, sp_ = DesignField(basis, c), SmoothingParams(0.1)
         sol = solve_state(disc, field, sp_)
-        assert disc.substructure.I.size and disc.substructure.maps[0][3].nnz
+        assert disc.splits[disc.trivial].I.size and disc.splits[disc.trivial].maps[0][3].nnz
         Kf = assemble_system(disc, field, sp_)[disc.free]
         full = splu(Kf[:, disc.free].tocsc())
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
@@ -514,7 +513,7 @@ class TestCondensed:
                                                                      monkeypatch):
         pipe = plates[name]
         eval_total(pipe.problem, pipe.field0)  # the first solve builds the substructure
-        sub = pipe.disc.substructure
+        sub = pipe.disc.splits[pipe.disc.trivial]
         counts = {"splu": 0, "assemble_system": 0, "K_II solve": 0}
 
         def counted(name, fn):
@@ -594,13 +593,13 @@ class TestMirrorGroup:
         assert all(j is not None for j in mirror_images(basis.control_points))
         assert self.mirrors(disc) == []
         field = DesignField(basis, np.tile([1.0, -1.0, -1.0, 1.0], 2))  # equal on the net's orbits
-        assert solve_state(disc, field, SmoothingParams(0.5)).lu.sub is disc.substructure
+        assert solve_state(disc, field, SmoothingParams(0.5)).lu.sub is disc.splits[disc.trivial]
 
     def test_symmetric_evaluation_factors_one_quarter(self, monkeypatch):
         # a fresh annulus pipeline: the plain split is never built
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "annulus.yaml")))
         prob, sym = pipe.problem, pipe.problem.sym
-        x0 = sym.reduce_coeffs(pipe.field0.coeffs)
+        x0 = sym.means(pipe.field0.coeffs)
         eval_total(prob, prob.field(sym.expand(x0)))  # builds the group and the orbit split
         rows, counts = [], {"assemble_system": 0}
         splu_ = assembly.splu
@@ -618,17 +617,18 @@ class TestMirrorGroup:
         x = x0 + np.random.default_rng(41).standard_normal(x0.size)
         val = eval_total(prob, prob.field(sym.expand(x)))
         assert rows == [1023] and counts["assemble_system"] == 0
-        assert val.state.lu.sub is pipe.disc.symmetric_split and pipe.disc.substructure is None
+        assert val.state.lu.sub is pipe.disc.splits[pipe.disc.group]
+        assert pipe.disc.trivial not in pipe.disc.splits
 
     def test_nudged_design_and_random_load_use_the_plain_split(self, plates):
         pipe = plates["cloak"]
         disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
-        c = sym.expand(sym.reduce_coeffs(pipe.field0.coeffs))
+        c = sym.expand(sym.means(pipe.field0.coeffs))
         sol = solve_state(disc, prob.field(c), pipe.smoothing)
-        assert sol.lu.sub.orbit is not None
+        assert sol.lu.sub.group is disc.group
         c[3] += 1e-3
         nudged = solve_state(disc, prob.field(c), pipe.smoothing)
-        assert nudged.lu.sub is disc.substructure and nudged.lu.sub.orbit is None
+        assert nudged.lu.sub is disc.splits[disc.trivial] and nudged.lu.sub.group is disc.trivial
         # a load the mirror does not leave invariant is solved on the plain
         # split, not projected onto the invariant loads
         c[3] -= 1e-3
@@ -637,7 +637,7 @@ class TestMirrorGroup:
         Kff = assemble_system(disc, prob.field(c), pipe.smoothing)[disc.free][:, disc.free]
         P_ref = splu(Kff.tocsc()).solve((disc.N.T @ (disc.w * load))[disc.free])
         assert np.abs(P - P_ref).max() <= 1e-12 * np.abs(P_ref).max()
-        assert sol.lu.plain().sub is disc.substructure
+        assert sol.lu.plain().sub is disc.splits[disc.trivial]
 
 
 class TestSensitivity:

@@ -250,7 +250,7 @@ class TestPipeline:
             "problem": "cloak", "model": {"config": "V"}, "design": {"symmetry": symmetry},
         }))
         n_var = {"none": pipe.field0.basis.m, "xy": 80}[symmetry]
-        assert pipe.problem.sym.n_var == n_var
+        assert pipe.problem.sym.count == n_var
 
 
 class TestErrors:
@@ -342,6 +342,8 @@ class TestErrors:
         ("annulus", "smoothing.delta=.nan", "smoothing.delta"),
         ("annulus", "model.kappa_pos=.nan", "member conductivities"),
         ("annulus", "objective.chi=.nan", "regularization weights"),
+        ("annulus", "objective.chi=.inf", "regularization weights"),
+        ("annulus", "objective.rho=.inf", "regularization weights"),
         ("annulus", "sweep.knee_factor=.nan", "sweep.knee_factor"),
         ("cloak", "model.kappa_base=-1.0", "region 'outside'"),
         ("cloak", "model.kappa_base=.nan", "region 'outside'"),

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from igatop.errors import ConfigError
 from igatop.levelset import (
@@ -13,6 +14,7 @@ from igatop.levelset import (
     dirac,
     heaviside,
     interface_points,
+    orbits,
     perimeter,
     phi_on_patch,
     project_lsf,
@@ -182,6 +184,26 @@ class TestInterfaceAndReinit:
             warnings.simplefilter("error")
             reinitialize(fld, annulus_quad)
 
+    def test_crossing_found_from_both_directions_kept_once(self, annulus_basis):
+        # by the linear precision of the Greville abscissae the numerator is
+        # (u - u0) + (v - v0): its zero line crosses the scan lines u = u0
+        # and v = v0 at the same point, which both directions find
+        patch = annulus_basis.patches[0]
+
+        def greville(kv):
+            t, p = kv.values, kv.degree
+            return np.array([t[i + 1:i + p + 1].mean() for i in range(t.size - p - 1)])
+
+        u0, v0 = _span_lines(patch.knots_u, 20)[7], _span_lines(patch.knots_v, 20)[5]
+        numer = (greville(patch.knots_u) - u0)[:, None] + (greville(patch.knots_v) - v0)
+        fld = DesignField(annulus_basis, (numer / patch.weights).ravel())
+        pts, params = interface_points(fld, 20)
+        uv = np.array([q for _, q in params])
+        assert np.abs(uv.sum(axis=1) - (u0 + v0)).max() <= 1e-12
+        assert np.count_nonzero(np.abs(uv - [u0, v0]).max(axis=1) <= 1e-12) == 1
+        diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        assert not cKDTree(pts).query_pairs(1e-7 * diam)
+
     def test_positive_field_no_interface(self, annulus_basis):
         pts, params = interface_points(
             DesignField(annulus_basis, np.full(annulus_basis.m, 2.0)), 20
@@ -275,19 +297,20 @@ class TestMeasures:
 class TestSymmetry:
     def test_identity_map(self, annulus_basis):
         sym = build_symmetry_map(annulus_basis, "none")
-        assert sym.n_var == annulus_basis.m
-        v = RNG.standard_normal(sym.n_var)
-        assert np.array_equal(sym.expand(v), v)
-        assert np.array_equal(sym.reduce_gradient(v), v)
+        assert sym.count == annulus_basis.m
+        v = RNG.standard_normal(sym.count)
+        for out in (sym.expand(v), sym.reduce(v), sym.means(v), sym.average(v)):
+            assert np.array_equal(out, v)
+        assert np.array_equal(sym.first, np.arange(sym.count)) and sym.invariant(v)
 
     def test_quarter_symmetry_counts(self):
         basis = design_basis_for(build_annulus(), RefineSpec(2, 1, 3, 4))
         sym = build_symmetry_map(basis, "xy")
-        assert basis.m == 85 and sym.n_var == 25
+        assert basis.m == 85 and sym.count == 25
 
     def test_expanded_field_reflection_invariant(self, annulus_basis, annulus_quad):
         sym = build_symmetry_map(annulus_basis, "xy")
-        v = RNG.standard_normal(sym.n_var)
+        v = RNG.standard_normal(sym.count)
         fld = DesignField(annulus_basis, sym.expand(v))
         pts = annulus_quad.phys
         vals = annulus_quad.D @ fld.coeffs
@@ -302,7 +325,7 @@ class TestSymmetry:
 
     def test_reduced_gradient_chain_rule(self, annulus_basis, annulus_quad):
         sym = build_symmetry_map(annulus_basis, "xy")
-        v0 = RNG.standard_normal(sym.n_var)
+        v0 = RNG.standard_normal(sym.count)
 
         def j_of_vars(v):
             j, _ = volume_measure(
@@ -313,10 +336,10 @@ class TestSymmetry:
         _, g_full = volume_measure(
             DesignField(annulus_basis, 0.1 * sym.expand(v0)), SP, annulus_quad
         )
-        g_red = 0.1 * sym.reduce_gradient(g_full)
+        g_red = 0.1 * sym.reduce(g_full)
         h = 1e-6
-        for k in RNG.choice(sym.n_var, 8, replace=False):
-            e = np.zeros(sym.n_var)
+        for k in RNG.choice(sym.count, 8, replace=False):
+            e = np.zeros(sym.count)
             e[k] = h
             fd = (j_of_vars(v0 + e) - j_of_vars(v0 - e)) / (2 * h)
             if abs(fd) > 1e-12:
@@ -325,4 +348,25 @@ class TestSymmetry:
     def test_out_of_range_rejected(self, annulus_basis):
         sym = build_symmetry_map(annulus_basis, "xy")
         with pytest.raises(ConfigError):
-            sym.expand(np.zeros(sym.n_var + 1))
+            sym.expand(np.zeros(sym.count + 1))
+
+    def test_partition_against_its_matrix(self):
+        # a seeded random partition of 40 members; integer values keep the
+        # sums exact in any order
+        rng = np.random.default_rng(23)
+        n = 40
+        orb = orbits(n, [rng.integers(0, n, size=(25, 2))])
+        E = np.zeros((n, orb.count))
+        E[np.arange(n), orb.index] = 1.0
+        v = rng.integers(-100, 100, n).astype(float)
+        x = rng.integers(-100, 100, orb.count).astype(float)
+        assert 1 < orb.count < n
+        assert np.array_equal(orb.reduce(v), E.T @ v)
+        assert np.array_equal(orb.expand(x), E @ x)
+        assert np.array_equal(orb.means(v), (E.T @ v) / E.sum(axis=0))
+        assert np.array_equal(orb.average(v), E @ orb.means(v))
+        lowest = [np.flatnonzero(orb.index == k).min() for k in orb.index]
+        assert np.array_equal(orb.first, lowest)
+        # orbits are numbered in the order of their lowest member
+        assert np.array_equal(orb.index[np.unique(orb.first)], np.arange(orb.count))
+        assert orb.invariant(orb.average(v)) and not orb.invariant(v)

@@ -139,12 +139,12 @@ class TestTwoStageRefine:
         cloak = build_cloak_model("circular")
         basis = design_basis_for(cloak, RefineSpec(3, 2, 4, 4))
         sym = build_symmetry_map(basis, "xy")
-        assert sym.n_var == 42
+        assert sym.count == 42
 
     def test_annulus_25_variables(self):
         basis = design_basis_for(build_annulus(), RefineSpec(2, 1, 3, 4))
         assert basis.m == 85
-        assert build_symmetry_map(basis, "xy").n_var == 25
+        assert build_symmetry_map(basis, "xy").count == 25
 
     def test_identity_stage(self):
         ann = build_annulus()

@@ -292,32 +292,61 @@ class TestSymmetricEvaluation:
         # (TestCondensedEvaluation)
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
         prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
-        x0 = sym.reduce_coeffs(pipe.field0.coeffs)
+        x0 = sym.means(pipe.field0.coeffs)
         rng = np.random.default_rng(11)
         for k in range(4):
             field = prob.field(sym.expand(x0 + (0.5 * rng.standard_normal(x0.size) if k else 0.0)))
             val = eval_total(prob, field)
-            assert val.state.lu.sub is disc.symmetric_split
-            j, g, T = split_main(prob, field, _substructure(disc))
+            assert val.state.lu.sub is disc.splits[disc.group]
+            j, g, T = split_main(prob, field, _substructure(disc, disc.trivial))
             got = (val.j_main, val.grad_reduced, val.state.values)
-            refs = (j, sym.reduce_gradient(g), T)
+            refs = (j, sym.reduce(g), T)
             floors = (0.0, 0.0, 0.0)
             if name == "camouflage":
                 whole = split_main(prob, field, _whole_split(
                     disc, assemble_system(disc, field, prob.smoothing)))
                 rev = split_main(prob, field, _whole_split(disc, reversed_design_sum(prob, field)))
                 floors = [np.abs(a - b).max() for a, b in zip(
-                    (rev[0], sym.reduce_gradient(rev[1]), rev[2]),
-                    (whole[0], sym.reduce_gradient(whole[1]), whole[2]))]
+                    (rev[0], sym.reduce(rev[1]), rev[2]),
+                    (whole[0], sym.reduce(whole[1]), whole[2]))]
             for x, ref, floor in zip(got, refs, floors):
                 assert np.abs(x - ref).max() <= max(1e-12 * np.abs(ref).max(), 4.0 * floor)
+
+    def test_objective_the_mirror_does_not_leave_invariant(self, monkeypatch):
+        # the cloak's objective cut to y > 0: a projected start solves on the
+        # trivial group, which leaves every objective invariant; a
+        # sym-expanded design then solves its state on the mirror orbits and
+        # its adjoint on the trivial group's split
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
+        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
+        prob.spec.mask = prob.spec.mask & (disc.phys[:, 1] > 0)
+        eval_total(prob, pipe.field0)
+        subs, solve = [], CondensedSystem.solve
+
+        def recorded(self, F=None):
+            subs.append(self.sub)
+            return solve(self, F)
+
+        monkeypatch.setattr(CondensedSystem, "solve", recorded)
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
+        val = eval_total(prob, field)
+        assert len(subs) == 2
+        assert subs[0] is disc.splits[disc.group] and subs[1] is disc.splits[disc.trivial]
+        assert prob.spec.mirrored[disc.trivial] and not prob.spec.mirrored[disc.group]
+        j, g, _ = split_main(prob, field, _substructure(disc, disc.trivial))
+        # the optimizer reads the reduced gradient; the full one's
+        # antisymmetric part differs by the state's roundoff (2.5e-12
+        # relative here)
+        g_red, ref = sym.reduce(val.grad_main), sym.reduce(g)
+        assert abs(val.j_main - j) <= 1e-12 * abs(j)
+        assert np.abs(g_red - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_adjoint_load_averaged_on_orbit_states_only(self):
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
         prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
-        symmetric = prob.field(sym.expand(sym.reduce_coeffs(pipe.field0.coeffs)))
+        symmetric = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
         _, dj_sym = eval_main(prob.spec, disc, solve_state(disc, symmetric, prob.smoothing))
-        assert disc.group.invariant(dj_sym) and prob.spec.mirrored
+        assert disc.group.quad.invariant(dj_sym) and prob.spec.mirrored[disc.group]
         sol = solve_state(disc, pipe.field0, prob.smoothing)  # a projected start: plain split
         Tq = sol.at_quadrature()
         _, dj = eval_main(prob.spec, disc, sol)

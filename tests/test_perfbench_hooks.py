@@ -1,27 +1,35 @@
-"""The names the benchmark wraps and rebinds must exist where it looks.
+"""The names the benchmark wraps, rebinds and reads must exist where it looks.
 
 perfbench/tracing.py wraps every function in its TRACED table, and
-perfbench/workload.py calls and rebinds a few names in cli and optimizer.
-A rename or move would otherwise break only the traced benchmark run.
+perfbench/workload.py calls and rebinds a few names in cli and optimizer
+and reads sizes and health off the solves.  A rename or move would
+otherwise break only the benchmark run.
 """
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
 from igatop import cli, optimizer
+from igatop.config import RunConfig, build_pipeline
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return _load("tracing").TRACED
 
 
 @pytest.mark.parametrize("module,attr", [(m, a) for m, a, *_ in _traced()])
@@ -56,3 +64,22 @@ def test_rebound_names_are_read_at_call_time():
     assert "optimize" in _names_read(cli.cmd_optimize)
     assert {"eval_total", "reinitialize"} <= _names_read(optimizer.optimize)
     assert {"line_search", "solve_qp_subproblem", "bfgs_update"} <= _names_read(optimizer.minimize)
+
+
+def test_workload_reads_a_real_evaluation(monkeypatch):
+    # workload.py sizes the first evaluation of every round, and its traced
+    # observer reads each state's Dirichlet values and quadrature values
+    monkeypatch.setattr(sys, "path", sys.path[:])  # workload.py prepends its directory
+    monkeypatch.setitem(sys.modules, "tracing", _load("tracing"))
+    workload = _load("workload")
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "cloak.yaml")))
+    sym = pipe.problem.sym
+    val = optimizer.eval_total(pipe.problem, pipe.problem.field(sym.expand(sym.means(
+        pipe.field0.coeffs))))
+    sizes = workload._sizes(val.state)
+    assert sizes == {"ndof": pipe.disc.ndof, "k_nnz": val.state.K.nnz, "lu_nnz": val.state.lu.nnz}
+    assert min(sizes.values()) > 0
+    health = {"excursions": [], "k_nnz": [], "lu_nnz": [], "ndof": 0}
+    workload._health_observers(health)["solve_state"]((), {}, val.state)
+    assert health == {"excursions": [0.0], "k_nnz": [sizes["k_nnz"]],
+                      "lu_nnz": [sizes["lu_nnz"]], "ndof": sizes["ndof"]}
