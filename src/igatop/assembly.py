@@ -60,8 +60,17 @@ groups and boundary value problems", CMAME 56, 1986).  Every split is
 built by `_condense` as above on one group's orbits, with S's rows
 numbered by orbit, so the same maps sum every entry onto its orbit pair
 and the factor is E^T S E: a quarter of the annulus's rows, half of the
-plates'.  x_T is read out as x_red[orbit].  On the trivial group E is
-the identity and this is the plain split.  Every iterate, line-search
+plates'.  x_T is read out as x_red[orbit].  The per-point work runs
+on the orbits of the quadrature points too: the maps take one column per
+orbit of the design rows (the entries of an orbit's points sum as the
+map is built), and the split keeps the rows of the design region's
+operators and of N at the lowest point of each orbit.  An evaluation
+computes kappa there, with the orbit's mean weight; T at the quadrature
+points there, read out at every point of the orbit (so exactly
+invariant); and the sensitivity's bulk term there, summed onto the
+coefficients through D^T summed onto the orbits.  On the trivial group E
+and the orbits are the identity, and this is the plain split doing the
+per-point arithmetic of a whole assembly.  Every iterate, line-search
 trial and reinitialization of a run with `design.symmetry: xy` solves on
 the mesh's group; any other field (a projected start, a finite-difference
 nudge, `symmetry: none`) on the trivial group.  An adjoint load stays on
@@ -210,14 +219,24 @@ class DesignRows:
     Per point: the quadrature weight, the region, and the design-basis
     values (zero rows off the design; None without a basis), and the
     conductivity of its region, built once per mesh (NaN without one).
+    B holds one or more row blocks of one row per point (the design
+    region's x and y gradients).
     """
 
     w: np.ndarray
     labels: np.ndarray
     D: sp.csr_matrix | None
-    At: sp.csr_matrix  # A^T in CSR
     B: sp.csr_matrix
     kappa: np.ndarray
+    At: sp.csr_matrix | None = None  # A^T in CSR; not kept by `take`
+
+    def take(self, pts: np.ndarray) -> DesignRows:
+        """The rows of the points `pts`, in every block of B."""
+        n = self.w.size
+        blocks = (pts + n * np.arange(self.B.shape[0] // max(n, 1))[:, None]).ravel()
+        return DesignRows(w=self.w[pts], labels=self.labels[pts],
+                          D=None if self.D is None else self.D[pts], B=self.B[blocks],
+                          kappa=self.kappa[pts])
 
 
 @dataclass
@@ -609,14 +628,18 @@ class Substructure:
     W = K_TI K_II^-1 K_IT do not change during a run, nor do the fixed
     regions' parts of S = K_TT - W and of the condensed state load.  S's
     data is that fixed part plus, per kind of field-dependent point, a map
-    applied to the points' weights times conductivities.  S's rows are the
-    orbits of T's dofs under `group` (`orbits`): S is E^T (K_TT - W) E, E
-    the 0/1 matrix of T's orbits, which is the identity on the trivial
-    group.  S's rows are numbered in the elimination order of its factor,
-    so S is factored as stored, and T is sorted by its row.  I may be empty
-    (an all-design mesh): S is then E^T K_ff E.  A one-off split under an
-    override, on the trivial group, keeps the free dofs' order and factors
-    in SuperLU's own ordering.
+    applied to weight times conductivity at one point per orbit of those
+    points under `group` (the map's column of an orbit sums its points'
+    entries).  S's rows are the orbits of T's dofs under `group`
+    (`orbits`): S is E^T (K_TT - W) E, E the 0/1 matrix of T's orbits.  On
+    the trivial group every orbit is one dof or one point.  S's rows are
+    numbered in the elimination order of its factor, so S is factored as
+    stored, and T is sorted by its row.  I may be empty (an all-design
+    mesh): S is then E^T K_ff E.  The rows of N and of the design region's
+    operators at the lowest point of each orbit serve `at_quadrature` and
+    `sensitivity_contraction`.  A one-off split under an override, on the
+    trivial group, keeps the free dofs' order, factors in SuperLU's own
+    ordering and has no maps; its point rows are the mesh's own.
     """
 
     group: MirrorGroup
@@ -625,8 +648,15 @@ class Substructure:
     I: np.ndarray
     S: sp.spmatrix  # S's fixed pattern, holding its fixed part
     g: np.ndarray  # the fixed part of the condensed state load
-    # per kind of field-dependent point: (its rows, the points used, the map
-    # onto S's data, the map onto the state load's rows)
+    # at one representative point per orbit of `group.quad`: the rows of
+    # disc.N, and the design-region rows (bulk) with D^T summed onto their
+    # orbits, one column per orbit (Dt)
+    N: sp.csr_matrix
+    bulk: DesignRows
+    Dt: sp.spmatrix | None
+    # per kind of field-dependent point: (its rows at one point per orbit,
+    # the map onto S's data and the map onto the state load's rows, each
+    # with one column per orbit)
     maps: list = dc_field(default_factory=list)
     permc_spec: str = "NATURAL"  # the ordering S is factored with
     # the rest only when I is non-empty
@@ -799,11 +829,26 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     # on an all-design mesh under strong coupling the fixed part is empty,
     # and bincount of nothing returns integers
     fixed = np.bincount(entry[:n_fixed], fixed_vals, nnz).astype(float, copy=False)
+    # the design rows' orbits; those rows at the lowest point of each, with
+    # the orbit's mean weight (an orbit's weights agree to roundoff, and on
+    # the trivial group the mean is the weight itself); and D^T summed onto
+    # the orbits
+    at_design = group.quad.restrict(np.flatnonzero(disc.qlabel == "design"))
+    bulk, D = disc.bulk.take(at_design.lowest), disc.bulk.D
+    bulk.w = at_design.means(disc.bulk.w)
+    Dt = None if D is None else sp.csr_matrix(
+        (D.data, (D.indices, np.repeat(at_design.index, np.diff(D.indptr)))),
+        shape=(D.shape[1], at_design.count))
+    # every map entry's column is its point's orbit, so the entries of one
+    # orbit sum as the map is built
     maps, start = [], n_fixed
     for (rows, pts, v, r), (bi, bv, br) in zip(families, loads):
-        M = sp.csr_matrix((v, (entry[start:start + v.size], r)), shape=(nnz, pts.size))
-        Mb = sp.csr_matrix((bv, (p[bi], br)), shape=(n, pts.size))
-        maps.append((rows, pts, M, Mb))
+        # interface points exist only under an explicit beta, whose group is trivial
+        orb, reps = (at_design, bulk) if rows is disc.bulk else (Orbits.identity(pts.size),
+                                                                rows.take(pts))
+        M = sp.csr_matrix((v, (entry[start:start + v.size], orb.index[r])), shape=(nnz, orb.count))
+        Mb = sp.csr_matrix((bv, (p[bi], orb.index[br])), shape=(n, orb.count))
+        maps.append((reps, M, Mb))
         start += v.size
     # sort T by its rows' steps (T's own order is the steps themselves)
     step = p[row]
@@ -811,7 +856,7 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     return Substructure(
         group=group, T=T[by_step], orbits=Orbits(step[by_step], n), I=I,
         S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)),
-        g=np.bincount(row, g, n)[q], maps=maps,
+        g=np.bincount(row, g, n)[q], N=disc.N[group.quad.lowest], bulk=bulk, Dt=Dt, maps=maps,
         lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step],
         rim=None if rim is None else np.argsort(by_step)[rim], Z=Z, y_I=y_I,
     )
@@ -820,11 +865,12 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
 def _whole_split(disc: Discretization, K: sp.csr_matrix) -> Substructure:
     """A one-off split for a solve under an override, on the trivial group:
     T every free dof, I empty, S = K_ff with no maps, factored in SuperLU's
-    own ordering."""
-    Kf, n = K[disc.free], disc.free.size
+    own ordering; the mesh's own point rows."""
+    Kf, n, D = K[disc.free], disc.free.size, disc.bulk.D
     return Substructure(group=disc.trivial, T=np.arange(n), orbits=Orbits.identity(n),
                         I=np.zeros(0, dtype=int), S=Kf[:, disc.free],
                         g=-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val),
+                        N=disc.N, bulk=disc.bulk, Dt=None if D is None else D.T,
                         permc_spec="MMD_AT_PLUS_A")
 
 
@@ -871,7 +917,8 @@ def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
 
 class CondensedSystem:
     """K_ff condensed onto T for one design field: S assembled by the
-    split's maps and factored in its ordering.
+    split's maps, from the conductivity at one point per orbit of the
+    split's group, and factored in its ordering.
 
     A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
     and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
@@ -888,8 +935,8 @@ class CondensedSystem:
         self.disc, self.sub, self.field, self.sp_ = disc, sub, field, sp_
         self._plain = None
         self.S, self.g = sub.S.copy(), sub.g.copy()
-        for rows, pts, M, Mb in sub.maps:
-            s = (rows.w * _kappa_points(disc, rows, field, sp_, None))[pts]
+        for rows, M, Mb in sub.maps:
+            s = rows.w * _kappa_points(disc, rows, field, sp_, None)
             self.S.data += M @ s
             self.g += Mb @ s
         self.abs_S = abs(self.S)
@@ -939,7 +986,11 @@ class FieldSolution:
     lu: CondensedSystem
 
     def at_quadrature(self):
-        return self.disc.N @ self.values
+        """The field at every quadrature point, evaluated at one point per
+        orbit of the split's group and read out at the others, so exactly
+        invariant; on the trivial group disc.N @ values."""
+        sub = self.lu.sub
+        return sub.group.quad.expand(sub.N @ self.values)
 
 
 def solve_state(
@@ -962,8 +1013,9 @@ def solve_state(
     return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 
 
-def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
-    """Adjoint coefficients for a per-quadrature load -dJ_b/dT.
+def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> FieldSolution:
+    """The adjoint for a per-quadrature load -dJ_b/dT, with the system it
+    was solved on (whose split `sensitivity_contraction` reads).
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
     is symmetric, so this is a solve with the state's factors.  A state
@@ -974,30 +1026,31 @@ def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> np.ndarray:
     disc, lu = state.disc, state.lu
     if not lu.sub.group.quad.invariant(load_q):
         lu = lu.plain()
-    return lu.solve(disc.N.T @ (disc.w * load_q))
+    return FieldSolution(disc=disc, values=lu.solve(disc.N.T @ (disc.w * load_q)), K=lu.S, lu=lu)
 
 
-def sensitivity_contraction(
-    disc: Discretization,
-    field: DesignField,
-    sp_: SmoothingParams,
-    T: np.ndarray,
-    P: np.ndarray,
-) -> np.ndarray:
-    """P^T (dK/dPhi_i) T for every design coefficient i.
+def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.ndarray:
+    """P^T (dK/dPhi_i) T for every design coefficient i, with T the state's
+    values, P the adjoint's, at the field they were solved for.
 
     Bulk term over the design-region points plus the differentiated
     Nitsche consistency terms at the stacked interface points on design
-    sides; the jump penalty has no kappa dependence.
+    sides; the jump penalty has no kappa dependence.  The bulk term is
+    computed at one point per orbit of the group of the split the adjoint
+    was solved on, where T and P are invariant, and summed onto the
+    coefficients through that split's orbit-summed D^T; on the trivial
+    group at every point.
     """
+    disc, sub, field, sp_ = adjoint.disc, adjoint.lu.sub, adjoint.lu.field, adjoint.lu.sp_
     if disc.basis is None:
         raise AssemblyError("discretization was built without a design basis")
+    T, P = state.values, adjoint.values
     mats = disc.model.design_pair
-    bulk, sides = disc.bulk, disc.sides
+    bulk, sides = sub.bulk, disc.sides
     # d(B^T diag(w kappa) B): (grad T . grad P) from the stacked x and y rows
     grads = (bulk.B @ T) * (bulk.B @ P)
     dk = dkappa_dphi(bulk.D @ field.coeffs, mats, sp_)
-    g = bulk.D.T @ (bulk.w * dk * grads.reshape(2, -1).sum(axis=0))
+    g = sub.Dt @ (bulk.w * dk * grads.reshape(2, -1).sum(axis=0))
 
     # d(K_n + K_n^T) with K_n = -A^T diag(w kappa) B, A = [E; E]
     on_design = sides.labels == "design"

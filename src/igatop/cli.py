@@ -58,7 +58,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"J_{spec.kind} = {j_main:.9g}")
         if cfg.data["output"]["adjoint"]:
             P = solve_adjoint(sol, -dj_dt)
-            write_coeffs_csv(os.path.join(outdir, "adjoint.csv"), P)
+            write_coeffs_csv(os.path.join(outdir, "adjoint.csv"), P.values)
     err = studies.solve_error(pipe, sol)
     if err is not None:
         print(f"rel_L2_error_vs_oracle = {err:.6g}")

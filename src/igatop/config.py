@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -177,7 +178,6 @@ def model_builder(problem: str):
 
 _NAMES = {float: "a number", int: "a positive integer", bool: "true or false", str: "a string",
           dict: "a mapping", type(None): "null"}
-_STRING_HINT = " (PyYAML reads 1e-2 as a string; write 1.0e-2)"
 
 
 def _conforms(v, tp) -> bool:
@@ -207,22 +207,34 @@ def _describe(tp) -> str:
     return _NAMES[tp]
 
 
-def _looks_numeric(v) -> bool:
+_DECIMAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _numeric_string(v) -> str | None:
+    """The first string in v (or in its list) that spells a decimal number."""
     if isinstance(v, list):
-        return any(map(_looks_numeric, v))
-    if not isinstance(v, str):
-        return False
-    try:
-        float(v)
-    except ValueError:
-        return False
-    return True
+        return next(filter(None, map(_numeric_string, v)), None)
+    return v if isinstance(v, str) and _DECIMAL.fullmatch(v.strip()) else None
+
+
+def _yaml_float(v: str) -> str:
+    """A spelling of the decimal `v` that PyYAML reads as a float: a dot in
+    the mantissa and a signed exponent (PyYAML reads 1e-2 and 1.0e6 as
+    strings)."""
+    mantissa, _, exponent = v.strip().lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    mantissa = re.sub(r"^([-+]?)\.", r"\g<1>0.", mantissa)  # PyYAML reads .5, not -.5
+    if exponent and exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return f"{mantissa}e{exponent}" if exponent else mantissa
 
 
 def _checked(v, tp, key: str):
     if not _conforms(v, tp):
-        raise ConfigError(f"{key} must be {_describe(tp)}, got {v!r}"
-                          + (_STRING_HINT if _looks_numeric(v) else ""))
+        s = _numeric_string(v)
+        hint = f" (PyYAML reads {s} as a string; write {_yaml_float(s)})" if s else ""
+        raise ConfigError(f"{key} must be {_describe(tp)}, got {v!r}{hint}")
     return copy.deepcopy(v)
 
 

@@ -225,7 +225,7 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
     # deduplicate crossings found from both line directions
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) if len(pts) > 1 else 1.0
     r = max(1e-7 * max(diam, 1.0), 1e-14)
-    keep = np.unique(orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).first)
+    keep = orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).lowest
     return pts[keep], [par_out[i] for i in keep]
 
 
@@ -319,7 +319,12 @@ class Orbits:
 
     def means(self, v: np.ndarray) -> np.ndarray:
         """Orbit means; exact where v is equal on every orbit."""
-        return self.reduce(v) / np.bincount(self.index, minlength=self.count)
+        return self.reduce(v) / self.sizes
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of members of each orbit."""
+        return np.bincount(self.index, minlength=self.count)
 
     def average(self, v: np.ndarray) -> np.ndarray:
         """Each member's orbit mean: one float on every orbit, so exactly
@@ -330,10 +335,20 @@ class Orbits:
         """Whether v is exactly equal on every orbit."""
         return np.array_equal(v[self.first], v)
 
+    def restrict(self, members: np.ndarray) -> "Orbits":
+        """The orbits of `members`, a union of whole orbits, numbered anew."""
+        ids, index = np.unique(self.index[members], return_inverse=True)
+        return Orbits(index, ids.size)
+
+    @cached_property
+    def lowest(self) -> np.ndarray:
+        """The lowest member of each orbit, in orbit order."""
+        return np.unique(self.index, return_index=True)[1]
+
     @cached_property
     def first(self) -> np.ndarray:
         """The lowest member of each member's orbit."""
-        return np.unique(self.index, return_index=True)[1][self.index]
+        return self.lowest[self.index]
 
 
 #: the mirrors about the coordinate axes, as sign pairs: y -> -y and x -> -x

@@ -115,9 +115,10 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
 
     dJ/dT is averaged over each orbit of quadrature points of the group
     the state was solved on, where that group leaves the objective
-    invariant: the state is invariant there, and T at quadrature points and
-    t_ref only to roundoff, which would send the adjoint to the trivial
-    group's split.  On the trivial group the average is dJ/dT itself.
+    invariant: T at the quadrature points is exactly invariant there
+    (`FieldSolution.at_quadrature`), but t_ref only to roundoff, which
+    would send the adjoint to the trivial group's split.  On the trivial
+    group the average is dJ/dT itself.
     """
     Tq = sol.at_quadrature()
     if spec.kind == "annular":
@@ -181,7 +182,7 @@ def eval_total(problem: HeatProblem, field: DesignField) -> ObjectiveValue:
     sol = solve_state(disc, field, sp_)
     j_main, dj_dt = eval_main(spec, disc, sol)
     adj = solve_adjoint(sol, -dj_dt)
-    g_main = sensitivity_contraction(disc, field, sp_, sol.values, adj)
+    g_main = sensitivity_contraction(sol, adj)
 
     j_tknv, g_tknv = tikhonov(field, problem.quad)
     j_vol, g_vol = volume_measure(field, sp_, problem.quad)
@@ -199,5 +200,5 @@ def eval_total(problem: HeatProblem, field: DesignField) -> ObjectiveValue:
         grad_total=g_total,
         grad_reduced=problem.sym.reduce(g_total),
         state=sol,
-        adjoint=adj,
+        adjoint=adj.values,
     )

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ class TestSolves:
         basis, disc, quad = annulus_setup
         c = project_lsf(quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - 1.5)
         sol = solve_state(disc, DesignField(basis, c), SP)
-        P = solve_adjoint(sol, np.zeros(disc.w.size))
+        P = solve_adjoint(sol, np.zeros(disc.w.size)).values
         assert np.abs(P).max() == 0.0
 
     def test_annulus_adjoint_vs_oracle_converges(self):
@@ -338,7 +339,7 @@ class TestSolves:
             disc = discretize(refine_model(ann, RefineSpec(2, 1, sub, sub)), basis)
             sol = solve_state(disc, DesignField(basis, c), SmoothingParams(0.005))
             Tq = sol.at_quadrature()
-            P = solve_adjoint(sol, -2.0 * Tq)
+            P = solve_adjoint(sol, -2.0 * Tq).values
             r = np.hypot(disc.phys[:, 0], disc.phys[:, 1])
             P_ex = annulus_adjoint(r, 1.5)
             Pq = disc.N @ P
@@ -354,7 +355,7 @@ class TestSolves:
         field = DesignField(basis, c)
         sol = solve_state(disc, field, SP)
         load = RNG.standard_normal(disc.w.size)
-        P = solve_adjoint(sol, load)[disc.free]
+        P = solve_adjoint(sol, load).values[disc.free]
         # K is symmetric, so the untransposed solve agrees with a transposed
         # solve on an independent factor of K_ff
         K_ff = assemble_system(disc, field, SP)[disc.free][:, disc.free]
@@ -379,7 +380,7 @@ class TestSolves:
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
         load = RNG.standard_normal(disc.w.size)
         P_ref = full.solve((disc.N.T @ (disc.w * load))[free], trans="T")
-        for x, ref in ((sol.values[free], T_ref), (solve_adjoint(sol, load)[free], P_ref)):
+        for x, ref in ((sol.values[free], T_ref), (solve_adjoint(sol, load).values[free], P_ref)):
             assert np.abs(x - ref)[keep].max() <= rtol * np.abs(ref).max()
         return disc, sol
 
@@ -499,13 +500,13 @@ class TestCondensed:
                         lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) - 0.3)
         field, sp_ = DesignField(basis, c), SmoothingParams(0.1)
         sol = solve_state(disc, field, sp_)
-        assert disc.splits[disc.trivial].I.size and disc.splits[disc.trivial].maps[0][3].nnz
+        assert disc.splits[disc.trivial].I.size and disc.splits[disc.trivial].maps[0][2].nnz
         Kf = assemble_system(disc, field, sp_)[disc.free]
         full = splu(Kf[:, disc.free].tocsc())
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
         load = RNG.standard_normal(disc.w.size)
         P_ref = full.solve((disc.N.T @ (disc.w * load))[disc.free])
-        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, load), P_ref)):
+        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, load).values, P_ref)):
             assert np.abs(x[disc.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["cloak", "annulus"])
@@ -633,29 +634,76 @@ class TestMirrorGroup:
         # split, not projected onto the invariant loads
         c[3] -= 1e-3
         load = np.random.default_rng(43).standard_normal(disc.w.size)
-        P = solve_adjoint(sol, load)[disc.free]
+        P = solve_adjoint(sol, load).values[disc.free]
         Kff = assemble_system(disc, prob.field(c), pipe.smoothing)[disc.free][:, disc.free]
         P_ref = splu(Kff.tocsc()).solve((disc.N.T @ (disc.w * load))[disc.free])
         assert np.abs(P - P_ref).max() <= 1e-12 * np.abs(P_ref).max()
         assert sol.lu.plain().sub is disc.splits[disc.trivial]
 
 
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_point_work_once_per_quadrature_orbit(self, plates, name, monkeypatch):
+        # the maps take one column per orbit of the design rows; an
+        # evaluation on the group computes kappa and dkappa/dphi at one
+        # point per orbit
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
+        eval_total(prob, pipe.field0)  # a projected start: the trivial split
+        eval_total(prob, field)
+        nq = disc.bulk.w.size
+        cols = disc.splits[disc.group].maps[0][1].shape[1]
+        assert disc.splits[disc.trivial].maps[0][1].shape[1] == nq
+        assert disc.splits[disc.group].maps[0][2].shape[1] == cols
+        if name == "annulus":
+            assert (nq, cols) == (24576, 6144)
+        else:
+            assert 2 * cols == nq
+        sizes = {"kappa_at": [], "dkappa_dphi": []}
+
+        def counted(key, fn):
+            def wrapper(phi, *args):
+                sizes[key].append(np.size(phi))
+                return fn(phi, *args)
+            return wrapper
+
+        for fn in sizes:
+            monkeypatch.setattr(assembly, fn, counted(fn, getattr(assembly, fn)))
+        val = eval_total(prob, field)
+        assert val.state.lu.sub is disc.splits[disc.group]
+        assert sizes == {"kappa_at": [cols], "dkappa_dphi": [cols]}
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_state_at_quadrature_invariant_on_the_group(self, plates, name):
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        plain = solve_state(disc, pipe.field0, pipe.smoothing)  # a projected start
+        assert plain.lu.sub.group is disc.trivial
+        assert np.array_equal(plain.at_quadrature(), disc.N @ plain.values)
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
+        sol = solve_state(disc, field, pipe.smoothing)
+        Tq, ref = sol.at_quadrature(), disc.N @ sol.values
+        assert sol.lu.sub.group is disc.group and disc.group.quad.invariant(Tq)
+        assert np.abs(Tq - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestSensitivity:
     def test_constant_temperature_zero_sensitivity(self, annulus_setup):
         basis, disc, quad = annulus_setup
         c = project_lsf(quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - 1.5)
-        fld = DesignField(basis, c)
+        sol = solve_state(disc, DesignField(basis, c), SP)
         T = np.full(disc.ndof, 250.0)
         P = RNG.standard_normal(disc.ndof)
-        g = sensitivity_contraction(disc, fld, SP, T, P)
+        g = sensitivity_contraction(replace(sol, values=T), replace(sol, values=P))
         assert np.abs(g).max() < 1e-9
 
     def test_saturated_field_zero_sensitivity(self, annulus_setup):
         basis, disc, quad = annulus_setup
-        fld = DesignField(basis, np.full(basis.m, 1.0))
+        sol = solve_state(disc, DesignField(basis, np.full(basis.m, 1.0)), SP)
         T = RNG.standard_normal(disc.ndof)
         P = RNG.standard_normal(disc.ndof)
-        assert np.abs(sensitivity_contraction(disc, fld, SP, T, P)).max() == 0.0
+        assert np.abs(sensitivity_contraction(replace(sol, values=T),
+                                              replace(sol, values=P))).max() == 0.0
 
     @pytest.mark.parametrize("beta", [None, 1e4])
     def test_total_gradient_matches_fd(self, beta):

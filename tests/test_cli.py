@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from igatop.cli import main
-from igatop.config import RunConfig, build_pipeline
+from igatop.config import RunConfig, _yaml_float, build_pipeline
 from igatop.optimizer import SqpConfig
 
 
@@ -276,6 +276,18 @@ class TestErrors:
         assert key in capsys.readouterr().err
         sec, name = key.split(".")
         assert RunConfig.load(cfg, [f"{key}=1.0e-2"]).data[sec][name] == 1.0e-2
+
+    @pytest.mark.parametrize("value", ["1e-2", "1.0e6", "1E+6", ".5e3", "-3e4"])
+    def test_string_number_hint_loads_as_the_number(self, value):
+        # PyYAML reads each value as a string and the hinted spelling as its float
+        hint = yaml.safe_load(_yaml_float(value))
+        assert yaml.safe_load(value) == value
+        assert isinstance(hint, float) and hint == float(value)
+
+    def test_string_number_hint_names_the_spelling(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
+        assert run_cli(["solve", "--config", cfg, "--set", "model.beta=1.0e6"]) == 1
+        assert "write 1.0e+6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,good", [
         ("reinit.lines_per_span", 10), ("output.grid", 10), ("output.checkpoint_every", 10),

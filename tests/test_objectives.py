@@ -239,8 +239,7 @@ def split_main(prob: HeatProblem, field: DesignField, sub):
     lu = CondensedSystem(disc, sub, field, prob.smoothing)
     sol = FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
     j, dj_dt = eval_main(prob.spec, disc, sol)
-    P = solve_adjoint(sol, -dj_dt)
-    return j, sensitivity_contraction(disc, field, prob.smoothing, sol.values, P), sol.values
+    return j, sensitivity_contraction(sol, solve_adjoint(sol, -dj_dt)), sol.values
 
 
 def whole_factor_main(prob: HeatProblem, field: DesignField, K):
