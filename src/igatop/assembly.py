@@ -27,21 +27,27 @@ Z = K_II^-1 K_IT formed densely on the columns where K_IT holds entries,
 and S = K_TT - W, W = K_TI Z, split into the part of the fixed regions
 and one linear map per kind of field-dependent point, from the points'
 weights times conductivities onto S's fixed pattern.  On an all-design
-mesh I is empty and S is K_ff itself.  S is stored in the elimination
-order of SuperLU's minimum-degree ordering of that pattern, found once
-(Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).  An
-evaluation then applies the maps, factors S with its natural order and
-solves on T alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is
-solved and refined, and x_I = K_II^-1 b_I - Z x_rim.  The state's
+mesh I is empty and S is K_ff itself.  S's rows are numbered in a
+Cuthill-McKee order of that pattern, found once (Cuthill & McKee, ACM
+1969), in which S is narrowly banded: half-bandwidth 42 on the annulus's
+orbit split, 52 on the cloak's and 42 on the camouflage's.  An evaluation
+then applies the maps, fills LAPACK's band storage of S through an index
+built once per split, factors it by a banded Cholesky (`dpbtrf`: n kd^2
+flops in one call, no symbolic phase; George & Liu, Computer Solution of
+Large Sparse Positive Definite Systems, 1981, ch. 4) and solves on T
+alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is solved
+(`dpbtrs`) and refined, and x_I = K_II^-1 b_I - Z x_rim.  The state's
 K_II^-1 b_I is the mesh's, so an evaluation (state and adjoint) takes at
-most one K_II solve.  A solve under an override (which may rescale any
-region) splits the free dofs once for itself: I empty, S = K_ff sliced
-from a whole assembly, factored in SuperLU's own ordering.  K_ff, and so
-K_II and S, is symmetric positive definite; SuperLU factors in symmetric
-mode (diagonal pivots, an ordering of A + A^T).  The adjoint reuses the
-state's factors because K_ff is symmetric (K^T P = K P).  Solves refine
-iteratively on S only while the componentwise backward error is above
-eps and the last sweep halved it.
+most one K_II solve.  K_II, factored once per mesh, is the one SuperLU
+factor (symmetric mode: diagonal pivots, a minimum-degree ordering of
+A + A^T).  A solve under an override (which may rescale any region)
+splits the free dofs once for itself: I empty, S = K_ff sliced from a
+whole assembly in the same kind of band order.  K_ff, and so K_II and S,
+is symmetric positive definite; a band factor that meets a non-positive
+pivot raises `SolverError`, and no other factorization is tried.  The
+adjoint reuses the state's factors because K_ff is symmetric
+(K^T P = K P).  Solves refine iteratively on S only while the
+componentwise backward error is above eps and the last sweep halved it.
 
 The first solve without an override also finds the mesh's mirror group:
 the mirrors x -> -x and y -> -y (about the origin) that map the dof
@@ -94,6 +100,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 from scipy.sparse.linalg import splu
 
 from igatop.errors import AssemblyError, ModelError, SolverError
@@ -216,11 +225,11 @@ class DesignRows:
     """Points whose conductivity can follow the level set, with the
     operators of the weighted product A^T diag(s) B they enter.
 
-    Per point: the quadrature weight, the region, and the design-basis
-    values (zero rows off the design; None without a basis), and the
-    conductivity of its region, built once per mesh (NaN without one).
-    B holds one or more row blocks of one row per point (the design
-    region's x and y gradients).
+    Per point: the quadrature weight, the region, whether that region is
+    off the design, and the design-basis values (zero rows off the design;
+    None without a basis), and the conductivity of its region, built once
+    per mesh (NaN without one).  B holds one or more row blocks of one row
+    per point (the design region's x and y gradients).
     """
 
     w: np.ndarray
@@ -229,6 +238,11 @@ class DesignRows:
     B: sp.csr_matrix
     kappa: np.ndarray
     At: sp.csr_matrix | None = None  # A^T in CSR; not kept by `take`
+    off_design: np.ndarray | None = None  # labels != "design", built once
+
+    def __post_init__(self):
+        if self.off_design is None:
+            self.off_design = self.labels != "design"
 
     def take(self, pts: np.ndarray) -> DesignRows:
         """The rows of the points `pts`, in every block of B."""
@@ -236,7 +250,7 @@ class DesignRows:
         blocks = (pts + n * np.arange(self.B.shape[0] // max(n, 1))[:, None]).ravel()
         return DesignRows(w=self.w[pts], labels=self.labels[pts],
                           D=None if self.D is None else self.D[pts], B=self.B[blocks],
-                          kappa=self.kappa[pts])
+                          kappa=self.kappa[pts], off_design=self.off_design[pts])
 
 
 @dataclass
@@ -475,7 +489,7 @@ def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
     for label, val in (override or {}).items():
         kappa[rows.labels == label] = val
     todo = np.isnan(kappa)
-    if np.any(todo & (rows.labels != "design")):
+    if np.any(todo & rows.off_design):
         raise AssemblyError("missing conductivity for a non-design region")
     if np.any(todo):
         if field is None:
@@ -546,7 +560,7 @@ def _design_side(disc: Discretization) -> np.ndarray:
     design-labelled interface points.  Every free dof where no such row
     exists (S is then K_ff)."""
     touched = [disc.bulk.B.indices]
-    on_design = disc.sides.labels == "design"
+    on_design = ~disc.sides.off_design
     if np.any(on_design):
         touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
     in_T = np.isin(disc.free, np.concatenate(touched))
@@ -633,20 +647,25 @@ class Substructure:
     entries).  S's rows are the orbits of T's dofs under `group`
     (`orbits`): S is E^T (K_TT - W) E, E the 0/1 matrix of T's orbits.  On
     the trivial group every orbit is one dof or one point.  S's rows are
-    numbered in the elimination order of its factor, so S is factored as
-    stored, and T is sorted by its row.  I may be empty (an all-design
-    mesh): S is then E^T K_ff E.  The rows of N and of the design region's
-    operators at the lowest point of each orbit serve `at_quadrature` and
+    numbered in the Cuthill-McKee order of its pattern (`_band_order`), so
+    S is banded with half-bandwidth `kd`, and T is sorted by its row;
+    `entries` and `band` place S's entries into LAPACK's band storage (see
+    `_band_index`).  I may be empty (an all-design mesh): S is
+    then E^T K_ff E.  The rows of N and of the design region's operators
+    at the lowest point of each orbit serve `at_quadrature` and
     `sensitivity_contraction`.  A one-off split under an override, on the
-    trivial group, keeps the free dofs' order, factors in SuperLU's own
-    ordering and has no maps; its point rows are the mesh's own.
+    trivial group, orders the free dofs the same way and has no maps; its
+    point rows are the mesh's own.
     """
 
     group: MirrorGroup
     T: np.ndarray  # positions in `free`
     orbits: Orbits  # S's row of each T entry
     I: np.ndarray
-    S: sp.spmatrix  # S's fixed pattern, holding its fixed part
+    S: sp.csc_matrix  # S's fixed pattern, holding its fixed part
+    kd: int  # S's half-bandwidth
+    entries: np.ndarray  # positions in S.data of the entries on and above the diagonal
+    band: np.ndarray  # their positions in the lower band storage
     g: np.ndarray  # the fixed part of the condensed state load
     # at one representative point per orbit of `group.quad`: the rows of
     # disc.N, and the design-region rows (bulk) with D^T summed onto their
@@ -658,26 +677,77 @@ class Substructure:
     # the map onto S's data and the map onto the state load's rows, each
     # with one column per orbit)
     maps: list = dc_field(default_factory=list)
-    permc_spec: str = "NATURAL"  # the ordering S is factored with
     # the rest only when I is non-empty
     lu_II: object = None
     K_TI: sp.csr_matrix | None = None
     rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
-    Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense
+    Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense, Fortran-ordered
     y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
 
 
-def _splu(A, permc_spec: str = "MMD_AT_PLUS_A"):
-    # K_ff, and so K_II and S, is symmetric positive definite: diagonal
-    # pivots are stable, and the fill-reducing ordering is that of A + A^T
+_SINGULAR_HINT = "suspected untagged boundary or missing Dirichlet data"
+
+
+def _splu(A):
+    # K_ff, and so K_II, is symmetric positive definite: diagonal pivots
+    # are stable, and the fill-reducing ordering is that of A + A^T
     try:
-        return splu(A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolverError(
-            "singular stiffness system (suspected untagged boundary or missing "
-            f"Dirichlet data): {exc}"
-        ) from exc
+        raise SolverError(f"singular stiffness system ({_SINGULAR_HINT}): {exc}") from exc
+
+
+def _band_order(P: sp.csr_matrix) -> np.ndarray:
+    """The rows of the symmetric pattern of P (CSR) in Cuthill-McKee order
+    (Cuthill & McKee, ACM 1969), in which it is narrowly banded, grown from
+    a whole level of a level structure rather than from one node.
+
+    scipy's `reverse_cuthill_mckee` starts each component at its node of
+    lowest degree.  The levels around one node are shells that span the
+    cross-section of a strip only some levels on, and on a ring they then
+    run round both arms at once: the annulus's full ring took kd 243.  The
+    last level of a breadth-first search from that node is a cross-section
+    (Gibbs, Poole & Stockmeyer, SIAM J. Numer. Anal. 13, 1976, start from
+    the same level structure), and grown from it the ring takes kd 132.
+    Two extra nodes make scipy start there: a leaf, the only node of
+    degree 1, and its neighbour, joined to every node of that level.  The
+    order is scipy's reversed, which has the same band; in it the
+    camouflage's orbit split stays well inside the roundoff floor of
+    tests/test_objectives.py::TestSymmetricEvaluation, which the reverse
+    order exceeds on one gradient.
+    """
+    n, degree = P.shape[0], np.diff(P.indptr)
+    edges = sp.csr_matrix((np.ones(P.nnz), P.indices, P.indptr), shape=P.shape)
+    depth = shortest_path(edges, unweighted=True, indices=int(np.argmin(degree)))
+    last = np.flatnonzero(depth == depth[np.isfinite(depth)].max())
+    hub = np.full(last.size, n + 1)
+    rows = np.concatenate([np.repeat(np.arange(n), degree), [n, n + 1], hub, last])
+    cols = np.concatenate([P.indices, [n + 1, n], last, hub])
+    order = reverse_cuthill_mckee(sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                                shape=(n + 2, n + 2)))[::-1]
+    return order[order < n]
+
+
+def _band_index(S: sp.csc_matrix):
+    """S's half-bandwidth kd, the positions in S.data of its entries on and
+    above the diagonal, and their flat positions in LAPACK's lower band
+    storage (George & Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, 1981, ch. 4): a Fortran-ordered (kd + 1, n) array
+    holding L[i, j] at [i - j, j], flat i + j kd.
+
+    S is symmetric (W = K_TI Z to roundoff), so its column i is its row i
+    and the entries S[j, i], j <= i, serve as L[i, j].  Filled from S's
+    lower triangle instead, the camouflage's orbit split exceeds the
+    roundoff floor of tests/test_objectives.py::TestSymmetricEvaluation on
+    one gradient.  Upper storage stays inside it too, but on 2 threads
+    (OpenBLAS 0.3.30) it factored three to four times slower for kd 24-60.
+    """
+    rows = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))  # S's columns as rows
+    cols = S.indices
+    kd = int(np.max(rows - cols, initial=0))
+    entries = np.flatnonzero(rows >= cols)
+    return kd, entries, rows[entries] + cols[entries] * kd
 
 
 def _pair_products(pairs: list):
@@ -728,7 +798,7 @@ def _point_entries(disc: Discretization):
     r, i, j, v = _pair_products([(Bx, Bx), (By, By)])
     yield bulk, np.arange(nq), i, j, v, r
     del r, i, j, v
-    pts = np.flatnonzero(sides.labels == "design")
+    pts = np.flatnonzero(~sides.off_design)
     if pts.size:
         r, i, j, v = _pair_products([(sides.At.T.tocsr()[pts], sides.B[pts])])
         yield (sides, pts, np.concatenate([i, j]), np.concatenate([j, i]),
@@ -774,9 +844,9 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
 
     The fixed entries are those of K assembled with the design at zero
     conductivity.  W takes one K_II solve per column of K_IT that holds an
-    entry, and the state load one more.  S's ordering is SuperLU's minimum
-    degree ordering of its pattern, which does not depend on the values;
-    one factorization at the design pair's mean conductivity finds it.
+    entry, and the state load one more.  S's rows are numbered in the
+    Cuthill-McKee order of its pattern (`_band_order`), which does not
+    depend on the values and makes S narrowly banded.
     """
     free = disc.free
     Kf = assemble_system(disc, override={"design": 0.0})[free]
@@ -797,7 +867,7 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
         K_IT, K_TI = K_I[:, T], K_T[:, I]
         lu_II = _splu(K_I[:, I])
         rim = np.unique(K_IT.indices)
-        Z = lu_II.solve(K_IT[:, rim].toarray())
+        Z = np.asfortranarray(lu_II.solve(K_IT[:, rim].toarray()))
         y_I = lu_II.solve(b[I])
         g = g - K_TI @ y_I
         coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
@@ -812,12 +882,10 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     families, loads = _point_families(disc, pos, n, keys)
     keys, entry = np.unique(np.concatenate(keys), return_inverse=True)
     nnz = keys.size
-    mean = 0.5 * (disc.model.design_pair.kappa_pos + disc.model.design_pair.kappa_neg)
-    vals = [fixed_vals] + [v * mean * rows.w[pts][r] for rows, pts, v, r in families]
-    S1 = sp.csc_matrix((np.bincount(entry, np.concatenate(vals), nnz), (keys // n, keys % n)),
-                       shape=(n, n))
-    p = _splu(S1).perm_c  # row -> elimination step
-    q = np.argsort(p)
+    # the keys are sorted row-major: they are S's pattern in CSR
+    q = _band_order(sp.csr_matrix(
+        (np.ones(nnz), keys % n, np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n)))
+    p = np.argsort(q)  # row -> elimination step
     # renumber the rows by elimination step and store S in CSC order
     csc_keys = p[keys % n] * n + p[keys // n]  # column-major
     order = np.argsort(csc_keys)
@@ -853,10 +921,12 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     # sort T by its rows' steps (T's own order is the steps themselves)
     step = p[row]
     by_step = np.argsort(step, kind="stable")
+    S = sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n))
+    kd, entries, band = _band_index(S)
     return Substructure(
         group=group, T=T[by_step], orbits=Orbits(step[by_step], n), I=I,
-        S=sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n)),
-        g=np.bincount(row, g, n)[q], N=disc.N[group.quad.lowest], bulk=bulk, Dt=Dt, maps=maps,
+        S=S, kd=kd, entries=entries, band=band, g=np.bincount(row, g, n)[q],
+        N=disc.N[group.quad.lowest], bulk=bulk, Dt=Dt, maps=maps,
         lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step],
         rim=None if rim is None else np.argsort(by_step)[rim], Z=Z, y_I=y_I,
     )
@@ -864,22 +934,25 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
 
 def _whole_split(disc: Discretization, K: sp.csr_matrix) -> Substructure:
     """A one-off split for a solve under an override, on the trivial group:
-    T every free dof, I empty, S = K_ff with no maps, factored in SuperLU's
-    own ordering; the mesh's own point rows."""
-    Kf, n, D = K[disc.free], disc.free.size, disc.bulk.D
-    return Substructure(group=disc.trivial, T=np.arange(n), orbits=Orbits.identity(n),
-                        I=np.zeros(0, dtype=int), S=Kf[:, disc.free],
-                        g=-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val),
-                        N=disc.N, bulk=disc.bulk, Dt=None if D is None else D.T,
-                        permc_spec="MMD_AT_PLUS_A")
+    T every free dof, in the Cuthill-McKee order of K_ff's pattern, I
+    empty, S = K_ff with no maps; the mesh's own point rows."""
+    Kf, D = K[disc.free], disc.bulk.D
+    T = _band_order(Kf[:, disc.free])
+    K_T = Kf[T]
+    S = K_T[:, disc.free[T]].tocsc()
+    kd, entries, band = _band_index(S)
+    return Substructure(group=disc.trivial, T=T, orbits=Orbits.identity(T.size),
+                        I=np.zeros(0, dtype=int), S=S, kd=kd, entries=entries, band=band,
+                        g=-(K_T[:, disc.dirichlet_idx] @ disc.dirichlet_val),
+                        N=disc.N, bulk=disc.bulk, Dt=None if D is None else D.T)
 
 
 _EPS = np.finfo(float).eps
 
 
-def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
-    """A x = rhs with the factor `lu` of A, refined iteratively, and guarded
-    against a failed factorization."""
+def _refined_solve(solve, A, abs_A, rhs: np.ndarray) -> np.ndarray:
+    """A x = rhs with `solve`, a solve with a factor of A, refined
+    iteratively, and guarded against a failed factorization."""
     abs_rhs = np.abs(rhs)
 
     def residual(x):
@@ -889,7 +962,7 @@ def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
         berr = np.max(np.abs(r) / np.where(denom > 0.0, denom, 1.0), initial=0.0)
         return r, berr
 
-    x = lu.solve(rhs)
+    x = solve(rhs)
     r, berr = residual(x)
     # iterative refinement in working precision only while it helps (the
     # LAPACK xGERFS rule): sweep while the backward error is above eps and
@@ -898,7 +971,7 @@ def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
     for _ in range(2):
         if berr <= _EPS:
             break
-        x_new = x + lu.solve(r)
+        x_new = x + solve(r)
         r_new, berr_new = residual(x_new)
         if not berr_new < berr:
             break
@@ -915,20 +988,42 @@ def _refined_solve(lu, A, abs_A, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _band_cholesky(S: sp.csc_matrix, sub: Substructure, beta) -> np.ndarray:
+    """The Cholesky factor L of S in LAPACK's lower band storage
+    (`dpbtrf`), filled from S.data through the split's band index."""
+    n = S.shape[0]
+    ab = np.zeros(n * (sub.kd + 1))
+    ab[sub.band] = S.data[sub.entries]
+    factor, info = dpbtrf(ab.reshape(n, sub.kd + 1).T, lower=1, overwrite_ab=1)
+    if info > 0:
+        cause = _SINGULAR_HINT
+        if beta is not None:
+            cause += (f"; or the explicit beta {beta:g}, too far above the conductivities "
+                      "for float64: couple strongly (model.beta null) or lower beta")
+        raise SolverError("stiffness system not positive definite: its band Cholesky factor "
+                          f"stops at pivot {info} of {n} ({cause})")
+    return factor
+
+
 class CondensedSystem:
     """K_ff condensed onto T for one design field: S assembled by the
     split's maps, from the conductivity at one point per orbit of the
-    split's group, and factored in its ordering.
+    split's group, and factored by a banded Cholesky (LAPACK `dpbtrf`) in
+    its Cuthill-McKee order.
 
     A load condenses to g_T = b_T - K_TI K_II^-1 b_I, S x_T = g_T is solved
-    and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim.  The state's
-    K_II^-1 b_I is the mesh's; another load costs one K_II solve, and none
-    where I is empty.  A load is summed onto S's rows, the orbits of the
-    split's group, and x_T read out from them, so the load must be
+    (`dpbtrs`) and refined on S alone, and x_I = K_II^-1 b_I - Z x_rim
+    (BLAS `dgemv` on the Fortran-ordered Z, from scipy's BLAS like the band
+    factor: numpy brings an OpenBLAS with a thread pool of its own, and a
+    threaded call right after one in the other pool can stall).  The
+    state's K_II^-1 b_I is the mesh's; another load costs one K_II solve,
+    and none where I is empty.  A load is summed onto S's rows, the orbits
+    of the split's group, and x_T read out from them, so the load must be
     invariant under that group (`solve_adjoint` sends any other to `plain`,
     the split on the trivial group).  `solve` serves the state and the
     adjoint, which reuses the state's factor because K_ff is symmetric.
-    `nnz` counts the entries of both factors.
+    `nnz` counts the entries of both factors: S's band storage and K_II's
+    SuperLU factor.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
@@ -940,8 +1035,11 @@ class CondensedSystem:
             self.S.data += M @ s
             self.g += Mb @ s
         self.abs_S = abs(self.S)
-        self.lu = _splu(self.S, sub.permc_spec)
-        self.nnz = self.lu.nnz + (sub.lu_II.nnz if sub.I.size else 0)
+        self.factor = _band_cholesky(self.S, sub, disc.model.beta)
+        self.nnz = self.factor.size + (sub.lu_II.nnz if sub.I.size else 0)
+
+    def _solve_S(self, rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.factor, rhs, lower=1)[0]
 
     def plain(self) -> CondensedSystem:
         """The same field on the mesh's split on the trivial group,
@@ -964,11 +1062,11 @@ class CondensedSystem:
                 y_I = sub.lu_II.solve(b[sub.I])
                 g = g - sub.K_TI @ y_I
             g = sub.orbits.reduce(g)
-        x_T = sub.orbits.expand(_refined_solve(self.lu, self.S, self.abs_S, g))
+        x_T = sub.orbits.expand(_refined_solve(self._solve_S, self.S, self.abs_S, g))
         x_f = np.empty(disc.free.size)
         x_f[sub.T] = x_T
         if sub.I.size:
-            x_f[sub.I] = y_I - sub.Z @ x_T[sub.rim]
+            x_f[sub.I] = dgemv(-1.0, sub.Z, x_T[sub.rim], 1.0, y_I)
         x = np.zeros(disc.ndof)
         x[disc.free] = x_f
         if F is None:
@@ -978,7 +1076,8 @@ class CondensedSystem:
 
 @dataclass
 class FieldSolution:
-    """Solution coefficients plus the factorized condensed system."""
+    """Solution coefficients plus the condensed system they were solved
+    with, which holds S's band Cholesky factor."""
 
     disc: Discretization
     values: np.ndarray  # (ndof,)
@@ -1053,7 +1152,7 @@ def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.
     g = sub.Dt @ (bulk.w * dk * grads.reshape(2, -1).sum(axis=0))
 
     # d(K_n + K_n^T) with K_n = -A^T diag(w kappa) B, A = [E; E]
-    on_design = sides.labels == "design"
+    on_design = ~sides.off_design
     if np.any(on_design):
         dk = np.where(on_design, dkappa_dphi(sides.D @ field.coeffs, mats, sp_), 0.0)
         ET, EP = np.tile(disc.E @ T, 2), np.tile(disc.E @ P, 2)

@@ -515,7 +515,7 @@ class TestCondensed:
         pipe = plates[name]
         eval_total(pipe.problem, pipe.field0)  # the first solve builds the substructure
         sub = pipe.disc.splits[pipe.disc.trivial]
-        counts = {"splu": 0, "assemble_system": 0, "K_II solve": 0}
+        counts = {"dpbtrf": 0, "splu": 0, "assemble_system": 0, "K_II solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -527,6 +527,7 @@ class TestCondensed:
             def __init__(self, lu):
                 self.nnz, self.solve = lu.nnz, counted("K_II solve", lu.solve)
 
+        monkeypatch.setattr(assembly, "dpbtrf", counted("dpbtrf", assembly.dpbtrf))
         monkeypatch.setattr(assembly, "splu", counted("splu", assembly.splu))
         monkeypatch.setattr(assembly, "assemble_system",
                             counted("assemble_system", assembly.assemble_system))
@@ -538,8 +539,40 @@ class TestCondensed:
         rng = RNG if name == "cloak" else np.random.default_rng(29)
         c = pipe.field0.coeffs + rng.standard_normal(pipe.field0.coeffs.size)
         eval_total(pipe.problem, DesignField(pipe.field0.basis, c))
-        assert counts["splu"] == 1 and counts["assemble_system"] == 0
+        assert counts["dpbtrf"] == 1 and counts["assemble_system"] == 0
+        assert counts["splu"] == 0  # K_II is factored once per mesh
         assert counts["K_II solve"] <= (1 if sub.I.size else 0)
+
+
+    @pytest.mark.parametrize("name", ["cloak", "camouflage", "annulus"])
+    def test_band_storage_of_every_split(self, plates, name):
+        # the trivial group's split, the mirror group's and a one-off
+        # override split: T is a permutation of its free dofs sorted by S's
+        # row, S lies inside its half-bandwidth, the band factor is S's
+        # Cholesky factor, and nnz counts its band storage and K_II's factor
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        sols = [solve_state(disc, pipe.field0, pipe.smoothing),
+                solve_state(disc, prob.field(sym.expand(sym.means(pipe.field0.coeffs))),
+                            pipe.smoothing),
+                solve_state(disc, override={"design": 1.0})]
+        assert [sol.lu.sub.group for sol in sols] == [disc.trivial, disc.group, disc.trivial]
+        for sol in sols:
+            sub, S = sol.lu.sub, sol.K.tocoo()
+            n, kd = S.shape[0], sub.kd
+            assert np.array_equal(np.sort(np.concatenate([sub.T, sub.I])), np.arange(disc.free.size))
+            assert np.array_equal(np.unique(sub.orbits.index), np.arange(n))
+            assert np.all(np.diff(sub.orbits.index) >= 0)
+            assert np.abs(S.row - S.col).max() == kd
+            assert sol.lu.factor.shape == (kd + 1, n)
+            assert sol.lu.nnz == (kd + 1) * n + (sub.lu_II.nnz if sub.I.size else 0)
+            # lower band storage holds L[i, j] at [i - j, j]
+            f = np.arange((kd + 1) * n)
+            i, j = f % (kd + 1) + f // (kd + 1), f // (kd + 1)
+            L = sp.csr_matrix((sol.lu.factor.ravel(order="F")[i < n], (i[i < n], j[i < n])),
+                              shape=(n, n))
+            assert abs(L @ L.T - sol.K).max() <= 1e-12 * abs(sol.K).max()
+        assert sols[1].K.shape[0] < sols[0].K.shape[0]
 
 
 def centred_square_model(design_basis=None):
@@ -603,17 +636,17 @@ class TestMirrorGroup:
         x0 = sym.means(pipe.field0.coeffs)
         eval_total(prob, prob.field(sym.expand(x0)))  # builds the group and the orbit split
         rows, counts = [], {"assemble_system": 0}
-        splu_ = assembly.splu
+        dpbtrf_ = assembly.dpbtrf
 
-        def counted_splu(A, *args, **kwargs):
-            rows.append(A.shape[0])
-            return splu_(A, *args, **kwargs)
+        def counted_dpbtrf(ab, *args, **kwargs):
+            rows.append(ab.shape[1])  # band storage: (kd + 1, rows)
+            return dpbtrf_(ab, *args, **kwargs)
 
         def counted_assembly(*args, **kwargs):
             counts["assemble_system"] += 1
             return assemble_system(*args, **kwargs)
 
-        monkeypatch.setattr(assembly, "splu", counted_splu)
+        monkeypatch.setattr(assembly, "dpbtrf", counted_dpbtrf)
         monkeypatch.setattr(assembly, "assemble_system", counted_assembly)
         x = x0 + np.random.default_rng(41).standard_normal(x0.size)
         val = eval_total(prob, prob.field(sym.expand(x)))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -267,6 +268,16 @@ class TestErrors:
         cfg = write_cfg(tmp_path / "ok.yaml", {"problem": "annulus"})
         assert run_cli(["solve", "--config", cfg, "--set", "model.beta=1e12"]) == 1
         assert "model.beta" in capsys.readouterr().err
+
+    def test_explicit_beta_too_large_exit_code(self, tmp_path, capsys):
+        # at beta=1e12 the shipped cloak's all-insulator reference K_ff is not
+        # positive definite in float64; no other factorization is tried
+        cfg = os.path.join(CONFIGS, "cloak.yaml")
+        assert run_cli(["solve", "--config", cfg, "--set", "model.beta=1.0e+12",
+                        "--set", f"output.dir={tmp_path / 'out'}"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"not positive definite: .* stops at pivot \d+ of \d+", err)
+        assert "missing Dirichlet data" in err and "explicit beta 1e+12" in err
 
     @pytest.mark.parametrize("key", ["objective.chi", "smoothing.alpha", "sqp.step_tolerance"])
     def test_string_number_exit_code(self, tmp_path, capsys, key):
