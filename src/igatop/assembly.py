@@ -741,7 +741,7 @@ def _band_index(S: sp.csc_matrix):
     lower triangle instead, the camouflage's orbit split exceeds the
     roundoff floor of tests/test_objectives.py::TestSymmetricEvaluation on
     one gradient.  Upper storage stays inside it too, but on 2 threads
-    (OpenBLAS 0.3.30) it factored three to four times slower for kd 24-60.
+    (OpenBLAS 0.3.30) it factored three to five times slower for kd 24-60.
     """
     rows = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))  # S's columns as rows
     cols = S.indices

@@ -543,7 +543,6 @@ class TestCondensed:
         assert counts["splu"] == 0  # K_II is factored once per mesh
         assert counts["K_II solve"] <= (1 if sub.I.size else 0)
 
-
     @pytest.mark.parametrize("name", ["cloak", "camouflage", "annulus"])
     def test_band_storage_of_every_split(self, plates, name):
         # the trivial group's split, the mirror group's and a one-off
