@@ -99,7 +99,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     print(f"J_total = {val.j_total:.9g}")
     write_convergence_csv(os.path.join(outdir, "convergence.csv"), history)
     write_coeffs_csv(os.path.join(outdir, "coefficients.csv"), best.coeffs)
-    pts, _ = interface_points(best, cfg.data["reinit"]["lines_per_span"])
+    pts = interface_points(best, cfg.data["reinit"]["lines_per_span"])[0]
     write_table_csv(os.path.join(outdir, "interface.csv"), ["x", "y"], pts.tolist())
     _write_field_outputs(pipe, val.state.values, best, outdir, "field")
     return 0

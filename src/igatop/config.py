@@ -13,9 +13,9 @@ and `initial_field.params` those of the kind's field function.
 for its own start kind).  One walk fills in defaults and raises
 `ConfigError` on an unknown key or a value of the wrong type: float keys
 take any number, int keys (all counts) only positive integers, bool keys
-only true/false, `X | None` keys also null.  A section given as null
-keeps its defaults; `validate` adds the range checks the types do not
-express, `SqpConfig`'s among them.
+only true/false, list keys at least one item, pair keys two, `X | None`
+keys also null.  A section given as null keeps its defaults; `validate`
+adds the range checks the types do not express, `SqpConfig`'s among them.
 
 Units are millimetres (geometry), W/mK (conductivity), and kelvin.  The
 level-set bandwidth `smoothing.delta` is in the level-set's own units;
@@ -81,7 +81,7 @@ def _bands(p, radii: list[float] = (1.25, 1.75), half_width: float = 0.12):
 
 
 def _circle_lattice(p, n: int = 2, pitch: float = 1.0, radius: float = 0.4,
-                    center: list[float] = (0.0, 0.0)):
+                    center: tuple[float, float] = (0.0, 0.0)):
     half = (n - 1) / 2.0
     centers = [
         (center[0] + (i - half) * pitch, center[1] + (j - half) * pitch)
@@ -188,7 +188,9 @@ def _conforms(v, tp) -> bool:
         return any(type(v) is type(a) and v == a for a in args)
     if origin is list:
         # tuples only as signature defaults: YAML reads sequences as lists
-        return isinstance(v, list | tuple) and all(_conforms(x, args[0]) for x in v)
+        return isinstance(v, list | tuple) and len(v) > 0 and all(_conforms(x, args[0]) for x in v)
+    if origin is tuple:
+        return isinstance(v, list | tuple) and len(v) == len(args) and all(map(_conforms, v, args))
     if tp is float:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     if tp is int:
@@ -202,8 +204,9 @@ def _describe(tp) -> str:
         return " or ".join(map(_describe, args))
     if origin is Literal:
         return str(args[0]) if len(args) == 1 else "one of " + ", ".join(args)
-    if origin is list:
-        return "a list of " + {float: "numbers", int: "positive integers"}[args[0]]
+    if origin in (list, tuple):
+        size = "a non-empty list" if origin is list else f"a list of {len(args)}"
+        return f"{size} of " + {float: "numbers", int: "positive integers"}[args[0]]
     return _NAMES[tp]
 
 
@@ -364,8 +367,6 @@ def build_pipeline(cfg: RunConfig, with_objective: bool = True) -> Pipeline:
     refined = refine_model(model, RefineSpec(**d["solution"]))
     disc = discretize(refined, basis, n_per_span=d["quadrature"]["n_per_span"])
     quad = design_quadrature(basis, d["quadrature"]["measures_per_span"])
-    if symmetry == "xy" and not model.symmetry_ok:
-        symmetry = "coincide"
     sym = build_symmetry_map(basis, symmetry)
     smoothing = SmoothingParams(**d["smoothing"])
     problem = None

@@ -184,7 +184,7 @@ def _span_lines(kv, per_span: int) -> np.ndarray:
 def interface_points(field: DesignField, lines_per_span: int = 20):
     """Zero-contour points: the exact roots of phi along isoparameter lines.
 
-    Returns (points (n, 2) physical, params: list of (patch_id, (u, v))).
+    Returns (points (n, 2) physical, their model patch ids (n,), (u, v) (n, 2)).
     Per design patch and per parametric direction, lines_per_span lines
     cross each knot span.  Along a line phi is a spline over a positive
     weight spline, so its zeros are the real roots of the numerator's
@@ -193,7 +193,7 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
     if lines_per_span < 1:
         raise ConfigError("lines_per_span must be >= 1")
     basis = field.basis
-    pts_out, par_out = [], []
+    pts_out, pid_out, uv_out = [], [], []
     for k, patch in enumerate(basis.patches):
         net = field.coeffs[basis.patch_slice(k)].reshape(patch.shape) * patch.weights
         for fixed_axis in (0, 1):
@@ -218,15 +218,16 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
                 uv = uv[:, ::-1]
             if uv.size:
                 pts_out.append(tabulate(patch, uv, check_jacobian=False).phys)
-                par_out.extend((basis.patch_ids[k], (u, v)) for u, v in uv)
+                pid_out.append(np.full(len(uv), basis.patch_ids[k]))
+                uv_out.append(uv)
     if not pts_out:
-        return np.empty((0, 2)), []
+        return np.empty((0, 2)), np.empty(0, dtype=int), np.empty((0, 2))
     pts = np.concatenate(pts_out)
     # deduplicate crossings found from both line directions
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) if len(pts) > 1 else 1.0
     r = max(1e-7 * max(diam, 1.0), 1e-14)
     keep = orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).lowest
-    return pts[keep], [par_out[i] for i in keep]
+    return pts[keep], np.concatenate(pid_out)[keep], np.concatenate(uv_out)[keep]
 
 
 def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20) -> DesignField:
@@ -237,7 +238,7 @@ def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20)
     to zero so the contour is preserved.  Without an interface the field
     is returned unchanged (with a warning).
     """
-    pts, params = interface_points(field, lines_per_span)
+    pts, patch_ids, params = interface_points(field, lines_per_span)
     if len(pts) == 0:
         warnings.warn("reinitialize: field has no zero contour, returning unchanged")
         return field
@@ -247,15 +248,9 @@ def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20)
     sign = np.where(phi_old >= 0, 1.0, -1.0)
     target = sign * dist
 
-    rows = []
     basis = field.basis
-    for k, pid in enumerate(basis.patch_ids):
-        sel = [uv for p, uv in params if p == pid]
-        if not sel:
-            continue
-        _, D, _, _ = _basis_rows(basis, k, np.asarray(sel))
-        rows.append(D)
-    P = sp.vstack(rows, format="csr")
+    sel = [(k, patch_ids == pid) for k, pid in enumerate(basis.patch_ids)]
+    P = sp.vstack([_basis_rows(basis, k, params[s])[1] for k, s in sel if s.any()], format="csr")
     penalty_weight = 1e6 * float(quad.mass.diagonal().mean())
     M = (quad.mass + penalty_weight * (P.T @ P)).tocsc()
     rhs = quad.D.T @ (quad.w * target)
@@ -395,16 +390,14 @@ def build_symmetry_map(basis: DesignBasis, mode: str = "xy") -> Orbits:
     variables.
 
     Modes: 'none' keeps every coefficient independent; 'coincide' merges
-    geometrically coincident control points (multi-patch seams); 'xy'
-    additionally merges x- and y-mirror images, for nets symmetric about
-    both axes.
+    geometrically coincident control points (multi-patch seams); 'xy' also
+    merges the images under each mirror of MIRRORS that maps the net onto
+    itself, so a net with no such mirror gets the 'coincide' orbits.
     """
     if mode == "none":
         return Orbits.identity(basis.m)
     if mode not in ("coincide", "xy"):
         raise ConfigError(f"unknown symmetry mode {mode!r}")
     pts = basis.control_points
-    images = mirror_images(pts) if mode == "xy" else []
-    if any(j is None for j in images):
-        raise ConfigError("design net is not mirror symmetric; use mode='coincide' or 'none'")
+    images = [j for j in mirror_images(pts) if j is not None] if mode == "xy" else []
     return net_orbits(pts, images)

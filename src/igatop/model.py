@@ -83,7 +83,6 @@ class MultiPatchModel:
     kappa_regions: dict[str, float]
     design_pair: MaterialPair
     beta: float | None = None  # absolute Nitsche penalty; None shares interface dofs
-    symmetry_ok: bool = True
 
     def __post_init__(self):
         for label, k in self.kappa_regions.items():
@@ -138,7 +137,6 @@ class MultiPatchModel:
             "kappa_regions": dict(self.kappa_regions),
             "design_materials": [self.design_pair.kappa_pos, self.design_pair.kappa_neg],
             "beta": self.beta,
-            "symmetry_ok": self.symmetry_ok,
         }
 
 
@@ -353,7 +351,7 @@ def _plate_model(name: str, loops: list[Loop], core_half: float, labels: list[st
     core for the first ring), then the four radial edges between its
     quarters.  The plate's right and left edges are held at t_right and
     t_left, top and bottom insulated.  `regions` holds the model's
-    conductivities, coupling and symmetry fields.
+    conductivities and coupling fields.
     """
     loops = [square_loop(core_half, loops[0].pieces)] + loops
     patches = [core_square_patch(core_half, loops[0].pieces)]
@@ -423,15 +421,15 @@ def build_annulus(
 #: Shapes and proportions follow the published schematics; exact values are
 #: read off figure annotations and kept as documented defaults here.
 CLOAK_CONFIGS = {
-    "circular": dict(obstacle=("circle", 20.0), cloak=("circle", 50.0), symmetric=True),
-    "I": dict(obstacle=("square", 20.0), cloak=("circle", 50.0), symmetric=True),
-    "II": dict(obstacle=("rect", 30.0, 15.0), cloak=("circle", 50.0), symmetric=True),
-    "III": dict(obstacle=("rect", 15.0, 30.0), cloak=("circle", 50.0), symmetric=True),
-    "IV": dict(obstacle=("ellipse", 30.0, 15.0, 0.0), cloak=("circle", 50.0), symmetric=True),
-    "V": dict(obstacle=("ellipse", 30.0, 15.0, 45.0), cloak=("circle", 50.0), symmetric=False),
-    "VI": dict(obstacle=("circle", 20.0), cloak=("square", 50.0), symmetric=True),
-    "VII": dict(obstacle=("circle", 20.0), cloak=("rect", 55.0, 35.0), symmetric=True),
-    "VIII": dict(obstacle=("circle", 20.0), cloak=("diamond", 60.0), symmetric=True),
+    "circular": dict(obstacle=("circle", 20.0), cloak=("circle", 50.0)),
+    "I": dict(obstacle=("square", 20.0), cloak=("circle", 50.0)),
+    "II": dict(obstacle=("rect", 30.0, 15.0), cloak=("circle", 50.0)),
+    "III": dict(obstacle=("rect", 15.0, 30.0), cloak=("circle", 50.0)),
+    "IV": dict(obstacle=("ellipse", 30.0, 15.0, 0.0), cloak=("circle", 50.0)),
+    "V": dict(obstacle=("ellipse", 30.0, 15.0, 45.0), cloak=("circle", 50.0)),
+    "VI": dict(obstacle=("circle", 20.0), cloak=("square", 50.0)),
+    "VII": dict(obstacle=("circle", 20.0), cloak=("rect", 55.0, 35.0)),
+    "VIII": dict(obstacle=("circle", 20.0), cloak=("diamond", 60.0)),
 }
 
 
@@ -479,7 +477,6 @@ def build_cloak_model(
         kappa_regions={"inside": kappa_obstacle, "outside": kappa_base},
         design_pair=MaterialPair(kappa_pos, kappa_neg),
         beta=beta,
-        symmetry_ok=cfg["symmetric"],
     )
 
 

@@ -246,7 +246,7 @@ class TestSweepAndOracle:
 class TestPipeline:
     @pytest.mark.parametrize("symmetry", ["none", "xy"])
     def test_symmetry_mode_on_asymmetric_model(self, symmetry):
-        # config V has no mirror symmetry: only "xy" falls back to "coincide"
+        # config V's design net admits no mirror, so "xy" reads the "coincide" orbits
         pipe = build_pipeline(RunConfig.from_dict({
             "problem": "cloak", "model": {"config": "V"}, "design": {"symmetry": symmetry},
         }))
@@ -351,6 +351,16 @@ class TestErrors:
         ("sqp.optimality_tolerance=.nan", "optimality_tolerance"),
         # the Nitsche average weight is the constant 1/2, not a key
         ("model.gamma=0.5", "model.gamma"),
+        # an empty list ran a command's defaults or ended in np.max of nothing
+        ("initial_field.kind=bands initial_field.params.radii=[]", "initial_field.params.radii"),
+        ("sweep.deltas=[]", "sweep.deltas"),
+        ("sweep.r_values=[]", "sweep.r_values"),
+        ("sweep.subdivisions=[]", "sweep.subdivisions"),
+        # a lattice center is one point: an IndexError, or a third number dropped
+        ("initial_field.kind=lattice initial_field.params.center=[]",
+         "initial_field.params.center"),
+        ("initial_field.kind=lattice initial_field.params.center=[1.0,2.0,3.0]",
+         "initial_field.params.center"),
     ])
     def test_wrong_type_or_unknown_key_exit_code(self, tmp_path, capsys, command, override, key):
         # each of these ended in a traceback, ran until export or was accepted unchecked

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from igatop.levelset import (
     dirac,
     heaviside,
     interface_points,
+    mirror_images,
     orbits,
     perimeter,
     phi_on_patch,
@@ -152,10 +154,10 @@ class TestEvalAndProjection:
 class TestInterfaceAndReinit:
     def test_interface_on_circle(self, annulus_basis, annulus_quad):
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
-        pts, params = interface_points(DesignField(annulus_basis, c), 20)
+        pts, patch_ids, params = interface_points(DesignField(annulus_basis, c), 20)
         assert len(pts) > 50
         assert np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.5).max() < 1e-6
-        assert len(params) == len(pts)
+        assert params.shape == pts.shape and np.array_equal(patch_ids, np.zeros(len(pts)))
 
     @pytest.mark.parametrize("R", [1.25, 1.3, 1.5])
     def test_exact_circle_one_point_per_radial_line(self, annulus_basis, R):
@@ -164,7 +166,7 @@ class TestInterfaceAndReinit:
         P = annulus_basis.patches[0].control_points
         r = np.hypot(P[..., 0], P[..., 1])
         c = (r / r[:1] - R).ravel()
-        pts, _ = interface_points(DesignField(annulus_basis, c), 20)
+        pts = interface_points(DesignField(annulus_basis, c), 20)[0]
         assert len(pts) == 24 * 20  # one per radial line: v-spans x lines
         assert np.abs(radius(pts) - R).max() <= 1e-13
 
@@ -176,9 +178,9 @@ class TestInterfaceAndReinit:
         numer = np.ones(patch.shape)
         numer[:, 4] = -0.34
         fld = DesignField(annulus_basis, (numer / patch.weights).ravel())
-        pts, params = interface_points(fld, 20)
+        pts, _, params = interface_points(fld, 20)
         assert len(pts) == 2 * 16 * 20  # two per circumferential line
-        phi = phi_on_patch(fld, 0, np.array([q for _, q in params]))
+        phi = phi_on_patch(fld, 0, params)
         assert np.abs(phi).max() <= 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -197,22 +199,21 @@ class TestInterfaceAndReinit:
         u0, v0 = _span_lines(patch.knots_u, 20)[7], _span_lines(patch.knots_v, 20)[5]
         numer = (greville(patch.knots_u) - u0)[:, None] + (greville(patch.knots_v) - v0)
         fld = DesignField(annulus_basis, (numer / patch.weights).ravel())
-        pts, params = interface_points(fld, 20)
-        uv = np.array([q for _, q in params])
+        pts, _, uv = interface_points(fld, 20)
         assert np.abs(uv.sum(axis=1) - (u0 + v0)).max() <= 1e-12
         assert np.count_nonzero(np.abs(uv - [u0, v0]).max(axis=1) <= 1e-12) == 1
         diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
         assert not cKDTree(pts).query_pairs(1e-7 * diam)
 
     def test_positive_field_no_interface(self, annulus_basis):
-        pts, params = interface_points(
+        pts, patch_ids, params = interface_points(
             DesignField(annulus_basis, np.full(annulus_basis.m, 2.0)), 20
         )
-        assert len(pts) == 0 and params == []
+        assert pts.shape == params.shape == (0, 2) and patch_ids.shape == (0,)
 
     def test_point_count_bound(self, annulus_basis, annulus_quad):
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
-        pts, params = interface_points(DesignField(annulus_basis, c), 20)
+        pts, _, params = interface_points(DesignField(annulus_basis, c), 20)
         patch = annulus_basis.patches[0]
         # lines of constant v run radially (24 v-spans), of constant u
         # circumferentially (16 u-spans)
@@ -220,7 +221,7 @@ class TestInterfaceAndReinit:
         assert (radial.size, circumferential.size) == (480, 320)
         # the circle crosses each radial line once and no circumferential line
         assert len(pts) == radial.size
-        assert np.array_equal(np.sort([v for _, (_, v) in params]), radial)
+        assert np.array_equal(np.sort(params[:, 1]), radial)
 
     def test_signed_distance_fixed_point(self, annulus_basis, annulus_quad):
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
@@ -244,9 +245,8 @@ class TestInterfaceAndReinit:
 
         c = project_lsf(annulus_quad, lambda p: radius(p) - 1.5)
         fld = DesignField(annulus_basis, 3.0 * c)
-        pts, params = interface_points(fld, 20)
+        uv = interface_points(fld, 20)[2]
         re = reinitialize(fld, annulus_quad)
-        uv = np.array([q for _, q in params])
         tab = tabulate(annulus_basis.patches[0], uv, check_jacobian=False)
         phi_new = np.einsum("nl,nl->n", tab.values, re.coeffs[tab.indices])
         diam = 4.0
@@ -307,6 +307,17 @@ class TestSymmetry:
         basis = design_basis_for(build_annulus(), RefineSpec(2, 1, 3, 4))
         sym = build_symmetry_map(basis, "xy")
         assert basis.m == 85 and sym.count == 25
+
+    def test_one_mirror_net_reduced_by_that_mirror(self, annulus_basis):
+        # shifted along x, the annulus net keeps y -> -y and loses x -> -x
+        shifted = replace(annulus_basis, patches=[
+            replace(p, control_points=p.control_points + [0.5, 0.0]) for p in annulus_basis.patches
+        ])
+        sym = build_symmetry_map(shifted, "xy")
+        coincide = build_symmetry_map(shifted, "coincide").count
+        assert build_symmetry_map(annulus_basis, "xy").count < sym.count < coincide
+        y_mirror, x_mirror = mirror_images(shifted.control_points)
+        assert x_mirror is None and np.array_equal(sym.index[y_mirror], sym.index)
 
     def test_expanded_field_reflection_invariant(self, annulus_basis, annulus_quad):
         sym = build_symmetry_map(annulus_basis, "xy")

@@ -73,11 +73,14 @@ class TestCloak:
         assert m.kappa_regions["outside"] == pytest.approx(200.0)
         assert m.design_pair == MaterialPair(398.0, 0.27)
 
-    def test_config_v_disables_symmetry(self):
-        assert build_cloak_model("V").symmetry_ok is False
-        for cfg in CLOAK_CONFIGS:
-            if cfg != "V":
-                assert build_cloak_model(cfg).symmetry_ok is True
+    def test_xy_variable_counts_at_the_default_design_refinement(self):
+        # the mirrors are read off each design net: V's tilted ellipse admits
+        # none, so it keeps the coincide orbits
+        models = {"annulus": build_annulus(), "camouflage": build_camouflage_model()}
+        models |= {cfg: build_cloak_model(cfg) for cfg in CLOAK_CONFIGS}
+        counts = {name: build_symmetry_map(design_basis_for(m, RefineSpec(2, 1, 3, 4)), "xy").count
+                  for name, m in models.items()}
+        assert counts == {name: {"V": 80, "VIII": 45}.get(name, 25) for name in models}
 
     def test_tags_complete_and_disjoint(self):
         for cfg in ("circular", "I", "V", "VIII"):
