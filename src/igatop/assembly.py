@@ -79,10 +79,10 @@ and the orbits are the identity, and this is the plain split doing the
 per-point arithmetic of a whole assembly.  Every iterate, line-search
 trial and reinitialization of a run with `design.symmetry: xy` solves on
 the mesh's group; any other field (a projected start, a finite-difference
-nudge, `symmetry: none`) on the trivial group.  An adjoint load stays on
-the state's group only if it is exactly invariant at the quadrature
-points (`objectives.eval_main` averages dJ/dT over their orbits); any
-other load goes to the trivial group's split.  The mesh's group is the
+nudge, `symmetry: none`) on the trivial group.  The adjoint solves on the
+state's split, so its load must be exactly invariant at the quadrature
+points (`objectives.eval_main` averages dJ/dT over their orbits), and
+`solve_adjoint` raises for any other.  The mesh's group is the
 trivial one under an explicit beta: there any reordering of the
 penalty-sized sums can move the solution by far more than roundoff (the
 beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
@@ -546,7 +546,7 @@ class MirrorGroup:
         return field is None or self.net.invariant(field.coeffs)
 
 
-# rows of an operator at mirrored points must match to this, relative
+# rows of an operator at the points' mirror images must match to this, relative
 _ROW_TOL = 1e-12
 
 
@@ -575,9 +575,9 @@ def _find_group(disc: Discretization) -> MirrorGroup:
     points (with their labels and weights) and the design net each onto
     themselves; keep every dof's Dirichlet value, or its being free and in
     T or I, exactly; map the solution basis onto itself (its rows at the
-    mirrored points equal its rows with the dofs permuted); and map
+    points' images equal its rows with the dofs permuted); and map
     invariant designs onto invariant conductivities (the design-basis rows
-    at the mirrored points, summed over each orbit of the net, equal the
+    at the points' images, summed over each orbit of the net, equal the
     rows so summed).  Under an explicit beta the group is trivial (see the
     module docstring)."""
     model, basis, bulk = disc.model, disc.basis, disc.bulk
@@ -1019,16 +1019,14 @@ class CondensedSystem:
     state's K_II^-1 b_I is the mesh's; another load costs one K_II solve,
     and none where I is empty.  A load is summed onto S's rows, the orbits
     of the split's group, and x_T read out from them, so the load must be
-    invariant under that group (`solve_adjoint` sends any other to `plain`,
-    the split on the trivial group).  `solve` serves the state and the
-    adjoint, which reuses the state's factor because K_ff is symmetric.
-    `nnz` counts the entries of both factors: S's band storage and K_II's
-    SuperLU factor.
+    invariant under that group (`solve_adjoint` checks it).  `solve`
+    serves the state and the adjoint, which reuses the state's split and
+    factor because K_ff is symmetric.  `nnz` counts the entries of both
+    factors: S's band storage and K_II's SuperLU factor.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
         self.disc, self.sub, self.field, self.sp_ = disc, sub, field, sp_
-        self._plain = None
         self.S, self.g = sub.S.copy(), sub.g.copy()
         for rows, M, Mb in sub.maps:
             s = rows.w * _kappa_points(disc, rows, field, sp_, None)
@@ -1040,14 +1038,6 @@ class CondensedSystem:
 
     def _solve_S(self, rhs: np.ndarray) -> np.ndarray:
         return dpbtrs(self.factor, rhs, lower=1)[0]
-
-    def plain(self) -> CondensedSystem:
-        """The same field on the mesh's split on the trivial group,
-        assembled and factored by the first call."""
-        if self._plain is None:
-            self._plain = CondensedSystem(self.disc, _substructure(self.disc, self.disc.trivial),
-                                          self.field, self.sp_)
-        return self._plain
 
     def solve(self, F: np.ndarray | None = None) -> np.ndarray:
         """All dofs of K x = F with zero Dirichlet data, or with no F the
@@ -1117,14 +1107,15 @@ def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> FieldSolution:
     was solved on (whose split `sensitivity_contraction` reads).
 
     Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
-    is symmetric, so this is a solve with the state's factors.  A state
-    solved on the mirror group's orbits keeps them only for a load exactly
-    invariant under the group; any other goes to the trivial group's
-    split, never projected onto the invariant loads.
+    is symmetric, so this is a solve with the state's factors, on the
+    state's split: the load must be exactly invariant under its group
+    (on the trivial group, any load), and is never projected onto the
+    invariant loads.
     """
     disc, lu = state.disc, state.lu
     if not lu.sub.group.quad.invariant(load_q):
-        lu = lu.plain()
+        raise AssemblyError("adjoint load is not invariant under the mirror group the state "
+                            "was solved on: average it over the quadrature orbits")
     return FieldSolution(disc=disc, values=lu.solve(disc.N.T @ (disc.w * load_q)), K=lu.S, lu=lu)
 
 
@@ -1135,8 +1126,8 @@ def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.
     Bulk term over the design-region points plus the differentiated
     Nitsche consistency terms at the stacked interface points on design
     sides; the jump penalty has no kappa dependence.  The bulk term is
-    computed at one point per orbit of the group of the split the adjoint
-    was solved on, where T and P are invariant, and summed onto the
+    computed at one point per orbit of the group of the split both were
+    solved on, where T and P are invariant, and summed onto the
     coefficients through that split's orbit-summed D^T; on the trivial
     group at every point.
     """

@@ -51,9 +51,6 @@ class ObjectiveSpec:
     j_norm: float = 1.0
     mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
     t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
-    # per mirror group a state was solved on, whether it leaves the
-    # objective invariant (see invariant_under)
-    mirrored: dict = dc_field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
@@ -62,17 +59,6 @@ class ObjectiveSpec:
             raise ConfigError("regularization weights must be finite and non-negative")
         if self.j_norm <= 0:
             raise ConfigError("normalization must be positive")
-
-    def invariant_under(self, group) -> bool:
-        """Whether the mirror group leaves the objective invariant: the
-        region mask exactly, and t_ref to roundoff, measured against |t_ref|
-        (the reference solves do not run on the orbits).  Checked once per
-        group."""
-        if group not in self.mirrored:
-            q, t = group.quad, self.t_ref_q
-            self.mirrored[group] = q.invariant(self.mask) and (
-                t is None or np.abs(q.average(t) - t).max() <= 1e-12 * np.abs(t).max())
-        return self.mirrored[group]
 
 
 def compute_reference_fields(disc: Discretization, kind: str):
@@ -114,11 +100,15 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
     """Main objective value and dJ/dT at quadrature points (adjoint source).
 
     dJ/dT is averaged over each orbit of quadrature points of the group
-    the state was solved on, where that group leaves the objective
-    invariant: T at the quadrature points is exactly invariant there
-    (`FieldSolution.at_quadrature`), but t_ref only to roundoff, which
-    would send the adjoint to the trivial group's split.  On the trivial
-    group the average is dJ/dT itself.
+    the state was solved on, so the adjoint solves on the state's split
+    (on the trivial group the average is dJ/dT itself).  The reduced
+    gradient stays exact for any mask and t_ref: each dT/dx_r of a
+    symmetric design is mirror invariant and the weights within an orbit
+    agree (to `assembly._ROW_TOL`), so the average drops only the full
+    gradient's antisymmetric part, which no reduced variable reads.  On
+    the shipped objectives that part is roundoff: each mirror keeps every
+    point's region label, so the mask is invariant, and t_ref is to a few
+    1e-14 of its largest value.
     """
     Tq = sol.at_quadrature()
     if spec.kind == "annular":
@@ -128,10 +118,7 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
         diff = Tq - spec.t_ref_q
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
-    dj_dt = np.where(spec.mask, dj_dt, 0.0)
-    group = sol.lu.sub.group
-    if spec.invariant_under(group):
-        dj_dt = group.quad.average(dj_dt)
+    dj_dt = sol.lu.sub.group.quad.average(np.where(spec.mask, dj_dt, 0.0))
     j_main = float((disc.w * integrand)[spec.mask].sum())
     return j_main, dj_dt
 

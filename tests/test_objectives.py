@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from igatop.assembly import (
     CondensedSystem,
     FieldSolution,
+    _mirror_group,
     _substructure,
     _whole_split,
     assemble_system,
@@ -312,14 +313,14 @@ class TestSymmetricEvaluation:
                 assert np.abs(x - ref).max() <= max(1e-12 * np.abs(ref).max(), 4.0 * floor)
 
     def test_objective_the_mirror_does_not_leave_invariant(self, monkeypatch):
-        # the cloak's objective cut to y > 0: a projected start solves on the
-        # trivial group, which leaves every objective invariant; a
-        # sym-expanded design then solves its state on the mirror orbits and
-        # its adjoint on the trivial group's split
+        # the cloak's objective cut to y > 0: a sym-expanded design solves
+        # its state and its adjoint on the mirror orbits.  The averaged
+        # adjoint load drops the full gradient's antisymmetric part, which
+        # is no longer roundoff; J and the reduced gradient, which the
+        # optimizer reads, still match the plain split
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
         prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
         prob.spec.mask = prob.spec.mask & (disc.phys[:, 1] > 0)
-        eval_total(prob, pipe.field0)
         subs, solve = [], CondensedSystem.solve
 
         def recorded(self, F=None):
@@ -330,22 +331,32 @@ class TestSymmetricEvaluation:
         field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
         val = eval_total(prob, field)
         assert len(subs) == 2
-        assert subs[0] is disc.splits[disc.group] and subs[1] is disc.splits[disc.trivial]
-        assert prob.spec.mirrored[disc.trivial] and not prob.spec.mirrored[disc.group]
+        assert subs[0] is disc.splits[disc.group] and subs[1] is disc.splits[disc.group]
         j, g, _ = split_main(prob, field, _substructure(disc, disc.trivial))
-        # the optimizer reads the reduced gradient; the full one's
-        # antisymmetric part differs by the state's roundoff (2.5e-12
-        # relative here)
+        assert np.abs(g - sym.average(g)).max() > 1e-3 * np.abs(g).max()
         g_red, ref = sym.reduce(val.grad_main), sym.reduce(g)
         assert abs(val.j_main - j) <= 1e-12 * abs(j)
         assert np.abs(g_red - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_shipped_objectives_invariant_on_the_mesh_group(self, name):
+        # why the averaged adjoint load leaves the shipped runs' results
+        # unchanged: the mirrors keep every point's region label, so the
+        # mask is exactly invariant, and t_ref, solved on the whole split,
+        # is invariant to roundoff
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
+        spec, quad = pipe.problem.spec, _mirror_group(pipe.disc).quad
+        assert quad.count < spec.mask.size and quad.invariant(spec.mask)
+        if spec.t_ref_q is not None:
+            t = spec.t_ref_q
+            assert np.abs(quad.average(t) - t).max() <= 1e-13 * np.abs(t).max()
 
     def test_adjoint_load_averaged_on_orbit_states_only(self):
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
         prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
         symmetric = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
         _, dj_sym = eval_main(prob.spec, disc, solve_state(disc, symmetric, prob.smoothing))
-        assert disc.group.quad.invariant(dj_sym) and prob.spec.mirrored[disc.group]
+        assert disc.group.quad.invariant(dj_sym)
         sol = solve_state(disc, pipe.field0, prob.smoothing)  # a projected start: plain split
         Tq = sol.at_quadrature()
         _, dj = eval_main(prob.spec, disc, sol)
