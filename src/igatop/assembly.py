@@ -52,7 +52,8 @@ componentwise backward error is above eps and the last sweep halved it.
 The first solve without an override also finds the mesh's mirror group:
 the mirrors x -> -x and y -> -y (about the origin) that map the dof
 control points, the quadrature points with their labels and the design
-net onto themselves, the solution and design bases onto themselves, and
+net onto themselves (matched by one sort of each set's projections, not
+a search tree), the solution and design bases onto themselves, and
 leave the Dirichlet values exactly equal.  The annulus keeps both, the
 cloak and camouflage plates the y-mirror only (x -> -x swaps their two
 Dirichlet values).  A group holds its orbits of the dofs, the quadrature
@@ -68,9 +69,11 @@ numbered by orbit, so the same maps sum every entry onto its orbit pair
 and the factor is E^T S E: a quarter of the annulus's rows, half of the
 plates'.  x_T is read out as x_red[orbit].  The per-point work runs
 on the orbits of the quadrature points too: the maps take one column per
-orbit of the design rows (the entries of an orbit's points sum as the
-map is built), and the split keeps the rows of the design region's
-operators and of N at the lowest point of each orbit.  An evaluation
+orbit of the design rows, built from the entries of its lowest point
+alone, scaled by the orbit's size (an image point's entries are that
+point's with both dofs mirrored, so they land on the same entries of S),
+and the split keeps the rows of the design region's operators and of N
+at the lowest point of each orbit.  An evaluation
 computes kappa there, with the orbit's mean weight; T at the quadrature
 points there, read out at every point of the orbit (so exactly
 invariant); and the sensitivity's bulk term there, summed onto the
@@ -515,8 +518,13 @@ def assemble_system(
     Kn = -_gram(sides.At, sides.B, sides.w * _kappa_points(disc, sides, field, sp_, override))
     K = _fixed_matrix(disc.model, disc.region_K, disc.Ks, override or {})
     kappa = _kappa_points(disc, bulk, field, sp_, override)
-    Kd = _gram(bulk.At, bulk.B, np.tile(bulk.w * kappa, 2))
-    return (K + Kd + (Kn + Kn.T)).tocsr()
+    # an all-zero design product is skipped where K holds no entries (the
+    # sum would drop them all); next to fixed entries it stays, since
+    # scipy's sum of unsorted rows emits each row in another order with it
+    # than without, and the split sums its rows in that order
+    if K.nnz or np.any(kappa):
+        K = K + _gram(bulk.At, bulk.B, np.tile(bulk.w * kappa, 2))
+    return (K + (Kn + Kn.T)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +558,18 @@ class MirrorGroup:
 _ROW_TOL = 1e-12
 
 
+def _permutes(images: np.ndarray) -> bool:
+    """Whether an image map of points onto themselves is a permutation."""
+    return bool(np.all(np.bincount(images, minlength=images.size) == 1))
+
+
+def _move_columns(A: sp.csr_matrix, to: np.ndarray, ncols: int) -> sp.csr_matrix:
+    """A with its column k moved to column to[k]: A @ P, P[k, to[k]] = 1.
+    Entries of one row that meet are left as duplicates, which sparse sums
+    and differences add."""
+    return sp.csr_matrix((A.data, to[A.indices], A.indptr), shape=(A.shape[0], ncols))
+
+
 def _largest(A: sp.spmatrix) -> float:
     return float(np.abs(A.data).max(initial=0.0))
 
@@ -559,11 +579,13 @@ def _design_side(disc: Discretization) -> np.ndarray:
     rows or, under an explicit beta, of either operator at the
     design-labelled interface points.  Every free dof where no such row
     exists (S is then K_ff)."""
-    touched = [disc.bulk.B.indices]
+    touched = np.zeros(disc.ndof, dtype=bool)
+    touched[disc.bulk.B.indices] = True
     on_design = ~disc.sides.off_design
     if np.any(on_design):
-        touched += [disc.sides.At[:, on_design].tocoo().row, disc.sides.B[on_design].indices]
-    in_T = np.isin(disc.free, np.concatenate(touched))
+        touched[disc.sides.At[:, on_design].tocoo().row] = True
+        touched[disc.sides.B[on_design].indices] = True
+    in_T = touched[disc.free]
     if not np.any(in_T):
         in_T[:] = True
     return in_T
@@ -573,9 +595,11 @@ def _find_group(disc: Discretization) -> MirrorGroup:
     """The mirrors of MIRRORS (about the origin) that map the mesh onto
     itself.  A mirror must map the dof control points, the quadrature
     points (with their labels and weights) and the design net each onto
-    themselves; keep every dof's Dirichlet value, or its being free and in
-    T or I, exactly; map the solution basis onto itself (its rows at the
-    points' images equal its rows with the dofs permuted); and map
+    themselves, each image map a permutation (`levelset.mirror_images`
+    matches them by one sort, without a search tree); keep every dof's
+    Dirichlet value, or its being free and in T or I, exactly; map the
+    solution basis onto itself (its rows at the points' images, with the
+    dofs moved to their images, equal its rows); and map
     invariant designs onto invariant conductivities (the design-basis rows
     at the points' images, summed over each orbit of the net, equal the
     rows so summed).  Under an explicit beta the group is trivial (see the
@@ -599,19 +623,20 @@ def _find_group(disc: Discretization) -> MirrorGroup:
                      mirror_images(basis.control_points))
     mirrors, dof_images, quad_images, net_images = [], [], [], []
     for refl, p, s, d in candidates:
-        if p is None or s is None or np.unique(p).size < p.size or np.unique(s).size < s.size:
+        if p is None or s is None or not (_permutes(p) and _permutes(s)):
             continue
         if not (np.array_equal(dof_tag[p], dof_tag) and np.array_equal(disc.qlabel[s], disc.qlabel)):
             continue
         if (np.abs(disc.w[s] - disc.w).max() > _ROW_TOL * np.abs(disc.w).max()
-                or _largest(disc.N[s] - disc.N[:, p]) > _ROW_TOL * _largest(disc.N)):
+                or _largest(_move_columns(disc.N[s], p, disc.ndof) - disc.N)
+                > _ROW_TOL * _largest(disc.N)):
             continue
         if basis is not None:
             if d is None:
                 continue
-            net = net_orbits(basis.control_points, [d]).index
-            C = sp.csr_matrix((np.ones(basis.m), (np.arange(basis.m), net)))
-            if _largest((bulk.D[at_bulk[s[design]]] - bulk.D) @ C) > _ROW_TOL * _largest(bulk.D):
+            net = net_orbits(basis.control_points, [d])
+            Dn = _move_columns(bulk.D, net.index, net.count)
+            if _largest(Dn[at_bulk[s[design]]] - Dn) > _ROW_TOL * _largest(bulk.D):
                 continue
             net_images.append(d)
         mirrors.append(refl)
@@ -643,8 +668,9 @@ class Substructure:
     regions' parts of S = K_TT - W and of the condensed state load.  S's
     data is that fixed part plus, per kind of field-dependent point, a map
     applied to weight times conductivity at one point per orbit of those
-    points under `group` (the map's column of an orbit sums its points'
-    entries).  S's rows are the orbits of T's dofs under `group`
+    points under `group` (the map's column of an orbit holds that point's
+    entries times the orbit's size, which are the orbit's entries summed on
+    S's rows).  S's rows are the orbits of T's dofs under `group`
     (`orbits`): S is E^T (K_TT - W) E, E the 0/1 matrix of T's orbits.  On
     the trivial group every orbit is one dof or one point.  S's rows are
     numbered in the Cuthill-McKee order of its pattern (`_band_order`), so
@@ -752,78 +778,107 @@ def _band_index(S: sp.csc_matrix):
 
 def _pair_products(pairs: list):
     """The products A[r, i] B[r, j] of every entry of row r of A with every
-    entry of row r of B, for all rows r, summed over `pairs` of CSR
-    operators that share the first pair's pattern: the arrays (r, i, j,
-    sum), row after row, with A's entries outer and B's inner.
+    entry of row r of B, summed over `pairs` of CSR operators that share
+    the first pair's pattern, one run of consecutive rows with the same
+    entry counts at a time: yields the run's rows (R,), their columns of A
+    (R, ka) and of B (R, kb), and the products (R, ka, kb), A's entries
+    outer and B's inner.
 
-    Each run of consecutive rows with the same entry counts is broadcast
-    into one slice of the outputs: on a patch every row has the same
-    counts, so the annulus takes one run, with no per-product index
-    arithmetic.
+    Each run is broadcast: on a patch every row has the same counts, so
+    the annulus takes one run, with no per-product index arithmetic.
     """
     A, B = pairs[0]
     na, nb = np.diff(A.indptr), np.diff(B.indptr)
-    start = np.concatenate([[0], np.cumsum(na * nb)])
-    r = np.empty(start[-1], dtype=np.intp)
-    i, j, v = np.empty(r.size, A.indices.dtype), np.empty(r.size, B.indices.dtype), np.empty(r.size)
     runs = np.flatnonzero((np.diff(na) != 0) | (np.diff(nb) != 0)) + 1
-    for lo, hi in zip(np.concatenate([[0], runs]), np.concatenate([runs, [na.size]])):
+    for lo, hi in zip(np.r_[0, runs], np.r_[runs, na.size]):
         if lo == hi:  # an operator with no rows
             continue
-        rows, ka, kb = np.arange(lo, hi), int(na[lo]), int(nb[lo])
-        r_, i_, j_, v_ = (x[start[lo]:start[hi]].reshape(hi - lo, ka, kb) for x in (r, i, j, v))
-        a = A.indptr[lo:hi, None] + np.arange(ka)  # (rows, ka) entries of A
-        b = B.indptr[lo:hi, None] + np.arange(kb)
-        r_[...] = rows[:, None, None]
-        i_[...] = A.indices[a][:, :, None]
-        j_[...] = B.indices[b][:, None, :]
-        np.multiply(A.data[a][:, :, None], B.data[b][:, None, :], out=v_)
+        a = A.indptr[lo:hi, None] + np.arange(na[lo])  # (rows, ka) entries of A
+        b = B.indptr[lo:hi, None] + np.arange(nb[lo])
+        v = A.data[a][:, :, None] * B.data[b][:, None, :]
         for A_, B_ in pairs[1:]:
-            v_ += A_.data[a][:, :, None] * B_.data[b][:, None, :]
-    return r, i, j, v
+            v += A_.data[a][:, :, None] * B_.data[b][:, None, :]
+        yield np.arange(lo, hi), A.indices[a], B.indices[b], v
 
 
-def _point_entries(disc: Discretization):
-    """The stiffness entries of every field-dependent point at unit weight
-    times conductivity: per kind of point, yielded in turn, (rows, points
-    used, dof i, dof j, value, point).
+def _point_entries(disc: Discretization, bulk: DesignRows, sizes: np.ndarray):
+    """The stiffness entries of the field-dependent points at unit weight
+    times conductivity: per kind of point, yielded in turn, the points'
+    rows and their blocks from `_pair_products`, (row of `rows`, dofs i,
+    dofs j, values).  The design region's points are `bulk`, one point per
+    quadrature orbit, whose entries are scaled by the orbit's size
+    (`sizes`); every design-side interface point is its own orbit.
 
     A design-region point adds (B_x,i B_x,j + B_y,i B_y,j) to K_ij; the x
     and y gradient rows of one point share their columns.  A design-side
     interface point adds -(A_i B_j) to K_ij and to K_ji, with A its jump row.
+    An image of a point under the group adds the point's entries with both
+    dofs mirrored, which lie on the same orbits of the dofs: so the point's
+    entries, times its orbit's size, are the orbit's on S's rows.
     """
-    bulk, sides = disc.bulk, disc.sides
     nq = bulk.w.size
     Bx, By = bulk.B[:nq], bulk.B[nq:]
-    r, i, j, v = _pair_products([(Bx, Bx), (By, By)])
-    yield bulk, np.arange(nq), i, j, v, r
-    del r, i, j, v
+    yield bulk, [(r, i, j, v * sizes[r][:, None, None])
+                 for r, i, j, v in _pair_products([(Bx, Bx), (By, By)])]
+    sides = disc.sides
     pts = np.flatnonzero(~sides.off_design)
     if pts.size:
-        r, i, j, v = _pair_products([(sides.At.T.tocsr()[pts], sides.B[pts])])
-        yield (sides, pts, np.concatenate([i, j]), np.concatenate([j, i]),
-               -np.tile(v, 2), np.tile(r, 2))
+        blocks = list(_pair_products([(sides.At.T.tocsr()[pts], sides.B[pts])]))
+        yield sides.take(pts), ([(r, i, j, -v) for r, i, j, v in blocks]
+                                + [(r, j, i, -v.transpose(0, 2, 1)) for r, i, j, v in blocks])
 
 
-def _point_families(disc: Discretization, pos: np.ndarray, n: int, keys: list):
-    """Every field-dependent point's entries in S, one kind of point at a
-    time: appends their keys row * n + column to `keys` and returns, per
-    kind, (rows, points used, values, point) of those entries and its load
-    from the Dirichlet columns on S's rows (row, value, point).  `pos` is
-    each dof's row of S, -1 off T."""
+def _blocks_csr(blocks: list, shape) -> sp.csr_matrix:
+    """The CSR matrix of (values, rows, columns) blocks, duplicates summed
+    (a single block, as on one patch, is not copied)."""
+    if not blocks:
+        return sp.csr_matrix(shape)
+    v, i, j = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*blocks))
+    return sp.csr_matrix((v, (i, j)), shape=shape)
+
+
+def _unique_rows(X: np.ndarray):
+    """The distinct rows of an integer array and each row's index among
+    them: np.unique(X, axis=0, return_inverse=True) by one lexsort."""
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    new = np.r_[True, np.any(X[1:] != X[:-1], axis=1)]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return X[new], inverse
+
+
+def _point_families(disc: Discretization, bulk: DesignRows, sizes: np.ndarray,
+                    pos: np.ndarray, n: int, keys: list):
+    """The field-dependent points' entries (`_point_entries`) on S's rows,
+    one kind of point at a time.  `pos` is each dof's row of S, -1 off T.
+
+    Rows of one block with the same columns (the points of one element)
+    have their entries at the same positions in S, so those are worked out
+    once per distinct column pattern: appends to `keys` the keys row * n +
+    column of each pattern's entries in S, and returns per kind (rows,
+    blocks).  Per block: the rows of `rows`, each row's pattern and the
+    values, as `_point_entries` gives them; and per pattern, which entries
+    lie in S, the rows of S of its i dofs, the Dirichlet values of its j
+    dofs and which entries' columns move to the load.
+    """
     dval = np.zeros(disc.ndof)
     dval[disc.dirichlet_idx] = disc.dirichlet_val
     is_dir = np.zeros(disc.ndof, dtype=bool)
     is_dir[disc.dirichlet_idx] = True
-    families, loads = [], []
-    for rows, pts, i, j, v, r in _point_entries(disc):
-        pi, pj = pos[i], pos[j]
-        in_S = (pi >= 0) & (pj >= 0)
-        to_b = (pi >= 0) & is_dir[j]  # Dirichlet columns move to the load
-        keys.append(pi[in_S] * n + pj[in_S])
-        families.append((rows, pts, v[in_S], r[in_S]))
-        loads.append((pi[to_b], -v[to_b] * dval[j[to_b]], r[to_b]))
-    return families, loads
+    families = []
+    for rows, blocks in _point_entries(disc, bulk, sizes):
+        out = []
+        for r, i, j, v in blocks:
+            cols, pattern = _unique_rows(np.hstack([i, j]))
+            i, j = cols[:, :i.shape[1]], cols[:, i.shape[1]:]
+            pi, pj = pos[i], pos[j]
+            in_S = (pi >= 0)[:, :, None] & (pj >= 0)[:, None, :]
+            to_b = (pi >= 0)[:, :, None] & is_dir[j][:, None, :]  # Dirichlet columns: the load
+            keys.append((pi[:, :, None] * n + pj[:, None, :])[in_S])
+            out.append((r, pattern, v, in_S, pi, dval[j], to_b))
+        families.append((rows, out))
+    return families
 
 
 def _substructure(disc: Discretization, group: MirrorGroup) -> Substructure:
@@ -840,7 +895,10 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     """Eliminate I once and build S's pattern, fixed part and maps and the
     condensed state load; where I is non-empty, factor K_II and form Z and
     W first.  S's rows are the orbits of T's dofs under `group`, and every
-    entry of S and row of a load is summed onto its orbit.
+    entry of S and row of a load is summed onto its orbit.  The maps are
+    built at one point per orbit of the design rows, its lowest, with its
+    entries scaled by the orbit's size (`_point_entries`): exact under the
+    symmetry `_find_group` verifies, and on the trivial group every point.
 
     The fixed entries are those of K assembled with the design at zero
     conductivity.  W takes one K_II solve per column of K_IT that holds an
@@ -879,7 +937,13 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     n_fixed = fixed_vals.size
     pos = np.full(disc.ndof, -1)
     pos[free[T]] = row
-    families, loads = _point_families(disc, pos, n, keys)
+    # the design rows' orbits, and those rows at the lowest point of each
+    # with the orbit's mean weight (an orbit's weights agree to roundoff,
+    # and on the trivial group the mean is the weight itself)
+    at_design = group.quad.restrict(np.flatnonzero(disc.qlabel == "design"))
+    bulk = disc.bulk.take(at_design.lowest)
+    bulk.w = at_design.means(disc.bulk.w)
+    families = _point_families(disc, bulk, at_design.sizes, pos, n, keys)
     keys, entry = np.unique(np.concatenate(keys), return_inverse=True)
     nnz = keys.size
     # the keys are sorted row-major: they are S's pattern in CSR
@@ -897,27 +961,34 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     # on an all-design mesh under strong coupling the fixed part is empty,
     # and bincount of nothing returns integers
     fixed = np.bincount(entry[:n_fixed], fixed_vals, nnz).astype(float, copy=False)
-    # the design rows' orbits; those rows at the lowest point of each, with
-    # the orbit's mean weight (an orbit's weights agree to roundoff, and on
-    # the trivial group the mean is the weight itself); and D^T summed onto
-    # the orbits
-    at_design = group.quad.restrict(np.flatnonzero(disc.qlabel == "design"))
-    bulk, D = disc.bulk.take(at_design.lowest), disc.bulk.D
-    bulk.w = at_design.means(disc.bulk.w)
-    Dt = None if D is None else sp.csr_matrix(
-        (D.data, (D.indices, np.repeat(at_design.index, np.diff(D.indptr)))),
-        shape=(D.shape[1], at_design.count))
-    # every map entry's column is its point's orbit, so the entries of one
-    # orbit sum as the map is built
+    # D^T summed onto the design rows' orbits: D's rows orbit after orbit
+    # are its columns, summed in CSC and stored as CSR
+    Dt, D = None, disc.bulk.D
+    if D is not None:
+        Dm = D[np.argsort(at_design.index, kind="stable")]
+        Dt = sp.csc_matrix((Dm.data, Dm.indices, Dm.indptr[np.r_[0, np.cumsum(at_design.sizes)]]),
+                           shape=(D.shape[1], at_design.count))
+        Dt.sum_duplicates()
+        Dt = Dt.tocsr()
+    # one map column per point of `rows`: a representative point, whose
+    # entries stand for its whole orbit; each entry's position in S is its
+    # column pattern's
     maps, start = [], n_fixed
-    for (rows, pts, v, r), (bi, bv, br) in zip(families, loads):
-        # interface points exist only under an explicit beta, whose group is trivial
-        orb, reps = (at_design, bulk) if rows is disc.bulk else (Orbits.identity(pts.size),
-                                                                rows.take(pts))
-        M = sp.csr_matrix((v, (entry[start:start + v.size], orb.index[r])), shape=(nnz, orb.count))
-        Mb = sp.csr_matrix((bv, (p[bi], orb.index[br])), shape=(n, orb.count))
-        maps.append((reps, M, Mb))
-        start += v.size
+    for rows, blocks in families:
+        M, Mb = [], []
+        for r, pattern, v, in_S, pi, dv, to_b in blocks:
+            k, at = np.count_nonzero(in_S), np.full(in_S.shape, -1)
+            at[in_S] = entry[start:start + k]
+            start += k
+            use = in_S[pattern]
+            M.append((v[use], at[pattern][use], np.broadcast_to(r[:, None, None], v.shape)[use]))
+            # the rows next to a Dirichlet dof, few
+            near = np.flatnonzero(to_b.any(axis=(1, 2))[pattern])
+            use, pat = to_b[pattern[near]], pattern[near]
+            Mb.append((-v[near][use] * np.broadcast_to(dv[pat][:, None, :], use.shape)[use],
+                       p[np.broadcast_to(pi[pat][:, :, None], use.shape)[use]],
+                       np.broadcast_to(r[near][:, None, None], use.shape)[use]))
+        maps.append((rows, _blocks_csr(M, (nnz, rows.w.size)), _blocks_csr(Mb, (n, rows.w.size))))
     # sort T by its rows' steps (T's own order is the steps themselves)
     step = p[row]
     by_step = np.argsort(step, kind="stable")

@@ -353,18 +353,58 @@ MIRRORS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
 def _match_tolerance(pts: np.ndarray) -> float:
     """Distance within which two points coincide: 1e-8 of their bounding
     box's diagonal (at least 1e-8)."""
-    return 1e-8 * max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1.0)
+    xy = np.ascontiguousarray(pts.T)  # reduces along contiguous rows
+    return 1e-8 * max(float(np.linalg.norm(xy.max(axis=1) - xy.min(axis=1))), 1.0)
+
+
+#: the direction, at no simple angle, along which `mirror_images` and
+#: `net_orbits` sort the points: distinct points of a structured mesh
+#: project apart
+_SORT_AXIS = (np.cos(1.0), np.sin(1.0))
+
+
+def _sorted_projections(pts: np.ndarray):
+    """The points' x and y as contiguous arrays, their `_match_tolerance`,
+    the order that sorts their projections onto `_SORT_AXIS`, and the
+    sorted projections."""
+    x, y = np.ascontiguousarray(pts.T)
+    proj = _SORT_AXIS[0] * x + _SORT_AXIS[1] * y
+    order = np.argsort(proj)
+    return x, y, _match_tolerance(pts), order, proj[order]
 
 
 def mirror_images(pts: np.ndarray) -> list:
     """Per mirror of MIRRORS (a reflection about the origin), the index of
-    a point that coincides with each point's image, or None where some
-    image is no point.  Among coincident points the match is any one."""
-    tree, tol = cKDTree(pts), _match_tolerance(pts)
-    out = []
-    for refl in MIRRORS:
-        dist, j = tree.query(pts * refl)
-        out.append(j if np.all(dist <= tol) else None)
+    a point that coincides with each point's image (within
+    `_match_tolerance`), or None where some image is no point.  Among
+    coincident points the match is any one.
+
+    One sort of the points' projections onto `_SORT_AXIS` serves every
+    mirror.  Where the images are the points, the k-th image in the order
+    of their projections is the k-th point, unless two points project
+    within roundoff of each other or coincident points make the images
+    another multiset (a seam whose control points repeat).  An image that
+    does not coincide with its pair is matched within the window of the
+    sorted projections that lies within the tolerance of its own, where
+    every point that coincides with it lies.
+    """
+    x, y, tol, order, key = _sorted_projections(pts)
+    n, out = x.size, []
+    for sx, sy in MIRRORS:
+        ix, iy = sx * x, sy * y
+        at = _SORT_AXIS[0] * ix + _SORT_AXIS[1] * iy
+        images = np.empty(n, dtype=np.intp)
+        images[np.argsort(at)] = order
+        far = np.flatnonzero(np.hypot(x[images] - ix, y[images] - iy) > tol)
+        lo = np.searchsorted(key, at[far] - tol, "left")
+        count = np.searchsorted(key, at[far] + tol, "right") - lo
+        found = np.zeros(far.size, dtype=bool)
+        for k in range(count.max(initial=0)):  # each window's k-th point
+            j = order[np.minimum(lo + k, n - 1)]
+            hit = ~found & (count > k) & (np.hypot(x[j] - ix[far], y[j] - iy[far]) <= tol)
+            images[far[hit]] = j[hit]
+            found |= hit
+        out.append(images if found.all() else None)
     return out
 
 
@@ -377,11 +417,22 @@ def orbits(n: int, pairs: list[np.ndarray]) -> Orbits:
     return Orbits(index, int(count))
 
 
+def _coincident_pairs(pts: np.ndarray) -> np.ndarray:
+    """Every pair of points within `_match_tolerance` of each other, as
+    rows (i, j): in the order of their projections onto `_SORT_AXIS`, each
+    point with the later points of its window within the tolerance."""
+    x, y, tol, order, key = _sorted_projections(pts)
+    later = np.searchsorted(key, key + tol, "right") - np.arange(key.size) - 1
+    a = np.repeat(np.arange(key.size), later)  # each window's point and its later ones
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    i, j = order[a], order[b]
+    return np.column_stack([i, j])[np.hypot(x[i] - x[j], y[i] - y[j]) <= tol]
+
+
 def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> Orbits:
     """Orbits of a control net: coincident points (multi-patch seams) and
     each point with its `images` (index arrays from `mirror_images`)."""
-    pairs = [cKDTree(pts).query_pairs(_match_tolerance(pts), output_type="ndarray")]
-    pairs += [np.column_stack([np.arange(j.size), j]) for j in images]
+    pairs = [_coincident_pairs(pts)] + [np.column_stack([np.arange(j.size), j]) for j in images]
     return orbits(len(pts), pairs)
 
 

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+from scipy.spatial import cKDTree
 
 from igatop import assembly
 from igatop.assembly import (
     MaterialPair,
+    _mirror_group,
+    _substructure,
     assemble_system,
     discretize,
     dkappa_dphi,
@@ -20,11 +23,15 @@ from igatop.assembly import (
 from igatop.config import RunConfig, build_pipeline
 from igatop.errors import AssemblyError
 from igatop.levelset import (
+    MIRRORS,
     DesignField,
     SmoothingParams,
+    _match_tolerance,
     build_symmetry_map,
     design_quadrature,
     mirror_images,
+    net_orbits,
+    orbits,
     project_lsf,
 )
 from igatop.model import (
@@ -707,6 +714,161 @@ class TestMirrorGroup:
         val = eval_total(prob, field)
         assert val.state.lu.sub is disc.splits[disc.group]
         assert sizes == {"kappa_at": [cols], "dkappa_dphi": [cols]}
+
+    @staticmethod
+    def dof_points(disc):
+        pts = np.empty((disc.ndof, 2))
+        for patch, dofs in zip(disc.model.patches, disc.patch_dofs):
+            pts[dofs] = patch.control_points.reshape(-1, 2)
+        return pts
+
+    @staticmethod
+    def tree_images(pts):
+        """Per mirror, each point's nearest neighbour to its image in a KD
+        tree, or None where one lies beyond `_match_tolerance`; and the
+        classes of coincident points."""
+        tree, tol = cKDTree(pts), _match_tolerance(pts)
+        images = []
+        for refl in MIRRORS:
+            dist, j = tree.query(pts * refl)
+            images.append(j if np.all(dist <= tol) else None)
+        return images, orbits(len(pts), [tree.query_pairs(tol, output_type="ndarray")])
+
+    @classmethod
+    def tree_group(cls, disc):
+        """The mesh's mirror group from KD-tree images: every check of
+        `_find_group` at the images `tree_images` finds."""
+        model, basis, bulk = disc.model, disc.basis, disc.bulk
+        dof_tag = np.zeros((disc.ndof, 3))
+        dof_tag[disc.dirichlet_idx, 0] = 1.0
+        dof_tag[disc.dirichlet_idx, 1] = disc.dirichlet_val
+        dof_tag[disc.free[assembly._design_side(disc)], 2] = 1.0
+        design = np.flatnonzero(disc.qlabel == "design")
+        at_bulk = np.full(disc.w.size, -1)
+        at_bulk[design] = np.arange(design.size)
+        (dof_images, _), (quad_images, _), (net_images, coincident) = (
+            cls.tree_images(x) for x in (cls.dof_points(disc), disc.phys, basis.control_points))
+        mirrors, kept = [], []
+        # sparse max() sorts a matrix's indices in place: the mesh's must keep their order
+        tol, largest = assembly._ROW_TOL, assembly._largest
+        for refl, p, s, d in zip(MIRRORS, dof_images, quad_images, net_images):
+            if model.beta is not None or p is None or s is None or d is None:
+                continue
+            if np.unique(p).size < p.size or np.unique(s).size < s.size:
+                continue
+            if not (np.array_equal(dof_tag[p], dof_tag)
+                    and np.array_equal(disc.qlabel[s], disc.qlabel)):
+                continue
+            if (np.abs(disc.w[s] - disc.w).max() > tol * np.abs(disc.w).max()
+                    or largest(disc.N[s] - disc.N[:, p]) > tol * largest(disc.N)):
+                continue
+            net = orbits(basis.m, [np.column_stack([coincident.lowest[coincident.index],
+                                                    np.arange(basis.m)]),
+                                   np.column_stack([np.arange(basis.m), d])])
+            C = sp.csr_matrix((np.ones(basis.m), (np.arange(basis.m), net.index)))
+            if largest((bulk.D[at_bulk[s[design]]] - bulk.D) @ C) > tol * largest(bulk.D):
+                continue
+            mirrors.append(tuple(refl))
+            kept.append((p, s, d))
+        if not kept:  # the trivial group: identity partitions
+            return [], orbits(disc.ndof, []), orbits(disc.w.size, []), orbits(basis.m, [])
+        pairs = [[np.column_stack([np.arange(x.size), x]) for x in maps] for maps in zip(*kept)]
+        net_pairs = [np.column_stack([coincident.lowest[coincident.index], np.arange(basis.m)])]
+        return (mirrors, orbits(disc.ndof, pairs[0]), orbits(disc.w.size, pairs[1]),
+                orbits(basis.m, net_pairs + pairs[2]))
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage", "cloak V",
+                                      "explicit-beta ring cloak"])
+    def test_group_search_matches_a_kd_tree_reference(self, plates, name):
+        # the sorted-projection search finds the coincident points and the
+        # images a KD tree finds (among coincident points any one, so
+        # compared by class), and None where it does: so the mirrors and
+        # the orbits of the dofs, the quadrature points and the net agree
+        if name in plates:
+            disc = plates[name].disc
+        elif name == "cloak V":
+            model = build_cloak_model("V")
+            disc = discretize(refine_model(model, RefineSpec(2, 1, 4, 4)),
+                              design_basis_for(model, RefineSpec(2, 1, 2, 2)))
+        else:
+            disc = ring_cloak(build_cloak_model("circular", beta=1e4), 4)[0]
+        for pts in (self.dof_points(disc), disc.phys, disc.basis.control_points):
+            refs, coincident = self.tree_images(pts)
+            assert np.array_equal(net_orbits(pts, []).index, coincident.index)
+            tol = _match_tolerance(pts)
+            for j, ref, refl in zip(mirror_images(pts), refs, MIRRORS):
+                assert (j is None) == (ref is None)
+                if j is not None:
+                    assert np.hypot(*(pts[j] - pts * refl).T).max() <= tol
+                    assert np.array_equal(coincident.index[j], coincident.index[ref])
+        group = assembly._find_group(disc)
+        mirrors, dofs, quad, net = self.tree_group(disc)
+        assert [tuple(m) for m in group.mirrors] == mirrors
+        assert mirrors or group is disc.trivial
+        for got, ref in ((group.dofs, dofs), (group.quad, quad), (group.net, net)):
+            assert got.count == ref.count and np.array_equal(got.index, ref.index)
+        if name in plates:
+            assert mirrors == self.mirrors(disc)  # the shipped meshes keep a mirror
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_group_split_is_the_plain_split_summed_on_orbits(self, plates, name):
+        # for a mirror-symmetric design, the group split's S and state load
+        # are E^T S E and E^T g of the plain split's, E the 0/1 matrix that
+        # takes each free dof of T from its plain row to its orbit's row:
+        # the maps' representative points, each scaled by its orbit's size,
+        # stand for the whole orbit
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        rng = np.random.default_rng(47)
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)
+                                      + 0.5 * rng.standard_normal(sym.count)))
+        plain, orbit = (assembly.CondensedSystem(disc, _substructure(disc, g), field, pipe.smoothing)
+                        for g in (disc.trivial, _mirror_group(disc)))
+        assert orbit.sub.group is disc.group and orbit.S.shape[0] < plain.S.shape[0]
+        row = np.empty(disc.free.size, dtype=int)  # each free dof's row in the group split
+        row[orbit.sub.T] = orbit.sub.orbits.index
+        E = sp.csr_matrix((np.ones(plain.sub.T.size),
+                           (plain.sub.orbits.index, row[plain.sub.T])))
+        S_ref, g_ref = (E.T @ plain.S @ E).tocsr(), E.T @ plain.g
+        assert abs(orbit.S - S_ref).max() <= 1e-13 * abs(S_ref).max()
+        assert np.abs(orbit.g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_plain_split_maps_are_the_per_point_entries(self, plates, name):
+        # on the trivial group every orbit is one point: the maps are
+        # bit-identical to one entry per product of every design point's
+        # gradient rows, point after point, the Dirichlet columns' products
+        # moved to the load (so symmetry: none runs do not move)
+        disc = plates[name].disc
+        sub = _substructure(disc, disc.trivial)
+        bulk, M, Mb = sub.maps[0]
+        n = sub.S.shape[0]
+        row = np.full(disc.ndof, -1)  # each dof's row of S
+        row[disc.free[sub.T]] = sub.orbits.index
+        dval = np.zeros(disc.ndof)
+        dval[disc.dirichlet_idx] = disc.dirichlet_val
+        S = sub.S
+        csc_keys = np.repeat(np.arange(n), np.diff(S.indptr)) * n + S.indices
+        # every row of the shipped meshes' gradient operators has k entries
+        B, nq = disc.bulk.B, disc.bulk.w.size
+        k = B.indptr[1]
+        assert np.array_equal(B.indptr, k * np.arange(2 * nq + 1))
+        cols, (gx, gy) = B.indices.reshape(2, nq, k)[0], B.data.reshape(2, nq, k)
+        v = gx[:, :, None] * gx[:, None, :]
+        v += gy[:, :, None] * gy[:, None, :]
+        # (point, i, j) in point order, i outer
+        q, i, j = (np.broadcast_to(x, v.shape).ravel() for x in (
+            np.arange(nq)[:, None, None], cols[:, :, None], cols[:, None, :]))
+        v, ri, rj = v.ravel(), row[i], row[j]
+        in_S, to_b = (ri >= 0) & (rj >= 0), (ri >= 0) & np.isin(j, disc.dirichlet_idx)
+        refs = (sp.csr_matrix((v[in_S], (np.searchsorted(csc_keys, rj[in_S] * n + ri[in_S]),
+                                         q[in_S])), shape=(S.nnz, nq)),
+                sp.csr_matrix((-v[to_b] * dval[j[to_b]], (ri[to_b], q[to_b])), shape=(n, nq)))
+        for got, ref in zip((M, Mb), refs):
+            assert got.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+        assert np.array_equal(bulk.w, disc.bulk.w)
 
     @pytest.mark.parametrize("name", ["annulus", "cloak"])
     def test_state_at_quadrature_invariant_on_the_group(self, plates, name):
