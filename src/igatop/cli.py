@@ -23,6 +23,7 @@ from igatop.config import Pipeline, RunConfig, build_pipeline, objective_spec
 from igatop.errors import ConfigError, IgatopError, NormalizationError
 from igatop.export import (
     ensure_outdir,
+    format_grid,
     sample_fields,
     write_coeffs_csv,
     write_convergence_csv,
@@ -38,8 +39,9 @@ from igatop.optimizer import SqpConfig, optimize
 def _write_field_outputs(pipe: Pipeline, T, field, outdir, stem):
     n_grid = pipe.cfg.data["output"]["grid"]
     xs, ys, data = sample_fields(pipe.disc, T, field, pipe.smoothing, n_grid)
-    write_vtk_structured(os.path.join(outdir, f"{stem}.vtk"), xs, ys, data)
-    write_grid_csv(os.path.join(outdir, f"{stem}.csv"), xs, ys, data)
+    text = format_grid(data)
+    write_vtk_structured(os.path.join(outdir, f"{stem}.vtk"), xs, ys, text)
+    write_grid_csv(os.path.join(outdir, f"{stem}.csv"), xs, ys, text)
 
 
 def cmd_solve(cfg: RunConfig) -> int:

@@ -7,67 +7,87 @@ element's image lies in the convex hull of its local control net (Piegl &
 Tiller, The NURBS Book, 2nd ed., sections 4.2 and 6.1), so a grid point
 in no element's control box, padded by the distance a located image may
 miss its target by, is outside every patch and is written as NaN without a
-Newton step.  A uniform cell grid and a 2D difference array mark the boxes
-with no loop over elements.  Each remaining point starts a clipped Newton
-iteration from its nearest seed of a per-patch parametric cloud and stops
-on its own: once converged, or once held at a parameter bound (the target
-lies outside that patch).  A point not located retries from its second and
-third nearest seed, and from every seed tied with the third: a target just
-across the annulus's seam (where v = 0 meets v = 1) from its nearest seed is
-found only from the other side, and the seeds that patches sharing a corner
-have in common can fill all three places.
+Newton step.  The cover pairs each target with the padded boxes that hold
+it, testing each box only against the targets of the grid cells it meets.
+
+Each covered point runs a clipped Newton iteration started at the centre
+of the element of its nearest box (by box centre).  The first step reads
+the image and Jacobian at that centre, computed once per element.  After
+it the point gathers its local homogeneous control net (x w, y w, w) once,
+and again only when its knot span changes; every later step evaluates the
+image and Jacobian from that net and the 1D basis functions.  A point
+stops on its own: once converged, or once held at a parameter bound (the
+target lies outside that patch).  A point not located retries from its
+next box, skipping the boxes of the same patch whose elements touch one
+already tried: what is left are the boxes across the annulus's seam (where
+v = 0 meets v = 1) and those of patches sharing an edge or a corner.
+
+The grid writers take each field's values or their strings from
+`format_grid`, which formats every value once with one %-format per
+field, so a caller writing both files formats each field once.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from igatop.assembly import Discretization, kappa_at
 from igatop.errors import ConfigError
 from igatop.levelset import DesignField, SmoothingParams, phi_on_patch
-from igatop.splines import tabulate
+from igatop.splines import KnotVector, basis_and_ders, find_span_array, tabulate
 
 
 def locate_points(model, targets: np.ndarray):
     """Find (patch, u, v) for physical points; NaN parameters when outside.
 
-    A cover first drops every target that lies in no element's control
-    box (padded by the 10 tol a located image may miss its target by):
-    such a target is outside every patch and takes no Newton step.  The
-    rest go through the seeded Newton search, whose result for a target
-    depends only on that target.
+    The cover pairs each target with the element control boxes (padded by
+    the 10 tol a located image may miss its target by) that hold it; a
+    target in none is outside every patch and takes no Newton step.  The
+    search then starts Newton from those elements, and its result for a
+    target depends only on that target.
 
     Returns (patch_idx (n,), params (n,2)); patch_idx is -1 outside.
     """
     tol = 1e-9 * model.diameter()
-    n = targets.shape[0]
-    out_pid = np.full(n, -1, dtype=int)
-    out_uv = np.full((n, 2), np.nan)
-    cand = _covered(model, targets, 10 * tol)
-    if cand.size:
-        out_pid[cand], out_uv[cand] = _search(model, targets[cand], tol)
-    return out_pid, out_uv
+    boxes = _control_boxes(model)
+    tgt, box = _covered(boxes, targets, 10 * tol)
+    return _search(model, boxes, targets, tgt, box, tol)
 
 
-def _control_boxes(model):
+class _Boxes(NamedTuple):
+    """Every element's control box, all patches in order, with where it lies."""
+
+    lo: np.ndarray  # (m, 2)
+    hi: np.ndarray  # (m, 2)
+    patch: np.ndarray  # (m,) patch index
+    span: np.ndarray  # (m, 2) the element's (row, column) among its patch's elements
+    seed: np.ndarray  # (m, 2) the element's parametric centre
+
+
+def _control_boxes(model) -> _Boxes:
     """Axis-aligned box (lo, hi) of each element's local control net, every patch.
 
     With positive weights an element's image lies in the convex hull of
     its (p+1)(q+1) local control points, so in this box.
     """
-    lo, hi = [], []
-    for patch in model.patches:
+    parts = []
+    for pid, patch in enumerate(model.patches):
         p, q = patch.knots_u.degree, patch.knots_v.degree
+        U, V = patch.knots_u.values, patch.knots_v.values
         # window k - p of the net holds the control points of span k
-        su = np.flatnonzero(np.diff(patch.knots_u.values) > 0) - p
-        sv = np.flatnonzero(np.diff(patch.knots_v.values) > 0) - q
-        for out, fn in ((lo, np.minimum), (hi, np.maximum)):
-            out.append(_windows(patch.control_points, p, q, fn)[np.ix_(su, sv)].reshape(-1, 2))
-    return np.concatenate(lo), np.concatenate(hi)
+        ku, kv = np.flatnonzero(np.diff(U) > 0), np.flatnonzero(np.diff(V) > 0)
+        lo, hi = (_windows(patch.control_points, p, q, fn)[np.ix_(ku - p, kv - q)].reshape(-1, 2)
+                  for fn in (np.minimum, np.maximum))
+        iu, iv = np.meshgrid(np.arange(ku.size), np.arange(kv.size), indexing="ij")
+        mid = np.meshgrid(0.5 * (U[ku] + U[ku + 1]), 0.5 * (V[kv] + V[kv + 1]), indexing="ij")
+        parts.append((lo, hi, np.full(lo.shape[0], pid),
+                      np.column_stack([iu.ravel(), iv.ravel()]),
+                      np.column_stack([m.ravel() for m in mid])))
+    return _Boxes(*(np.concatenate(a) for a in zip(*parts)))
 
 
 def _windows(net, p, q, fn):
@@ -82,120 +102,247 @@ def _windows(net, p, q, fn):
     return out
 
 
-def _covered(model, targets, pad):
-    """Indices of the targets in some element's control box padded by pad.
+def _covered(boxes: _Boxes, targets, pad):
+    """Every (target, box) pair with the target in the box padded by pad.
 
     A target outside the boxes' common bounding box is in none.  The rest
-    are kept when their cell meets a box, on a uniform grid of cells over
-    their range where a 2D difference array marks the boxes.  Cell indices
+    are sorted into a uniform grid of cells over their range, and each box
+    is tested against the targets of the cells it meets, one row of cells
+    at a time: a row's targets are one run of that order.  Cell indices
     grow monotonically with the coordinate, so a target in a box lies in a
-    cell the box marks.
+    cell the box meets.  Returns (target indices, box indices), unordered.
     """
+    none = np.arange(0), np.arange(0)
     if targets.shape[0] == 0:
-        return np.arange(0)
-    lo, hi = _control_boxes(model)
-    lo, hi = lo - pad, hi + pad
+        return none
+    lo, hi = boxes.lo - pad, boxes.hi + pad
     x, y = targets[:, 0], targets[:, 1]
     t0 = np.maximum(lo.min(axis=0), [x.min(), y.min()])
     t1 = np.minimum(hi.max(axis=0), [x.max(), y.max()])
     inside = np.flatnonzero((x >= t0[0]) & (x <= t1[0]) & (y >= t0[1]) & (y <= t1[1]))
     if inside.size == 0:
-        return inside
-    meets = np.all((hi >= t0) & (lo <= t1), axis=1)
-    lo, hi = lo[meets], hi[meets]
+        return none
+    meets = np.flatnonzero(np.all((hi >= t0) & (lo <= t1), axis=1))
     # as many cells as targets, and no fewer than boxes
-    g = int(np.ceil(np.sqrt(max(inside.size, lo.shape[0]))))
+    g = int(np.ceil(np.sqrt(max(inside.size, meets.size))))
     h = np.where(t1 > t0, (t1 - t0) / g, 1.0)
 
     def cell(pts):
         return np.clip(np.floor((pts - t0) / h), 0, g - 1).astype(int)
 
-    # +1 at a box's first cell and -1 past its last on each axis: the
-    # running sums then count the boxes meeting each cell
-    (i0, j0), (i1, j1) = cell(lo).T, cell(hi).T + 1
-    size = (g + 1) ** 2
-    up = np.bincount(np.concatenate([i0 * (g + 1) + j0, i1 * (g + 1) + j1]), minlength=size)
-    down = np.bincount(np.concatenate([i0 * (g + 1) + j1, i1 * (g + 1) + j0]), minlength=size)
-    marked = (up - down).reshape(g + 1, g + 1).cumsum(axis=0).cumsum(axis=1) > 0
     ci, cj = cell(targets[inside]).T
-    return inside[marked[ci, cj]]
+    order = inside[np.argsort(ci * g + cj)]
+    start = np.concatenate([[0], np.cumsum(np.bincount(ci * g + cj, minlength=g * g))])
+    (i0, j0), (i1, j1) = cell(lo[meets]).T, cell(hi[meets]).T
+    # the targets of cells j0..j1 in row i are order[start[i g + j0]:start[i g + j1 + 1]]
+    rows = i1 - i0 + 1
+    b = np.repeat(np.arange(meets.size), rows)
+    row = (i0[b] + _positions(rows)) * g
+    first, last = start[row + j0[b]], start[row + j1[b] + 1]
+    box = np.repeat(meets[b], last - first)
+    tgt = order[_positions(last - first) + np.repeat(first, last - first)]
+    keep = np.ones(tgt.size, dtype=bool)
+    for t, axis in ((x[tgt], 0), (y[tgt], 1)):
+        keep &= (t >= lo[:, axis][box]) & (t <= hi[:, axis][box])
+    return tgt[keep], box[keep]
 
 
-def _search(model, targets, tol):
-    """Newton from each target's nearest seeds: (patch_idx, params) as in locate_points."""
-    grids, owners = [], []
-    for pid, patch in enumerate(model.patches):
-        s = np.linspace(0.0, 1.0, 24)
-        uv = np.column_stack([np.repeat(s, s.size), np.tile(s, s.size)])
-        grids.append((uv, tabulate(patch, uv, check_jacobian=False).phys))
-        owners.append(np.full(uv.shape[0], pid))
-    seeds_uv = np.concatenate([g[0] for g in grids])
-    seeds_xy = np.concatenate([g[1] for g in grids])
-    seed_pid = np.concatenate(owners)
-    tree = cKDTree(seeds_xy)
+def _positions(counts):
+    """0, 1, ..., counts[i] - 1 for every i, end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if counts.size else 0) - np.repeat(ends - counts, counts)
 
+
+def _search(model, boxes: _Boxes, targets, tgt, box, tol):
+    """Newton from the elements of each target's boxes, one at a time,
+    until one locates it: (patch_idx, params) as in locate_points.
+
+    A target tries its boxes by the distance of their centres, the lower
+    box first on a tie, so a point on an edge that patches share is located
+    in the patch of its nearest box.  Once an attempt fails, the target
+    drops the boxes of that patch whose elements touch the one tried, since
+    Newton from there ends where it did.  What is left for a retry are the
+    boxes across the annulus's seam, where v = 0 meets v = 1, and those of
+    other patches at a shared edge or corner.
+    """
     n = targets.shape[0]
     out_pid = np.full(n, -1, dtype=int)
     out_uv = np.full((n, 2), np.nan)
-
-    def attempt(idx, seeds):
-        """Newton from seed seeds[i] towards target idx[i]; keeps the hits."""
-        for pid in np.unique(seed_pid[seeds]):
-            mine = seed_pid[seeds] == pid
-            sel = idx[mine]
-            uv, ok = _invert(model.patches[pid], seeds_uv[seeds[mine]], targets[sel], tol)
-            out_pid[sel[ok]] = pid
-            out_uv[sel[ok]] = uv[ok]
-
-    _, nearest = tree.query(targets, k=3)
-    for cand in range(3):
-        idx = np.where(out_pid < 0)[0]
-        if idx.size == 0:
-            return out_pid, out_uv
-        attempt(idx, nearest[idx, cand])
-    # patches sharing an edge or corner have coincident seeds there, and
-    # the three nearest can leave out the patch holding the point: a point
-    # not yet located also tries every other seed as near as its third
-    ties = tree.query_ball_point(seeds_xy, tol, return_length=True).max()
-    idx = np.where(out_pid < 0)[0]
-    if idx.size:
-        dist, more = tree.query(targets[idx], k=2 + ties)
-        fresh = (dist <= dist[:, 2:3] + tol) & np.all(
-            more[:, :, None] != nearest[idx, None, :], axis=2
-        )
-        for cand in range(more.shape[1]):
-            t = fresh[:, cand] & (out_pid[idx] < 0)
-            if np.any(t):
-                attempt(idx[t], more[t, cand])
+    if tgt.size == 0:
+        return out_pid, out_uv
+    groups, group_of, base = _groups(model)
+    phys, jac = _at_seeds(boxes, groups, group_of, base)
+    mid = 0.5 * (boxes.lo + boxes.hi)
+    dist = (targets[:, 0][tgt] - mid[:, 0][box]) ** 2 + (targets[:, 1][tgt] - mid[:, 1][box]) ** 2
+    while tgt.size:
+        pick = _first(n, tgt, dist, box)
+        t, b = tgt[pick], box[pick]
+        pid = boxes.patch[b]
+        for gi in np.unique(group_of[pid]):
+            mine = np.flatnonzero(group_of[pid] == gi)
+            tm, bm = t[mine], b[mine]
+            uv, ok = _invert(groups[gi], base[pid[mine]], boxes.seed[bm], phys[:, bm],
+                             jac[..., bm], targets[tm], tol)
+            out_pid[tm[ok]] = pid[mine][ok]
+            out_uv[tm[ok]] = uv[ok]
+        tried = np.full(n, -1)
+        tried[t] = b
+        keep = np.flatnonzero(out_pid[tgt] < 0)
+        tgt, box, dist = tgt[keep], box[keep], dist[keep]
+        e = tried[tgt]
+        far = ((boxes.patch[box] != boxes.patch[e])
+               | np.any(np.abs(boxes.span[box] - boxes.span[e]) > 1, axis=1))
+        tgt, box, dist = tgt[far], box[far], dist[far]
     return out_pid, out_uv
 
 
-def _invert(patch, uv, tgt, tol):
-    """Damped Newton for patch(uv) = tgt, clipped to the unit square.
+def _first(n, tgt, dist, box):
+    """The pair each of the n targets tries first: least dist, then least box."""
+    best = np.full(n, np.inf)
+    np.minimum.at(best, tgt, dist)
+    sel = np.flatnonzero(dist == best[tgt])
+    low = np.full(n, box.max())
+    np.minimum.at(low, tgt[sel], box[sel])
+    return sel[box[sel] == low[tgt[sel]]]
 
-    A point stops once its update moves uv by at most 1e-14, or once the
-    step pushes it past a parameter bound while it moves by at most 1e-9
-    (the target lies outside the patch); the rest run 30 steps.  Returns
-    (uv, located), located where the image is within 10 tol of the target.
+
+class _Group(NamedTuple):
+    """Patches with the same knot vectors.  net holds every (p+1) x (q+1)
+    window of their homogeneous nets (x w, y w, w), (3, p+1, q+1, windows):
+    window k (+ a patch's base) holds the local net of the span whose first
+    function is k = (span_u - p) (nv - q) + span_v - q."""
+
+    knots_u: KnotVector
+    knots_v: KnotVector
+    net: np.ndarray
+
+
+def _groups(model):
+    """The patches grouped by knot vectors: the groups, and for each patch
+    its group and the window where its windows start."""
+    keys, parts, group_of, base = {}, [], [], []
+    for patch in model.patches:
+        ku, kv = patch.knots_u, patch.knots_v
+        gi = keys.setdefault((ku.degree, ku.values.tobytes(), kv.degree, kv.values.tobytes()),
+                             len(keys))
+        if gi == len(parts):
+            parts.append((ku, kv, []))
+        w = patch.weights[..., None]
+        net = np.concatenate([patch.control_points * w, w], axis=-1)
+        windows = np.lib.stride_tricks.sliding_window_view(net, (ku.degree + 1, kv.degree + 1),
+                                                           axis=(0, 1))
+        group_of.append(gi)
+        base.append(sum(a.shape[-1] for a in parts[gi][2]))
+        parts[gi][2].append(windows.transpose(2, 3, 4, 0, 1).reshape(
+            3, ku.degree + 1, kv.degree + 1, -1))
+    groups = [_Group(ku, kv, np.concatenate(nets, axis=-1)) for ku, kv, nets in parts]
+    return groups, np.array(group_of), np.array(base)
+
+
+def _at_seeds(boxes: _Boxes, groups, group_of, base):
+    """Image (2, m) and Jacobian (2, 2, m) at every box's seed: the first
+    Newton step of every target started there reads them."""
+    m = boxes.seed.shape[0]
+    phys, jac = np.empty((2, m)), np.empty((2, 2, m))
+    for gi, group in enumerate(groups):
+        sel = np.flatnonzero(group_of[boxes.patch] == gi)
+        uv = boxes.seed[sel].T
+        spans = _spans(group, uv)
+        local = _gather(group, base[boxes.patch[sel]], spans)
+        phys[:, sel], jac[..., sel] = _image_and_jacobian(group, local, uv, spans)
+    return phys, jac
+
+
+def _invert(group: _Group, base, uv, phys, jac, tgt, tol):
+    """Damped Newton for patch(uv) = tgt, clipped to the unit square: the
+    patch of each point is the one whose windows start at base, and phys,
+    jac are the image and Jacobian at the start uv.
+
+    Each point's local net is gathered after the first step, and again only
+    when its knot span changes; a step evaluates the image and Jacobian
+    from that net and the 1D basis functions.  A point stops once its next
+    update would move uv by at most 1e-14, or one step after an update that
+    pushed it past a parameter bound while moving it by at most 1e-9 (the
+    target lies outside the patch); the rest stop after 30 updates.
+    Returns (uv, located), located where the image is within 10 tol of the
+    target.
     """
-    uv = uv.copy()
-    active = np.arange(uv.shape[0])
-    for _ in range(30):
-        tab = tabulate(patch, uv[active], check_jacobian=False)
-        r = tab.phys - tgt[active]
-        det = tab.det_j
-        du = -(tab.jac[:, 1, 1] * r[:, 0] - tab.jac[:, 0, 1] * r[:, 1]) / det
-        dv = -(-tab.jac[:, 1, 0] * r[:, 0] + tab.jac[:, 0, 0] * r[:, 1]) / det
-        trial = uv[active] + np.clip(np.column_stack([du, dv]), -0.25, 0.25)
+    n = uv.shape[0]
+    out, miss2 = np.empty((2, n)), np.empty(n)
+    uv, tgt = uv.T.copy(), tgt.T
+    idx = np.arange(n)
+    live, held = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    spans = local = None
+    for step in range(31):
+        if step:
+            phys, jac = _image_and_jacobian(group, local, uv, spans)
+        (rx, ry), ((xu, xv), (yu, yv)) = phys - tgt, jac
+        miss2[idx] = rx * rx + ry * ry
+        inv = 1.0 / (xu * yv - xv * yu)
+        trial = uv + np.clip(np.stack([xv * ry - yv * rx, yu * rx - xu * ry]) * inv, -0.25, 0.25)
         clipped = np.clip(trial, 0.0, 1.0)
-        moved = np.abs(clipped - uv[active]).max(axis=1)
-        uv[active] = clipped
-        past = np.any((trial < 0.0) | (trial > 1.0), axis=1)
-        active = active[(moved > 1e-14) & ~(past & (moved <= 1e-9))]
-        if active.size == 0:
-            break
-    tab = tabulate(patch, uv, check_jacobian=False)
-    return uv, np.linalg.norm(tab.phys - tgt, axis=1) <= tol * 10
+        moved = np.abs(clipped - uv).max(axis=0)
+        live &= (moved > 1e-14) & ~held & (step < 30)
+        held = (trial != clipped).any(axis=0) & (moved <= 1e-9)
+        # a point that stopped rides along, held where it stopped, until a
+        # quarter of those left have stopped
+        if np.count_nonzero(live) < 0.75 * live.size:
+            out[:, idx[~live]] = uv[:, ~live]
+            keep = live
+            idx, base, uv, clipped, held, tgt, live = (
+                a[..., keep] for a in (idx, base, uv, clipped, held, tgt, live))
+            if step:
+                spans, local = spans[:, keep], local[..., keep]
+            if idx.size == 0:
+                break
+        uv = np.where(live, clipped, uv)
+        spans, local = _respan(group, base, uv, spans, local)
+    return out.T, miss2 <= (10 * tol) ** 2
+
+
+def _respan(group: _Group, base, uv, spans, local):
+    """The spans at uv and the local nets, gathered again where the span
+    changed (everywhere when spans is None)."""
+    if spans is None:
+        spans = _spans(group, uv)
+        return spans, _gather(group, base, spans)
+    left = np.zeros(uv.shape[1], dtype=bool)
+    for a, knots in enumerate((group.knots_u.values, group.knots_v.values)):
+        left |= (uv[a] < knots[spans[a]]) | (uv[a] >= knots[spans[a] + 1])
+    left = np.flatnonzero(left)
+    moved = _spans(group, uv[:, left])
+    changed = np.any(moved != spans[:, left], axis=0)
+    if np.any(changed):
+        left = left[changed]
+        spans[:, left] = moved[:, changed]
+        local[..., left] = _gather(group, base[left], spans[:, left])
+    return spans, local
+
+
+def _spans(group: _Group, uv):
+    """(2, n) knot spans of parametric points uv (2, n)."""
+    return np.stack([find_span_array(group.knots_u, uv[0]), find_span_array(group.knots_v, uv[1])])
+
+
+def _gather(group: _Group, base, spans):
+    """Each point's local homogeneous net, (3, p+1, q+1, n), from its spans."""
+    p, q = group.knots_u.degree, group.knots_v.degree
+    k = base + (spans[0] - p) * (group.knots_v.n_funcs - q) + spans[1] - q
+    return np.take(group.net, k, axis=-1)
+
+
+def _image_and_jacobian(group: _Group, local, uv, spans):
+    """Image (2, n) and Jacobian (2, 2, n), [x, y][d/du, d/dv], at uv
+    (2, n) in the given spans, from the points' gathered local nets."""
+    Nu, dNu = basis_and_ders(group.knots_u, uv[0], spans[0])
+    Nv, dNv = basis_and_ders(group.knots_v, uv[1], spans[1])
+    # the v index first, then u; each sum runs over the functions in order
+    c = np.einsum("cijn,kjn->kcin", local, np.stack([Nv, dNv]))
+    a, av = np.einsum("kcin,in->kcn", c, Nu)
+    au = np.einsum("cin,in->cn", c[0], dNu)
+    phys = a[:2] / a[2]
+    jac = np.stack([(au[:2] - phys * au[2]) / a[2], (av[:2] - phys * av[2]) / a[2]], axis=1)
+    return phys, jac
 
 
 def sample_fields(
@@ -245,8 +392,25 @@ def sample_fields(
     return xs, ys, data
 
 
+def format_grid(data: dict) -> dict:
+    """Each field of a sampled grid as its %.9g strings (an object array of
+    the field's shape); a field given as strings passes through.  A caller
+    that writes both grid files formats once and hands both writers these."""
+    return {name: arr if arr.dtype == object else _formatted(arr) for name, arr in data.items()}
+
+
+def _formatted(values) -> np.ndarray:
+    """%.9g of every value: each distinct bit pattern (so -0.0 apart from
+    0.0) is formatted once, by one %-format for the whole array."""
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = ("%.9g\n" * distinct.size % tuple(distinct.view(float).tolist())).split("\n")[:-1]
+    return np.array(text, dtype=object)[inverse.reshape(-1)].reshape(np.shape(values))
+
+
 def write_vtk_structured(path: str, xs, ys, data: dict):
-    """Legacy-VTK structured points with one scalar field per data entry."""
+    """Legacy-VTK structured points with one scalar field per data entry
+    (numbers, or their strings from `format_grid`)."""
     nx, ny = xs.size, ys.size
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dy = ys[1] - ys[0] if ny > 1 else 1.0
@@ -257,31 +421,32 @@ def write_vtk_structured(path: str, xs, ys, data: dict):
         f.write(f"ORIGIN {xs[0]:.9g} {ys[0]:.9g} 0\n")
         f.write(f"SPACING {dx:.9g} {dy:.9g} 1\n")
         f.write(f"POINT_DATA {nx * ny}\n")
-        for name, arr in data.items():
+        for name, text in format_grid(data).items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             # VTK structured points run x fastest; about 8 values a line,
             # the longer lines first
-            vals = arr.T.reshape(-1).tolist()
+            vals = text.T.reshape(-1).tolist()
             n_lines = max(1, len(vals) // 8)
             width, n_long = divmod(len(vals), n_lines)
-            f.write((_row_format(width + 1, " ", "\n") * n_long
-                     + _row_format(width, " ", "\n") * (n_lines - n_long)) % tuple(vals))
+            f.write((_row_format(width + 1) * n_long + _row_format(width) * (n_lines - n_long))
+                    % tuple(vals))
 
 
 def write_grid_csv(path: str, xs, ys, data: dict):
-    """One row per grid point, y fastest; rows end in CRLF, as `csv` ends them."""
-    names = list(data)
-    cols = [np.repeat(xs, ys.size), np.tile(ys, xs.size)]
-    cols += [data[c].reshape(-1) for c in names]
-    row = _row_format(len(cols), ",", "\r\n")
+    """One row per grid point, y fastest; rows end in CRLF, as `csv` ends
+    them.  data holds numbers, or their strings from `format_grid`."""
+    text = format_grid(data)
+    cols = [np.repeat(_formatted(xs), ys.size), np.tile(_formatted(ys), xs.size)]
+    cols += [text[c].reshape(-1) for c in text]
+    rows = "\r\n".join(map(",".join, zip(*(c.tolist() for c in cols))))
     with open(path, "w", newline="") as f:
-        f.write(",".join(["x", "y"] + names) + "\r\n")
-        f.writelines(row % vals for vals in zip(*(c.tolist() for c in cols)))
+        f.write(",".join(["x", "y"] + list(text)) + "\r\n")
+        f.write(rows and rows + "\r\n")
 
 
-def _row_format(n: int, sep: str, end: str) -> str:
-    """A %-format for one row of n values at 9 significant digits."""
-    return sep.join(["%.9g"] * n) + end
+def _row_format(n: int) -> str:
+    """A %-format for one VTK line of n strings."""
+    return " ".join(["%s"] * n) + "\n"
 
 
 def write_table_csv(path: str, header: list[str], rows):

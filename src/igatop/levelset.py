@@ -20,7 +20,7 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import BSpline, PPoly
+from scipy.interpolate import BSpline
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
@@ -206,14 +206,8 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
             numer = BSpline(kv_run.values, cw, kv_run.degree)
             x, p = kv_run.span_breaks(), kv_run.degree
             pp = np.stack([numer(x[:-1], nu=j) / factorial(j) for j in range(p, -1, -1)])
-            # one roots call per line: with the lines stacked on a trailing
-            # axis, scipy drops roots equal to those of an earlier line
-            roots = [PPoly(pp[..., i], x).roots(extrapolate=False) for i in range(lines.size)]
-            counts = [r.size for r in roots]
-            run = np.concatenate(roots)
-            fixed = np.repeat(lines, counts)
-            real = ~np.isnan(run)  # NaN follows a segment where phi == 0
-            uv = np.column_stack([fixed[real], run[real]])
+            line, run = _piece_roots(pp, x)
+            uv = np.column_stack([lines[line], run])
             if fixed_axis == 1:
                 uv = uv[:, ::-1]
             if uv.size:
@@ -228,6 +222,64 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
     r = max(1e-7 * max(diam, 1.0), 1e-14)
     keep = orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).lowest
     return pts[keep], np.concatenate(pid_out)[keep], np.concatenate(uv_out)[keep]
+
+
+def _piece_roots(pp: np.ndarray, x: np.ndarray):
+    """Real roots of piecewise polynomials of degree 2 or less, every line
+    at once, as ``PPoly(pp[..., l], x).roots(extrapolate=False)`` lists
+    them line by line; returns (line index, root) in that order.
+
+    pp is (degree + 1, pieces, lines), highest power first, in each piece's
+    local coordinate.  The rules are scipy's (``real_roots`` and
+    ``croots_poly1`` in scipy/interpolate/_ppoly.pyx), with its formulas:
+    a sign change across a breakpoint is a root there, checked before the
+    piece's own roots; a piece that is zero everywhere gives its start
+    (scipy lists a NaN after it, left out here); a linear piece gives
+    -c0 / c1; a quadratic gives no root for a negative discriminant, else
+    both roots by the formulas that avoid cancellation, in scipy's order;
+    each root takes one Newton step unless the step is as large as the
+    root; a root counts inside its closed piece; and a root equal to the
+    one listed just before it (on the same line) is dropped.
+    """
+    c2, c1, c0 = np.concatenate([np.zeros((3 - pp.shape[0],) + pp.shape[1:]), pp])
+    pieces, lines = c0.shape
+    start, end = x[:-1, None], x[1:, None]
+    h = (x[1:] - x[:-1])[:-1, None]
+    # the value at the end of the piece before, in scipy's order of terms
+    before = ((0.0 + c0[:-1]) + c1[:-1] * h) + c2[:-1] * (h * h)
+    cross = ((before < 0) & (c0[1:] > 0)) | ((before > 0) & (c0[1:] < 0))
+    quad, lin = c2 != 0, (c2 == 0) & (c1 != 0)
+    zero = (c2 == 0) & (c1 == 0) & (c0 == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = c1 * c1 - 4 * c2 * c0
+        sq = np.sqrt(d)
+        double = -c1 / (2 * c2)
+        first = np.where(d == 0, double, np.where(c1 < 0, (2 * c0) / (-c1 + sq),
+                                                  (-c1 - sq) / (2 * c2)))
+        second = np.where(d == 0, double, np.where(c1 < 0, (-c1 + sq) / (2 * c2),
+                                                   (2 * c0) / (-c1 - sq)))
+        first = np.where(lin, -c0 / c1, first)
+        # one Newton step on each root, kept when it moves the root by less
+        # than the root's own size
+        for r in (first, second):
+            f = ((0.0 + c0) + c1 * r) + c2 * (r * r)
+            df = (0.0 + c1) + c2 * r * 2.0
+            step = f / df
+            r -= np.where((df != 0) & (np.abs(step) < np.abs(r)), step, 0.0)
+    first, second = first + start, second + start
+    quad &= d >= 0
+    # per piece: the crossing at its start, then its own roots
+    value = np.stack([np.broadcast_to(start, c0.shape), np.where(zero, start, first), second])
+    valid = np.stack([np.vstack([np.zeros((1, lines), dtype=bool), cross]),
+                      zero | ((quad | lin) & (start <= first) & (first <= end)),
+                      quad & (start <= second) & (second <= end)])
+    # line by line, piece by piece, in that order
+    value, valid = value.transpose(2, 1, 0).reshape(-1), valid.transpose(2, 1, 0).reshape(-1)
+    line = np.repeat(np.arange(lines), 3 * pieces)[valid]
+    value = value[valid]
+    fresh = np.ones(value.size, dtype=bool)
+    fresh[1:] = (line[1:] != line[:-1]) | (value[1:] != value[:-1])
+    return line[fresh], value[fresh]
 
 
 def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20) -> DesignField:

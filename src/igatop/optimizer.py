@@ -166,6 +166,11 @@ def check_stop(state: SqpState, cfg: SqpConfig, lower, upper, can_reinit: bool):
     """Stopping decision: 'continue', 'reinit', or ('stop', reason)."""
     if state.j_total <= cfg.objective_limit:
         return ("stop", "objective_limit")
+    # every entry exactly zero: no design point in the smoothing band, so
+    # dkappa/dphi = 0 everywhere; before the tolerance test, so the run
+    # stops where "optimality" stopped it
+    if not np.any(state.g):
+        return ("stop", "zero_gradient")
     if projected_grad_inf(state.x, state.g, lower, upper) <= cfg.optimality_tolerance:
         return ("stop", "optimality")
     if state.iteration >= cfg.max_iterations:

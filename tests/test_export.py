@@ -39,21 +39,41 @@ def past_the_plate(model):
     return np.array([[hi[0] + 0.5, 0.0], [0.0, lo[1] - 0.5]])
 
 
+def padded_pairs(model, targets):
+    """Every (target, box) pair with the target in the box padded by 10 tol,
+    box by box over the targets sorted by x, with no cells."""
+    boxes = export._control_boxes(model)
+    pad = 1e-8 * model.diameter()
+    lo, hi = boxes.lo - pad, boxes.hi + pad
+    order = np.argsort(targets[:, 0], kind="stable")
+    first = np.searchsorted(targets[order, 0], lo[:, 0], "left")
+    last = np.searchsorted(targets[order, 0], hi[:, 0], "right")
+    tgt, box = [], []
+    for b in range(lo.shape[0]):
+        strip = order[first[b]:last[b]]
+        y = targets[strip, 1]
+        tgt.append(strip[(y >= lo[b, 1]) & (y <= hi[b, 1])])
+        box.append(np.full(tgt[-1].size, b))
+    return np.concatenate(tgt), np.concatenate(box)
+
+
 def search_everywhere(model, targets):
-    """The seeded Newton search run on every target, with no cover before it."""
-    return export._search(model, targets, 1e-9 * model.diameter())
+    """The Newton search run on every target, from box-by-box pairs."""
+    return export._search(model, export._control_boxes(model), targets,
+                          *padded_pairs(model, targets), 1e-9 * model.diameter())
 
 
-def count_tabulated(monkeypatch):
-    """Wrap export's `tabulate`; the returned list holds [calls, points]."""
+def count_steps(monkeypatch):
+    """Wrap export's kernel; the returned list holds [calls, point-steps]."""
     counts = [0, 0]
+    kernel = export._image_and_jacobian
 
-    def counted(patch, pts, *args, **kwargs):
+    def counted(group, local, uv, spans):
         counts[0] += 1
-        counts[1] += np.atleast_2d(pts).shape[0]
-        return tabulate(patch, pts, *args, **kwargs)
+        counts[1] += uv.shape[1]
+        return kernel(group, local, uv, spans)
 
-    monkeypatch.setattr(export, "tabulate", counted)
+    monkeypatch.setattr(export, "_image_and_jacobian", counted)
     return counts
 
 
@@ -110,31 +130,35 @@ def test_cloak_grid_points_each_in_one_patch():
 
 
 class TestCover:
-    """`locate_points` drops the targets in no element's padded control box
-    before the Newton search; what it returns must not change."""
+    """`locate_points` pairs each target with the padded element boxes that
+    hold it, by cells, before the Newton search; what it returns must not
+    change."""
 
     @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
     def test_export_grid_bit_identical_to_search_everywhere(self, name):
         model = shipped_model(name)
         targets = export_grid(model)
+        tgt, box = export._covered(export._control_boxes(model), targets,
+                                   1e-8 * model.diameter())
+        ref_tgt, ref_box = padded_pairs(model, targets)
+        # the cells lose no pair and add none
+        assert tgt.size == ref_tgt.size
+        np.testing.assert_array_equal(np.sort(tgt * box.size + box),
+                                      np.sort(ref_tgt * box.size + ref_box))
         pid, uv = locate_points(model, targets)
         ref_pid, ref_uv = search_everywhere(model, targets)
         np.testing.assert_array_equal(pid, ref_pid)
         assert uv.tobytes() == ref_uv.tobytes()
-        # conservative: the search locates none of the targets dropped
-        dropped = np.setdiff1d(np.arange(targets.shape[0]),
-                               export._covered(model, targets, 1e-8 * model.diameter()))
-        assert np.all(ref_pid[dropped] == -1)
 
     def test_empty_targets(self, monkeypatch):
-        counts = count_tabulated(monkeypatch)
+        counts = count_steps(monkeypatch)
         pid, uv = locate_points(shipped_model("annulus"), np.empty((0, 2)))
         assert pid.shape == (0,) and uv.shape == (0, 2)
         assert counts[0] == 0
 
-    def test_targets_all_outside_take_no_tabulation(self, monkeypatch):
+    def test_targets_all_outside_take_no_step(self, monkeypatch):
         model = shipped_model("cloak")
-        counts = count_tabulated(monkeypatch)
+        counts = count_steps(monkeypatch)
         pid, uv = locate_points(model, past_the_plate(model))
         assert np.all(pid == -1) and np.all(np.isnan(uv))
         assert counts[0] == 0
@@ -156,14 +180,95 @@ class TestCover:
         assert uv.tobytes() == ref_uv.tobytes()
         assert np.all(pid == 0)
 
-    def test_annulus_export_grid_tabulation_count(self, monkeypatch):
-        # the seeded search alone tabulates 813,724 points here: the 16,809
-        # grid points outside the ring each run Newton from three seeds or more
+    def test_annulus_export_grid_point_steps(self, monkeypatch):
+        # the seeded search of parametric seed clouds tabulated 184,770
+        # points here; the kernel takes 83,100 point-steps, 4,096 of them at
+        # the element centres, and locating tabulates nothing
         model = shipped_model("annulus")
         targets = export_grid(model)
-        counts = count_tabulated(monkeypatch)
+        steps = count_steps(monkeypatch)
+        tabulated = []
+        monkeypatch.setattr(export, "tabulate", lambda *a, **k: tabulated.append(a))
         locate_points(model, targets)
-        assert counts[1] <= 200_000
+        assert steps[1] <= 100_000
+        assert not tabulated
+
+
+class TestKernel:
+    """The Newton kernel's image and Jacobian, from gathered local nets,
+    against `tabulate` on every patch of the shipped models."""
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_matches_tabulate(self, name):
+        model = shipped_model(name)
+        groups, group_of, base = export._groups(model)
+        rng = np.random.default_rng(7)
+        for pid, patch in enumerate(model.patches):
+            group = groups[group_of[pid]]
+            # random points, and every distinct knot paired in both orders
+            knots = np.union1d(patch.knots_u.values, patch.knots_v.values)
+            uv = np.vstack([rng.random((400, 2)), np.column_stack([knots, knots[::-1]]),
+                            np.column_stack([knots, knots])])
+            spans = export._spans(group, uv.T)
+            local = export._gather(group, np.full(uv.shape[0], base[pid]), spans)
+            phys, jac = export._image_and_jacobian(group, local, uv.T, spans)
+            tab = tabulate(patch, uv, check_jacobian=False)
+            scale = np.abs(tab.phys).max()
+            assert np.abs(phys.T - tab.phys).max() <= 1e-14 * scale
+            # the v-derivatives of the annulus sum terms about 40 times
+            # their result; both sides differ from it by about 1e-14 of |J|
+            scale = np.abs(tab.jac).max()
+            assert np.abs(jac.transpose(2, 0, 1) - tab.jac).max() <= 2e-14 * scale
+
+
+def test_cloak_shared_edge_points_located_once(monkeypatch):
+    # grid points on an edge or corner that patches share lie in each of
+    # those patches; the search locates each once, in the patch of the
+    # nearest box (by box centre, the lower box on a tie)
+    model = shipped_model("cloak")
+    targets = export_grid(model)
+    boxes = export._control_boxes(model)
+    tgt, box = padded_pairs(model, targets)
+    mid = 0.5 * (boxes.lo + boxes.hi)
+    # every patch that locates each target, from Newton in each of its boxes
+    groups, group_of, base = export._groups(model)
+    phys, jac = export._at_seeds(boxes, groups, group_of, base)
+    holds = np.zeros((targets.shape[0], len(model.patches)), dtype=bool)
+    for pid in range(len(model.patches)):
+        sel = np.flatnonzero(boxes.patch[box] == pid)
+        b = box[sel]
+        _, ok = export._invert(groups[group_of[pid]], np.full(sel.size, base[pid]),
+                               boxes.seed[b], phys[:, b], jac[..., b], targets[tgt[sel]],
+                               1e-9 * model.diameter())
+        holds[tgt[sel[ok]], pid] = True
+    shared = np.flatnonzero(holds.sum(axis=1) > 1)
+    # the diagonal edges, and the plate's corners where two of them end
+    assert shared.size > 200 and {0, 200, 40200, 40400} <= set(shared)
+
+    located = np.zeros(targets.shape[0], dtype=int)
+    row = {tuple(xy): i for i, xy in enumerate(targets.tolist())}
+    invert = export._invert
+
+    def counted(group, base, uv, phys, jac, tgt_xy, tol):
+        out, ok = invert(group, base, uv, phys, jac, tgt_xy, tol)
+        for xy in tgt_xy[ok].tolist():
+            located[row[tuple(xy)]] += 1
+        return out, ok
+
+    monkeypatch.setattr(export, "_invert", counted)
+    pid, _ = locate_points(model, targets)
+    assert np.all(located == 1)
+    dist = np.sum((targets[tgt] - mid[box]) ** 2, axis=1)
+    for t in shared:
+        mine = tgt == t
+        first = np.lexsort((box[mine], dist[mine]))[0]
+        assert pid[t] == boxes.patch[box[mine][first]]
+        assert holds[t, pid[t]]
+    # and alone, or among other targets in another order, the same
+    alone = np.array([locate_points(model, targets[t:t + 1])[0][0] for t in shared[:20]])
+    np.testing.assert_array_equal(alone, pid[shared[:20]])
+    rev_pid, _ = locate_points(model, targets[::-1])
+    np.testing.assert_array_equal(rev_pid[::-1], pid)
 
 
 def small_grid():
@@ -197,3 +302,15 @@ def test_writer_bytes(tmp_path, writer, ext, shape):
     writer(str(out), xs, ys, data)
     with open(os.path.join(DATA, f"grid_{shape}.{ext}"), "rb") as f:
         assert out.read_bytes() == f.read()
+
+
+@pytest.mark.parametrize("writer,ext", [(write_grid_csv, "csv"), (write_vtk_structured, "vtk")])
+def test_writers_take_formatted_fields(tmp_path, writer, ext):
+    # a caller writing both files formats each field once, by format_grid
+    xs, ys, data = small_grid()
+    writer(str(tmp_path / f"numbers.{ext}"), xs, ys, data)
+    writer(str(tmp_path / f"strings.{ext}"), xs, ys, export.format_grid(data))
+    with open(os.path.join(DATA, f"grid_5x7.{ext}"), "rb") as f:
+        expected = f.read()
+    assert (tmp_path / f"numbers.{ext}").read_bytes() == expected
+    assert (tmp_path / f"strings.{ext}").read_bytes() == expected

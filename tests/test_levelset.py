@@ -1,14 +1,20 @@
+import os
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 from scipy.spatial import cKDTree
+
+from igatop import levelset
+from igatop.config import RunConfig, build_pipeline
 
 from igatop.errors import ConfigError
 from igatop.levelset import (
     DesignField,
     SmoothingParams,
+    _piece_roots,
     _span_lines,
     build_symmetry_map,
     design_quadrature,
@@ -28,6 +34,7 @@ from igatop.model import RefineSpec, build_annulus, design_basis_for
 from igatop.splines import tabulate
 
 RNG = np.random.default_rng(11)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SP = SmoothingParams(0.05)
 
 
@@ -381,3 +388,75 @@ class TestSymmetry:
         # orbits are numbered in the order of their lowest member
         assert np.array_equal(orb.index[np.unique(orb.first)], np.arange(orb.count))
         assert orb.invariant(orb.average(v)) and not orb.invariant(v)
+
+
+def ppoly_roots(pp, x):
+    """(line, root) as scipy's PPoly.roots(extrapolate=False) lists them,
+    one line at a time, less the NaN after a zero piece's start."""
+    line, root = [], []
+    for i in range(pp.shape[2]):
+        r = PPoly(pp[..., i], x).roots(extrapolate=False)
+        line.append(np.full(np.count_nonzero(~np.isnan(r)), i))
+        root.append(r[~np.isnan(r)])
+    return np.concatenate(line), np.concatenate(root)
+
+
+def assert_same_roots(pp, x):
+    line, root = _piece_roots(pp, x)
+    ref_line, ref_root = ppoly_roots(pp, x)
+    np.testing.assert_array_equal(line, ref_line)
+    assert root.tobytes() == ref_root.tobytes()
+
+
+def assert_same_interface(field, monkeypatch):
+    pts, pid, uv = interface_points(field, 20)
+    with monkeypatch.context() as m:
+        m.setattr(levelset, "_piece_roots", ppoly_roots)
+        ref = interface_points(field, 20)
+    for a, b in zip((pts, pid, uv), ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return pts
+
+
+class TestClosedFormRoots:
+    """`_piece_roots` solves every line's linear and quadratic pieces at
+    once; its roots must be PPoly.roots' to the bit."""
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_shipped_start_designs(self, name, monkeypatch):
+        cfg = RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml"))
+        field = build_pipeline(cfg, with_objective=False).field0
+        assert len(assert_same_interface(field, monkeypatch)) > 100
+
+    def test_roots_on_knot_lines_and_zero_segments(self, annulus_basis, monkeypatch):
+        # phi = r - 1.5 exactly, on the knot line r = 1.5; then the same
+        # numerator zero on whole rows and columns of the net
+        patch = annulus_basis.patches[0]
+        r = np.hypot(patch.control_points[..., 0], patch.control_points[..., 1])
+        numer = r / r[:1] - 1.5
+        assert len(assert_same_interface(
+            DesignField(annulus_basis, numer.ravel()), monkeypatch)) == 24 * 20
+        numer[:3] = 0.0
+        numer[:, 5:9] = 0.0
+        assert_same_interface(DesignField(annulus_basis, (numer / patch.weights).ravel()),
+                              monkeypatch)
+
+    def test_double_roots(self, annulus_basis, monkeypatch):
+        # (v - v0)^2 in blossom form along v, at v0 inside a span and on a knot
+        patch = annulus_basis.patches[0]
+        t = patch.knots_v.values
+        for v0 in (_span_lines(patch.knots_v, 20)[33], t[7]):
+            numer = np.broadcast_to((t[1:-2] - v0) * (t[2:-1] - v0), patch.shape)
+            assert_same_interface(DesignField(annulus_basis, (numer / patch.weights).ravel()),
+                                  monkeypatch)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_constructed_pieces(self, degree):
+        # small integer coefficients give zero pieces, double roots, roots on
+        # breakpoints and sign changes across them
+        rng = np.random.default_rng(3)
+        x = np.array([0.0, 0.25, 0.5, 0.625, 1.0])
+        for _ in range(200):
+            pp = rng.integers(-2, 3, size=(degree + 1, 4, 6)).astype(float) * 0.5
+            assert_same_roots(pp, x)
+        assert_same_roots(rng.standard_normal((degree + 1, 4, 50)), x)

@@ -184,6 +184,18 @@ class TestCheckStop:
                          np.full(2, -np.inf), np.full(2, np.inf), False)
         assert dec == ("stop", "optimality")
 
+    def test_zero_gradient_before_optimality(self):
+        # an empty smoothing band makes the gradient exactly zero; -0.0 is zero
+        cfg = SqpConfig()
+        bounds = np.full(2, -np.inf), np.full(2, np.inf)
+        assert check_stop(self._state(1.0, [0.0, -0.0]), cfg, *bounds, True) == (
+            "stop", "zero_gradient")
+        assert check_stop(self._state(1.0, [0.0, 1e-300]), cfg, *bounds, True) == (
+            "stop", "optimality")
+        # the objective limit still comes first
+        assert check_stop(self._state(1e-10, [0.0, 0.0]), cfg, *bounds, True) == (
+            "stop", "objective_limit")
+
 
 class TestMinimize:
     def test_quadratic_converges_fast(self):
