@@ -116,7 +116,7 @@ def _covered(boxes: _Boxes, targets, pad):
     if targets.shape[0] == 0:
         return none
     lo, hi = boxes.lo - pad, boxes.hi + pad
-    x, y = targets[:, 0], targets[:, 1]
+    x, y = np.ascontiguousarray(targets.T)
     t0 = np.maximum(lo.min(axis=0), [x.min(), y.min()])
     t1 = np.minimum(hi.max(axis=0), [x.max(), y.max()])
     inside = np.flatnonzero((x >= t0[0]) & (x <= t1[0]) & (y >= t0[1]) & (y <= t1[1]))
@@ -127,13 +127,13 @@ def _covered(boxes: _Boxes, targets, pad):
     g = int(np.ceil(np.sqrt(max(inside.size, meets.size))))
     h = np.where(t1 > t0, (t1 - t0) / g, 1.0)
 
-    def cell(pts):
-        return np.clip(np.floor((pts - t0) / h), 0, g - 1).astype(int)
+    def cell(v, axis):
+        return np.clip(np.floor((v - t0[axis]) / h[axis]), 0, g - 1).astype(int)
 
-    ci, cj = cell(targets[inside]).T
-    order = inside[np.argsort(ci * g + cj)]
-    start = np.concatenate([[0], np.cumsum(np.bincount(ci * g + cj, minlength=g * g))])
-    (i0, j0), (i1, j1) = cell(lo[meets]).T, cell(hi[meets]).T
+    key = cell(x[inside], 0) * g + cell(y[inside], 1)
+    order = inside[np.argsort(key)]
+    start = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=g * g))])
+    i0, j0, i1, j1 = (cell(c[meets, axis], axis) for c in (lo, hi) for axis in (0, 1))
     # the targets of cells j0..j1 in row i are order[start[i g + j0]:start[i g + j1 + 1]]
     rows = i1 - i0 + 1
     b = np.repeat(np.arange(meets.size), rows)
@@ -172,8 +172,8 @@ def _search(model, boxes: _Boxes, targets, tgt, box, tol):
         return out_pid, out_uv
     groups, group_of, base = _groups(model)
     phys, jac = _at_seeds(boxes, groups, group_of, base)
-    mid = 0.5 * (boxes.lo + boxes.hi)
-    dist = (targets[:, 0][tgt] - mid[:, 0][box]) ** 2 + (targets[:, 1][tgt] - mid[:, 1][box]) ** 2
+    (x, y), (mx, my) = np.ascontiguousarray(targets.T), 0.5 * (boxes.lo + boxes.hi).T
+    dist = (x[tgt] - mx[box]) ** 2 + (y[tgt] - my[box]) ** 2
     while tgt.size:
         pick = _first(n, tgt, dist, box)
         t, b = tgt[pick], box[pick]
@@ -181,8 +181,8 @@ def _search(model, boxes: _Boxes, targets, tgt, box, tol):
         for gi in np.unique(group_of[pid]):
             mine = np.flatnonzero(group_of[pid] == gi)
             tm, bm = t[mine], b[mine]
-            uv, ok = _invert(groups[gi], base[pid[mine]], boxes.seed[bm], phys[:, bm],
-                             jac[..., bm], targets[tm], tol)
+            uv, ok = _invert(groups[gi], base[pid[mine]], boxes.seed[bm],
+                             np.take(phys, bm, axis=-1), np.take(jac, bm, axis=-1), targets[tm], tol)
             out_pid[tm[ok]] = pid[mine][ok]
             out_uv[tm[ok]] = uv[ok]
         tried = np.full(n, -1)
@@ -246,7 +246,7 @@ def _at_seeds(boxes: _Boxes, groups, group_of, base):
     phys, jac = np.empty((2, m)), np.empty((2, 2, m))
     for gi, group in enumerate(groups):
         sel = np.flatnonzero(group_of[boxes.patch] == gi)
-        uv = boxes.seed[sel].T
+        uv = np.ascontiguousarray(boxes.seed[sel].T)
         spans = _spans(group, uv)
         local = _gather(group, base[boxes.patch[sel]], spans)
         phys[:, sel], jac[..., sel] = _image_and_jacobian(group, local, uv, spans)
@@ -269,7 +269,9 @@ def _invert(group: _Group, base, uv, phys, jac, tgt, tol):
     """
     n = uv.shape[0]
     out, miss2 = np.empty((2, n)), np.empty(n)
-    uv, tgt = uv.T.copy(), tgt.T
+    # every (k, n) array is kept C-contiguous (np.compress, np.take): an
+    # einsum over a masked view's strides runs about three times slower
+    uv, tgt = np.ascontiguousarray(uv.T), np.ascontiguousarray(tgt.T)
     idx = np.arange(n)
     live, held = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     spans = local = None
@@ -290,9 +292,9 @@ def _invert(group: _Group, base, uv, phys, jac, tgt, tol):
             out[:, idx[~live]] = uv[:, ~live]
             keep = live
             idx, base, uv, clipped, held, tgt, live = (
-                a[..., keep] for a in (idx, base, uv, clipped, held, tgt, live))
+                np.compress(keep, a, axis=-1) for a in (idx, base, uv, clipped, held, tgt, live))
             if step:
-                spans, local = spans[:, keep], local[..., keep]
+                spans, local = (np.compress(keep, a, axis=-1) for a in (spans, local))
             if idx.size == 0:
                 break
         uv = np.where(live, clipped, uv)
@@ -310,8 +312,8 @@ def _respan(group: _Group, base, uv, spans, local):
     for a, knots in enumerate((group.knots_u.values, group.knots_v.values)):
         left |= (uv[a] < knots[spans[a]]) | (uv[a] >= knots[spans[a] + 1])
     left = np.flatnonzero(left)
-    moved = _spans(group, uv[:, left])
-    changed = np.any(moved != spans[:, left], axis=0)
+    moved = _spans(group, np.take(uv, left, axis=1))
+    changed = np.any(moved != np.take(spans, left, axis=1), axis=0)
     if np.any(changed):
         left = left[changed]
         spans[:, left] = moved[:, changed]
