@@ -182,7 +182,8 @@ def _search(model, boxes: _Boxes, targets, tgt, box, tol):
             mine = np.flatnonzero(group_of[pid] == gi)
             tm, bm = t[mine], b[mine]
             uv, ok = _invert(groups[gi], base[pid[mine]], boxes.seed[bm],
-                             np.take(phys, bm, axis=-1), np.take(jac, bm, axis=-1), targets[tm], tol)
+                             np.take(phys, bm, axis=-1), np.take(jac, bm, axis=-1),
+                             targets[tm], tol)
             out_pid[tm[ok]] = pid[mine][ok]
             out_uv[tm[ok]] = uv[ok]
         tried = np.full(n, -1)
