@@ -333,10 +333,6 @@ class RunConfig:
             raise ConfigError(
                 f"model.beta must be null (shared control points) or a positive number, got {beta!r}"
             )
-        high = [k for k in ("degree_circ", "degree_rad") if d["design"][k] > 2]
-        if high:
-            # the zero contour's pieces are solved in closed form (levelset._piece_roots)
-            raise ConfigError(f"design.{high[0]} must be at most 2, got {d['design'][high[0]]}")
         field_params(d["initial_field"])
         SqpConfig(**d["sqp"])  # its own range checks
         return self

@@ -22,9 +22,9 @@ next box, skipping the boxes of the same patch whose elements touch one
 already tried: what is left are the boxes across the annulus's seam (where
 v = 0 meets v = 1) and those of patches sharing an edge or a corner.
 
-The grid writers take each field's values or their strings from
-`format_grid`, which formats every value once with one %-format per
-field, so a caller writing both files formats each field once.
+The grid writers take each field's values, or the `FormattedGrid` of
+their strings from `format_grid`, which formats every value once with one
+%-format per field, so a caller writing both files formats each field once.
 """
 
 from __future__ import annotations
@@ -395,11 +395,17 @@ def sample_fields(
     return xs, ys, data
 
 
-def format_grid(data: dict) -> dict:
+class FormattedGrid(dict):
+    """A sampled grid's fields as their %.9g strings, from `format_grid`."""
+
+
+def format_grid(data: dict) -> FormattedGrid:
     """Each field of a sampled grid as its %.9g strings (an object array of
-    the field's shape); a field given as strings passes through.  A caller
-    that writes both grid files formats once and hands both writers these."""
-    return {name: arr if arr.dtype == object else _formatted(arr) for name, arr in data.items()}
+    the field's shape); a `FormattedGrid` passes through.  A caller that
+    writes both grid files formats once and hands both writers the result."""
+    if isinstance(data, FormattedGrid):
+        return data
+    return FormattedGrid((name, _formatted(arr)) for name, arr in data.items())
 
 
 def _formatted(values) -> np.ndarray:
@@ -413,7 +419,7 @@ def _formatted(values) -> np.ndarray:
 
 def write_vtk_structured(path: str, xs, ys, data: dict):
     """Legacy-VTK structured points with one scalar field per data entry
-    (numbers, or their strings from `format_grid`)."""
+    (numbers, or a `format_grid` result)."""
     nx, ny = xs.size, ys.size
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dy = ys[1] - ys[0] if ny > 1 else 1.0
@@ -437,7 +443,7 @@ def write_vtk_structured(path: str, xs, ys, data: dict):
 
 def write_grid_csv(path: str, xs, ys, data: dict):
     """One row per grid point, y fastest; rows end in CRLF, as `csv` ends
-    them.  data holds numbers, or their strings from `format_grid`."""
+    them.  data holds numbers, or is a `format_grid` result."""
     text = format_grid(data)
     cols = [np.repeat(_formatted(xs), ys.size), np.tile(_formatted(ys), xs.size)]
     cols += [text[c].reshape(-1) for c in text]

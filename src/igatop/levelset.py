@@ -20,7 +20,7 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, PPoly
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
@@ -225,9 +225,12 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
 
 
 def _piece_roots(pp: np.ndarray, x: np.ndarray):
-    """Real roots of piecewise polynomials of degree 2 or less, every line
-    at once, as ``PPoly(pp[..., l], x).roots(extrapolate=False)`` lists
-    them line by line; returns (line index, root) in that order.
+    """Real roots of piecewise polynomials, as
+    ``PPoly(pp[..., l], x).roots(extrapolate=False)`` lists them line by
+    line; returns (line index, root) in that order.  Pieces of degree 2 or
+    less are solved every line at once in closed form; higher degrees go
+    line by line through `PPoly.roots` itself, whose eigenvalue solve the
+    closed form cannot reproduce to the bit.
 
     pp is (degree + 1, pieces, lines), highest power first, in each piece's
     local coordinate.  The rules are scipy's (``real_roots`` and
@@ -241,6 +244,8 @@ def _piece_roots(pp: np.ndarray, x: np.ndarray):
     root; a root counts inside its closed piece; and a root equal to the
     one listed just before it (on the same line) is dropped.
     """
+    if pp.shape[0] > 3:
+        return _ppoly_roots(pp, x)
     c2, c1, c0 = np.concatenate([np.zeros((3 - pp.shape[0],) + pp.shape[1:]), pp])
     pieces, lines = c0.shape
     start, end = x[:-1, None], x[1:, None]
@@ -280,6 +285,17 @@ def _piece_roots(pp: np.ndarray, x: np.ndarray):
     fresh = np.ones(value.size, dtype=bool)
     fresh[1:] = (line[1:] != line[:-1]) | (value[1:] != value[:-1])
     return line[fresh], value[fresh]
+
+
+def _ppoly_roots(pp: np.ndarray, x: np.ndarray):
+    """(line index, root) from one `PPoly.roots` call per line: with the
+    lines stacked on a trailing axis, scipy drops roots equal to those of
+    an earlier line.  The NaN that follows a zero segment is left out."""
+    roots = [PPoly(pp[..., i], x).roots(extrapolate=False) for i in range(pp.shape[2])]
+    line = np.repeat(np.arange(pp.shape[2]), [r.size for r in roots])
+    run = np.concatenate(roots)
+    real = ~np.isnan(run)
+    return line[real], run[real]
 
 
 def reinitialize(field: DesignField, quad: DesignQuad, lines_per_span: int = 20) -> DesignField:

@@ -325,8 +325,6 @@ class TestErrors:
         ("model.r_inner=abc", "model.r_inner"),
         ("design.degree_circ=2e0", "design.degree_circ"),
         ("design.degree_circ=2.5", "design.degree_circ"),
-        ("design.degree_circ=3", "design.degree_circ"),
-        ("design.degree_rad=3", "design.degree_rad"),
         ("sqp.max_iterations=2.5", "sqp.max_iterations"),
         ("reinit.enabled=maybe", "reinit.enabled"),
         ("initial_field.params.radius=1e0", "initial_field.params.radius"),

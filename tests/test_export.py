@@ -39,6 +39,48 @@ def past_the_plate(model):
     return np.array([[hi[0] + 0.5, 0.0], [0.0, lo[1] - 0.5]])
 
 
+def off_the_boundary(model, name):
+    """Points 5e-9, 1.5e-8 and 1e-6 diameters off the domain: past r = 2
+    and short of r = 1 on the annulus, past the edges and corners of the
+    plates.  The first lie within the 1e-8 diameters a located image may
+    miss its target by, so Newton locates them on the boundary; the rest
+    are beyond it."""
+    off = model.diameter() * np.array([5e-9, 1.5e-8, 1e-6])
+    if name == "annulus":
+        angles = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        ray = np.column_stack([np.cos(angles), np.sin(angles)])
+        return np.vstack([np.outer(r, u) for r in np.concatenate([2.0 + off, 1.0 - off])
+                          for u in ray])
+    pts = np.concatenate([p.control_points.reshape(-1, 2) for p in model.patches])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    s = np.linspace(0.0, 1.0, 7)
+    edge = np.vstack([np.column_stack([lo[0] + s * (hi[0] - lo[0]), np.full(s.size, y)])
+                      for y in (lo[1], hi[1])]
+                     + [np.column_stack([np.full(s.size, x), lo[1] + s * (hi[1] - lo[1])])
+                        for x in (lo[0], hi[0])])
+    mid = 0.5 * (lo + hi)
+    out = np.sign(np.round((edge - mid) / (0.5 * (hi - lo)), 12))
+    return np.vstack([edge + d * out for d in off])
+
+
+def newton_from_every_box(model, targets):
+    """Whether Newton started at every element of every patch locates each
+    target: no cover and no retry rule."""
+    boxes = export._control_boxes(model)
+    groups, group_of, base = export._groups(model)
+    phys, jac = export._at_seeds(boxes, groups, group_of, base)
+    located = np.zeros(targets.shape[0], dtype=bool)
+    for gi, group in enumerate(groups):
+        b = np.flatnonzero(group_of[boxes.patch] == gi)
+        for i in range(0, targets.shape[0], 8):
+            t = np.repeat(np.arange(i, min(i + 8, targets.shape[0])), b.size)
+            bb = np.tile(b, t.size // b.size)
+            _, ok = export._invert(group, base[boxes.patch[bb]], boxes.seed[bb], phys[:, bb],
+                                   jac[..., bb], targets[t], 1e-9 * model.diameter())
+            located[t[ok]] = True
+    return located
+
+
 def padded_pairs(model, targets):
     """Every (target, box) pair with the target in the box padded by 10 tol,
     box by box over the targets sorted by x, with no cells."""
@@ -154,6 +196,30 @@ class TestCover:
         ref_pid, ref_uv = search_everywhere(model, targets)
         np.testing.assert_array_equal(pid, ref_pid)
         assert uv.tobytes() == ref_uv.tobytes()
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_dropped_targets_located_from_no_box(self, name):
+        # conservative: Newton from every element of every patch locates
+        # none of the targets the cover drops, of those off the boundary and
+        # of the 16 dropped grid points nearest it (the plates drop none)
+        model = shipped_model(name)
+        grid, near = export_grid(model), off_the_boundary(model, name)
+        targets = np.vstack([near, grid])
+        tgt, _ = export._covered(export._control_boxes(model), targets,
+                                 1e-8 * model.diameter())
+        dropped = np.setdiff1d(np.arange(targets.shape[0]), tgt)
+        r = np.hypot(targets[dropped, 0], targets[dropped, 1])
+        gap = np.minimum(np.abs(r - 1.0), np.abs(r - 2.0))
+        on_grid = np.flatnonzero(dropped >= near.shape[0])
+        check = np.concatenate([dropped[dropped < near.shape[0]],
+                                dropped[on_grid[np.argsort(gap[on_grid])[:16]]]])
+        assert check.size >= (32 if name == "annulus" else 56)
+        assert not newton_from_every_box(model, targets[check]).any()
+        # those within 10 tol of the boundary are covered, and located
+        inner = np.arange(near.shape[0] // 3) if name != "annulus" else np.concatenate(
+            [np.arange(48), 144 + np.arange(48)])
+        assert np.isin(inner, tgt).all()
+        assert np.all(locate_points(model, near[inner])[0] >= 0)
 
     def test_empty_targets(self, monkeypatch):
         counts = count_steps(monkeypatch)
@@ -319,3 +385,12 @@ def test_writers_take_formatted_fields(tmp_path, writer, ext):
         expected = f.read()
     assert (tmp_path / f"numbers.{ext}").read_bytes() == expected
     assert (tmp_path / f"strings.{ext}").read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer,ext", [(write_grid_csv, "csv"), (write_vtk_structured, "vtk")])
+def test_writers_format_object_arrays_of_numbers(tmp_path, writer, ext):
+    # only a format_grid result passes through unformatted, whatever the dtype
+    xs, ys, data = small_grid()
+    writer(str(tmp_path / f"objects.{ext}"), xs, ys, {k: v.astype(object) for k, v in data.items()})
+    with open(os.path.join(DATA, f"grid_5x7.{ext}"), "rb") as f:
+        assert (tmp_path / f"objects.{ext}").read_bytes() == f.read()

@@ -450,6 +450,17 @@ class TestClosedFormRoots:
             assert_same_interface(DesignField(annulus_basis, (numer / patch.weights).ravel()),
                                   monkeypatch)
 
+    def test_cubic_design(self, monkeypatch):
+        # degree 3 around the ring and 2 across it: the lines around the
+        # ring run cubic pieces, which go through PPoly itself, the lines
+        # across it quadratic ones; phi = x - 0.3 crosses both
+        basis = design_basis_for(build_annulus(), RefineSpec(3, 2, 6, 16))
+        field = DesignField(basis, project_lsf(design_quadrature(basis, 4),
+                                               lambda p: p[:, 0] - 0.3))
+        pts = assert_same_interface(field, monkeypatch)
+        assert len(pts) > 100
+        assert np.abs(pts[:, 0] - 0.3).max() < 1e-9
+
     @pytest.mark.parametrize("degree", [1, 2])
     def test_constructed_pieces(self, degree):
         # small integer coefficients give zero pieces, double roots, roots on
