@@ -7,8 +7,9 @@ element's image lies in the convex hull of its local control net (Piegl &
 Tiller, The NURBS Book, 2nd ed., sections 4.2 and 6.1), so a grid point
 in no element's control box, padded by the distance a located image may
 miss its target by, is outside every patch and is written as NaN without a
-Newton step.  The cover pairs each target with the padded boxes that hold
-it, testing each box only against the targets of the grid cells it meets.
+Newton step.  The grid points in a padded box are one index range on each
+of the grid's two axes, so the cover pairs each box with its points by one
+sorted search per axis.
 
 Each covered point runs a clipped Newton iteration started at the centre
 of the element of its nearest box (by box centre).  The first step reads
@@ -41,21 +42,24 @@ from igatop.levelset import DesignField, SmoothingParams, phi_on_patch
 from igatop.splines import KnotVector, basis_and_ders, find_span_array, tabulate
 
 
-def locate_points(model, targets: np.ndarray):
-    """Find (patch, u, v) for physical points; NaN parameters when outside.
+def locate_points(model, xs, ys):
+    """Find (patch, u, v) for the points of a regular grid; NaN parameters
+    when outside.
 
-    The cover pairs each target with the element control boxes (padded by
-    the 10 tol a located image may miss its target by) that hold it; a
-    target in none is outside every patch and takes no Newton step.  The
-    search then starts Newton from those elements, and its result for a
-    target depends only on that target.
+    Target i ys.size + j is (xs[i], ys[j]); both axes ascend.  The cover
+    pairs each target with the element control boxes (padded by the 10 tol
+    a located image may miss its target by) that hold it; a target in none
+    is outside every patch and takes no Newton step.  The search then
+    starts Newton from those elements, and its result for a target depends
+    only on that target.
 
     Returns (patch_idx (n,), params (n,2)); patch_idx is -1 outside.
     """
     tol = 1e-9 * model.diameter()
     boxes = _control_boxes(model)
-    tgt, box = _covered(boxes, targets, 10 * tol)
-    return _search(model, boxes, targets, tgt, box, tol)
+    tgt, box = _covered(boxes, xs, ys, 10 * tol)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return _search(model, boxes, np.column_stack([X.ravel(), Y.ravel()]), tgt, box, tol)
 
 
 class _Boxes(NamedTuple):
@@ -102,49 +106,21 @@ def _windows(net, p, q, fn):
     return out
 
 
-def _covered(boxes: _Boxes, targets, pad):
-    """Every (target, box) pair with the target in the box padded by pad.
+def _covered(boxes: _Boxes, xs, ys, pad):
+    """Every (target, box) pair with grid point (xs[i], ys[j]), target
+    i ys.size + j, in the box padded by pad; both axes ascend.
 
-    A target outside the boxes' common bounding box is in none.  The rest
-    are sorted into a uniform grid of cells over their range, and each box
-    is tested against the targets of the cells it meets, one row of cells
-    at a time: a row's targets are one run of that order.  Cell indices
-    grow monotonically with the coordinate, so a target in a box lies in a
-    cell the box meets.  Returns (target indices, box indices), unordered.
+    The grid points in a padded box are one index range on each axis, both
+    ends inclusive, found by a sorted search.  Returns (target indices, box
+    indices), box after box, each box's targets in grid order.
     """
-    none = np.arange(0), np.arange(0)
-    if targets.shape[0] == 0:
-        return none
     lo, hi = boxes.lo - pad, boxes.hi + pad
-    x, y = np.ascontiguousarray(targets.T)
-    t0 = np.maximum(lo.min(axis=0), [x.min(), y.min()])
-    t1 = np.minimum(hi.max(axis=0), [x.max(), y.max()])
-    inside = np.flatnonzero((x >= t0[0]) & (x <= t1[0]) & (y >= t0[1]) & (y <= t1[1]))
-    if inside.size == 0:
-        return none
-    meets = np.flatnonzero(np.all((hi >= t0) & (lo <= t1), axis=1))
-    # as many cells as targets, and no fewer than boxes
-    g = int(np.ceil(np.sqrt(max(inside.size, meets.size))))
-    h = np.where(t1 > t0, (t1 - t0) / g, 1.0)
-
-    def cell(v, axis):
-        return np.clip(np.floor((v - t0[axis]) / h[axis]), 0, g - 1).astype(int)
-
-    key = cell(x[inside], 0) * g + cell(y[inside], 1)
-    order = inside[np.argsort(key)]
-    start = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=g * g))])
-    i0, j0, i1, j1 = (cell(c[meets, axis], axis) for c in (lo, hi) for axis in (0, 1))
-    # the targets of cells j0..j1 in row i are order[start[i g + j0]:start[i g + j1 + 1]]
-    rows = i1 - i0 + 1
-    b = np.repeat(np.arange(meets.size), rows)
-    row = (i0[b] + _positions(rows)) * g
-    first, last = start[row + j0[b]], start[row + j1[b] + 1]
-    box = np.repeat(meets[b], last - first)
-    tgt = order[_positions(last - first) + np.repeat(first, last - first)]
-    keep = np.ones(tgt.size, dtype=bool)
-    for t, axis in ((x[tgt], 0), (y[tgt], 1)):
-        keep &= (t >= lo[:, axis][box]) & (t <= hi[:, axis][box])
-    return tgt[keep], box[keep]
+    i0, i1 = np.searchsorted(xs, lo[:, 0], "left"), np.searchsorted(xs, hi[:, 0], "right")
+    j0, j1 = np.searchsorted(ys, lo[:, 1], "left"), np.searchsorted(ys, hi[:, 1], "right")
+    # each box's grid rows, then each row's run of targets
+    b = np.repeat(np.arange(lo.shape[0]), i1 - i0)
+    rows, count = i0[b] + _positions(i1 - i0), (j1 - j0)[b]
+    return np.repeat(rows * ys.size + j0[b], count) + _positions(count), np.repeat(b, count)
 
 
 def _positions(counts):
@@ -365,11 +341,9 @@ def sample_fields(
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     xs = np.linspace(lo[0], hi[0], n_grid)
     ys = np.linspace(lo[1], hi[1], n_grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    targets = np.column_stack([X.ravel(), Y.ravel()])
-    pid, uv = locate_points(model, targets)
+    pid, uv = locate_points(model, xs, ys)
 
-    n = targets.shape[0]
+    n = pid.size
     out = {
         name: np.full(n, np.nan)
         for name in ("T", "phi", "kappa", "flux_x", "flux_y")

@@ -91,16 +91,19 @@ class DesignField:
 
 
 def _basis_rows(basis: DesignBasis, k: int, pts: np.ndarray):
-    """Sparse rows of design-basis values/gradients at points of patch k."""
+    """The tabulation of patch k at points pts, and the sparse rows of the
+    design-basis values there."""
     tab = tabulate(basis.patches[k], pts)
+    return tab, _sparse_rows(basis, k, tab, tab.values)
+
+
+def _sparse_rows(basis: DesignBasis, k: int, tab, values: np.ndarray) -> sp.csr_matrix:
+    """One sparse row per point of a patch-k tabulation, its local values
+    (n, nloc) placed in the design basis's columns."""
     n, nloc = tab.indices.shape
     rows = np.repeat(np.arange(n), nloc)
     cols = (tab.indices + int(basis.offsets[k])).ravel()
-    shape = (n, basis.m)
-    D = sp.csr_matrix((tab.values.ravel(), (rows, cols)), shape=shape)
-    Dx = sp.csr_matrix((tab.dx.ravel(), (rows, cols)), shape=shape)
-    Dy = sp.csr_matrix((tab.dy.ravel(), (rows, cols)), shape=shape)
-    return tab, D, Dx, Dy
+    return sp.csr_matrix((values.ravel(), (rows, cols)), shape=(n, basis.m))
 
 
 @dataclass
@@ -131,12 +134,12 @@ def design_quadrature(basis: DesignBasis, n_per_span: int | None = None) -> Desi
     phys, w, Ds, Dxs, Dys = [], [], [], [], []
     for k in range(len(basis.patches)):
         pts, wts = patch_quadrature(basis.patches[k], n_per_span)
-        tab, D, Dx, Dy = _basis_rows(basis, k, pts)
+        tab, D = _basis_rows(basis, k, pts)
         phys.append(tab.phys)
         w.append(wts * tab.det_j)
         Ds.append(D)
-        Dxs.append(Dx)
-        Dys.append(Dy)
+        Dxs.append(_sparse_rows(basis, k, tab, tab.dx))
+        Dys.append(_sparse_rows(basis, k, tab, tab.dy))
     D = sp.vstack(Ds, format="csr")
     w = np.concatenate(w)
     mass = (D.T @ D.multiply(w[:, None])).tocsr()
@@ -218,9 +221,7 @@ def interface_points(field: DesignField, lines_per_span: int = 20):
         return np.empty((0, 2)), np.empty(0, dtype=int), np.empty((0, 2))
     pts = np.concatenate(pts_out)
     # deduplicate crossings found from both line directions
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) if len(pts) > 1 else 1.0
-    r = max(1e-7 * max(diam, 1.0), 1e-14)
-    keep = orbits(len(pts), [cKDTree(pts).query_pairs(r, output_type="ndarray")]).lowest
+    keep = orbits(len(pts), [_coincident_pairs(pts, 10 * _match_tolerance(pts))]).lowest
     return pts[keep], np.concatenate(pid_out)[keep], np.concatenate(uv_out)[keep]
 
 
@@ -426,19 +427,18 @@ def _match_tolerance(pts: np.ndarray) -> float:
 
 
 #: the direction, at no simple angle, along which `mirror_images` and
-#: `net_orbits` sort the points: distinct points of a structured mesh
-#: project apart
+#: `_coincident_pairs` sort the points: distinct points of a structured
+#: mesh project apart
 _SORT_AXIS = (np.cos(1.0), np.sin(1.0))
 
 
 def _sorted_projections(pts: np.ndarray):
-    """The points' x and y as contiguous arrays, their `_match_tolerance`,
-    the order that sorts their projections onto `_SORT_AXIS`, and the
-    sorted projections."""
+    """The points' x and y as contiguous arrays, the order that sorts their
+    projections onto `_SORT_AXIS`, and the sorted projections."""
     x, y = np.ascontiguousarray(pts.T)
     proj = _SORT_AXIS[0] * x + _SORT_AXIS[1] * y
     order = np.argsort(proj)
-    return x, y, _match_tolerance(pts), order, proj[order]
+    return x, y, order, proj[order]
 
 
 def mirror_images(pts: np.ndarray) -> list:
@@ -456,7 +456,8 @@ def mirror_images(pts: np.ndarray) -> list:
     sorted projections that lies within the tolerance of its own, where
     every point that coincides with it lies.
     """
-    x, y, tol, order, key = _sorted_projections(pts)
+    x, y, order, key = _sorted_projections(pts)
+    tol = _match_tolerance(pts)
     n, out = x.size, []
     for sx, sy in MIRRORS:
         ix, iy = sx * x, sy * y
@@ -485,11 +486,11 @@ def orbits(n: int, pairs: list[np.ndarray]) -> Orbits:
     return Orbits(index, int(count))
 
 
-def _coincident_pairs(pts: np.ndarray) -> np.ndarray:
-    """Every pair of points within `_match_tolerance` of each other, as
-    rows (i, j): in the order of their projections onto `_SORT_AXIS`, each
-    point with the later points of its window within the tolerance."""
-    x, y, tol, order, key = _sorted_projections(pts)
+def _coincident_pairs(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Every pair of points within tol of each other, as rows (i, j): in
+    the order of their projections onto `_SORT_AXIS`, each point with the
+    later points of its window within tol."""
+    x, y, order, key = _sorted_projections(pts)
     later = np.searchsorted(key, key + tol, "right") - np.arange(key.size) - 1
     a = np.repeat(np.arange(key.size), later)  # each window's point and its later ones
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
@@ -500,7 +501,8 @@ def _coincident_pairs(pts: np.ndarray) -> np.ndarray:
 def net_orbits(pts: np.ndarray, images: list[np.ndarray]) -> Orbits:
     """Orbits of a control net: coincident points (multi-patch seams) and
     each point with its `images` (index arrays from `mirror_images`)."""
-    pairs = [_coincident_pairs(pts)] + [np.column_stack([np.arange(j.size), j]) for j in images]
+    pairs = [_coincident_pairs(pts, _match_tolerance(pts))]
+    pairs += [np.column_stack([np.arange(j.size), j]) for j in images]
     return orbits(len(pts), pairs)
 
 

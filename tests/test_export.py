@@ -23,12 +23,16 @@ def shipped_model(name):
     return build_pipeline(cfg, with_objective=False).disc.model
 
 
-def export_grid(model, n_grid=201):
-    """The targets `sample_fields` locates: a regular grid over the control net's box."""
+def export_axes(model, n_grid=201):
+    """The axes of the grid `sample_fields` locates, over the control net's box."""
     pts = np.concatenate([p.control_points.reshape(-1, 2) for p in model.patches])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], n_grid), np.linspace(lo[1], hi[1], n_grid),
-                       indexing="ij")
+    return np.linspace(lo[0], hi[0], n_grid), np.linspace(lo[1], hi[1], n_grid)
+
+
+def grid_points(xs, ys):
+    """The grid's points in `locate_points`' order: point i ys.size + j is (xs[i], ys[j])."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
@@ -83,7 +87,7 @@ def newton_from_every_box(model, targets):
 
 def padded_pairs(model, targets):
     """Every (target, box) pair with the target in the box padded by 10 tol,
-    box by box over the targets sorted by x, with no cells."""
+    box by box over the targets sorted by x: any targets, not only a grid."""
     boxes = export._control_boxes(model)
     pad = 1e-8 * model.diameter()
     lo, hi = boxes.lo - pad, boxes.hi + pad
@@ -100,7 +104,8 @@ def padded_pairs(model, targets):
 
 
 def search_everywhere(model, targets):
-    """The Newton search run on every target, from box-by-box pairs."""
+    """The Newton search run on every target, from box-by-box pairs: how
+    scattered points are located, as `locate_points` takes only a grid."""
     return export._search(model, export._control_boxes(model), targets,
                           *padded_pairs(model, targets), 1e-9 * model.diameter())
 
@@ -141,7 +146,7 @@ class TestLocateAnnulus:
         box = np.column_stack([np.repeat(s, s.size), -np.tile(s, s.size)])
         on_seam = np.outer([0.999, 1.0, 1.2, 1.5, 1.8527, 2.0, 2.001], self.SEAM)
         targets = np.vstack([box, on_seam, self.ACROSS_SEAM, self.ACROSS_SEAM[::-1]])
-        pid, uv = locate_points(model, targets)
+        pid, uv = search_everywhere(model, targets)
         return model, targets, pid, uv
 
     def test_located_exactly_inside(self, located):
@@ -164,26 +169,30 @@ def test_cloak_grid_points_each_in_one_patch():
     # the cloak's patches cover the whole plate, so every point of the
     # exported grid lies in a patch, corners where four patches meet too
     model = shipped_model("cloak")
-    targets = np.vstack([export_grid(model), past_the_plate(model)])
-    pid, uv = locate_points(model, targets)
+    xs, ys = export_axes(model)
+    outside = past_the_plate(model)
+    targets = np.vstack([grid_points(xs, ys), outside])
+    located = [locate_points(model, xs, ys), search_everywhere(model, outside)]
+    pid, uv = (np.concatenate(a) for a in zip(*located))
     assert np.all((pid[:-2] >= 0) & (pid[:-2] < len(model.patches)))
     assert np.all(pid[-2:] == -1) and np.all(np.isnan(uv[-2:]))
     assert_maps_back(model, targets, pid, uv)
 
 
 class TestCover:
-    """`locate_points` pairs each target with the padded element boxes that
-    hold it, by cells, before the Newton search; what it returns must not
-    change."""
+    """`locate_points` pairs each grid point with the padded element boxes
+    that hold it, by index ranges on the grid's axes, before the Newton
+    search; what it returns must not change."""
 
     @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
     def test_export_grid_bit_identical_to_search_everywhere(self, name):
         model = shipped_model(name)
-        targets = export_grid(model)
-        tgt, box = export._covered(export._control_boxes(model), targets,
+        xs, ys = export_axes(model)
+        targets = grid_points(xs, ys)
+        tgt, box = export._covered(export._control_boxes(model), xs, ys,
                                    1e-8 * model.diameter())
         ref_tgt, ref_box = padded_pairs(model, targets)
-        # the cells lose no pair and add none
+        # the axis ranges lose no pair and add none
         assert tgt.size == ref_tgt.size
         np.testing.assert_array_equal(np.sort(tgt * box.size + box),
                                       np.sort(ref_tgt * box.size + ref_box))
@@ -192,10 +201,49 @@ class TestCover:
         r = np.hypot(targets[:, 0], targets[:, 1])
         domain = (r >= 1.0) & (r <= 2.0) if name == "annulus" else np.ones(r.size, dtype=bool)
         assert np.isin(np.flatnonzero(domain), tgt).all()
-        pid, uv = locate_points(model, targets)
+        pid, uv = locate_points(model, xs, ys)
         ref_pid, ref_uv = search_everywhere(model, targets)
         np.testing.assert_array_equal(pid, ref_pid)
         assert uv.tobytes() == ref_uv.tobytes()
+
+    def test_grid_lines_on_padded_box_bounds(self):
+        # grid lines at every padded bound of every fortieth cloak box, and
+        # halfway between: the ends of each axis range are inclusive
+        model = shipped_model("cloak")
+        boxes = export._control_boxes(model)
+        pad = 1e-8 * model.diameter()
+        lo, hi = boxes.lo[::40] - pad, boxes.hi[::40] + pad
+        xs, ys = (np.unique(np.concatenate([lo[:, a], hi[:, a], 0.5 * (lo[:, a] + hi[:, a])]))
+                  for a in (0, 1))
+        targets = grid_points(xs, ys)
+        tgt, box = export._covered(boxes, xs, ys, pad)
+        ref_tgt, ref_box = padded_pairs(model, targets)
+        m = boxes.lo.shape[0]
+        np.testing.assert_array_equal(np.sort(tgt * m + box), np.sort(ref_tgt * m + ref_box))
+        # points on a box's padded bound, at either end of either axis
+        at = [targets[tgt, a] == bound[box, a] for bound in (boxes.lo - pad, boxes.hi + pad)
+              for a in (0, 1)]
+        assert all(np.count_nonzero(on) >= 100 for on in at)
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_single_grid_lines(self, name):
+        # n_grid = 1 on either axis or both, through the middle of the
+        # model, and an empty axis: the box-by-box pairs and search results
+        model = shipped_model(name)
+        boxes = export._control_boxes(model)
+        xs, ys = export_axes(model)
+        for gx, gy in [(xs[100:101], ys), (xs, ys[100:101]), (xs[100:101], ys[100:101]),
+                       (xs[:0], ys), (xs[:1], ys[:0])]:
+            targets = grid_points(gx, gy)
+            tgt, box = export._covered(boxes, gx, gy, 1e-8 * model.diameter())
+            ref_tgt, ref_box = padded_pairs(model, targets)
+            m = boxes.lo.shape[0]
+            np.testing.assert_array_equal(np.sort(tgt * m + box), np.sort(ref_tgt * m + ref_box))
+            pid, uv = locate_points(model, gx, gy)
+            ref_pid, ref_uv = search_everywhere(model, targets)
+            np.testing.assert_array_equal(pid, ref_pid)
+            assert uv.tobytes() == ref_uv.tobytes()
+        assert pid.size == 0
 
     @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
     def test_dropped_targets_located_from_no_box(self, name):
@@ -203,10 +251,13 @@ class TestCover:
         # none of the targets the cover drops, of those off the boundary and
         # of the 16 dropped grid points nearest it (the plates drop none)
         model = shipped_model(name)
-        grid, near = export_grid(model), off_the_boundary(model, name)
-        targets = np.vstack([near, grid])
-        tgt, _ = export._covered(export._control_boxes(model), targets,
-                                 1e-8 * model.diameter())
+        xs, ys = export_axes(model)
+        near = off_the_boundary(model, name)
+        targets = np.vstack([near, grid_points(xs, ys)])
+        # the grid's cover, and the box-by-box pairs of the scattered points
+        grid_tgt, _ = export._covered(export._control_boxes(model), xs, ys,
+                                      1e-8 * model.diameter())
+        tgt = np.concatenate([padded_pairs(model, near)[0], near.shape[0] + grid_tgt])
         dropped = np.setdiff1d(np.arange(targets.shape[0]), tgt)
         r = np.hypot(targets[dropped, 0], targets[dropped, 1])
         gap = np.minimum(np.abs(r - 1.0), np.abs(r - 2.0))
@@ -219,19 +270,25 @@ class TestCover:
         inner = np.arange(near.shape[0] // 3) if name != "annulus" else np.concatenate(
             [np.arange(48), 144 + np.arange(48)])
         assert np.isin(inner, tgt).all()
-        assert np.all(locate_points(model, near[inner])[0] >= 0)
+        assert np.all(search_everywhere(model, near[inner])[0] >= 0)
 
     def test_empty_targets(self, monkeypatch):
         counts = count_steps(monkeypatch)
-        pid, uv = locate_points(shipped_model("annulus"), np.empty((0, 2)))
-        assert pid.shape == (0,) and uv.shape == (0, 2)
+        axis = np.linspace(-2.0, 2.0, 5)
+        for xs, ys in [(np.empty(0), axis), (axis, np.empty(0)), (np.empty(0), np.empty(0))]:
+            pid, uv = locate_points(shipped_model("annulus"), xs, ys)
+            assert pid.shape == (0,) and uv.shape == (0, 2)
         assert counts[0] == 0
 
     def test_targets_all_outside_take_no_step(self, monkeypatch):
+        # a grid line past the plate's right edge, and the scattered points
+        # past it by the search
         model = shipped_model("cloak")
         counts = count_steps(monkeypatch)
-        pid, uv = locate_points(model, past_the_plate(model))
-        assert np.all(pid == -1) and np.all(np.isnan(uv))
+        outside = past_the_plate(model)
+        for pid, uv in [locate_points(model, outside[:1, 0], np.sort(outside[:, 1])),
+                        search_everywhere(model, outside)]:
+            assert np.all(pid == -1) and np.all(np.isnan(uv))
         assert counts[0] == 0
 
     def test_annulus_edge_targets_keep_their_result(self):
@@ -245,22 +302,27 @@ class TestCover:
         seam = TestLocateAnnulus.SEAM
         targets = np.vstack([(2.0 + eps) * ray, (1.0 - eps) * ray,
                              np.outer([1.0, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0], seam)])
-        pid, uv = locate_points(model, targets)
-        ref_pid, ref_uv = search_everywhere(model, targets)
+        pid, _ = search_everywhere(model, targets)
+        assert np.all(pid == 0)
+        # on a grid whose lines cross the axes there, the cover keeps them
+        axis = np.array([-2.0 - eps, -1.0 + eps, 0.0, 1.0 - eps, 2.0 + eps])
+        pid, uv = locate_points(model, axis, axis)
+        ref_pid, ref_uv = search_everywhere(model, grid_points(axis, axis))
         np.testing.assert_array_equal(pid, ref_pid)
         assert uv.tobytes() == ref_uv.tobytes()
-        assert np.all(pid == 0)
+        on_axes = [2, 7, 10, 11, 13, 14, 17, 22]
+        assert np.all(pid[on_axes] == 0)
 
     def test_annulus_export_grid_point_steps(self, monkeypatch):
         # the seeded search of parametric seed clouds tabulated 184,770
         # points here; the kernel takes about 83,200 point-steps, 4,096 of
         # them at the element centres, and locating tabulates nothing
         model = shipped_model("annulus")
-        targets = export_grid(model)
+        xs, ys = export_axes(model)
         steps = count_steps(monkeypatch)
         tabulated = []
         monkeypatch.setattr(export, "tabulate", lambda *a, **k: tabulated.append(a))
-        locate_points(model, targets)
+        locate_points(model, xs, ys)
         assert steps[1] <= 100_000
         assert not tabulated
 
@@ -297,7 +359,8 @@ def test_cloak_shared_edge_points_located_once(monkeypatch):
     # those patches; the search locates each once, in the patch of the
     # nearest box (by box centre, the lower box on a tie)
     model = shipped_model("cloak")
-    targets = export_grid(model)
+    xs, ys = export_axes(model)
+    targets = grid_points(xs, ys)
     boxes = export._control_boxes(model)
     tgt, box = padded_pairs(model, targets)
     mid = 0.5 * (boxes.lo + boxes.hi)
@@ -327,7 +390,7 @@ def test_cloak_shared_edge_points_located_once(monkeypatch):
         return out, ok
 
     monkeypatch.setattr(export, "_invert", counted)
-    pid, _ = locate_points(model, targets)
+    pid, _ = locate_points(model, xs, ys)
     assert np.all(located == 1)
     dist = np.sum((targets[tgt] - mid[box]) ** 2, axis=1)
     for t in shared:
@@ -335,10 +398,12 @@ def test_cloak_shared_edge_points_located_once(monkeypatch):
         first = np.lexsort((box[mine], dist[mine]))[0]
         assert pid[t] == boxes.patch[box[mine][first]]
         assert holds[t, pid[t]]
-    # and alone, or among other targets in another order, the same
-    alone = np.array([locate_points(model, targets[t:t + 1])[0][0] for t in shared[:20]])
+    # and alone (a one-point grid), or among other targets in another
+    # order, the same
+    alone = np.array([locate_points(model, xs[t // ys.size:][:1], ys[t % ys.size:][:1])[0][0]
+                      for t in shared[:20]])
     np.testing.assert_array_equal(alone, pid[shared[:20]])
-    rev_pid, _ = locate_points(model, targets[::-1])
+    rev_pid, _ = search_everywhere(model, targets[::-1])
     np.testing.assert_array_equal(rev_pid[::-1], pid)
 
 

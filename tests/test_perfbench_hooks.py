@@ -11,10 +11,13 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from igatop import cli, optimizer
+from igatop.assembly import solve_state
 from igatop.config import RunConfig, build_pipeline
+from igatop.export import sample_fields
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -83,3 +86,27 @@ def test_workload_reads_a_real_evaluation(monkeypatch):
     workload._health_observers(health)["solve_state"]((), {}, val.state)
     assert health == {"excursions": [0.0], "k_nnz": [sizes["k_nnz"]],
                       "lu_nnz": [sizes["lu_nnz"]], "ndof": sizes["ndof"]}
+
+
+def test_workload_reads_a_real_export(monkeypatch):
+    # the traced export observer reads sample_fields' first argument as the
+    # Discretization and data["T"] of its result as the sampled (n, n) grid
+    monkeypatch.setattr(sys, "path", sys.path[:])  # workload.py prepends its directory
+    monkeypatch.setitem(sys.modules, "tracing", _load("tracing"))
+    workload = _load("workload")
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "annulus.yaml")),
+                          with_objective=False)
+    T = solve_state(pipe.disc, pipe.field0, pipe.smoothing).values
+    args = (pipe.disc, T, pipe.field0, pipe.smoothing, 9)  # as cli passes them
+    xs, ys, data = sample_fields(*args)
+    assert data["T"].shape == (9, 9)
+    inside = int(np.count_nonzero(np.isfinite(data["T"])))
+    assert 0 < inside < 81
+    health = {"out_of_range_points": 0}
+    observe = workload._health_observers(health)["sample_fields"]
+    observe(args, {}, (xs, ys, data))
+    assert health == {"out_of_range_points": 0}
+    # the same grid raised above the Dirichlet range: every point inside counts
+    hot = dict(data, T=data["T"] + np.ptp(pipe.disc.dirichlet_val) + 1.0)
+    observe(args, {}, (xs, ys, hot))
+    assert health == {"out_of_range_points": inside}
