@@ -73,19 +73,26 @@ orbit of the design rows, built from the entries of its lowest point
 alone, scaled by the orbit's size (an image point's entries are that
 point's with both dofs mirrored, so they land on the same entries of S),
 and the split keeps the rows of the design region's operators and of N
-at the lowest point of each orbit.  An evaluation
-computes kappa there, with the orbit's mean weight; T at the quadrature
-points there, read out at every point of the orbit (so exactly
-invariant); and the sensitivity's bulk term there, summed onto the
-coefficients through D^T summed onto the orbits.  On the trivial group E
-and the orbits are the identity, and this is the plain split doing the
-per-point arithmetic of a whole assembly.  Every iterate, line-search
-trial and reinitialization of a run with `design.symmetry: xy` solves on
-the mesh's group; any other field (a projected start, a finite-difference
-nudge, `symmetry: none`) on the trivial group.  The adjoint solves on the
-state's split, so its load must be exactly invariant at the quadrature
-points (`objectives.eval_main` averages dJ/dT over their orbits), and
-`solve_adjoint` raises for any other.  The mesh's group is the
+at the lowest point of each orbit.  Every per-point array of an
+evaluation lives there, one entry per orbit: phi, computed once and read
+by the conductivity (kappa, with the orbit's mean weight) and by the
+sensitivity; T at the quadrature points, exactly invariant;
+`objectives.eval_main`'s J and dJ/dT, with the orbit's weights summed in;
+the adjoint load N^T applied to those, through the representatives' rows
+alone; and the sensitivity's bulk term, summed onto the coefficients
+through D^T summed onto the orbits.  No product with the mesh's whole N
+or design rows is left in an evaluation.  An image point's row of N is
+the representative's with its dofs mirrored, so the representatives'
+load has the whole invariant load's sums over the dofs' orbits, which
+are S's load; where I is non-empty (the plates, whose K_II is eliminated
+on the trivial group) the load on I is rebuilt as those sums' orbit
+means.  On the trivial group E and the orbits are the identity, and this
+is the plain split doing the per-point arithmetic of a whole assembly.
+Every iterate, line-search trial and reinitialization of a run with
+`design.symmetry: xy` solves on the mesh's group; any other field (a
+projected start, a finite-difference nudge, `symmetry: none`) on the
+trivial group.  The adjoint solves on the state's split, for the
+invariant load with the given orbit sums.  The mesh's group is the
 trivial one under an explicit beta: there any reordering of the
 penalty-sized sums can move the solution by far more than roundoff (the
 beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
@@ -100,6 +107,7 @@ the jump penalty does not depend on the level set and drops out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -485,9 +493,10 @@ def _region_values(labels: np.ndarray, kappa_regions: dict) -> np.ndarray:
     return kappa
 
 
-def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
+def _kappa_points(disc, rows: DesignRows, field, sp_, override, phi=None) -> np.ndarray:
     """Conductivity at each point of `rows`: the override or the region's
-    own value, else (on the design) the smoothed material of the field."""
+    own value, else (on the design) the smoothed material of the field,
+    read from `phi` (the field at every point of `rows`) where given."""
     kappa = rows.kappa.copy()
     for label, val in (override or {}).items():
         kappa[rows.labels == label] = val
@@ -497,7 +506,9 @@ def _kappa_points(disc, rows: DesignRows, field, sp_, override) -> np.ndarray:
     if np.any(todo):
         if field is None:
             raise AssemblyError("design region requires a field or an override")
-        kappa[todo] = kappa_at((rows.D @ field.coeffs)[todo], disc.model.design_pair, sp_)
+        if phi is None:
+            phi = rows.D @ field.coeffs
+        kappa[todo] = kappa_at(phi[todo], disc.model.design_pair, sp_)
     return kappa
 
 
@@ -678,7 +689,8 @@ class Substructure:
     `entries` and `band` place S's entries into LAPACK's band storage (see
     `_band_index`).  I may be empty (an all-design mesh): S is
     then E^T K_ff E.  The rows of N and of the design region's operators
-    at the lowest point of each orbit serve `at_quadrature` and
+    at the lowest point of each orbit serve `at_quadrature`,
+    `objectives.eval_main`, the adjoint load (`Nt`) and
     `sensitivity_contraction`.  A one-off split under an override, on the
     trivial group, orders the free dofs the same way and has no maps; its
     point rows are the mesh's own.
@@ -709,6 +721,12 @@ class Substructure:
     rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
     Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense, Fortran-ordered
     y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
+
+    @cached_property
+    def Nt(self) -> sp.csr_matrix:
+        """N^T in CSR, built by the split's first adjoint solve: the
+        adjoint load is Nt times one weighted value per orbit."""
+        return self.N.T.tocsr()
 
 
 _SINGULAR_HINT = "suspected untagged boundary or missing Dirichlet data"
@@ -1052,8 +1070,9 @@ def _refined_solve(solve, A, abs_A, rhs: np.ndarray) -> np.ndarray:
         berr = berr_new
     res = np.linalg.norm(r)
     # normwise guard against a failed factorization: the residual is
-    # measured against |A| |x| + |rhs|
-    scale = np.linalg.norm(rhs) + abs_A.max() * np.linalg.norm(x)
+    # measured against |A| |x| + |rhs| (|A|'s largest entry read off its
+    # data, which holds no negative value)
+    scale = np.linalg.norm(rhs) + np.max(abs_A.data, initial=0.0) * np.linalg.norm(x)
     if res > 1e-10 * max(scale, 1.0):
         raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
     return x
@@ -1089,21 +1108,29 @@ class CondensedSystem:
     threaded call right after one in the other pool can stall).  The
     state's K_II^-1 b_I is the mesh's; another load costs one K_II solve,
     and none where I is empty.  A load is summed onto S's rows, the orbits
-    of the split's group, and x_T read out from them, so the load must be
-    invariant under that group (`solve_adjoint` checks it).  `solve`
-    serves the state and the adjoint, which reuses the state's split and
-    factor because K_ff is symmetric.  `nnz` counts the entries of both
-    factors: S's band storage and K_II's SuperLU factor.
+    of the split's group, and x_T read out from them: the solve is that of
+    the invariant load with the same orbit sums.  `solve` serves the state
+    and the adjoint, which reuses the state's split and factor because K_ff
+    is symmetric.  The field at the split's design rows (`phi`) is computed
+    once, for the conductivity and for `sensitivity_contraction`; |S|, for
+    the backward error, is filled into S's fixed pattern.  `nnz` counts the
+    entries of both factors: S's band storage and K_II's SuperLU factor.
     """
 
     def __init__(self, disc: Discretization, sub: Substructure, field, sp_):
         self.disc, self.sub, self.field, self.sp_ = disc, sub, field, sp_
-        self.S, self.g = sub.S.copy(), sub.g.copy()
+        # the field at the split's design rows, computed once: the
+        # conductivity and `sensitivity_contraction` both read it
+        self.phi = None if field is None or sub.bulk.D is None else sub.bulk.D @ field.coeffs
+        data, self.g = sub.S.data.copy(), sub.g.copy()
         for rows, M, Mb in sub.maps:
-            s = rows.w * _kappa_points(disc, rows, field, sp_, None)
-            self.S.data += M @ s
+            phi = self.phi if rows is sub.bulk else None
+            s = rows.w * _kappa_points(disc, rows, field, sp_, None, phi)
+            data += M @ s
             self.g += Mb @ s
-        self.abs_S = abs(self.S)
+        # S and |S| (for the backward error) on the split's fixed pattern
+        self.S, self.abs_S = (sp.csc_matrix((v, sub.S.indices, sub.S.indptr), shape=sub.S.shape)
+                              for v in (data, np.abs(data)))
         self.factor = _band_cholesky(self.S, sub, disc.model.beta)
         self.nnz = self.factor.size + (sub.lu_II.nnz if sub.I.size else 0)
 
@@ -1112,7 +1139,12 @@ class CondensedSystem:
 
     def solve(self, F: np.ndarray | None = None) -> np.ndarray:
         """All dofs of K x = F with zero Dirichlet data, or with no F the
-        state: no load and the mesh's own Dirichlet values."""
+        state: no load and the mesh's own Dirichlet values.
+
+        F counts only through its sums over the orbits of the dofs under
+        the split's group: the load solved for is the invariant one with
+        those sums, F itself on the trivial group.  On T the sums are S's
+        load; on I the invariant load is rebuilt as F's orbit means."""
         disc, sub = self.disc, self.sub
         if F is None:
             y_I, g = sub.y_I, self.g
@@ -1120,7 +1152,8 @@ class CondensedSystem:
             b = F[disc.free]
             y_I, g = None, b[sub.T]
             if sub.I.size:
-                y_I = sub.lu_II.solve(b[sub.I])
+                b_I = sub.group.dofs.average(F)[disc.free[sub.I]] if sub.group.mirrors else b[sub.I]
+                y_I = sub.lu_II.solve(b_I)
                 g = g - sub.K_TI @ y_I
             g = sub.orbits.reduce(g)
         x_T = sub.orbits.expand(_refined_solve(self._solve_S, self.S, self.abs_S, g))
@@ -1173,21 +1206,25 @@ def solve_state(
     return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 
 
-def solve_adjoint(state: FieldSolution, load_q: np.ndarray) -> FieldSolution:
-    """The adjoint for a per-quadrature load -dJ_b/dT, with the system it
-    was solved on (whose split `sensitivity_contraction` reads).
+def solve_adjoint(state: FieldSolution, load: np.ndarray) -> FieldSolution:
+    """The adjoint for a load -dJ_b/dT given at one point per orbit of the
+    quadrature points under the state's split's group, weights in (on the
+    trivial group w * load at every point), with the system it was solved
+    on (whose split `sensitivity_contraction` reads).
 
-    Solves K^T P = integral(N^T load) with homogeneous Dirichlet data.  K_ff
-    is symmetric, so this is a solve with the state's factors, on the
-    state's split: the load must be exactly invariant under its group
-    (on the trivial group, any load), and is never projected onto the
-    invariant loads.
+    Solves K^T P = N^T load with homogeneous Dirichlet data.  K_ff is
+    symmetric, so this is a solve with the state's factors, on the state's
+    split.  The load is formed from the rows of N at the representative
+    points alone (`Substructure.Nt`): an image point's row is the
+    representative's with its dofs mirrored, so the sums over the dofs'
+    orbits, which are all the solve reads (`CondensedSystem.solve`), are
+    the whole invariant load's.
     """
-    disc, lu = state.disc, state.lu
-    if not lu.sub.group.quad.invariant(load_q):
-        raise AssemblyError("adjoint load is not invariant under the mirror group the state "
-                            "was solved on: average it over the quadrature orbits")
-    return FieldSolution(disc=disc, values=lu.solve(disc.N.T @ (disc.w * load_q)), K=lu.S, lu=lu)
+    lu = state.lu
+    if np.shape(load) != (lu.sub.N.shape[0],):
+        raise AssemblyError(f"adjoint load has shape {np.shape(load)}: the state's split takes "
+                            f"one value per quadrature orbit, {lu.sub.N.shape[0]}")
+    return FieldSolution(disc=state.disc, values=lu.solve(lu.sub.Nt @ load), K=lu.S, lu=lu)
 
 
 def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.ndarray:
@@ -1198,9 +1235,9 @@ def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.
     Nitsche consistency terms at the stacked interface points on design
     sides; the jump penalty has no kappa dependence.  The bulk term is
     computed at one point per orbit of the group of the split both were
-    solved on, where T and P are invariant, and summed onto the
-    coefficients through that split's orbit-summed D^T; on the trivial
-    group at every point.
+    solved on, where T and P are invariant, from the phi the state's
+    conductivity read, and summed onto the coefficients through that
+    split's orbit-summed D^T; on the trivial group at every point.
     """
     disc, sub, field, sp_ = adjoint.disc, adjoint.lu.sub, adjoint.lu.field, adjoint.lu.sp_
     if disc.basis is None:
@@ -1210,7 +1247,7 @@ def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.
     bulk, sides = sub.bulk, disc.sides
     # d(B^T diag(w kappa) B): (grad T . grad P) from the stacked x and y rows
     grads = (bulk.B @ T) * (bulk.B @ P)
-    dk = dkappa_dphi(bulk.D @ field.coeffs, mats, sp_)
+    dk = dkappa_dphi(adjoint.lu.phi, mats, sp_)
     g = sub.Dt @ (bulk.w * dk * grads.reshape(2, -1).sum(axis=0))
 
     # d(K_n + K_n^T) with K_n = -A^T diag(w kappa) B, A = [E; E]

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from igatop.errors import AssemblyError, ConfigError
 from igatop.model import DesignBasis
-from igatop.splines import patch_quadrature, tabulate
+from igatop.splines import patch_quadrature, rational_values, tabulate
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,18 @@ class SmoothingParams:
 
 
 def heaviside(phi, sp_: SmoothingParams):
-    """Smoothed step: alpha below -delta, 1 above delta, cubic in between."""
+    """Smoothed step: alpha below -delta, 1 above delta, cubic in between.
+
+    The cubic is evaluated in the band alone (and at NaN, which it keeps):
+    its u**3 is a per-element pow, the step's main cost where few points
+    lie in the band."""
     phi = np.asarray(phi, dtype=float)
     d, a = sp_.delta, sp_.alpha
-    u = np.clip(phi / d, -1.0, 1.0)
-    mid = 0.75 * (1.0 - a) * (u - u**3 / 3.0) + 0.5 * (1.0 + a)
-    out = np.where(phi >= d, 1.0, np.where(phi < -d, a, mid))
+    above = phi >= d
+    out = np.where(above, 1.0, a)
+    band = ~(above | (phi < -d))
+    u = phi[band] / d
+    out[band] = 0.75 * (1.0 - a) * (u - u**3 / 3.0) + 0.5 * (1.0 + a)
     return out if out.ndim else float(out)
 
 
@@ -171,10 +177,10 @@ def project_values(quad: DesignQuad, values: np.ndarray) -> np.ndarray:
 
 
 def phi_on_patch(field: DesignField, k: int, pts: np.ndarray) -> np.ndarray:
-    """phi at parameter points `pts` of the design basis's k-th patch."""
-    tab = tabulate(field.basis.patches[k], pts, check_jacobian=False)
-    c_loc = field.coeffs[field.basis.patch_slice(k)][tab.indices]
-    return np.einsum("nl,nl->n", tab.values, c_loc)
+    """phi at parameter points `pts` of the design basis's k-th patch, from
+    its rational basis alone (no geometry)."""
+    indices, values = rational_values(field.basis.patches[k], pts)
+    return np.einsum("nl,nl->n", values, field.coeffs[field.basis.patch_slice(k)][indices])
 
 
 def _span_lines(kv, per_span: int) -> np.ndarray:
@@ -341,12 +347,15 @@ def perimeter(field: DesignField, sp_: SmoothingParams, quad: DesignQuad) -> flo
     return float(quad.w @ dirac(phi, sp_))
 
 
-def volume_measure(field: DesignField, sp_: SmoothingParams, quad: DesignQuad):
-    """Area covered by the positive-side material and its coefficient gradient."""
+def volume_measure(field: DesignField, sp_: SmoothingParams, quad: DesignQuad, grad: bool = True):
+    """Area covered by the positive-side material and its coefficient
+    gradient (zeros unless `grad`)."""
     phi = quad.D @ field.coeffs
     j_vol = float(quad.w @ heaviside(phi, sp_))
-    grad = quad.D.T @ (quad.w * dirac(phi, sp_))
-    return j_vol, np.asarray(grad).ravel()
+    if not grad:
+        return j_vol, np.zeros(field.coeffs.size)
+    g = quad.D.T @ (quad.w * dirac(phi, sp_))
+    return j_vol, np.asarray(g).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ all-insulator reference.  A total objective adds Tikhonov (gradient
 penalty) and volume terms with weights chi and rho.  One evaluation runs
 state solve, adjoint solve, and the stiffness-derivative contraction to
 produce the exact gradient with respect to the design coefficients.
+
+J and dJ/dT run at one quadrature point per orbit of the mirror group the
+state was solved on (see the assembly module), with the objective's
+weights summed over each orbit once per partition
+(`ObjectiveSpec.on_orbits`), and dJ/dT with its weights in is the load
+`solve_adjoint` takes.  The regularizers' values are always computed,
+since the run records print them; their gradients only at a nonzero
+weight.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class ObjectiveSpec:
     j_norm: float = 1.0
     mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
     t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
+    # per partition of the quadrature points into orbits: the mask and
+    # t_ref_q it was built from and the terms `on_orbits` returns
+    _orbit_terms: dict = dc_field(repr=False, default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_REGIONS:
@@ -59,6 +70,28 @@ class ObjectiveSpec:
             raise ConfigError("regularization weights must be finite and non-negative")
         if self.j_norm <= 0:
             raise ConfigError("normalization must be positive")
+
+    def on_orbits(self, disc: Discretization, quad: Orbits):
+        """The objective's weights at one point per orbit of `quad`: per
+        orbit, the sum of w * mask over its points and whether any of them
+        lies in the region, and t_ref as its mean over those points weighted
+        by w (None without a reference).  Built once per partition and kept
+        while `mask` and `t_ref_q` are the same arrays, which are made
+        read-only, so that no edit in place can leave the terms stale.  On
+        the identity partition these are w * mask, mask and t_ref itself."""
+        terms = self._orbit_terms.get(quad)
+        if terms is None or terms[0] is not self.mask or terms[1] is not self.t_ref_q:
+            for a in (self.mask, self.t_ref_q):
+                if a is not None:
+                    a.flags.writeable = False
+            wm = np.where(self.mask, disc.w, 0.0)
+            w = quad.reduce(wm)
+            in_region = w > 0.0
+            t_ref = self.t_ref_q
+            if t_ref is not None and quad.count < t_ref.size:
+                t_ref = quad.reduce(wm * t_ref) / np.where(in_region, w, 1.0)
+            terms = self._orbit_terms[quad] = (self.mask, self.t_ref_q, w, in_region, t_ref)
+        return terms[2:]
 
 
 def compute_reference_fields(disc: Discretization, kind: str):
@@ -97,39 +130,49 @@ def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float
 
 
 def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
-    """Main objective value and dJ/dT at quadrature points (adjoint source).
+    """Main objective value and its derivative with respect to T at one
+    point per orbit of the quadrature points under the group the state was
+    solved on, weights in (the adjoint source `solve_adjoint` takes).
 
-    dJ/dT is averaged over each orbit of quadrature points of the group
-    the state was solved on, so the adjoint solves on the state's split
-    (on the trivial group the average is dJ/dT itself).  The reduced
-    gradient stays exact for any mask and t_ref: each dT/dx_r of a
-    symmetric design is mirror invariant and the weights within an orbit
-    agree (to `assembly._ROW_TOL`), so the average drops only the full
-    gradient's antisymmetric part, which no reduced variable reads.  On
-    the shipped objectives that part is roundoff: each mirror keeps every
-    point's region label, so the mask is invariant, and t_ref is to a few
-    1e-14 of its largest value.
+    The state is exactly invariant, so T is evaluated at each orbit's
+    lowest point alone and J sums the integrand there times the orbit's
+    sum of w * mask (`ObjectiveSpec.on_orbits`): exact for any mask.  t_ref
+    enters as its weighted orbit mean, which drops from J only the square
+    of its spread within an orbit (on the shipped objectives t_ref is
+    invariant to a few 1e-14 of its largest value).  The derivative
+    carries the same weights, which puts on every orbit the load of the
+    orbit's points summed; the adjoint solves with the invariant load of
+    those sums.  The reduced gradient stays exact for any mask and t_ref:
+    each dT/dx_r of a symmetric design is mirror invariant, so the solve
+    drops only the full gradient's antisymmetric part, which no reduced
+    variable reads.  On the shipped objectives that part is roundoff, as
+    each mirror keeps every point's region label.  On the trivial group
+    every point is its own orbit, with weight w * mask.
     """
-    Tq = sol.at_quadrature()
+    sub = sol.lu.sub
+    w, in_region, t_ref = spec.on_orbits(disc, sub.group.quad)
+    T = sub.N @ sol.values
     if spec.kind == "annular":
-        integrand = Tq**2
-        dj_dt = 2.0 * Tq
+        integrand = T**2
+        dj_dt = 2.0 * T
     else:
-        diff = Tq - spec.t_ref_q
+        diff = T - t_ref
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
-    dj_dt = sol.lu.sub.group.quad.average(np.where(spec.mask, dj_dt, 0.0))
-    j_main = float((disc.w * integrand)[spec.mask].sum())
-    return j_main, dj_dt
+    j_main = float((w * integrand)[in_region].sum())
+    return j_main, np.where(in_region, w * dj_dt, 0.0)
 
 
-def tikhonov(field: DesignField, quad: DesignQuad):
-    """Gradient penalty over the design region and its coefficient gradient."""
+def tikhonov(field: DesignField, quad: DesignQuad, grad: bool = True):
+    """Gradient penalty over the design region and its coefficient
+    gradient (zeros unless `grad`)."""
     gx = quad.Dx @ field.coeffs
     gy = quad.Dy @ field.coeffs
     j = float(quad.w @ (gx**2 + gy**2))
-    grad = 2.0 * (quad.Dx.T @ (quad.w * gx) + quad.Dy.T @ (quad.w * gy))
-    return j, np.asarray(grad).ravel()
+    if not grad:
+        return j, np.zeros(field.coeffs.size)
+    g = 2.0 * (quad.Dx.T @ (quad.w * gx) + quad.Dy.T @ (quad.w * gy))
+    return j, np.asarray(g).ravel()
 
 
 @dataclass
@@ -171,8 +214,10 @@ def eval_total(problem: HeatProblem, field: DesignField) -> ObjectiveValue:
     adj = solve_adjoint(sol, -dj_dt)
     g_main = sensitivity_contraction(sol, adj)
 
-    j_tknv, g_tknv = tikhonov(field, problem.quad)
-    j_vol, g_vol = volume_measure(field, sp_, problem.quad)
+    # the regularizers' values always (the run records print them), their
+    # gradients only at a nonzero weight
+    j_tknv, g_tknv = tikhonov(field, problem.quad, grad=spec.chi > 0)
+    j_vol, g_vol = volume_measure(field, sp_, problem.quad, grad=spec.rho > 0)
 
     j_total = j_main + spec.chi * j_tknv + spec.rho * j_vol
     g_total = g_main + spec.chi * g_tknv + spec.rho * g_vol

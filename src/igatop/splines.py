@@ -259,23 +259,38 @@ def _sum_local(a: np.ndarray) -> np.ndarray:
     return 0.0 + s
 
 
+def _local_basis(patch: NurbsPatch, pts: np.ndarray):
+    """The univariate B-spline values and derivatives at parametric points
+    (`basis_and_ders` along u and along v) and the flat control indices of
+    each point's local functions, (nloc, n), u outer."""
+    kvu, kvv = patch.knots_u, patch.knots_v
+    p, q = kvu.degree, kvv.degree
+    su = find_span_array(kvu, pts[:, 0])
+    sv = find_span_array(kvv, pts[:, 1])
+    iu = su - p + np.arange(p + 1)[:, None]
+    iv = sv - q + np.arange(q + 1)[:, None]
+    loc = (iu[:, None] * patch.shape[1] + iv[None]).reshape((p + 1) * (q + 1), pts.shape[0])
+    return basis_and_ders(kvu, pts[:, 0], su), basis_and_ders(kvv, pts[:, 1], sv), loc
+
+
+def rational_values(patch: NurbsPatch, pts: np.ndarray):
+    """The rational basis alone at parametric points: the flat control
+    indices and the values of each point's local functions, (n, nloc)
+    each, equal to `tabulate`'s `indices` and `values`, without the
+    geometry."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    (Nu, _), (Nv, _), loc = _local_basis(patch, pts)
+    Bw = (Nu[:, None] * Nv[None]).reshape(loc.shape) * patch.weights.reshape(-1)[loc]
+    return _points_first(loc), _points_first(Bw / _sum_local(Bw))
+
+
 def tabulate(patch: NurbsPatch, pts: np.ndarray, check_jacobian: bool = True) -> PatchTab:
     """Evaluate the rational basis and the geometry at parametric points;
     the physical gradients are computed when first read (PatchTab)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
-    kvu, kvv = patch.knots_u, patch.knots_v
-    p, q = kvu.degree, kvv.degree
-    nloc = (p + 1) * (q + 1)
-    su = find_span_array(kvu, pts[:, 0])
-    sv = find_span_array(kvv, pts[:, 1])
-    Nu, dNu = basis_and_ders(kvu, pts[:, 0], su)
-    Nv, dNv = basis_and_ders(kvv, pts[:, 1], sv)
-
-    nu, nv = patch.shape
-    iu = su - p + np.arange(p + 1)[:, None]
-    iv = sv - q + np.arange(q + 1)[:, None]
-    loc = (iu[:, None] * nv + iv[None]).reshape(nloc, n)
+    nloc = (patch.knots_u.degree + 1) * (patch.knots_v.degree + 1)
+    (Nu, dNu), (Nv, dNv), loc = _local_basis(patch, pts)
 
     # B, dB/du and dB/dv of each local function, (nloc, 3, n)
     Bs = (np.stack([Nu, dNu, Nu], axis=1)[:, None]

@@ -96,6 +96,13 @@ def one_square_model(kappa=7.0):
     ).validate()
 
 
+def orbit_load(sol, load):
+    """A per-point adjoint load as `solve_adjoint` takes it: w * load summed
+    over each quadrature orbit of the state's split (w * load itself on the
+    trivial group)."""
+    return sol.lu.sub.group.quad.reduce(sol.disc.w * load)
+
+
 class TestKappa:
     def test_saturation(self):
         assert kappa_at(0.06, COPPER_PDMS, SP) == pytest.approx(398.0)
@@ -334,7 +341,7 @@ class TestSolves:
         basis, disc, quad = annulus_setup
         c = project_lsf(quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - 1.5)
         sol = solve_state(disc, DesignField(basis, c), SP)
-        P = solve_adjoint(sol, np.zeros(disc.w.size)).values
+        P = solve_adjoint(sol, orbit_load(sol, np.zeros(disc.w.size))).values
         assert np.abs(P).max() == 0.0
 
     def test_annulus_adjoint_vs_oracle_converges(self):
@@ -347,7 +354,7 @@ class TestSolves:
             disc = discretize(refine_model(ann, RefineSpec(2, 1, sub, sub)), basis)
             sol = solve_state(disc, DesignField(basis, c), SmoothingParams(0.005))
             Tq = sol.at_quadrature()
-            P = solve_adjoint(sol, -2.0 * Tq).values
+            P = solve_adjoint(sol, orbit_load(sol, -2.0 * Tq)).values
             r = np.hypot(disc.phys[:, 0], disc.phys[:, 1])
             P_ex = annulus_adjoint(r, 1.5)
             Pq = disc.N @ P
@@ -363,7 +370,7 @@ class TestSolves:
         field = DesignField(basis, c)
         sol = solve_state(disc, field, SP)
         load = RNG.standard_normal(disc.w.size)
-        P = solve_adjoint(sol, load).values[disc.free]
+        P = solve_adjoint(sol, orbit_load(sol, load)).values[disc.free]
         # K is symmetric, so the untransposed solve agrees with a transposed
         # solve on an independent factor of K_ff
         K_ff = assemble_system(disc, field, SP)[disc.free][:, disc.free]
@@ -390,7 +397,8 @@ class TestSolves:
         # averaged over its quadrature orbits
         load = disc.group.quad.average(RNG.standard_normal(disc.w.size))
         P_ref = full.solve((disc.N.T @ (disc.w * load))[free], trans="T")
-        for x, ref in ((sol.values[free], T_ref), (solve_adjoint(sol, load).values[free], P_ref)):
+        P = solve_adjoint(sol, orbit_load(sol, load)).values[free]
+        for x, ref in ((sol.values[free], T_ref), (P, P_ref)):
             assert np.abs(x - ref)[keep].max() <= rtol * np.abs(ref).max()
         return disc, sol
 
@@ -516,7 +524,7 @@ class TestCondensed:
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
         load = RNG.standard_normal(disc.w.size)
         P_ref = full.solve((disc.N.T @ (disc.w * load))[disc.free])
-        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, load).values, P_ref)):
+        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, orbit_load(sol, load)).values, P_ref)):
             assert np.abs(x[disc.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["cloak", "annulus"])
@@ -672,13 +680,13 @@ class TestMirrorGroup:
         c[3] += 1e-3
         nudged = solve_state(disc, prob.field(c), pipe.smoothing)
         assert nudged.lu.sub is disc.splits[disc.trivial] and nudged.lu.sub.group is disc.trivial
-        # a load the mirror does not leave invariant is never projected onto
-        # the invariant loads: the orbit state refuses it, and the plain
-        # split of the nudged state solves it
+        # a load the mirror does not leave invariant: the orbit state takes
+        # one value per quadrature orbit and refuses a per-point load; the
+        # plain split of the nudged state solves it as it is
         load = np.random.default_rng(43).standard_normal(disc.w.size)
-        with pytest.raises(AssemblyError, match="not invariant"):
-            solve_adjoint(sol, load)
-        P = solve_adjoint(nudged, load).values[disc.free]
+        with pytest.raises(AssemblyError, match="one value per quadrature orbit"):
+            solve_adjoint(sol, disc.w * load)
+        P = solve_adjoint(nudged, orbit_load(nudged, load)).values[disc.free]
         Kff = assemble_system(disc, prob.field(c), pipe.smoothing)[disc.free][:, disc.free]
         P_ref = splu(Kff.tocsc()).solve((disc.N.T @ (disc.w * load))[disc.free])
         assert np.abs(P - P_ref).max() <= 1e-12 * np.abs(P_ref).max()
@@ -714,6 +722,73 @@ class TestMirrorGroup:
         val = eval_total(prob, field)
         assert val.state.lu.sub is disc.splits[disc.group]
         assert sizes == {"kappa_at": [cols], "dkappa_dphi": [cols]}
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak"])
+    def test_evaluation_at_the_orbit_representatives(self, plates, name, monkeypatch):
+        # an evaluation on the group takes no sparse product with the mesh's
+        # per-point operators (N, N^T, the design rows B and D): J, dJ/dT
+        # and the adjoint load run at one point per orbit too.  It factors
+        # S once and computes phi at the design representatives once
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        x0 = sym.means(pipe.field0.coeffs)
+        eval_total(prob, prob.field(sym.expand(x0)))  # builds the group split
+        sub = disc.splits[disc.group]
+        whole = {"N": disc.N.data, "bulk.B": disc.bulk.B.data, "bulk.D": disc.bulk.D.data}
+        taken, factors = [], []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            def recorded(A, x, matmul=cls.__matmul__):
+                taken.append(A.data)
+                return matmul(A, x)
+            monkeypatch.setattr(cls, "__matmul__", recorded)
+        dpbtrf_ = assembly.dpbtrf
+
+        def counted_dpbtrf(*args, **kwargs):
+            factors.append(args[0].shape)
+            return dpbtrf_(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "dpbtrf", counted_dpbtrf)
+        x = x0 + 0.3 * np.random.default_rng(47).standard_normal(x0.size)
+        val = eval_total(prob, prob.field(sym.expand(x)))
+        assert val.state.lu.sub is sub and len(taken) > 10
+        assert [key for key, data in whole.items() for A in taken if np.shares_memory(A, data)] == []
+        assert len(factors) == 1
+        assert sum(np.shares_memory(A, sub.bulk.D.data) for A in taken) == 1
+
+    @pytest.mark.parametrize("name", ["cloak", "camouflage"])
+    def test_adjoint_load_rebuilt_on_I(self, plates, name, monkeypatch):
+        # the plates' K_II is on the trivial group: the adjoint solve
+        # rebuilds the whole load on I from the representative rows' load
+        # as its means over the dofs' orbits.  An invariant per-point load,
+        # and (on the cloak) the same load cut to y > 0, whose orbit sums
+        # stand for its orbit average.  The reference N^T (w load) is itself
+        # invariant only to the spread of w within an orbit (1.6e-14 of the
+        # largest weight on the cloak), so the bound is 1e-14 or four times
+        # its antisymmetric part, the larger
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        sol = solve_state(disc, prob.field(sym.expand(sym.means(pipe.field0.coeffs))),
+                          pipe.smoothing)
+        sub, quad = sol.lu.sub, disc.group.quad
+        assert sub.group is disc.group and sub.I.size
+        rhs = []
+
+        class Recorded:
+            def solve(self, b, lu=sub.lu_II):
+                rhs.append(b.copy())
+                return lu.solve(b)
+
+        monkeypatch.setattr(sub, "lu_II", Recorded())
+        load = quad.average(np.random.default_rng(53).standard_normal(disc.w.size))
+        loads = [load] + ([np.where(disc.phys[:, 1] > 0, load, 0.0)] if name == "cloak" else [])
+        on_I = disc.free[sub.I]
+        for load in loads:
+            solve_adjoint(sol, orbit_load(sol, load))
+            ref = disc.N.T @ (disc.w * quad.average(load))
+            floor = np.abs(disc.group.dofs.average(ref) - ref)[on_I].max()
+            ref = ref[on_I]
+            assert np.abs(rhs[-1] - ref).max() <= max(1e-14 * np.abs(ref).max(), 4.0 * floor)
+        assert len(rhs) == len(loads)
 
     @staticmethod
     def dof_points(disc):

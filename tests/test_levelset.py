@@ -74,6 +74,28 @@ class TestSmoothing:
         # 3/4 (u - u^3/3) + 1/2 at u = 0.5
         assert heaviside(0.025, SP) == pytest.approx(0.84375, abs=1e-14)
 
+    def test_band_evaluation_equals_the_whole_formula(self):
+        # heaviside evaluates its cubic in the band alone: the same floats
+        # as the clipped cubic at every point, the band edges, +-0, +-inf
+        # and NaN included, for arrays and scalars
+        def whole(phi, sp):
+            u = np.clip(phi / sp.delta, -1.0, 1.0)
+            mid = 0.75 * (1.0 - sp.alpha) * (u - u**3 / 3.0) + 0.5 * (1.0 + sp.alpha)
+            return np.where(phi >= sp.delta, 1.0, np.where(phi < -sp.delta, sp.alpha, mid))
+
+        rng = np.random.default_rng(29)
+        for sp in (SP, SmoothingParams(2.0, alpha=0.125)):
+            d = sp.delta
+            edges = [d, -d, np.nextafter(d, 0.0), np.nextafter(-d, 0.0), np.nextafter(d, 9.0),
+                     np.nextafter(-d, -9.0), 0.0, -0.0, np.inf, -np.inf, np.nan]
+            phi = np.concatenate([rng.uniform(-3.0 * d, 3.0 * d, 5000), edges])
+            assert np.array_equal(heaviside(phi, sp), whole(phi, sp), equal_nan=True)
+            assert np.array_equal(heaviside(phi.reshape(-1, 1), sp), whole(phi, sp)[:, None],
+                                  equal_nan=True)
+            for x in edges:
+                h = heaviside(x, sp)
+                assert isinstance(h, float) and np.array_equal(h, whole(x, sp), equal_nan=True)
+
     def test_dirac_peak(self):
         assert dirac(0.0, SP) == pytest.approx(15.0, abs=1e-12)
 

@@ -285,8 +285,8 @@ class TestSymmetricEvaluation:
         # the sym-expanded start and three symmetric perturbations solve on
         # the mesh's mirror orbits; the reference is the plain split.  The
         # optimizer reads the reduced gradient: the full one's antisymmetric
-        # part is roundoff of the plain solve, which the averaged adjoint
-        # load drops (3e-12 of the cloak start's gradient).  On the
+        # part is roundoff of the plain solve, which the orbit-summed
+        # adjoint load drops (3e-12 of the cloak start's gradient).  On the
         # camouflage the bound is 1e-12 or four times the move of a
         # whole-K_ff solve under a reversed design sum, the larger
         # (TestCondensedEvaluation)
@@ -314,7 +314,7 @@ class TestSymmetricEvaluation:
 
     def test_objective_the_mirror_does_not_leave_invariant(self, monkeypatch):
         # the cloak's objective cut to y > 0: a sym-expanded design solves
-        # its state and its adjoint on the mirror orbits.  The averaged
+        # its state and its adjoint on the mirror orbits.  The orbit-summed
         # adjoint load drops the full gradient's antisymmetric part, which
         # is no longer roundoff; J and the reduced gradient, which the
         # optimizer reads, still match the plain split
@@ -338,9 +338,25 @@ class TestSymmetricEvaluation:
         assert abs(val.j_main - j) <= 1e-12 * abs(j)
         assert np.abs(g_red - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_orbit_weights_follow_the_mask(self):
+        # the objective's per-orbit weights are kept per partition while
+        # mask and t_ref_q are the same arrays: those cannot be edited in
+        # place, and a new mask rebuilds the weights
+        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
+        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
+        j_all = eval_total(prob, field).j_main
+        for a in (prob.spec.mask, prob.spec.t_ref_q):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        prob.spec.mask = prob.spec.mask & (disc.phys[:, 1] > 0)
+        j_cut = eval_total(prob, field).j_main
+        ref = split_main(prob, field, _substructure(disc, disc.trivial))[0]
+        assert j_cut < j_all and abs(j_cut - ref) <= 1e-12 * abs(ref)
+
     @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
     def test_shipped_objectives_invariant_on_the_mesh_group(self, name):
-        # why the averaged adjoint load leaves the shipped runs' results
+        # why the orbit-summed adjoint load leaves the shipped runs' results
         # unchanged: the mirrors keep every point's region label, so the
         # mask is exactly invariant, and t_ref, solved on the whole split,
         # is invariant to roundoff
@@ -351,14 +367,24 @@ class TestSymmetricEvaluation:
             t = spec.t_ref_q
             assert np.abs(quad.average(t) - t).max() <= 1e-13 * np.abs(t).max()
 
-    def test_adjoint_load_averaged_on_orbit_states_only(self):
+    def test_adjoint_load_on_the_state_orbits(self):
+        # eval_main's adjoint source has one value per quadrature orbit of
+        # the state's split, weights in: on the orbit state dJ/dT at each
+        # orbit's lowest point times the orbit's sum of w * mask (t_ref as
+        # its weighted orbit mean, invariant to roundoff); on the plain
+        # split of a projected start w * dJ/dT at every point of the region
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
-        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
+        prob, disc, sym, spec = pipe.problem, pipe.disc, pipe.problem.sym, pipe.problem.spec
         symmetric = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
-        _, dj_sym = eval_main(prob.spec, disc, solve_state(disc, symmetric, prob.smoothing))
-        assert disc.group.quad.invariant(dj_sym)
-        sol = solve_state(disc, pipe.field0, prob.smoothing)  # a projected start: plain split
-        Tq = sol.at_quadrature()
-        _, dj = eval_main(prob.spec, disc, sol)
-        raw = np.where(prob.spec.mask, 2.0 * (Tq - prob.spec.t_ref_q) / prob.spec.j_norm, 0.0)
-        assert np.array_equal(dj, raw)
+        for field in (symmetric, pipe.field0):
+            sol = solve_state(disc, field, prob.smoothing)
+            quad = sol.lu.sub.group.quad
+            raw = np.where(spec.mask, 2.0 * (sol.at_quadrature() - spec.t_ref_q) / spec.j_norm, 0.0)
+            _, dj = eval_main(spec, disc, sol)
+            if field is symmetric:
+                assert quad is disc.group.quad and dj.shape == (quad.count,)
+                ref = quad.reduce(disc.w * raw)
+                assert np.abs(dj - ref).max() <= 1e-12 * np.abs(ref).max()
+            else:
+                assert quad is disc.trivial.quad
+                assert np.array_equal(dj, disc.w * raw)

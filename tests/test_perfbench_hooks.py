@@ -110,3 +110,22 @@ def test_workload_reads_a_real_export(monkeypatch):
     hot = dict(data, T=data["T"] + np.ptp(pipe.disc.dirichlet_val) + 1.0)
     observe(args, {}, (xs, ys, hot))
     assert health == {"out_of_range_points": inside}
+
+
+def test_eval_ms_times_every_counted_evaluation(monkeypatch, tmp_path, capsys):
+    # workload.py's eval_ms is the median of the times its eval_total
+    # wrapper records: one entry per evaluation the optimizer counts, so no
+    # evaluation can run past the wrapper
+    monkeypatch.setattr(sys, "path", sys.path[:])  # workload.py prepends its directory
+    monkeypatch.setitem(sys.modules, "tracing", _load("tracing"))
+    workload = _load("workload")
+    monkeypatch.setattr(cli, "optimize", cli.optimize)  # both restored afterwards
+    monkeypatch.setattr(optimizer, "eval_total", optimizer.eval_total)
+    info = {"eval_s": []}
+    workload._watch_optimize(info, None)
+    rc = cli.main(["optimize", "--config", os.path.join(ROOT, "configs", "annulus.yaml"),
+                   "--set", "sqp.max_function_evaluations=6", "--set", "output.grid=5",
+                   "--set", f"output.dir={tmp_path}"])
+    capsys.readouterr()
+    assert rc == 0 and info["stop_reason"] == "max_function_evaluations"
+    assert len(info["eval_s"]) == info["fevals"] == 6

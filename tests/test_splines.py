@@ -15,6 +15,7 @@ from igatop.splines import (
     gauss_points_1d,
     knot_insert,
     patch_quadrature,
+    rational_values,
     subdivide_spans,
     tabulate,
 )
@@ -294,6 +295,17 @@ class TestPointLast:
                     tab = tabulate(patch, pts, check_jacobian=False)
                     for key, want in ref.items():
                         assert np.array_equal(getattr(tab, key), want, equal_nan=True), (p, q, key)
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_rational_values_equal_tabulate(self, name):
+        # the basis alone (levelset.phi_on_patch) gives tabulate's indices
+        # and values bit for bit, with the same contiguous layout
+        rng = np.random.default_rng(20261020)
+        for patch in shipped_patches(name):
+            for pts in sample_params(patch, rng):
+                tab = tabulate(patch, pts, check_jacobian=False)
+                for got, want in zip(rational_values(patch, pts), (tab.indices, tab.values)):
+                    assert np.array_equal(got, want) and got.flags.c_contiguous
 
     def test_read_order_does_not_matter(self):
         patch = shipped_patches("cloak")[0]
