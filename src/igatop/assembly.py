@@ -21,13 +21,14 @@ columns of a precomputed A^T.
 Only the free dofs a field-dependent row touches (T: the design-region
 columns and, under an explicit beta, the columns of the design-side
 interface points) see K_ff change.  The other free dofs (I) are
-eliminated once per mesh, by the first solve without an override
+eliminated once per split, by the first solve on it without an override
 (static condensation; Przemieniecki, AIAA J. 1, 1963): K_II is factored,
 Z = K_II^-1 K_IT formed densely on the columns where K_IT holds entries,
 and S = K_TT - W, W = K_TI Z, split into the part of the fixed regions
 and one linear map per kind of field-dependent point, from the points'
-weights times conductivities onto S's fixed pattern.  On an all-design
-mesh I is empty and S is K_ff itself.  S's rows are numbered in a
+weights times conductivities onto S's fixed pattern; all of it on the
+orbits of the split's mirror group (below).  On an all-design mesh I is
+empty and S is K_ff itself.  S's rows are numbered in a
 Cuthill-McKee order of that pattern, found once (Cuthill & McKee, ACM
 1969), in which S is narrowly banded: half-bandwidth 42 on the annulus's
 orbit split, 52 on the cloak's and 42 on the camouflage's.  An evaluation
@@ -37,8 +38,8 @@ flops in one call, no symbolic phase; George & Liu, Computer Solution of
 Large Sparse Positive Definite Systems, 1981, ch. 4) and solves on T
 alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is solved
 (`dpbtrs`) and refined, and x_I = K_II^-1 b_I - Z x_rim.  The state's
-K_II^-1 b_I is the mesh's, so an evaluation (state and adjoint) takes at
-most one K_II solve.  K_II, factored once per mesh, is the one SuperLU
+K_II^-1 b_I is the split's, so an evaluation (state and adjoint) takes at
+most one K_II solve.  K_II, factored once per split, is the one SuperLU
 factor (symmetric mode: diagonal pivots, a minimum-degree ordering of
 A + A^T).  A solve under an override (which may rescale any region)
 splits the free dofs once for itself: I empty, S = K_ff sliced from a
@@ -67,7 +68,15 @@ groups and boundary value problems", CMAME 56, 1986).  Every split is
 built by `_condense` as above on one group's orbits, with S's rows
 numbered by orbit, so the same maps sum every entry onto its orbit pair
 and the factor is E^T S E: a quarter of the annulus's rows, half of the
-plates'.  x_T is read out as x_red[orbit].  The per-point work runs
+plates'.  x_T is read out as x_red[orbit].  I is eliminated on its
+orbits too: every load that reaches K_II is invariant, and K_II^-1 maps
+invariant vectors to invariant ones, so x_I = E_I z with (E_I^T K_II
+E_I) z = E_I^T b_I, E_I the 0/1 matrix of I's orbits.  The split factors
+E_I^T K_II E_I, forms Z on the columns of E_I^T K_IT E_T where it holds
+entries (T's orbits, summed) and sums each row of W onto its orbit's row
+of S; a load's part on I enters by its orbit sums, and x_I is read out
+as z[orbit].  On the plates this halves K_II's rows and Z's columns.
+The per-point work runs
 on the orbits of the quadrature points too: the maps take one column per
 orbit of the design rows, built from the entries of its lowest point
 alone, scaled by the orbit's size (an image point's entries are that
@@ -84,10 +93,9 @@ through D^T summed onto the orbits.  No product with the mesh's whole N
 or design rows is left in an evaluation.  An image point's row of N is
 the representative's with its dofs mirrored, so the representatives'
 load has the whole invariant load's sums over the dofs' orbits, which
-are S's load; where I is non-empty (the plates, whose K_II is eliminated
-on the trivial group) the load on I is rebuilt as those sums' orbit
-means.  On the trivial group E and the orbits are the identity, and this
-is the plain split doing the per-point arithmetic of a whole assembly.
+are all the solve reads, on T and on I.  On the trivial group E, E_I and
+the orbits are the identity, and this is the plain split doing the
+per-point arithmetic of a whole assembly.
 Every iterate, line-search trial and reinitialization of a run with
 `design.symmetry: xy` solves on the mesh's group; any other field (a
 projected start, a finite-difference nudge, `symmetry: none`) on the
@@ -687,7 +695,10 @@ class Substructure:
     numbered in the Cuthill-McKee order of its pattern (`_band_order`), so
     S is banded with half-bandwidth `kd`, and T is sorted by its row;
     `entries` and `band` place S's entries into LAPACK's band storage (see
-    `_band_index`).  I may be empty (an all-design mesh): S is
+    `_band_index`).  I is eliminated on its orbits under `group`
+    (`I_orbits`, E_I their 0/1 matrix): K_II's factor is that of
+    E_I^T K_II E_I, and W = E^T K_TI E_I Z, with Z on the columns of
+    E_I^T K_IT E holding entries.  I may be empty (an all-design mesh): S is
     then E^T K_ff E.  The rows of N and of the design region's operators
     at the lowest point of each orbit serve `at_quadrature`,
     `objectives.eval_main`, the adjoint load (`Nt`) and
@@ -715,12 +726,14 @@ class Substructure:
     # the map onto S's data and the map onto the state load's rows, each
     # with one column per orbit)
     maps: list = dc_field(default_factory=list)
-    # the rest only when I is non-empty
-    lu_II: object = None
-    K_TI: sp.csr_matrix | None = None
-    rim: np.ndarray | None = None  # positions in T of the columns where K_IT holds entries
-    Z: np.ndarray | None = None  # K_II^-1 K_IT[:, rim], dense, Fortran-ordered
-    y_I: np.ndarray | None = None  # K_II^-1 b_I for the mesh's Dirichlet data
+    # the rest only when I is non-empty, on I's orbits under `group` (E_I
+    # their 0/1 matrix; the identity on the trivial group)
+    lu_II: object = None  # SuperLU factor of E_I^T K_II E_I
+    K_TI: sp.csr_matrix | None = None  # K_TI E_I, T's rows sorted like T
+    I_orbits: Orbits | None = None  # the orbit of each I entry: its row of lu_II
+    rim: np.ndarray | None = None  # S's rows whose columns of K_IT E_T hold entries
+    Z: np.ndarray | None = None  # lu_II^-1 E_I^T K_IT E_T[:, rim], dense, Fortran-ordered
+    y_I: np.ndarray | None = None  # lu_II^-1 E_I^T b_I for the mesh's Dirichlet data
 
     @cached_property
     def Nt(self) -> sp.csr_matrix:
@@ -937,19 +950,30 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     # S's fixed entries (K_TT, then -W) and every point's, in those rows, as
     # keys row * n + column
     keys, fixed_vals = [row[K_TT.row] * n + row[K_TT.col]], [K_TT.data]
-    lu_II = K_TI = rim = Z = y_I = None
+    lu_II = K_TI = at_I = rim = Z = y_I = None
     if I.size:
+        # I on its orbits: every load that reaches K_II is invariant, and
+        # K_II^-1 maps invariant vectors to invariant ones, so x_I = E_I z
+        # with (E_I^T K_II E_I) z = E_I^T b_I, E_I the 0/1 matrix of I's
+        # orbits (the identity on the trivial group)
+        at_I = group.dofs.restrict(free[I])
         K_I = Kff[I]
-        K_IT, K_TI = K_I[:, T], K_T[:, I]
-        lu_II = _splu(K_I[:, I])
-        rim = np.unique(K_IT.indices)
-        Z = np.asfortranarray(lu_II.solve(K_IT[:, rim].toarray()))
-        y_I = lu_II.solve(b[I])
+        K_IT, K_TI = K_I[:, T].tocoo(), _move_columns(K_T[:, I], at_I.index, at_I.count)
+        K_II = K_I[:, I].tocoo()
+        lu_II = _splu(sp.csc_matrix((K_II.data, (at_I.index[K_II.row], at_I.index[K_II.col])),
+                                    shape=(at_I.count, at_I.count)))
+        # Z on the columns where K_IT holds entries, summed onto T's orbits
+        # (S's rows before their ordering) and I's
+        rim = np.unique(row[K_IT.col])
+        Z = np.asfortranarray(lu_II.solve(sp.coo_matrix(
+            (K_IT.data, (at_I.index[K_IT.row], np.searchsorted(rim, row[K_IT.col]))),
+            shape=(at_I.count, rim.size)).toarray()))
+        y_I = lu_II.solve(at_I.reduce(b[I]))
         g = g - K_TI @ y_I
         coupled = np.flatnonzero(np.diff(K_TI.indptr))  # the rows of W
         W = K_TI[coupled] @ Z
         wi, wj = np.nonzero(W)  # regions of I that K_II does not connect give zero blocks
-        keys.append(row[coupled[wi]] * n + row[rim[wj]])
+        keys.append(row[coupled[wi]] * n + rim[wj])
         fixed_vals.append(-W[wi, wj])
     fixed_vals = np.concatenate(fixed_vals)
     n_fixed = fixed_vals.size
@@ -1016,8 +1040,8 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
         group=group, T=T[by_step], orbits=Orbits(step[by_step], n), I=I,
         S=S, kd=kd, entries=entries, band=band, g=np.bincount(row, g, n)[q],
         N=disc.N[group.quad.lowest], bulk=bulk, Dt=Dt, maps=maps,
-        lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step],
-        rim=None if rim is None else np.argsort(by_step)[rim], Z=Z, y_I=y_I,
+        lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step], I_orbits=at_I,
+        rim=None if rim is None else p[rim], Z=Z, y_I=y_I,
     )
 
 
@@ -1106,10 +1130,11 @@ class CondensedSystem:
     (BLAS `dgemv` on the Fortran-ordered Z, from scipy's BLAS like the band
     factor: numpy brings an OpenBLAS with a thread pool of its own, and a
     threaded call right after one in the other pool can stall).  The
-    state's K_II^-1 b_I is the mesh's; another load costs one K_II solve,
-    and none where I is empty.  A load is summed onto S's rows, the orbits
-    of the split's group, and x_T read out from them: the solve is that of
-    the invariant load with the same orbit sums.  `solve` serves the state
+    state's K_II^-1 b_I is the split's; another load costs one K_II solve,
+    and none where I is empty.  A load is summed onto the orbits of the
+    split's group, on T (S's rows) and on I (the rows of K_II's factor),
+    and x_T and x_I are read out from them: the solve is that of the
+    invariant load with the same orbit sums.  `solve` serves the state
     and the adjoint, which reuses the state's split and factor because K_ff
     is symmetric.  The field at the split's design rows (`phi`) is computed
     once, for the conductivity and for `sensitivity_contraction`; |S|, for
@@ -1144,7 +1169,7 @@ class CondensedSystem:
         F counts only through its sums over the orbits of the dofs under
         the split's group: the load solved for is the invariant one with
         those sums, F itself on the trivial group.  On T the sums are S's
-        load; on I the invariant load is rebuilt as F's orbit means."""
+        load, on I the load of K_II's factor."""
         disc, sub = self.disc, self.sub
         if F is None:
             y_I, g = sub.y_I, self.g
@@ -1152,15 +1177,14 @@ class CondensedSystem:
             b = F[disc.free]
             y_I, g = None, b[sub.T]
             if sub.I.size:
-                b_I = sub.group.dofs.average(F)[disc.free[sub.I]] if sub.group.mirrors else b[sub.I]
-                y_I = sub.lu_II.solve(b_I)
+                y_I = sub.lu_II.solve(sub.I_orbits.reduce(b[sub.I]))
                 g = g - sub.K_TI @ y_I
             g = sub.orbits.reduce(g)
-        x_T = sub.orbits.expand(_refined_solve(self._solve_S, self.S, self.abs_S, g))
+        x_S = _refined_solve(self._solve_S, self.S, self.abs_S, g)
         x_f = np.empty(disc.free.size)
-        x_f[sub.T] = x_T
+        x_f[sub.T] = sub.orbits.expand(x_S)
         if sub.I.size:
-            x_f[sub.I] = dgemv(-1.0, sub.Z, x_T[sub.rim], 1.0, y_I)
+            x_f[sub.I] = sub.I_orbits.expand(dgemv(-1.0, sub.Z, x_S[sub.rim], 1.0, y_I))
         x = np.zeros(disc.ndof)
         x[disc.free] = x_f
         if F is None:

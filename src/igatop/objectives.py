@@ -72,13 +72,15 @@ class ObjectiveSpec:
             raise ConfigError("normalization must be positive")
 
     def on_orbits(self, disc: Discretization, quad: Orbits):
-        """The objective's weights at one point per orbit of `quad`: per
-        orbit, the sum of w * mask over its points and whether any of them
-        lies in the region, and t_ref as its mean over those points weighted
-        by w (None without a reference).  Built once per partition and kept
-        while `mask` and `t_ref_q` are the same arrays, which are made
-        read-only, so that no edit in place can leave the terms stale.  On
-        the identity partition these are w * mask, mask and t_ref itself."""
+        """The objective's terms at the orbits of `quad` that meet its
+        region, in orbit order: those orbits, the rows of disc.N at their
+        lowest points, the sum of w * mask over each one's points and t_ref
+        as its mean over those points weighted by w (None without a
+        reference).  Built once per partition and kept while `mask` and
+        `t_ref_q` are the same arrays, which are made read-only, so that no
+        edit in place can leave the terms stale.  On the identity partition
+        the orbits are the points in the region, with w and t_ref
+        themselves."""
         terms = self._orbit_terms.get(quad)
         if terms is None or terms[0] is not self.mask or terms[1] is not self.t_ref_q:
             for a in (self.mask, self.t_ref_q):
@@ -86,11 +88,14 @@ class ObjectiveSpec:
                     a.flags.writeable = False
             wm = np.where(self.mask, disc.w, 0.0)
             w = quad.reduce(wm)
-            in_region = w > 0.0
+            region = np.flatnonzero(w > 0.0)
             t_ref = self.t_ref_q
-            if t_ref is not None and quad.count < t_ref.size:
-                t_ref = quad.reduce(wm * t_ref) / np.where(in_region, w, 1.0)
-            terms = self._orbit_terms[quad] = (self.mask, self.t_ref_q, w, in_region, t_ref)
+            if t_ref is not None:
+                if quad.count < t_ref.size:
+                    t_ref = quad.reduce(wm * t_ref) / np.where(w > 0.0, w, 1.0)
+                t_ref = t_ref[region]
+            terms = self._orbit_terms[quad] = (self.mask, self.t_ref_q, region,
+                                               disc.N[quad.lowest[region]], w[region], t_ref)
         return terms[2:]
 
 
@@ -149,9 +154,9 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
     each mirror keeps every point's region label.  On the trivial group
     every point is its own orbit, with weight w * mask.
     """
-    sub = sol.lu.sub
-    w, in_region, t_ref = spec.on_orbits(disc, sub.group.quad)
-    T = sub.N @ sol.values
+    quad = sol.lu.sub.group.quad
+    region, N, w, t_ref = spec.on_orbits(disc, quad)
+    T = N @ sol.values
     if spec.kind == "annular":
         integrand = T**2
         dj_dt = 2.0 * T
@@ -159,8 +164,10 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
         diff = T - t_ref
         integrand = diff**2 / spec.j_norm
         dj_dt = 2.0 * diff / spec.j_norm
-    j_main = float((w * integrand)[in_region].sum())
-    return j_main, np.where(in_region, w * dj_dt, 0.0)
+    j_main = float((w * integrand).sum())
+    load = np.zeros(quad.count)
+    load[region] = w * dj_dt
+    return j_main, load
 
 
 def tikhonov(field: DesignField, quad: DesignQuad, grad: bool = True):

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from igatop import assembly
 from igatop.assembly import (
+    FieldSolution,
     MaterialPair,
     _mirror_group,
     _substructure,
@@ -527,12 +528,20 @@ class TestCondensed:
         for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, orbit_load(sol, load)).values, P_ref)):
             assert np.abs(x[disc.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("name", ["cloak", "annulus"])
+    @pytest.mark.parametrize("name", ["cloak", "cloak on its mirror orbits", "annulus"])
     def test_one_factorization_and_one_interior_solve_per_evaluation(self, plates, name,
                                                                      monkeypatch):
-        pipe = plates[name]
-        eval_total(pipe.problem, pipe.field0)  # the first solve builds the substructure
-        sub = pipe.disc.splits[pipe.disc.trivial]
+        # a projected start and a design near it solve on the trivial
+        # group's split; on the cloak's mirror orbits, a sym-expanded design
+        # and a symmetric one near it on the group's, whose K_II solve is on
+        # I's orbits
+        on_orbits = name.endswith("orbits")
+        pipe = plates[name.split()[0]]
+        sym = pipe.problem.sym
+        start = sym.expand(sym.means(pipe.field0.coeffs)) if on_orbits else pipe.field0.coeffs
+        # the first solve builds the substructure
+        eval_total(pipe.problem, DesignField(pipe.field0.basis, start))
+        sub = pipe.disc.splits[pipe.disc.group if on_orbits else pipe.disc.trivial]
         counts = {"dpbtrf": 0, "splu": 0, "assemble_system": 0, "K_II solve": 0}
 
         def counted(name, fn):
@@ -551,15 +560,17 @@ class TestCondensed:
                             counted("assemble_system", assembly.assemble_system))
         if sub.I.size:
             monkeypatch.setattr(sub, "lu_II", CountedLU(sub.lu_II))
-        # the annulus draws from a generator of its own: the module RNG's
+        # the other cases draw from a generator of their own: the module RNG's
         # sequence feeds later tests, among them finite-difference checks
         # whose step sits near their roundoff floor
         rng = RNG if name == "cloak" else np.random.default_rng(29)
-        c = pipe.field0.coeffs + rng.standard_normal(pipe.field0.coeffs.size)
-        eval_total(pipe.problem, DesignField(pipe.field0.basis, c))
+        step = rng.standard_normal(start.size)
+        c = start + (sym.expand(sym.means(step)) if on_orbits else step)
+        val = eval_total(pipe.problem, DesignField(pipe.field0.basis, c))
+        assert val.state.lu.sub is sub
         assert counts["dpbtrf"] == 1 and counts["assemble_system"] == 0
-        assert counts["splu"] == 0  # K_II is factored once per mesh
-        assert counts["K_II solve"] <= (1 if sub.I.size else 0)
+        assert counts["splu"] == 0  # K_II is factored once per split
+        assert counts["K_II solve"] == (1 if sub.I.size else 0)
 
     @pytest.mark.parametrize("name", ["cloak", "camouflage", "annulus"])
     def test_band_storage_of_every_split(self, plates, name):
@@ -756,15 +767,16 @@ class TestMirrorGroup:
         assert sum(np.shares_memory(A, sub.bulk.D.data) for A in taken) == 1
 
     @pytest.mark.parametrize("name", ["cloak", "camouflage"])
-    def test_adjoint_load_rebuilt_on_I(self, plates, name, monkeypatch):
-        # the plates' K_II is on the trivial group: the adjoint solve
-        # rebuilds the whole load on I from the representative rows' load
-        # as its means over the dofs' orbits.  An invariant per-point load,
-        # and (on the cloak) the same load cut to y > 0, whose orbit sums
-        # stand for its orbit average.  The reference N^T (w load) is itself
-        # invariant only to the spread of w within an orbit (1.6e-14 of the
-        # largest weight on the cloak), so the bound is 1e-14 or four times
-        # its antisymmetric part, the larger
+    def test_adjoint_load_sums_on_I(self, plates, name, monkeypatch):
+        # the plates' K_II is eliminated on I's orbits under the mesh's
+        # group: the adjoint solve takes the representative rows' load
+        # summed over I's orbits, which are the sums of the whole invariant
+        # load there.  An invariant per-point load, and (on the cloak) the
+        # same load cut to y > 0, whose orbit sums stand for its orbit
+        # average.  The reference N^T (w load) is itself invariant only to
+        # the spread of w within an orbit (1.6e-14 of the largest weight on
+        # the cloak), so the bound is 1e-14 or four times its antisymmetric
+        # part, the larger
         pipe = plates[name]
         disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
         sol = solve_state(disc, prob.field(sym.expand(sym.means(pipe.field0.coeffs))),
@@ -786,9 +798,37 @@ class TestMirrorGroup:
             solve_adjoint(sol, orbit_load(sol, load))
             ref = disc.N.T @ (disc.w * quad.average(load))
             floor = np.abs(disc.group.dofs.average(ref) - ref)[on_I].max()
-            ref = ref[on_I]
+            ref = sub.I_orbits.reduce(ref[on_I])
             assert np.abs(rhs[-1] - ref).max() <= max(1e-14 * np.abs(ref).max(), 4.0 * floor)
         assert len(rhs) == len(loads)
+
+    @pytest.mark.parametrize("name,sizes", [("cloak", (1198, 68)), ("camouflage", (994, 52))])
+    def test_interior_solved_on_its_orbits(self, plates, name, sizes):
+        # the group split factors K_II and forms Z on I's orbits and on the
+        # orbit-summed rim columns, half the trivial split's; for the same
+        # invariant design and load, x_I of the state and of the adjoint is
+        # the trivial split's to 1e-12, TestCondensedEvaluation's bound
+        # without its floor (read: 2.6e-13 and 6.2e-15 at most)
+        pipe = plates[name]
+        disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
+        rng = np.random.default_rng(59)
+        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)
+                                      + 0.5 * rng.standard_normal(sym.count)))
+        load = _mirror_group(disc).quad.average(rng.standard_normal(disc.w.size))
+        xs = []
+        for group in (disc.trivial, disc.group):
+            lu = assembly.CondensedSystem(disc, _substructure(disc, group), field, pipe.smoothing)
+            sub = lu.sub
+            assert sub.lu_II.shape[0] == sub.I_orbits.count == sub.Z.shape[0]
+            assert sub.Z.shape[1] == sub.rim.size
+            state = FieldSolution(disc, lu.solve(), lu.S, lu)
+            adjoint = solve_adjoint(state, orbit_load(state, load))
+            xs.append([x[disc.free[sub.I]] for x in (state.values, adjoint.values)])
+        assert sub.group is disc.group and (sub.I_orbits.count, sub.rim.size) == sizes
+        trivial = disc.splits[disc.trivial]
+        assert (trivial.I.size, trivial.rim.size) == (2 * sizes[0], 2 * sizes[1])
+        for got, ref in zip(xs[1], xs[0]):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @staticmethod
     def dof_points(disc):

@@ -13,8 +13,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from igatop import cli, optimizer
+from igatop import assembly, cli, optimizer
 from igatop.assembly import solve_state
 from igatop.config import RunConfig, build_pipeline
 from igatop.export import sample_fields
@@ -129,3 +130,21 @@ def test_eval_ms_times_every_counted_evaluation(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0 and info["stop_reason"] == "max_function_evaluations"
     assert len(info["eval_s"]) == info["fevals"] == 6
+
+
+def test_group_split_factors_through_the_traced_splu(monkeypatch):
+    # tracing.py times assembly.factor as calls of igatop.assembly.splu:
+    # building the cloak's split on its mirror orbits must call that name
+    # exactly once (K_II on I's orbits), or assembly.factor_ms drops out
+    assert ("igatop.assembly", "splu") in [(m, a) for m, a, *_ in _traced()]
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "cloak.yaml")))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", counted)
+    sub = assembly._substructure(pipe.disc, assembly._mirror_group(pipe.disc))
+    assert sub.group is pipe.disc.group and sub.I.size
+    assert calls == [(sub.I_orbits.count, sub.I_orbits.count)]
