@@ -925,17 +925,18 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
               I: np.ndarray) -> Substructure:
     """Eliminate I once and build S's pattern, fixed part and maps and the
     condensed state load; where I is non-empty, factor K_II and form Z and
-    W first.  S's rows are the orbits of T's dofs under `group`, and every
-    entry of S and row of a load is summed onto its orbit.  The maps are
-    built at one point per orbit of the design rows, its lowest, with its
-    entries scaled by the orbit's size (`_point_entries`): exact under the
-    symmetry `_find_group` verifies, and on the trivial group every point.
+    W first, on I's orbits under `group`.  S's rows are the orbits of T's
+    dofs under `group`, and every entry of S and row of a load is summed
+    onto its orbit.  The maps are built at one point per orbit of the
+    design rows, its lowest, with its entries scaled by the orbit's size
+    (`_point_entries`): exact under the symmetry `_find_group` verifies,
+    and on the trivial group every point.
 
     The fixed entries are those of K assembled with the design at zero
-    conductivity.  W takes one K_II solve per column of K_IT that holds an
-    entry, and the state load one more.  S's rows are numbered in the
-    Cuthill-McKee order of its pattern (`_band_order`), which does not
-    depend on the values and makes S narrowly banded.
+    conductivity.  W takes one K_II solve per orbit of the columns of K_IT
+    that hold entries, and the state load one more.  S's rows are
+    numbered in the Cuthill-McKee order of its pattern (`_band_order`),
+    which does not depend on the values and makes S narrowly banded.
     """
     free = disc.free
     Kf = assemble_system(disc, override={"design": 0.0})[free]

@@ -9,10 +9,10 @@ state solve, adjoint solve, and the stiffness-derivative contraction to
 produce the exact gradient with respect to the design coefficients.
 
 J and dJ/dT run at one quadrature point per orbit of the mirror group the
-state was solved on (see the assembly module), with the objective's
-weights summed over each orbit once per partition
-(`ObjectiveSpec.on_orbits`), and dJ/dT with its weights in is the load
-`solve_adjoint` takes.  The regularizers' values are always computed,
+state was solved on (see the assembly module), on the orbits that meet
+the objective's region alone, with the objective's weights summed over
+each orbit once per partition (`ObjectiveSpec.on_orbits`); dJ/dT with its
+weights in, zero on the other orbits, is the load `solve_adjoint` takes.  The regularizers' values are always computed,
 since the run records print them; their gradients only at a nonzero
 weight.
 """
@@ -91,9 +91,8 @@ class ObjectiveSpec:
             region = np.flatnonzero(w > 0.0)
             t_ref = self.t_ref_q
             if t_ref is not None:
-                if quad.count < t_ref.size:
-                    t_ref = quad.reduce(wm * t_ref) / np.where(w > 0.0, w, 1.0)
-                t_ref = t_ref[region]
+                t_ref = (quad.reduce(wm * t_ref)[region] / w[region] if quad.count < t_ref.size
+                         else t_ref[region])
             terms = self._orbit_terms[quad] = (self.mask, self.t_ref_q, region,
                                                disc.N[quad.lowest[region]], w[region], t_ref)
         return terms[2:]
@@ -140,8 +139,9 @@ def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
     solved on, weights in (the adjoint source `solve_adjoint` takes).
 
     The state is exactly invariant, so T is evaluated at each orbit's
-    lowest point alone and J sums the integrand there times the orbit's
-    sum of w * mask (`ObjectiveSpec.on_orbits`): exact for any mask.  t_ref
+    lowest point alone, on the orbits that meet the objective's region, and
+    J sums the integrand there times the orbit's sum of w * mask
+    (`ObjectiveSpec.on_orbits`): exact for any mask.  t_ref
     enters as its weighted orbit mean, which drops from J only the square
     of its spread within an orbit (on the shipped objectives t_ref is
     invariant to a few 1e-14 of its largest value).  The derivative
