@@ -41,16 +41,19 @@ alone: a load condenses to b_T - K_TI K_II^-1 b_I, S x_T is solved
 K_II^-1 b_I is the split's, so an evaluation (state and adjoint) takes at
 most one K_II solve.  K_II, factored once per split, is the one SuperLU
 factor (symmetric mode: diagonal pivots, a minimum-degree ordering of
-A + A^T).  A solve under an override (which may rescale any region)
-splits the free dofs once for itself: I empty, S = K_ff sliced from a
-whole assembly in the same kind of band order.  K_ff, and so K_II and S,
-is symmetric positive definite; a band factor that meets a non-positive
-pivot raises `SolverError`, and no other factorization is tried.  The
-adjoint reuses the state's factors because K_ff is symmetric
-(K^T P = K P).  Solves refine iteratively on S only while the
-componentwise backward error is above eps and the last sweep halved it.
+A + A^T).  A solve under an override (which may rescale any region, so
+K_II is not the split's) has a split of its own: I empty, S = K_ff from a
+whole assembly, on the orbits of the mesh's group (below) and in the
+band order of that pattern, found once per mesh for both reference
+fields.  K_ff, and so K_II and S, is symmetric positive definite; a band
+factor that meets a non-positive pivot raises `SolverError`, and no
+other factorization is tried.  The adjoint reuses the state's factors
+because K_ff is symmetric (K^T P = K P).  Solves refine iteratively on S
+only while the componentwise backward error is above eps and the last
+sweep halved it.
 
-The first solve without an override also finds the mesh's mirror group:
+The first solve also finds the mesh's mirror group (on the plates, the
+first reference field's, inside `objectives.make_objective`):
 the mirrors x -> -x and y -> -y (about the origin) that map the dof
 control points, the quadrature points with their labels and the design
 net onto themselves (matched by one sort of each set's projections, not
@@ -97,13 +100,18 @@ are all the solve reads, on T and on I.  On the trivial group E, E_I and
 the orbits are the identity, and this is the plain split doing the
 per-point arithmetic of a whole assembly.
 Every iterate, line-search trial and reinitialization of a run with
-`design.symmetry: xy` solves on the mesh's group; any other field (a
-projected start, a finite-difference nudge, `symmetry: none`) on the
-trivial group.  The adjoint solves on the state's split, for the
-invariant load with the given orbit sums.  The mesh's group is the
-trivial one under an explicit beta: there any reordering of the
-penalty-sized sums can move the solution by far more than roundoff (the
-beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
+`design.symmetry: xy` solves on the mesh's group, and so does every
+override solve without a field or with an invariant one; any other field
+(a projected start, a finite-difference nudge, `symmetry: none`) on the
+trivial group.  An override split on the group is E^T K_ff E, E the 0/1
+matrix of the free dofs' orbits, and its state is read out through E:
+the cloak's K_ff folds from 3,552 rows (half-bandwidth 118) to 1,776
+(58), the camouflage's from 2,664 (86) to 1,332 (43).  The adjoint
+solves on the state's split, for the invariant load with the given orbit
+sums.  The mesh's group is the trivial one under an explicit beta: there
+any reordering of the penalty-sized sums can move the solution by far
+more than roundoff (the beta=1e12 case of
+tests/test_assembly.py::TestSolves::test_maximum_principle).
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -114,7 +122,7 @@ the jump penalty does not depend on the level set and drops out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 import numpy as np
@@ -143,7 +151,13 @@ from igatop.model import (
     MultiPatchModel,
     edge_flat_indices,
 )
-from igatop.splines import KnotVector, gauss_points_1d, patch_quadrature, tabulate
+from igatop.splines import (
+    KnotVector,
+    gauss_points_1d,
+    patch_quadrature,
+    rational_values,
+    tabulate,
+)
 
 __all__ = [
     "MaterialPair",
@@ -247,8 +261,8 @@ class DesignRows:
     Per point: the quadrature weight, the region, whether that region is
     off the design, and the design-basis values (zero rows off the design;
     None without a basis), and the conductivity of its region, built once
-    per mesh (NaN without one).  B holds one or more row blocks of one row
-    per point (the design region's x and y gradients).
+    per mesh (NaN without one).  A and B hold one or more row blocks of one
+    row per point (the design region's x and y gradients).
     """
 
     w: np.ndarray
@@ -256,12 +270,18 @@ class DesignRows:
     D: sp.csr_matrix | None
     B: sp.csr_matrix
     kappa: np.ndarray
-    At: sp.csr_matrix | None = None  # A^T in CSR; not kept by `take`
+    A: sp.csr_matrix | None = None  # not kept by `take`
     off_design: np.ndarray | None = None  # labels != "design", built once
 
     def __post_init__(self):
         if self.off_design is None:
             self.off_design = self.labels != "design"
+
+    @cached_property
+    def At(self) -> sp.csr_matrix:
+        """A^T in CSR, built by the first whole assembly that reads it (on
+        the annulus none does)."""
+        return self.A.T.tocsr()
 
     def take(self, pts: np.ndarray) -> DesignRows:
         """The rows of the points `pts`, in every block of B."""
@@ -300,12 +320,15 @@ class Discretization:
     dirichlet_val: np.ndarray
     free: np.ndarray
     # the trivial mirror group (the identity on every set of orbits); the
-    # mesh's mirror group, found by the first solve without an override;
-    # and the split on each group's orbits, built by the first solve on it
-    # (see _substructure)
+    # mesh's mirror group, found by its first solve; and per group: the
+    # split on its orbits, built by the first solve on it without an
+    # override (see _substructure), the layout of its override splits
+    # (see _whole_split) and the point rows both keep (see _orbit_rows)
     trivial: MirrorGroup
     group: MirrorGroup | None = None
     splits: dict = dc_field(default_factory=dict)
+    folds: dict = dc_field(default_factory=dict)
+    point_rows: dict = dc_field(default_factory=dict)
 
     def region_mask(self, labels) -> np.ndarray:
         if isinstance(labels, str):
@@ -331,10 +354,12 @@ def discretize(
         cols = patch_dofs[pid][tab.indices]
         tabs.append({"N": (tab.values, cols), "dx": (tab.dx, cols), "dy": (tab.dy, cols)})
         if basis is not None and model.labels[pid] == "design":
-            # design-basis values and columns
+            # design-basis values and columns, without the geometry: the
+            # design patch parameterizes the solution patch's, whose
+            # Jacobian the tabulation above checks at the same points
             k = basis.patch_ids.index(pid)
-            dtab = tabulate(basis.patches[k], pts)
-            tabs[-1]["D"] = (dtab.values, dtab.indices + int(basis.offsets[k]))
+            indices, values = rational_values(basis.patches[k], pts)
+            tabs[-1]["D"] = (values, indices + int(basis.offsets[k]))
         w_all.append(wts * tab.det_j)
         phys_all.append(tab.phys)
         lab_all.append(np.full(nq, model.labels[pid], dtype="<U8"))
@@ -354,7 +379,7 @@ def discretize(
     Gd = grad_rows(design)
     bulk = DesignRows(
         w=w[design_mask], labels=qlabel[design_mask],
-        D=patch_rows("D", design, m) if basis is not None else None, At=Gd.T.tocsr(), B=Gd,
+        D=patch_rows("D", design, m) if basis is not None else None, A=Gd, B=Gd,
         kappa=_region_values(qlabel[design_mask], model.kappa_regions),
     )
     region_K = {}
@@ -375,7 +400,7 @@ def discretize(
         w=np.concatenate([np.zeros(0)] + side_w), labels=side_labels,
         D=None if basis is None else _stack(
             [Ds if Ds is not None else sp.csr_matrix((ws.size, m)) for ws, Ds in zip(side_w, side_D)], m),
-        At=sp.vstack([E, E]).T.tocsr(),
+        A=sp.vstack([E, E]),
         B=_stack([e.G1n for e in edges] + [e.G2n for e in edges], ndof),
         kappa=_region_values(side_labels, model.kappa_regions),
     )
@@ -460,10 +485,10 @@ def _build_edge(model, basis, pair: InterfacePair, patch_dofs, ndof) -> EdgeQuad
         if basis is None or model.labels[pid] != "design":
             return None
         k = basis.patch_ids.index(pid)
-        dtab = tabulate(basis.patches[k], _EDGE_PARAMS[edge](tt), check_jacobian=False)
-        rows = np.repeat(np.arange(ne), dtab.indices.shape[1])
-        cols = (dtab.indices + int(basis.offsets[k])).ravel()
-        return sp.csr_matrix((dtab.values.ravel(), (rows, cols)), shape=(ne, basis.m))
+        indices, values = rational_values(basis.patches[k], _EDGE_PARAMS[edge](tt))
+        rows = np.repeat(np.arange(ne), indices.shape[1])
+        cols = (indices + int(basis.offsets[k])).ravel()
+        return sp.csr_matrix((values.ravel(), (rows, cols)), shape=(ne, basis.m))
 
     return EdgeQuad(
         w=gw * ds,
@@ -670,7 +695,8 @@ def _find_group(disc: Discretization) -> MirrorGroup:
 
 
 def _mirror_group(disc: Discretization) -> MirrorGroup:
-    """The mesh's mirror group, found by its first solve without an override."""
+    """The mesh's mirror group, found once per mesh by its first solve
+    (on a cloak or camouflage, the first reference field's)."""
     if disc.group is None:
         disc.group = _find_group(disc)
     return disc.group
@@ -702,9 +728,9 @@ class Substructure:
     then E^T K_ff E.  The rows of N and of the design region's operators
     at the lowest point of each orbit serve `at_quadrature`,
     `objectives.eval_main`, the adjoint load (`Nt`) and
-    `sensitivity_contraction`.  A one-off split under an override, on the
-    trivial group, orders the free dofs the same way and has no maps; its
-    point rows are the mesh's own.
+    `sensitivity_contraction`.  The split of an override solve
+    (`_whole_split`) is S = E^T K_ff E from a whole assembly, on the same
+    group's orbits and numbered the same way, with I empty and no maps.
     """
 
     group: MirrorGroup
@@ -912,6 +938,52 @@ def _point_families(disc: Discretization, bulk: DesignRows, sizes: np.ndarray,
     return families
 
 
+def _band_pattern(keys: np.ndarray, n: int):
+    """S's pattern from the keys row * n + column of its entries (repeats
+    allowed), with its rows numbered in the Cuthill-McKee order of that
+    pattern (`_band_order`), which does not depend on the values and makes
+    S narrowly banded: q (step -> row), p (row -> step), each key's
+    position in S.data and S's CSC indices and indptr."""
+    keys, entry = np.unique(keys, return_inverse=True)
+    nnz = keys.size
+    # the keys are sorted row-major: they are S's pattern in CSR
+    q = _band_order(sp.csr_matrix(
+        (np.ones(nnz), keys % n, np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n)))
+    p = np.argsort(q)  # row -> elimination step
+    # renumber the rows by elimination step and store S in CSC order
+    csc_keys = p[keys % n] * n + p[keys // n]  # column-major
+    order = np.argsort(csc_keys)
+    rank = np.empty(nnz, dtype=int)
+    rank[order] = np.arange(nnz)
+    csc_keys = csc_keys[order]
+    return q, p, rank[entry], csc_keys % n, np.searchsorted(csc_keys, np.arange(n + 1) * n)
+
+
+def _orbit_rows(disc: Discretization, group: MirrorGroup):
+    """The design rows' quadrature orbits under `group`, and the rows every
+    split on it keeps at the lowest point of each orbit: N's (one row per
+    orbit of every quadrature point), the design region's with the orbit's
+    mean weight (an orbit's weights agree to roundoff, and on the trivial
+    group the mean is the weight itself) and D^T summed onto the design
+    rows' orbits (None without a design basis).  Built once per group."""
+    if group not in disc.point_rows:
+        at_design = group.quad.restrict(np.flatnonzero(disc.qlabel == "design"))
+        bulk = disc.bulk.take(at_design.lowest)
+        bulk.w = at_design.means(disc.bulk.w)
+        # D's rows orbit after orbit are its columns, summed in CSC and
+        # stored as CSR
+        Dt, D = None, disc.bulk.D
+        if D is not None:
+            Dm = D[np.argsort(at_design.index, kind="stable")]
+            Dt = sp.csc_matrix((Dm.data, Dm.indices,
+                                Dm.indptr[np.r_[0, np.cumsum(at_design.sizes)]]),
+                               shape=(D.shape[1], at_design.count))
+            Dt.sum_duplicates()
+            Dt = Dt.tocsr()
+        disc.point_rows[group] = (at_design, disc.N[group.quad.lowest], bulk, Dt)
+    return disc.point_rows[group]
+
+
 def _substructure(disc: Discretization, group: MirrorGroup) -> Substructure:
     """The mesh's split on the orbits of `group` (the trivial group or the
     mesh's own), built by the first solve that asks for it."""
@@ -980,39 +1052,13 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     n_fixed = fixed_vals.size
     pos = np.full(disc.ndof, -1)
     pos[free[T]] = row
-    # the design rows' orbits, and those rows at the lowest point of each
-    # with the orbit's mean weight (an orbit's weights agree to roundoff,
-    # and on the trivial group the mean is the weight itself)
-    at_design = group.quad.restrict(np.flatnonzero(disc.qlabel == "design"))
-    bulk = disc.bulk.take(at_design.lowest)
-    bulk.w = at_design.means(disc.bulk.w)
+    at_design, N, bulk, Dt = _orbit_rows(disc, group)
     families = _point_families(disc, bulk, at_design.sizes, pos, n, keys)
-    keys, entry = np.unique(np.concatenate(keys), return_inverse=True)
-    nnz = keys.size
-    # the keys are sorted row-major: they are S's pattern in CSR
-    q = _band_order(sp.csr_matrix(
-        (np.ones(nnz), keys % n, np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n)))
-    p = np.argsort(q)  # row -> elimination step
-    # renumber the rows by elimination step and store S in CSC order
-    csc_keys = p[keys % n] * n + p[keys // n]  # column-major
-    order = np.argsort(csc_keys)
-    rank = np.empty(nnz, dtype=int)
-    rank[order] = np.arange(nnz)
-    entry = rank[entry]
-    csc_keys = csc_keys[order]
-    indptr = np.searchsorted(csc_keys, np.arange(n + 1) * n)
+    q, p, entry, indices, indptr = _band_pattern(np.concatenate(keys), n)
+    nnz = indices.size
     # on an all-design mesh under strong coupling the fixed part is empty,
     # and bincount of nothing returns integers
     fixed = np.bincount(entry[:n_fixed], fixed_vals, nnz).astype(float, copy=False)
-    # D^T summed onto the design rows' orbits: D's rows orbit after orbit
-    # are its columns, summed in CSC and stored as CSR
-    Dt, D = None, disc.bulk.D
-    if D is not None:
-        Dm = D[np.argsort(at_design.index, kind="stable")]
-        Dt = sp.csc_matrix((Dm.data, Dm.indices, Dm.indptr[np.r_[0, np.cumsum(at_design.sizes)]]),
-                           shape=(D.shape[1], at_design.count))
-        Dt.sum_duplicates()
-        Dt = Dt.tocsr()
     # one map column per point of `rows`: a representative point, whose
     # entries stand for its whole orbit; each entry's position in S is its
     # column pattern's
@@ -1035,30 +1081,72 @@ def _condense(disc: Discretization, group: MirrorGroup, T: np.ndarray,
     # sort T by its rows' steps (T's own order is the steps themselves)
     step = p[row]
     by_step = np.argsort(step, kind="stable")
-    S = sp.csc_matrix((fixed, csc_keys % n, indptr), shape=(n, n))
+    S = sp.csc_matrix((fixed, indices, indptr), shape=(n, n))
     kd, entries, band = _band_index(S)
     return Substructure(
         group=group, T=T[by_step], orbits=Orbits(step[by_step], n), I=I,
         S=S, kd=kd, entries=entries, band=band, g=np.bincount(row, g, n)[q],
-        N=disc.N[group.quad.lowest], bulk=bulk, Dt=Dt, maps=maps,
+        N=N, bulk=bulk, Dt=Dt, maps=maps,
         lu_II=lu_II, K_TI=None if K_TI is None else K_TI[by_step], I_orbits=at_I,
         rim=None if rim is None else p[rim], Z=Z, y_I=y_I,
     )
 
 
-def _whole_split(disc: Discretization, K: sp.csr_matrix) -> Substructure:
-    """A one-off split for a solve under an override, on the trivial group:
-    T every free dof, in the Cuthill-McKee order of K_ff's pattern, I
-    empty, S = K_ff with no maps; the mesh's own point rows."""
-    Kf, D = K[disc.free], disc.bulk.D
-    T = _band_order(Kf[:, disc.free])
-    K_T = Kf[T]
-    S = K_T[:, disc.free[T]].tocsc()
+@dataclass
+class _Fold:
+    """Where the entries of a whole assembly with one pattern land in the
+    split of an override solve on one group's orbits (`_whole_split`)."""
+
+    indptr: np.ndarray  # the pattern of K it was built for
+    indices: np.ndarray
+    take: np.ndarray  # positions in K.data of K_ff's entries
+    entry: np.ndarray  # their positions in S.data
+    step: np.ndarray  # S's row of each free dof
+    sub: Substructure  # everything but S's data and the load
+
+
+def _fold(disc: Discretization, K: sp.csr_matrix, group: MirrorGroup) -> _Fold:
+    free = disc.free
+    at = group.dofs.restrict(free)  # the free dofs are whole orbits
+    n = at.count
+    pos = np.full(disc.ndof, -1)
+    pos[free] = at.index
+    rows = pos[np.repeat(np.arange(disc.ndof), np.diff(K.indptr))]
+    cols = pos[K.indices]
+    take = np.flatnonzero((rows >= 0) & (cols >= 0))
+    _, p, entry, indices, indptr = _band_pattern(rows[take] * n + cols[take], n)
+    S = sp.csc_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
     kd, entries, band = _band_index(S)
-    return Substructure(group=disc.trivial, T=T, orbits=Orbits.identity(T.size),
-                        I=np.zeros(0, dtype=int), S=S, kd=kd, entries=entries, band=band,
-                        g=-(K_T[:, disc.dirichlet_idx] @ disc.dirichlet_val),
-                        N=disc.N, bulk=disc.bulk, Dt=None if D is None else D.T)
+    step = p[at.index]
+    by_step = np.argsort(step, kind="stable")
+    _, N, bulk, Dt = _orbit_rows(disc, group)
+    return _Fold(K.indptr, K.indices, take, entry, step, Substructure(
+        group=group, T=by_step, orbits=Orbits(step[by_step], n), I=np.zeros(0, dtype=int),
+        S=S, kd=kd, entries=entries, band=band, g=np.zeros(n), N=N, bulk=bulk, Dt=Dt))
+
+
+def _whole_split(disc: Discretization, K: sp.csr_matrix, group: MirrorGroup) -> Substructure:
+    """The split of a solve under an override, which may rescale any
+    region, on the orbits of `group`: T every free dof, I empty and
+    S = E^T K_ff E with no maps, E the 0/1 matrix of the free dofs' orbits,
+    from the whole assembly K; the point rows at one point per quadrature
+    orbit.  S's pattern, numbered in its Cuthill-McKee order
+    (`_band_pattern`), its band index, and the position in S of each entry
+    of K_ff are built once per group and pattern of K and kept on the mesh
+    (`_Fold`), so both reference fields share them; a solve sums K_ff's
+    entries onto S and the load's free rows onto S's rows.  On the trivial
+    group E is the identity and S is K_ff, entry for entry."""
+    fold = disc.folds.get(group)
+    if fold is None or not (np.array_equal(fold.indptr, K.indptr)
+                            and np.array_equal(fold.indices, K.indices)):
+        fold = disc.folds[group] = _fold(disc, K, group)
+    sub = fold.sub
+    # the Dirichlet values' load -K x_D, summed row by row in K's order
+    x_D = np.zeros(disc.ndof)
+    x_D[disc.dirichlet_idx] = disc.dirichlet_val
+    data = np.bincount(fold.entry, K.data[fold.take], sub.S.nnz)
+    return replace(sub, S=sp.csc_matrix((data, sub.S.indices, sub.S.indptr), shape=sub.S.shape),
+                   g=np.bincount(fold.step, -(K @ x_D)[disc.free], sub.S.shape[0]))
 
 
 _EPS = np.finfo(float).eps
@@ -1217,16 +1305,19 @@ def solve_state(
     sp_: SmoothingParams | None = None,
     override: dict | None = None,
 ) -> FieldSolution:
-    """Solve the constrained conduction system condensed onto T: on the
-    mesh's split on its mirror group's orbits where the group acts on the
-    field, else on the trivial group's, or, under an override, on a
-    one-off split of its own.  There is no applied flux; the load comes
-    from the Dirichlet values alone."""
+    """Solve the constrained conduction system condensed onto T, on the
+    orbits of the mesh's mirror group where the group acts on the field
+    (always without one), else on the trivial group's: on the mesh's split
+    there, or, under an override, on E^T K_ff E from a whole assembly
+    (`_whole_split`).  The first solve on a mesh finds its group.  There is
+    no applied flux; the load comes from the Dirichlet values alone."""
+    group = _mirror_group(disc)
+    if not group.acts_on(field):
+        group = disc.trivial
     if override:
-        sub = _whole_split(disc, assemble_system(disc, field, sp_, override))
+        sub = _whole_split(disc, assemble_system(disc, field, sp_, override), group)
     else:
-        group = _mirror_group(disc)
-        sub = _substructure(disc, group if group.acts_on(field) else disc.trivial)
+        sub = _substructure(disc, group)
     lu = CondensedSystem(disc, sub, field, sp_)
     return FieldSolution(disc=disc, values=lu.solve(), K=lu.S, lu=lu)
 

@@ -103,7 +103,11 @@ def compute_reference_fields(disc: Discretization, kind: str):
 
     The reference case fills the objective's free regions (obstacle/object
     and design band) with the base material; the disturbed case fills the
-    design band with the insulator.  Not used for the annular objective.
+    design band with the insulator.  Both fields are mirror symmetric, so
+    they solve on the orbits of the mesh's mirror group (found here by the
+    first, and kept on the mesh), through one band order of the folded
+    E^T K_ff E that both share (`assembly.solve_state`).  Not used for the
+    annular objective.
     """
     model = disc.model
     base = model.kappa_regions["outside"]
@@ -125,6 +129,11 @@ def compute_reference_fields(disc: Discretization, kind: str):
 
 
 def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float = 0.0):
+    """The objective's spec with its per-run constants.  A cloak or
+    camouflage solves its reference fields here, which finds the mesh's
+    mirror group (`assembly._mirror_group` keeps it on the mesh), so the
+    first evaluation does not search for it; the annulus has none, and its
+    first evaluation finds the group."""
     spec = ObjectiveSpec(kind=kind, region=OBJECTIVE_REGIONS[kind], chi=chi, rho=rho)
     if kind in ("cloak", "camouflage"):
         spec.t_ref, _, spec.j_norm = compute_reference_fields(disc, kind)

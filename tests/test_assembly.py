@@ -180,6 +180,30 @@ class TestBulk:
         assert abs(K - K.T).max() / abs(K).max() < 1e-12
 
 
+class TestDesignRows:
+    @pytest.mark.parametrize("name,sets", [("annulus", []), ("cloak", []), ("camouflage", []),
+                                           ("cloak", ["model.beta=1.0e+6"])],
+                             ids=["annulus", "cloak", "camouflage", "cloak-beta"])
+    def test_equal_the_geometry_tabulation(self, monkeypatch, name, sets):
+        # discretize forms the design-basis rows, of the design region and
+        # (under an explicit beta) of the interface sides, from the rational
+        # basis alone: bit for bit the rows a tabulation with the geometry
+        # gives at the same points
+        cfg = RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml"), sets)
+        disc = build_pipeline(cfg, with_objective=False).disc
+
+        def tabulated(patch, pts):
+            tab = tabulate(patch, pts, check_jacobian=False)
+            return tab.indices, tab.values
+
+        monkeypatch.setattr(assembly, "rational_values", tabulated)
+        ref = discretize(disc.model, disc.basis, cfg.data["quadrature"]["n_per_span"])
+        assert disc.bulk.D.nnz and (disc.sides.D.nnz > 0) == bool(sets)
+        for got, want in ((disc.bulk.D, ref.bulk.D), (disc.sides.D, ref.sides.D)):
+            for a in ("data", "indices", "indptr"):
+                assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+
+
 class TestNitsche:
     @pytest.mark.parametrize("beta", [None, 1e6])
     def test_two_patch_matches_one_patch(self, beta):
@@ -574,17 +598,18 @@ class TestCondensed:
 
     @pytest.mark.parametrize("name", ["cloak", "camouflage", "annulus"])
     def test_band_storage_of_every_split(self, plates, name):
-        # the trivial group's split, the mirror group's and a one-off
-        # override split: T is a permutation of its free dofs sorted by S's
-        # row, S lies inside its half-bandwidth, the band factor is S's
-        # Cholesky factor, and nnz counts its band storage and K_II's factor
+        # the trivial group's split, the mirror group's and an override
+        # split (on the mirror group too): T is a permutation of its free
+        # dofs sorted by S's row, S lies inside its half-bandwidth, the band
+        # factor is S's Cholesky factor, and nnz counts its band storage and
+        # K_II's factor
         pipe = plates[name]
         disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
         sols = [solve_state(disc, pipe.field0, pipe.smoothing),
                 solve_state(disc, prob.field(sym.expand(sym.means(pipe.field0.coeffs))),
                             pipe.smoothing),
                 solve_state(disc, override={"design": 1.0})]
-        assert [sol.lu.sub.group for sol in sols] == [disc.trivial, disc.group, disc.trivial]
+        assert [sol.lu.sub.group for sol in sols] == [disc.trivial, disc.group, disc.group]
         for sol in sols:
             sub, S = sol.lu.sub, sol.K.tocoo()
             n, kd = S.shape[0], sub.kd

@@ -7,6 +7,9 @@ import scipy.sparse as sp
 from igatop.assembly import (
     CondensedSystem,
     FieldSolution,
+    Substructure,
+    _band_index,
+    _band_order,
     _mirror_group,
     _substructure,
     _whole_split,
@@ -21,6 +24,7 @@ from igatop.config import RunConfig, build_pipeline
 from igatop.errors import ConfigError
 from igatop.levelset import (
     DesignField,
+    Orbits,
     SmoothingParams,
     build_symmetry_map,
     design_quadrature,
@@ -85,6 +89,69 @@ class TestReferenceFields:
         _, _, disc, _ = cloak_setup
         with pytest.raises(ConfigError):
             compute_reference_fields(disc, "annular")
+
+    @pytest.mark.parametrize("name,sizes", [("cloak", (1776, 58, 3552, 118)),
+                                            ("camouflage", (1332, 43, 2664, 86))])
+    def test_fields_on_the_mirror_orbits(self, name, sizes):
+        # both override fields are mirror symmetric, so they solve on the
+        # orbits of the mesh's group, E^T K_ff E, half of K_ff's rows and
+        # half its band; they match K_ff solved whole (the trivial group).
+        # The bound is 1e-12 or four times the move of the whole solve
+        # under a reversed design sum, the larger: the camouflage's object,
+        # enclosed in the 1e-4 insulator, floats in t_ins, which moves by
+        # 3.5e-7 K under that reordering alone
+        cfg = RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml"))
+        disc, plain = (build_pipeline(cfg, with_objective=False).disc for _ in range(2))
+        plain.group = plain.trivial
+        t_ref, t_ins, j_norm = compute_reference_fields(disc, name)
+        ref = compute_reference_fields(plain, name)
+        assert disc.group is not disc.trivial
+        kappa = disc.model.kappa_regions
+        insulator = kappa["inside" if name == "cloak" else "sector"]
+        overrides = ({"inside": kappa["outside"], "design": kappa["outside"]},
+                     {"design": insulator})
+        for x, want, override in zip((t_ref, t_ins), ref, overrides):
+            rev = CondensedSystem(plain, _whole_split(
+                plain, reversed_override_sum(plain, override), plain.trivial), None, None)
+            floor = np.abs(rev.solve() - want).max()
+            assert np.abs(x - want).max() <= max(1e-12 * np.abs(want).max(), 4.0 * floor)
+        assert j_norm == pytest.approx(ref[2], rel=1e-12)
+        subs = [solve_state(d, override={"design": 1.0}).lu.sub for d in (disc, plain)]
+        assert [(sub.S.shape[0], sub.kd) for sub in subs] == [sizes[:2], sizes[2:]]
+        assert subs[0].group is disc.group and subs[1].group is plain.trivial
+        assert list(disc.folds) == [disc.group] and list(plain.folds) == [plain.trivial]
+
+    def test_trivial_fold_is_the_whole_split(self):
+        # under an explicit beta the group is trivial, and each field's
+        # split is K_ff in the Cuthill-McKee order of its own pattern, as
+        # sliced whole from the assembly: the fields are bit for bit those
+        # of that split
+        cfg = RunConfig.load(os.path.join(CONFIGS, "cloak.yaml"), ["model.beta=1.0e+6"])
+        disc = build_pipeline(cfg, with_objective=False).disc
+        t_ref, t_ins, j_norm = compute_reference_fields(disc, "cloak")
+        assert disc.group is disc.trivial
+        kappa = disc.model.kappa_regions
+        for t, override in ((t_ref, {"inside": kappa["outside"], "design": kappa["outside"]}),
+                            (t_ins, {"design": kappa["inside"]})):
+            K = assemble_system(disc, override=override)
+            Kf = K[disc.free]
+            T = _band_order(Kf[:, disc.free])
+            K_T = Kf[T]
+            S = K_T[:, disc.free[T]].tocsc()
+            kd, entries, band = _band_index(S)
+            plain = Substructure(
+                group=disc.trivial, T=T, orbits=Orbits.identity(T.size),
+                I=np.zeros(0, dtype=int), S=S, kd=kd, entries=entries, band=band,
+                g=-(K_T[:, disc.dirichlet_idx] @ disc.dirichlet_val), N=disc.N, bulk=disc.bulk,
+                Dt=None)
+            sub = _whole_split(disc, K, disc.trivial)
+            assert np.array_equal(sub.T, T) and sub.kd == kd
+            for a in ("indices", "indptr", "data"):
+                assert np.array_equal(getattr(sub.S, a), getattr(S, a))
+            assert np.array_equal(sub.g, plain.g)
+            assert CondensedSystem(disc, plain, None, None).solve().tobytes() == t.tobytes()
+        diff = disc.N @ (t_ins - t_ref)
+        assert j_norm == float((disc.w * diff**2)[disc.region_mask("outside")].sum())
 
 
 class TestEvalMain:
@@ -244,8 +311,9 @@ def split_main(prob: HeatProblem, field: DesignField, sub):
 
 
 def whole_factor_main(prob: HeatProblem, field: DesignField, K):
-    """J_main and its gradient with K's K_ff factored whole."""
-    return split_main(prob, field, _whole_split(prob.disc, K))[:2]
+    """J_main and its gradient with K's K_ff factored whole (on the
+    trivial group: every free dof its own row)."""
+    return split_main(prob, field, _whole_split(prob.disc, K, prob.disc.trivial))[:2]
 
 
 def reversed_design_sum(prob: HeatProblem, field: DesignField):
@@ -255,6 +323,14 @@ def reversed_design_sum(prob: HeatProblem, field: DesignField):
     kappa = kappa_at(bulk.D @ field.coeffs, disc.model.design_pair, prob.smoothing)
     B, s = bulk.B[::-1], np.tile(bulk.w * kappa, 2)[::-1]
     return (assemble_system(disc, override={"design": 0.0}) + B.T @ sp.diags(s) @ B).tocsr()
+
+
+def reversed_override_sum(disc, override: dict):
+    """The whole K under `override` with the design points of its assembly
+    summed in reverse order: the same matrix up to roundoff."""
+    B, s = disc.bulk.B[::-1], np.tile(disc.bulk.w * override["design"], 2)[::-1]
+    return (assemble_system(disc, override={**override, "design": 0.0})
+            + B.T @ sp.diags(s) @ B).tocsr()
 
 
 class TestCondensedEvaluation:
@@ -304,8 +380,9 @@ class TestSymmetricEvaluation:
             floors = (0.0, 0.0, 0.0)
             if name == "camouflage":
                 whole = split_main(prob, field, _whole_split(
-                    disc, assemble_system(disc, field, prob.smoothing)))
-                rev = split_main(prob, field, _whole_split(disc, reversed_design_sum(prob, field)))
+                    disc, assemble_system(disc, field, prob.smoothing), disc.trivial))
+                rev = split_main(prob, field, _whole_split(
+                    disc, reversed_design_sum(prob, field), disc.trivial))
                 floors = [np.abs(a - b).max() for a, b in zip(
                     (rev[0], sym.reduce(rev[1]), rev[2]),
                     (whole[0], sym.reduce(whole[1]), whole[2]))]

@@ -148,3 +148,24 @@ def test_group_split_factors_through_the_traced_splu(monkeypatch):
     sub = assembly._substructure(pipe.disc, assembly._mirror_group(pipe.disc))
     assert sub.group is pipe.disc.group and sub.I.size
     assert calls == [(sub.I_orbits.count, sub.I_orbits.count)]
+
+
+def test_group_found_once_in_set_up(monkeypatch):
+    # the cloak's reference fields solve on the mesh's mirror group, so
+    # build_pipeline finds it, once per mesh, and the first evaluation
+    # reuses it: objectives.reference_s holds the search, and the first
+    # evaluation's spans do not
+    calls = []
+    find = assembly._find_group
+
+    def counted(disc):
+        calls.append(disc)
+        return find(disc)
+
+    monkeypatch.setattr(assembly, "_find_group", counted)
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "cloak.yaml")))
+    assert calls == [pipe.disc] and pipe.disc.group is not pipe.disc.trivial
+    sym = pipe.problem.sym
+    val = optimizer.eval_total(pipe.problem, pipe.problem.field(sym.expand(sym.means(
+        pipe.field0.coeffs))))
+    assert len(calls) == 1 and val.state.lu.sub.group is pipe.disc.group
