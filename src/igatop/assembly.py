@@ -85,18 +85,17 @@ orbit of the design rows, built from the entries of its lowest point
 alone, scaled by the orbit's size (an image point's entries are that
 point's with both dofs mirrored, so they land on the same entries of S),
 and the split keeps the rows of the design region's operators and of N
-at the lowest point of each orbit.  Every per-point array of an
-evaluation lives there, one entry per orbit: phi, computed once and read
-by the conductivity (kappa, with the orbit's mean weight) and by the
-sensitivity; T at the quadrature points, exactly invariant;
-`objectives.eval_main`'s J and dJ/dT, with the orbit's weights summed in;
-the adjoint load N^T applied to those, through the representatives' rows
-alone; and the sensitivity's bulk term, summed onto the coefficients
-through D^T summed onto the orbits.  No product with the mesh's whole N
-or design rows is left in an evaluation.  An image point's row of N is
-the representative's with its dofs mirrored, so the representatives'
-load has the whole invariant load's sums over the dofs' orbits, which
-are all the solve reads, on T and on I.  On the trivial group E, E_I and
+at the lowest point of each orbit.  Every per-point array of a solve
+and of the sensitivity lives there, one entry per orbit: phi, computed
+once and read by the conductivity (kappa, with the orbit's mean weight)
+and by the sensitivity; T at the quadrature points (`at_quadrature`),
+exactly invariant; and the sensitivity's bulk term, summed onto the
+coefficients through D^T summed onto the orbits.  The objective works on
+the dofs (`objectives.eval_main`: J = d^T M d / j_norm with M the
+region's mass matrix, and the adjoint load 2 M d / j_norm), so no product
+with the mesh's whole N or design rows is left in an evaluation.  A load
+on the dofs counts through its sums over the dofs' orbits, which are all
+the solve reads, on T and on I.  On the trivial group E, E_I and
 the orbits are the identity, and this is the plain split doing the
 per-point arithmetic of a whole assembly.
 Every iterate, line-search trial and reinitialization of a run with
@@ -107,11 +106,11 @@ trivial group.  An override split on the group is E^T K_ff E, E the 0/1
 matrix of the free dofs' orbits, and its state is read out through E:
 the cloak's K_ff folds from 3,552 rows (half-bandwidth 118) to 1,776
 (58), the camouflage's from 2,664 (86) to 1,332 (43).  The adjoint
-solves on the state's split, for the invariant load with the given orbit
-sums.  The mesh's group is the trivial one under an explicit beta: there
-any reordering of the penalty-sized sums can move the solution by far
-more than roundoff (the beta=1e12 case of
-tests/test_assembly.py::TestSolves::test_maximum_principle).
+solves on the state's split, for the invariant load with the same sums
+over the dofs' orbits as its load on the dofs.  The mesh's group is the
+trivial one under an explicit beta: there any reordering of the
+penalty-sized sums can move the solution by far more than roundoff (the
+beta=1e12 case of tests/test_assembly.py::TestSolves::test_maximum_principle).
 
 Sensitivities with respect to level-set expansion coefficients contract
 P^T (dK/dPhi_i) T without forming dK/dPhi_i: the bulk part integrates
@@ -726,8 +725,7 @@ class Substructure:
     E_I^T K_II E_I, and W = E^T K_TI E_I Z, with Z on the columns of
     E_I^T K_IT E holding entries.  I may be empty (an all-design mesh): S is
     then E^T K_ff E.  The rows of N and of the design region's operators
-    at the lowest point of each orbit serve `at_quadrature`,
-    `objectives.eval_main`, the adjoint load (`Nt`) and
+    at the lowest point of each orbit serve `at_quadrature` and
     `sensitivity_contraction`.  The split of an override solve
     (`_whole_split`) is S = E^T K_ff E from a whole assembly, on the same
     group's orbits and numbered the same way, with I empty and no maps.
@@ -760,12 +758,6 @@ class Substructure:
     rim: np.ndarray | None = None  # S's rows whose columns of K_IT E_T hold entries
     Z: np.ndarray | None = None  # lu_II^-1 E_I^T K_IT E_T[:, rim], dense, Fortran-ordered
     y_I: np.ndarray | None = None  # lu_II^-1 E_I^T b_I for the mesh's Dirichlet data
-
-    @cached_property
-    def Nt(self) -> sp.csr_matrix:
-        """N^T in CSR, built by the split's first adjoint solve: the
-        adjoint load is Nt times one weighted value per orbit."""
-        return self.N.T.tocsr()
 
 
 _SINGULAR_HINT = "suspected untagged boundary or missing Dirichlet data"
@@ -1323,24 +1315,20 @@ def solve_state(
 
 
 def solve_adjoint(state: FieldSolution, load: np.ndarray) -> FieldSolution:
-    """The adjoint for a load -dJ_b/dT given at one point per orbit of the
-    quadrature points under the state's split's group, weights in (on the
-    trivial group w * load at every point), with the system it was solved
-    on (whose split `sensitivity_contraction` reads).
+    """The adjoint for a load -dJ_b/dT on the dofs, with the system it was
+    solved on (whose split `sensitivity_contraction` reads).
 
-    Solves K^T P = N^T load with homogeneous Dirichlet data.  K_ff is
-    symmetric, so this is a solve with the state's factors, on the state's
-    split.  The load is formed from the rows of N at the representative
-    points alone (`Substructure.Nt`): an image point's row is the
-    representative's with its dofs mirrored, so the sums over the dofs'
-    orbits, which are all the solve reads (`CondensedSystem.solve`), are
-    the whole invariant load's.
+    Solves K^T P = load with homogeneous Dirichlet data (the load's
+    Dirichlet entries are not read).  K_ff is symmetric, so this is a solve
+    with the state's factors, on the state's split: on a group's split, of
+    the invariant load with the same sums over the dofs' orbits
+    (`CondensedSystem.solve`).
     """
+    if np.shape(load) != (state.disc.ndof,):
+        raise AssemblyError(f"adjoint load has shape {np.shape(load)}: "
+                            f"it takes one value per dof, {state.disc.ndof}")
     lu = state.lu
-    if np.shape(load) != (lu.sub.N.shape[0],):
-        raise AssemblyError(f"adjoint load has shape {np.shape(load)}: the state's split takes "
-                            f"one value per quadrature orbit, {lu.sub.N.shape[0]}")
-    return FieldSolution(disc=state.disc, values=lu.solve(lu.sub.Nt @ load), K=lu.S, lu=lu)
+    return FieldSolution(disc=state.disc, values=lu.solve(load), K=lu.S, lu=lu)
 
 
 def sensitivity_contraction(state: FieldSolution, adjoint: FieldSolution) -> np.ndarray:

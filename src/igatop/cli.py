@@ -23,7 +23,6 @@ from igatop.config import Pipeline, RunConfig, build_pipeline, objective_spec
 from igatop.errors import ConfigError, IgatopError, NormalizationError
 from igatop.export import (
     ensure_outdir,
-    format_grid,
     sample_fields,
     write_coeffs_csv,
     write_convergence_csv,
@@ -39,8 +38,7 @@ from igatop.optimizer import SqpConfig, optimize
 def _write_field_outputs(pipe: Pipeline, T, field, outdir, stem):
     n_grid = pipe.cfg.data["output"]["grid"]
     xs, ys, data = sample_fields(pipe.disc, T, field, pipe.smoothing, n_grid)
-    text = format_grid(data)
-    write_vtk_structured(os.path.join(outdir, f"{stem}.vtk"), xs, ys, text)
+    text = write_vtk_structured(os.path.join(outdir, f"{stem}.vtk"), xs, ys, data)
     write_grid_csv(os.path.join(outdir, f"{stem}.csv"), xs, ys, text)
 
 

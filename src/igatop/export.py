@@ -25,7 +25,9 @@ v = 0 meets v = 1) and those of patches sharing an edge or a corner.
 
 The grid writers take each field's values, or the `FormattedGrid` of
 their strings from `format_grid`, which formats every value once with one
-%-format per field, so a caller writing both files formats each field once.
+%-format per field.  `write_vtk_structured` returns the grid it formatted,
+so a caller writing both files hands it to `write_grid_csv` and formats
+each field once.
 """
 
 from __future__ import annotations
@@ -391,12 +393,14 @@ def _formatted(values) -> np.ndarray:
     return np.array(text, dtype=object)[inverse.reshape(-1)].reshape(np.shape(values))
 
 
-def write_vtk_structured(path: str, xs, ys, data: dict):
+def write_vtk_structured(path: str, xs, ys, data: dict) -> FormattedGrid:
     """Legacy-VTK structured points with one scalar field per data entry
-    (numbers, or a `format_grid` result)."""
+    (numbers, or a `format_grid` result).  Returns the formatted fields, for
+    `write_grid_csv`."""
     nx, ny = xs.size, ys.size
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dy = ys[1] - ys[0] if ny > 1 else 1.0
+    text = format_grid(data)
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("igatop field export\nASCII\nDATASET STRUCTURED_POINTS\n")
@@ -404,15 +408,16 @@ def write_vtk_structured(path: str, xs, ys, data: dict):
         f.write(f"ORIGIN {xs[0]:.9g} {ys[0]:.9g} 0\n")
         f.write(f"SPACING {dx:.9g} {dy:.9g} 1\n")
         f.write(f"POINT_DATA {nx * ny}\n")
-        for name, text in format_grid(data).items():
+        for name, strings in text.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             # VTK structured points run x fastest; about 8 values a line,
             # the longer lines first
-            vals = text.T.reshape(-1).tolist()
+            vals = strings.T.reshape(-1).tolist()
             n_lines = max(1, len(vals) // 8)
             width, n_long = divmod(len(vals), n_lines)
             f.write((_row_format(width + 1) * n_long + _row_format(width) * (n_lines - n_long))
                     % tuple(vals))
+    return text
 
 
 def write_grid_csv(path: str, xs, ys, data: dict):

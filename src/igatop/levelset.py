@@ -399,11 +399,6 @@ class Orbits:
         """The number of members of each orbit."""
         return np.bincount(self.index, minlength=self.count)
 
-    def average(self, v: np.ndarray) -> np.ndarray:
-        """Each member's orbit mean: one float on every orbit, so exactly
-        invariant."""
-        return self.means(v)[self.index]
-
     def invariant(self, v: np.ndarray) -> bool:
         """Whether v is exactly equal on every orbit."""
         return np.array_equal(v[self.first], v)

@@ -8,20 +8,23 @@ penalty) and volume terms with weights chi and rho.  One evaluation runs
 state solve, adjoint solve, and the stiffness-derivative contraction to
 produce the exact gradient with respect to the design coefficients.
 
-J and dJ/dT run at one quadrature point per orbit of the mirror group the
-state was solved on (see the assembly module), on the orbits that meet
-the objective's region alone, with the objective's weights summed over
-each orbit once per partition (`ObjectiveSpec.on_orbits`); dJ/dT with its
-weights in, zero on the other orbits, is the load `solve_adjoint` takes.  The regularizers' values are always computed,
-since the run records print them; their gradients only at a nonzero
-weight.
+Each main objective is one quadratic form on the state's dof values:
+J = d^T M d / j_norm, with d = T - t_ref on every dof, Dirichlet dofs
+included (T itself for the annulus, whose j_norm is 1), and
+M = N^T diag(w * mask) N the mass matrix of the objective's region, built
+once per objective (`ObjectiveSpec.mass`).  Its derivative 2 M d / j_norm,
+a vector on the dofs, is the adjoint load; `solve_adjoint` takes any load
+on the dofs, so nothing here depends on the orbits the state was solved
+on.  The regularizers' values are always computed, since the run records
+print them; their gradients only at a nonzero weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 
 from igatop.assembly import (
     Discretization,
@@ -46,10 +49,20 @@ OBJECTIVE_REGIONS = {
 }
 
 
-@dataclass
+def region_mass(disc: Discretization, mask: np.ndarray) -> sp.csr_matrix:
+    """M = N^T diag(w * mask) N, the mass matrix of the quadrature points in
+    `mask`: d^T M d is the integral of (N d)^2 over them."""
+    N = disc.N[mask]
+    return (N.T @ (N.multiply(disc.w[mask][:, None]))).tocsr()
+
+
+@dataclass(frozen=True)
 class ObjectiveSpec:
     """Objective kind plus the per-run constants make_objective computes:
-    reference fields, normalization and the evaluation-region mask."""
+    reference temperatures at the dofs, normalization and the
+    evaluation-region mask at the quadrature points.  The region's mass
+    matrix (`mass`) is given with them or built on first use, so a spec
+    with another mask is another spec, with its own."""
 
     kind: str
     region: tuple[str, ...]
@@ -58,47 +71,26 @@ class ObjectiveSpec:
     t_ref: np.ndarray | None = None  # reference temperatures at solution dofs
     j_norm: float = 1.0
     mask: np.ndarray | None = dc_field(repr=False, default=None)  # quadrature points in region
-    t_ref_q: np.ndarray | None = dc_field(repr=False, default=None)  # t_ref at quadrature points
-    # per partition of the quadrature points into orbits: the mask and
-    # t_ref_q it was built from and the terms `on_orbits` returns
-    _orbit_terms: dict = dc_field(repr=False, default_factory=dict, init=False, compare=False)
+    M: InitVar[sp.csr_matrix | None] = None  # region_mass(disc, mask), if built already
 
-    def __post_init__(self):
+    def __post_init__(self, M):
         if self.kind not in OBJECTIVE_REGIONS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
         if not (0 <= self.chi < np.inf and 0 <= self.rho < np.inf):
             raise ConfigError("regularization weights must be finite and non-negative")
-        if self.j_norm <= 0:
+        if not 0 < self.j_norm < np.inf:
             raise ConfigError("normalization must be positive")
+        object.__setattr__(self, "_mass", M)
 
-    def on_orbits(self, disc: Discretization, quad: Orbits):
-        """The objective's terms at the orbits of `quad` that meet its
-        region, in orbit order: those orbits, the rows of disc.N at their
-        lowest points, the sum of w * mask over each one's points and t_ref
-        as its mean over those points weighted by w (None without a
-        reference).  Built once per partition and kept while `mask` and
-        `t_ref_q` are the same arrays, which are made read-only, so that no
-        edit in place can leave the terms stale.  On the identity partition
-        the orbits are the points in the region, with w and t_ref
-        themselves."""
-        terms = self._orbit_terms.get(quad)
-        if terms is None or terms[0] is not self.mask or terms[1] is not self.t_ref_q:
-            for a in (self.mask, self.t_ref_q):
-                if a is not None:
-                    a.flags.writeable = False
-            wm = np.where(self.mask, disc.w, 0.0)
-            w = quad.reduce(wm)
-            region = np.flatnonzero(w > 0.0)
-            t_ref = self.t_ref_q
-            if t_ref is not None:
-                t_ref = (quad.reduce(wm * t_ref)[region] / w[region] if quad.count < t_ref.size
-                         else t_ref[region])
-            terms = self._orbit_terms[quad] = (self.mask, self.t_ref_q, region,
-                                               disc.N[quad.lowest[region]], w[region], t_ref)
-        return terms[2:]
+    def mass(self, disc: Discretization) -> sp.csr_matrix:
+        """The region's mass matrix M = N^T diag(w * mask) N, in which
+        J = d^T M d / j_norm."""
+        if self._mass is None:
+            object.__setattr__(self, "_mass", region_mass(disc, self.mask))
+        return self._mass
 
 
-def compute_reference_fields(disc: Discretization, kind: str):
+def compute_reference_fields(disc: Discretization, kind: str, M: sp.csr_matrix | None = None):
     """Reference and all-insulator fields plus the normalization integral.
 
     The reference case fills the objective's free regions (obstacle/object
@@ -106,8 +98,10 @@ def compute_reference_fields(disc: Discretization, kind: str):
     design band with the insulator.  Both fields are mirror symmetric, so
     they solve on the orbits of the mesh's mirror group (found here by the
     first, and kept on the mesh), through one band order of the folded
-    E^T K_ff E that both share (`assembly.solve_state`).  Not used for the
-    annular objective.
+    E^T K_ff E that both share (`assembly.solve_state`).  The normalization
+    is the objective's quadratic form d^T M d at d = t_ins - t_ref, M the
+    region's mass matrix (built here unless given), so the all-insulator
+    design reads J = 1.  Not used for the annular objective.
     """
     model = disc.model
     base = model.kappa_regions["outside"]
@@ -120,9 +114,10 @@ def compute_reference_fields(disc: Discretization, kind: str):
     t_ref = solve_state(disc, override={"inside": base, "design": base}).values
     t_ins = solve_state(disc, override={"design": insulator}).values
 
-    mask = disc.region_mask(OBJECTIVE_REGIONS[kind])
-    diff = disc.N @ (t_ins - t_ref)
-    j_norm = float((disc.w * diff**2)[mask].sum())
+    if M is None:
+        M = region_mass(disc, disc.region_mask(OBJECTIVE_REGIONS[kind]))
+    d = t_ins - t_ref
+    j_norm = float(d @ (M @ d))
     if j_norm <= 1e-12:
         raise NormalizationError("degenerate normalization: insulator does not disturb the field")
     return t_ref, t_ins, j_norm
@@ -130,53 +125,29 @@ def compute_reference_fields(disc: Discretization, kind: str):
 
 def make_objective(disc: Discretization, kind: str, chi: float = 0.0, rho: float = 0.0):
     """The objective's spec with its per-run constants.  A cloak or
-    camouflage solves its reference fields here, which finds the mesh's
-    mirror group (`assembly._mirror_group` keeps it on the mesh), so the
-    first evaluation does not search for it; the annulus has none, and its
-    first evaluation finds the group."""
-    spec = ObjectiveSpec(kind=kind, region=OBJECTIVE_REGIONS[kind], chi=chi, rho=rho)
-    if kind in ("cloak", "camouflage"):
-        spec.t_ref, _, spec.j_norm = compute_reference_fields(disc, kind)
-        spec.t_ref_q = disc.N @ spec.t_ref
-    spec.mask = disc.region_mask(spec.region)
-    return spec
+    camouflage builds its region's mass matrix here, which its
+    normalization needs, and solves its reference fields, which finds the
+    mesh's mirror group (`assembly._mirror_group` keeps it on the mesh), so
+    the first evaluation does not search for it.  The annulus has neither:
+    its first evaluation builds the mass matrix and finds the group."""
+    region = OBJECTIVE_REGIONS[kind]
+    mask = disc.region_mask(region)
+    if kind == "annular":
+        return ObjectiveSpec(kind, region, chi, rho, mask=mask)
+    M = region_mass(disc, mask)
+    t_ref, _, j_norm = compute_reference_fields(disc, kind, M)
+    return ObjectiveSpec(kind, region, chi, rho, t_ref, j_norm, mask, M)
 
 
 def eval_main(spec: ObjectiveSpec, disc: Discretization, sol: FieldSolution):
-    """Main objective value and its derivative with respect to T at one
-    point per orbit of the quadrature points under the group the state was
-    solved on, weights in (the adjoint source `solve_adjoint` takes).
-
-    The state is exactly invariant, so T is evaluated at each orbit's
-    lowest point alone, on the orbits that meet the objective's region, and
-    J sums the integrand there times the orbit's sum of w * mask
-    (`ObjectiveSpec.on_orbits`): exact for any mask.  t_ref
-    enters as its weighted orbit mean, which drops from J only the square
-    of its spread within an orbit (on the shipped objectives t_ref is
-    invariant to a few 1e-14 of its largest value).  The derivative
-    carries the same weights, which puts on every orbit the load of the
-    orbit's points summed; the adjoint solves with the invariant load of
-    those sums.  The reduced gradient stays exact for any mask and t_ref:
-    each dT/dx_r of a symmetric design is mirror invariant, so the solve
-    drops only the full gradient's antisymmetric part, which no reduced
-    variable reads.  On the shipped objectives that part is roundoff, as
-    each mirror keeps every point's region label.  On the trivial group
-    every point is its own orbit, with weight w * mask.
-    """
-    quad = sol.lu.sub.group.quad
-    region, N, w, t_ref = spec.on_orbits(disc, quad)
-    T = N @ sol.values
-    if spec.kind == "annular":
-        integrand = T**2
-        dj_dt = 2.0 * T
-    else:
-        diff = T - t_ref
-        integrand = diff**2 / spec.j_norm
-        dj_dt = 2.0 * diff / spec.j_norm
-    j_main = float((w * integrand).sum())
-    load = np.zeros(quad.count)
-    load[region] = w * dj_dt
-    return j_main, load
+    """Main objective value J = d^T M d / j_norm and its derivative with
+    respect to the state's dof values, 2 M d / j_norm (the load
+    `solve_adjoint` takes, negated), with d = T - t_ref (T for the annulus)
+    and M the region's mass matrix (`ObjectiveSpec.mass`): one sparse
+    product per evaluation, whatever split the state was solved on."""
+    d = sol.values if spec.t_ref is None else sol.values - spec.t_ref
+    Md = spec.mass(disc) @ d
+    return float(d @ Md) / spec.j_norm, (2.0 / spec.j_norm) * Md
 
 
 def tikhonov(field: DesignField, quad: DesignQuad, grad: bool = True):

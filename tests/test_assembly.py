@@ -97,13 +97,6 @@ def one_square_model(kappa=7.0):
     ).validate()
 
 
-def orbit_load(sol, load):
-    """A per-point adjoint load as `solve_adjoint` takes it: w * load summed
-    over each quadrature orbit of the state's split (w * load itself on the
-    trivial group)."""
-    return sol.lu.sub.group.quad.reduce(sol.disc.w * load)
-
-
 class TestKappa:
     def test_saturation(self):
         assert kappa_at(0.06, COPPER_PDMS, SP) == pytest.approx(398.0)
@@ -366,7 +359,7 @@ class TestSolves:
         basis, disc, quad = annulus_setup
         c = project_lsf(quad, lambda p: np.hypot(p[:, 0], p[:, 1]) - 1.5)
         sol = solve_state(disc, DesignField(basis, c), SP)
-        P = solve_adjoint(sol, orbit_load(sol, np.zeros(disc.w.size))).values
+        P = solve_adjoint(sol, disc.N.T @ (disc.w * np.zeros(disc.w.size))).values
         assert np.abs(P).max() == 0.0
 
     def test_annulus_adjoint_vs_oracle_converges(self):
@@ -379,7 +372,7 @@ class TestSolves:
             disc = discretize(refine_model(ann, RefineSpec(2, 1, sub, sub)), basis)
             sol = solve_state(disc, DesignField(basis, c), SmoothingParams(0.005))
             Tq = sol.at_quadrature()
-            P = solve_adjoint(sol, orbit_load(sol, -2.0 * Tq)).values
+            P = solve_adjoint(sol, disc.N.T @ (disc.w * (-2.0 * Tq))).values
             r = np.hypot(disc.phys[:, 0], disc.phys[:, 1])
             P_ex = annulus_adjoint(r, 1.5)
             Pq = disc.N @ P
@@ -395,7 +388,7 @@ class TestSolves:
         field = DesignField(basis, c)
         sol = solve_state(disc, field, SP)
         load = RNG.standard_normal(disc.w.size)
-        P = solve_adjoint(sol, orbit_load(sol, load)).values[disc.free]
+        P = solve_adjoint(sol, disc.N.T @ (disc.w * load)).values[disc.free]
         # K is symmetric, so the untransposed solve agrees with a transposed
         # solve on an independent factor of K_ff
         K_ff = assemble_system(disc, field, SP)[disc.free][:, disc.free]
@@ -420,9 +413,10 @@ class TestSolves:
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
         # the state solves on the mesh's group, so the adjoint load is
         # averaged over its quadrature orbits
-        load = disc.group.quad.average(RNG.standard_normal(disc.w.size))
+        quad = disc.group.quad
+        load = quad.expand(quad.means(RNG.standard_normal(disc.w.size)))
         P_ref = full.solve((disc.N.T @ (disc.w * load))[free], trans="T")
-        P = solve_adjoint(sol, orbit_load(sol, load)).values[free]
+        P = solve_adjoint(sol, disc.N.T @ (disc.w * load)).values[free]
         for x, ref in ((sol.values[free], T_ref), (P, P_ref)):
             assert np.abs(x - ref)[keep].max() <= rtol * np.abs(ref).max()
         return disc, sol
@@ -547,9 +541,9 @@ class TestCondensed:
         Kf = assemble_system(disc, field, sp_)[disc.free]
         full = splu(Kf[:, disc.free].tocsc())
         T_ref = full.solve(-(Kf[:, disc.dirichlet_idx] @ disc.dirichlet_val))
-        load = RNG.standard_normal(disc.w.size)
-        P_ref = full.solve((disc.N.T @ (disc.w * load))[disc.free])
-        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, orbit_load(sol, load)).values, P_ref)):
+        F = disc.N.T @ (disc.w * RNG.standard_normal(disc.w.size))
+        P_ref = full.solve(F[disc.free])
+        for x, ref in ((sol.values, T_ref), (solve_adjoint(sol, F).values, P_ref)):
             assert np.abs(x[disc.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["cloak", "cloak on its mirror orbits", "annulus"])
@@ -716,13 +710,13 @@ class TestMirrorGroup:
         c[3] += 1e-3
         nudged = solve_state(disc, prob.field(c), pipe.smoothing)
         assert nudged.lu.sub is disc.splits[disc.trivial] and nudged.lu.sub.group is disc.trivial
-        # a load the mirror does not leave invariant: the orbit state takes
-        # one value per quadrature orbit and refuses a per-point load; the
-        # plain split of the nudged state solves it as it is
+        # a load the mirror does not leave invariant: a solve takes one
+        # value per dof and refuses a per-point load; the plain split of the
+        # nudged state solves it as it is
         load = np.random.default_rng(43).standard_normal(disc.w.size)
-        with pytest.raises(AssemblyError, match="one value per quadrature orbit"):
+        with pytest.raises(AssemblyError, match="one value per dof"):
             solve_adjoint(sol, disc.w * load)
-        P = solve_adjoint(nudged, orbit_load(nudged, load)).values[disc.free]
+        P = solve_adjoint(nudged, disc.N.T @ (disc.w * load)).values[disc.free]
         Kff = assemble_system(disc, prob.field(c), pipe.smoothing)[disc.free][:, disc.free]
         P_ref = splu(Kff.tocsc()).solve((disc.N.T @ (disc.w * load))[disc.free])
         assert np.abs(P - P_ref).max() <= 1e-12 * np.abs(P_ref).max()
@@ -762,9 +756,10 @@ class TestMirrorGroup:
     @pytest.mark.parametrize("name", ["annulus", "cloak"])
     def test_evaluation_at_the_orbit_representatives(self, plates, name, monkeypatch):
         # an evaluation on the group takes no sparse product with the mesh's
-        # per-point operators (N, N^T, the design rows B and D): J, dJ/dT
-        # and the adjoint load run at one point per orbit too.  It factors
-        # S once and computes phi at the design representatives once
+        # per-point operators (N, N^T, the design rows B and D): J and the
+        # adjoint load are one product with the region's mass matrix on the
+        # dofs.  It factors S once and computes phi at the design
+        # representatives once
         pipe = plates[name]
         disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
         x0 = sym.means(pipe.field0.coeffs)
@@ -794,14 +789,13 @@ class TestMirrorGroup:
     @pytest.mark.parametrize("name", ["cloak", "camouflage"])
     def test_adjoint_load_sums_on_I(self, plates, name, monkeypatch):
         # the plates' K_II is eliminated on I's orbits under the mesh's
-        # group: the adjoint solve takes the representative rows' load
-        # summed over I's orbits, which are the sums of the whole invariant
-        # load there.  An invariant per-point load, and (on the cloak) the
-        # same load cut to y > 0, whose orbit sums stand for its orbit
-        # average.  The reference N^T (w load) is itself invariant only to
-        # the spread of w within an orbit (1.6e-14 of the largest weight on
-        # the cloak), so the bound is 1e-14 or four times its antisymmetric
-        # part, the larger
+        # group: the adjoint solve takes a load on the dofs by its sums
+        # over I's orbits.  The dof load of an invariant per-point load,
+        # and (on the cloak) of the same load cut to y > 0, whose orbit sums
+        # stand for its orbit average.  The reference N^T (w load) is itself
+        # invariant only to the spread of w within an orbit (1.6e-14 of the
+        # largest weight on the cloak), so the bound is 1e-14 or four times
+        # its antisymmetric part, the larger
         pipe = plates[name]
         disc, prob, sym = pipe.disc, pipe.problem, pipe.problem.sym
         sol = solve_state(disc, prob.field(sym.expand(sym.means(pipe.field0.coeffs))),
@@ -816,13 +810,14 @@ class TestMirrorGroup:
                 return lu.solve(b)
 
         monkeypatch.setattr(sub, "lu_II", Recorded())
-        load = quad.average(np.random.default_rng(53).standard_normal(disc.w.size))
+        load = quad.expand(quad.means(np.random.default_rng(53).standard_normal(disc.w.size)))
         loads = [load] + ([np.where(disc.phys[:, 1] > 0, load, 0.0)] if name == "cloak" else [])
         on_I = disc.free[sub.I]
         for load in loads:
-            solve_adjoint(sol, orbit_load(sol, load))
-            ref = disc.N.T @ (disc.w * quad.average(load))
-            floor = np.abs(disc.group.dofs.average(ref) - ref)[on_I].max()
+            solve_adjoint(sol, disc.N.T @ (disc.w * load))
+            ref = disc.N.T @ (disc.w * quad.expand(quad.means(load)))
+            dofs = disc.group.dofs
+            floor = np.abs(dofs.expand(dofs.means(ref)) - ref)[on_I].max()
             ref = sub.I_orbits.reduce(ref[on_I])
             assert np.abs(rhs[-1] - ref).max() <= max(1e-14 * np.abs(ref).max(), 4.0 * floor)
         assert len(rhs) == len(loads)
@@ -839,7 +834,8 @@ class TestMirrorGroup:
         rng = np.random.default_rng(59)
         field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)
                                       + 0.5 * rng.standard_normal(sym.count)))
-        load = _mirror_group(disc).quad.average(rng.standard_normal(disc.w.size))
+        quad = _mirror_group(disc).quad
+        load = quad.expand(quad.means(rng.standard_normal(disc.w.size)))
         xs = []
         for group in (disc.trivial, disc.group):
             lu = assembly.CondensedSystem(disc, _substructure(disc, group), field, pipe.smoothing)
@@ -847,7 +843,7 @@ class TestMirrorGroup:
             assert sub.lu_II.shape[0] == sub.I_orbits.count == sub.Z.shape[0]
             assert sub.Z.shape[1] == sub.rim.size
             state = FieldSolution(disc, lu.solve(), lu.S, lu)
-            adjoint = solve_adjoint(state, orbit_load(state, load))
+            adjoint = solve_adjoint(state, disc.N.T @ (disc.w * load))
             xs.append([x[disc.free[sub.I]] for x in (state.values, adjoint.values)])
         assert sub.group is disc.group and (sub.I_orbits.count, sub.rim.size) == sizes
         trivial = disc.splits[disc.trivial]

@@ -1,4 +1,5 @@
 import os
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from igatop.objectives import (
     eval_main,
     eval_total,
     make_objective,
+    region_mass,
     tikhonov,
 )
 
@@ -150,8 +152,8 @@ class TestReferenceFields:
                 assert np.array_equal(getattr(sub.S, a), getattr(S, a))
             assert np.array_equal(sub.g, plain.g)
             assert CondensedSystem(disc, plain, None, None).solve().tobytes() == t.tobytes()
-        diff = disc.N @ (t_ins - t_ref)
-        assert j_norm == float((disc.w * diff**2)[disc.region_mask("outside")].sum())
+        d = t_ins - t_ref
+        assert j_norm == float(d @ (region_mass(disc, disc.region_mask("outside")) @ d))
 
 
 class TestEvalMain:
@@ -397,7 +399,7 @@ class TestSymmetricEvaluation:
         # optimizer reads, still match the plain split
         pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
         prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
-        prob.spec.mask = prob.spec.mask & (disc.phys[:, 1] > 0)
+        prob.spec = replace(prob.spec, mask=prob.spec.mask & (disc.phys[:, 1] > 0))
         subs, solve = [], CondensedSystem.solve
 
         def recorded(self, F=None):
@@ -410,58 +412,97 @@ class TestSymmetricEvaluation:
         assert len(subs) == 2
         assert subs[0] is disc.splits[disc.group] and subs[1] is disc.splits[disc.group]
         j, g, _ = split_main(prob, field, _substructure(disc, disc.trivial))
-        assert np.abs(g - sym.average(g)).max() > 1e-3 * np.abs(g).max()
+        assert np.abs(g - sym.expand(sym.means(g))).max() > 1e-3 * np.abs(g).max()
         g_red, ref = sym.reduce(val.grad_main), sym.reduce(g)
         assert abs(val.j_main - j) <= 1e-12 * abs(j)
         assert np.abs(g_red - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_orbit_weights_follow_the_mask(self):
-        # the objective's per-orbit weights are kept per partition while
-        # mask and t_ref_q are the same arrays: those cannot be edited in
-        # place, and a new mask rebuilds the weights
-        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
-        prob, disc, sym = pipe.problem, pipe.disc, pipe.problem.sym
-        field = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
-        j_all = eval_total(prob, field).j_main
-        for a in (prob.spec.mask, prob.spec.t_ref_q):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = a[1]
-        prob.spec.mask = prob.spec.mask & (disc.phys[:, 1] > 0)
-        j_cut = eval_total(prob, field).j_main
-        ref = split_main(prob, field, _substructure(disc, disc.trivial))[0]
-        assert j_cut < j_all and abs(j_cut - ref) <= 1e-12 * abs(ref)
-
     @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
-    def test_shipped_objectives_invariant_on_the_mesh_group(self, name):
+    def test_shipped_objectives_invariant_on_the_mesh_group(self, shipped, name):
         # why the orbit-summed adjoint load leaves the shipped runs' results
         # unchanged: the mirrors keep every point's region label, so the
-        # mask is exactly invariant, and t_ref, solved on the whole split,
-        # is invariant to roundoff
-        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
-        spec, quad = pipe.problem.spec, _mirror_group(pipe.disc).quad
-        assert quad.count < spec.mask.size and quad.invariant(spec.mask)
-        if spec.t_ref_q is not None:
-            t = spec.t_ref_q
-            assert np.abs(quad.average(t) - t).max() <= 1e-13 * np.abs(t).max()
+        # mask, and with it M, is exactly invariant, and so is t_ref on the
+        # dofs, solved on the mesh's orbits and read out through them
+        pipe = shipped[name]
+        spec, group = pipe.problem.spec, _mirror_group(pipe.disc)
+        assert group.quad.count < spec.mask.size and group.quad.invariant(spec.mask)
+        if spec.t_ref is not None:
+            assert group.dofs.count < spec.t_ref.size and group.dofs.invariant(spec.t_ref)
 
-    def test_adjoint_load_on_the_state_orbits(self):
-        # eval_main's adjoint source has one value per quadrature orbit of
-        # the state's split, weights in: on the orbit state dJ/dT at each
-        # orbit's lowest point times the orbit's sum of w * mask (t_ref as
-        # its weighted orbit mean, invariant to roundoff); on the plain
-        # split of a projected start w * dJ/dT at every point of the region
-        pipe = build_pipeline(RunConfig.load(os.path.join(CONFIGS, "cloak.yaml")))
-        prob, disc, sym, spec = pipe.problem, pipe.disc, pipe.problem.sym, pipe.problem.spec
-        symmetric = prob.field(sym.expand(sym.means(pipe.field0.coeffs)))
-        for field in (symmetric, pipe.field0):
-            sol = solve_state(disc, field, prob.smoothing)
-            quad = sol.lu.sub.group.quad
-            raw = np.where(spec.mask, 2.0 * (sol.at_quadrature() - spec.t_ref_q) / spec.j_norm, 0.0)
-            _, dj = eval_main(spec, disc, sol)
-            if field is symmetric:
-                assert quad is disc.group.quad and dj.shape == (quad.count,)
-                ref = quad.reduce(disc.w * raw)
-                assert np.abs(dj - ref).max() <= 1e-12 * np.abs(ref).max()
-            else:
-                assert quad is disc.trivial.quad
-                assert np.array_equal(dj, disc.w * raw)
+
+@pytest.fixture(scope="module")
+def shipped():
+    return {name: build_pipeline(RunConfig.load(os.path.join(CONFIGS, f"{name}.yaml")))
+            for name in ("annulus", "cloak", "camouflage")}
+
+
+def per_point(spec, disc, values):
+    """J and dJ/dT at every quadrature point, independently of M: the
+    region's w * (N d)^2 / j_norm summed, and 2 N d / j_norm."""
+    Nd = disc.N @ (values if spec.t_ref is None else values - spec.t_ref)
+    wm = np.where(spec.mask, disc.w, 0.0)
+    return float((wm * Nd**2).sum()) / spec.j_norm, 2.0 * Nd / spec.j_norm
+
+
+def shipped_states(pipe):
+    """The sym-expanded start, solved on the mesh's group, and the projected
+    start, on the trivial group where it is not exactly symmetric."""
+    prob, sym = pipe.problem, pipe.problem.sym
+    for c in (sym.expand(sym.means(pipe.field0.coeffs)), pipe.field0.coeffs):
+        yield solve_state(pipe.disc, prob.field(c), prob.smoothing)
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_value_is_the_per_point_integral(self, shipped, name):
+        # J = d^T M d / j_norm is the region's integral of (N d)^2 / j_norm
+        pipe = shipped[name]
+        spec, disc = pipe.problem.spec, pipe.disc
+        groups = []
+        for sol in shipped_states(pipe):
+            groups.append(sol.lu.sub.group)
+            ref = per_point(spec, disc, sol.values)[0]
+            assert abs(eval_main(spec, disc, sol)[0] - ref) <= 1e-13 * ref
+        assert groups == [disc.group, disc.trivial] and disc.group is not disc.trivial
+
+    @pytest.mark.parametrize("name", ["annulus", "cloak", "camouflage"])
+    def test_adjoint_load_is_N_transpose_of_the_pointwise_derivative(self, shipped, name):
+        # the load 2 M d / j_norm is N^T (w * mask * dJ/dT), dJ/dT per point
+        pipe = shipped[name]
+        spec, disc = pipe.problem.spec, pipe.disc
+        for sol in shipped_states(pipe):
+            dj_dt = per_point(spec, disc, sol.values)[1]
+            ref = disc.N.T @ (np.where(spec.mask, disc.w, 0.0) * dj_dt)
+            load = eval_main(spec, disc, sol)[1]
+            assert load.shape == (disc.ndof,)
+            assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_a_cut_mask_is_a_new_form(self, shipped):
+        # a spec cut to y > 0 builds its own M, and reads the per-point
+        # integral over that half of the cloak's region
+        pipe = shipped["cloak"]
+        spec, disc = pipe.problem.spec, pipe.disc
+        cut = replace(spec, mask=spec.mask & (disc.phys[:, 1] > 0))
+        assert cut.mass(disc) is not spec.mass(disc)
+        sol = next(shipped_states(pipe))
+        j_all, j_cut = (eval_main(s, disc, sol)[0] for s in (spec, cut))
+        ref = per_point(cut, disc, sol.values)[0]
+        assert 0.0 < j_cut < j_all and abs(j_cut - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("name", ["cloak", "camouflage"])
+    def test_all_insulator_reads_one(self, shipped, name):
+        # j_norm is the same form at t_ins - t_ref
+        pipe = shipped[name]
+        disc = pipe.disc
+        insulator = disc.model.kappa_regions["inside" if name == "cloak" else "sector"]
+        sol = solve_state(disc, override={"design": insulator})
+        assert abs(eval_main(pipe.problem.spec, disc, sol)[0] - 1.0) <= 1e-13
+
+    def test_spec_is_frozen_and_checked(self, shipped):
+        spec = shipped["cloak"].problem.spec
+        with pytest.raises(FrozenInstanceError):
+            spec.j_norm = 2.0
+        with pytest.raises(ConfigError, match="normalization"):
+            replace(spec, j_norm=-1.0)
+        with pytest.raises(ConfigError, match="regularization"):
+            replace(spec, chi=-1.0)

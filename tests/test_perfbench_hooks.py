@@ -13,9 +13,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import splu
 
-from igatop import assembly, cli, optimizer
+from igatop import assembly, cli, export, objectives, optimizer
 from igatop.assembly import solve_state
 from igatop.config import RunConfig, build_pipeline
 from igatop.export import sample_fields
@@ -169,3 +170,92 @@ def test_group_found_once_in_set_up(monkeypatch):
     val = optimizer.eval_total(pipe.problem, pipe.problem.field(sym.expand(sym.means(
         pipe.field0.coeffs))))
     assert len(calls) == 1 and val.state.lu.sub.group is pipe.disc.group
+
+
+def _sparse_products(monkeypatch):
+    """Record the shape of every sparse matrix-times-operand product."""
+    shapes, dispatch = [], _spbase._matmul_dispatch
+
+    def counted(self, other):
+        shapes.append(self.shape)
+        return dispatch(self, other)
+
+    monkeypatch.setattr(_spbase, "_matmul_dispatch", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["annulus", "cloak"])
+def test_eval_main_is_one_sparse_product(monkeypatch, name):
+    # objectives.main times J = d^T M d / j_norm and its load 2 M d / j_norm:
+    # one product with the region's mass matrix, built by make_objective on
+    # the plates and by the first evaluation on the annulus
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", f"{name}.yaml")))
+    spec, disc = pipe.problem.spec, pipe.disc
+    sol = solve_state(disc, pipe.field0, pipe.smoothing)
+    if name == "annulus":
+        objectives.eval_main(spec, disc, sol)
+    shapes = _sparse_products(monkeypatch)
+    objectives.eval_main(spec, disc, sol)
+    assert shapes == [(disc.ndof, disc.ndof)]
+
+
+def test_solve_adjoint_products_are_the_condensed_solves(monkeypatch):
+    # assembly.adjoint times the condensed solve of a dof load: no product
+    # of its own outside CondensedSystem.solve
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "cloak.yaml")))
+    sym = pipe.problem.sym
+    sol = solve_state(pipe.disc, pipe.problem.field(sym.expand(sym.means(pipe.field0.coeffs))),
+                      pipe.smoothing)
+    load = objectives.eval_main(pipe.problem.spec, pipe.disc, sol)[1]
+    shapes, inside, solve = _sparse_products(monkeypatch), [], assembly.CondensedSystem.solve
+
+    def marked(self, F=None):
+        inside.append(len(shapes))
+        x = solve(self, F)
+        inside.append(len(shapes))
+        return x
+
+    monkeypatch.setattr(assembly.CondensedSystem, "solve", marked)
+    assembly.solve_adjoint(sol, -load)
+    assert inside == [0, len(shapes)] and shapes
+
+
+def test_grid_formatted_inside_the_traced_vtk_writer(monkeypatch, tmp_path):
+    # export.write times write_vtk_structured and write_grid_csv: the grid's
+    # fields are formatted once, inside the first (the VTK writer's) span,
+    # and the CSV writer takes that result as it is
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    for module in (cli, export):
+        for attr in ("write_vtk_structured", "write_grid_csv"):
+            monkeypatch.setattr(module, attr, getattr(module, attr))  # restored afterwards
+    for attr in ("write_vtk_structured", "write_grid_csv"):
+        tracing._wrap(tracer, "igatop.export", attr, "export.write", None, False)
+    formatted, fmt = [], export.format_grid
+
+    def recorded(data):
+        formatted.append((isinstance(data, export.FormattedGrid), list(tracer._stack)))
+        return fmt(data)
+
+    monkeypatch.setattr(export, "format_grid", recorded)
+    pipe = build_pipeline(RunConfig.load(os.path.join(ROOT, "configs", "annulus.yaml"),
+                                         ["output.grid=9"]), with_objective=False)
+    T = solve_state(pipe.disc, pipe.field0, pipe.smoothing).values
+    tracer.active = True
+    cli._write_field_outputs(pipe, T, pipe.field0, str(tmp_path), "field")
+    tracer.active = False
+    assert tracer.names == ["export.write", "export.write"]
+    assert formatted == [(False, [0]), (True, [1])]
+    assert sorted(os.listdir(tmp_path)) == ["field.csv", "field.vtk"]
+
+
+def test_traced_layers_of_the_objective_resolve():
+    # the spans the objective, its adjoint solve and the split's factor are
+    # timed by
+    traced = {(m, a): span for m, a, span, _ in _traced()}
+    assert traced[("igatop.objectives", "eval_main")] == "objectives.main"
+    assert traced[("igatop.objectives", "compute_reference_fields")] == "objectives.reference"
+    assert traced[("igatop.assembly", "solve_adjoint")] == "assembly.adjoint"
+    assert traced[("igatop.assembly", "splu")] == "assembly.factor"
+    assert callable(objectives.eval_main) and callable(objectives.compute_reference_fields)
+    assert callable(assembly.solve_adjoint) and callable(assembly.splu)
